@@ -6,6 +6,10 @@ typical flow over a synthetic corpus:
     novascape synth  --config run.json --out runs/demo
     novascape report --config run.json --out runs/demo
 
+`report` parses its input once and hands records and scores from stage to
+stage in memory; the standalone subcommands read what the previous one left
+in the output directory. Both routes write the same bytes.
+
 All randomness flows from seeds in the config (logged at run time). Outputs
 are written atomically (temp file + rename) and contain no timestamps, so a
 rerun with the same config and seeds reproduces the directory byte for byte.
@@ -15,15 +19,16 @@ Exit codes: 0 success, 2 input error, 3 empty result, 4 numeric failure.
 
 import argparse
 import csv
+import dataclasses
 import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 from .corpus import (
     FilterConfig,
@@ -53,7 +58,7 @@ from .landscape import (
     layout,
     render_svg,
 )
-from .metrics import SPAN_PRESETS, read_scores_csv, score_corpus
+from .metrics import SPAN_PRESETS, ScoreTable, read_scores_csv, score_corpus
 from .stats import (
     COUNT_NOVELTY_MODEL,
     REFERENCE_CROWDFUNDED,
@@ -80,14 +85,15 @@ EXIT_NUMERIC = 4
 EXPORT_FORMATS = ("csv", "json", "graphml", "svg")
 MODEL_PRESETS = dict(STANDARD_MODELS + (COUNT_NOVELTY_MODEL,))
 
-# cache file names inside the output directory; score/landscape/stats read
-# what ingest wrote so the pipeline stays restartable per subcommand
+# cache file names inside the output directory; the standalone score,
+# landscape and stats subcommands read what ingest and score wrote
 CORPUS_CACHE = "corpus_filtered.csv"
 REGISTRY_CACHE = "registry.txt"
+SCORES_FILE = "scores.csv"
 
 
 def thread_cap() -> int:
-    """Parallelism bound from NOVASCAPE_THREADS (default 1, floor 1)."""
+    """Worker bound from NOVASCAPE_THREADS (default 1, floor 1) for scripts/effect_recovery.py."""
     raw = os.environ.get("NOVASCAPE_THREADS", "")
     try:
         return max(1, int(raw))
@@ -97,10 +103,15 @@ def thread_cap() -> int:
 
 @contextmanager
 def atomic_write(path: Path):
-    """Yield a temp path in the target directory; rename over `path` on success."""
+    """Yield a unique temp path in the target directory; rename over `path` on success."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
+    fd, name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    umask = os.umask(0)
+    os.umask(umask)
+    os.fchmod(fd, 0o666 & ~umask)  # the mode a plain open() would give, not mkstemp's 0600
+    os.close(fd)
+    tmp = Path(name)
     try:
         yield tmp
         os.replace(tmp, path)
@@ -202,14 +213,7 @@ class PipelineConfig:
             "spans": list(self.spans),
             "stats_span": self.stats_span,
             "last_complete_year": self.last_complete_year,
-            "filters": {
-                "min_mechanisms": self.filters.min_mechanisms,
-                "min_ratings": self.filters.min_ratings,
-                "require_designer": self.filters.require_designer,
-                "drop_trivial_expansions": self.filters.drop_trivial_expansions,
-                "year_min": self.filters.year_min,
-                "year_max": self.filters.year_max,
-            },
+            "filters": dataclasses.asdict(self.filters),
             "landscape": {
                 "snapshot_years": list(self.snapshot_years),
                 "min_type_count": self.min_type_count,
@@ -217,16 +221,7 @@ class PipelineConfig:
                 "seed": self.seed,
             },
             "formats": list(self.formats),
-            "models": {
-                name: {
-                    "outcome": spec.outcome,
-                    "family": spec.family,
-                    "terms": [list(t) for t in spec.terms],
-                    "fixed_effects": list(spec.fixed_effects),
-                    "robust_se": spec.robust_se,
-                }
-                for name, spec in self.models
-            },
+            "models": {name: spec.to_dict() for name, spec in self.models},
         }
         if self.synth is not None:
             out["synth"] = self.synth.to_dict()
@@ -277,7 +272,8 @@ def _last_complete_year(cfg: PipelineConfig, records: RecordSet) -> int:
     return inferred
 
 
-def cmd_ingest(cfg: PipelineConfig) -> int:
+def cmd_ingest(cfg: PipelineConfig) -> RecordSet:
+    """Parse and filter the input corpus, write the caches, return the kept records."""
     if not cfg.corpus_path:
         raise ConfigError("ingest needs corpus_path (config key or --corpus)")
     registry = load_registry(cfg.registry_path) if cfg.registry_path else canonical_registry()
@@ -291,14 +287,15 @@ def cmd_ingest(cfg: PipelineConfig) -> int:
     with atomic_write(out / "filter_report.json") as tmp:
         tmp.write_text(report.to_json() + "\n", encoding="utf-8")
     log.info("ingested %d records, kept %d after filters", len(records.records), len(kept.records))
-    return EXIT_OK
+    return kept
 
 
-def cmd_score(cfg: PipelineConfig) -> int:
-    records = _load_cache(cfg)
+def cmd_score(cfg: PipelineConfig, records: Optional[RecordSet] = None) -> ScoreTable:
+    """Score `records` (default: the ingest cache), write scores.csv, return the table."""
+    records = _load_cache(cfg) if records is None else records
     last_year = _last_complete_year(cfg, records)
     table = score_corpus(records, spans=cfg.spans, last_complete_year=last_year)
-    with atomic_write(Path(cfg.out_dir) / "scores.csv") as tmp:
+    with atomic_write(Path(cfg.out_dir) / SCORES_FILE) as tmp:
         table.write_csv(tmp)
     if len(table) == 0:
         log.warning(
@@ -308,11 +305,11 @@ def cmd_score(cfg: PipelineConfig) -> int:
     elif table.unscored:
         log.info("%d (record, span) pairs had empty windows and were not scored", len(table.unscored))
     log.info("wrote %d score rows for spans %s", len(table), cfg.spans)
-    return EXIT_OK
+    return table
 
 
-def cmd_landscape(cfg: PipelineConfig) -> int:
-    records = _load_cache(cfg)
+def cmd_landscape(cfg: PipelineConfig, records: Optional[RecordSet] = None) -> int:
+    records = _load_cache(cfg) if records is None else records
     years = tuple(sorted(cfg.snapshot_years)) or (max(int(y) for y in records.years),)
     graphs = [
         build_landscape(records, up_to_year=y, min_type_count=cfg.min_type_count,
@@ -321,22 +318,23 @@ def cmd_landscape(cfg: PipelineConfig) -> int:
     ]
     final = graphs[-1]
     log.info("landscape layout seed: %d", cfg.seed)
+    # one layout of the final snapshot; exports, SVGs and centroids keep only
+    # the positions of each snapshot's plotted nodes
     positions = layout(final, seed=cfg.seed)
     classes = classify_snapshots(graphs)
     out = Path(cfg.out_dir)
 
     rows = []
     for g in graphs:
-        pos = layout(g, final_graph=final, seed=cfg.seed)
         for fmt in cfg.formats:
             if fmt == "csv":
                 continue
             path = out / f"landscape_{g.snapshot_year}.{fmt}"
             with atomic_write(path) as tmp:
                 if fmt == "svg":
-                    render_svg(g, pos, tmp, classes=classes[g.snapshot_year])
+                    render_svg(g, positions, tmp, classes=classes[g.snapshot_year])
                 else:
-                    export_graph(g, pos, fmt, tmp, seed=cfg.seed)
+                    export_graph(g, positions, fmt, tmp, seed=cfg.seed)
         for cen in centroids(g, positions, records, g.snapshot_year):
             if cen is not None:
                 rows.append(
@@ -360,19 +358,20 @@ def _write_dict_csv(path, rows: List[dict], columns: Sequence[str]) -> None:
         writer.writerows(rows)
 
 
-def _fit_one(data, name: str, spec: ModelSpec):
-    design = build_design(data, spec)
-    return name, design, fit_model(design)
-
-
-def cmd_stats(cfg: PipelineConfig) -> int:
-    records = _load_cache(cfg)
-    scores_path = Path(cfg.out_dir) / "scores.csv"
-    if not scores_path.exists():
-        raise ConfigError(f"{scores_path} missing; run the score subcommand first")
-    table = read_scores_csv(scores_path)
+def cmd_stats(
+    cfg: PipelineConfig,
+    records: Optional[RecordSet] = None,
+    table: Optional[ScoreTable] = None,
+) -> int:
+    """Descriptives, group tests and models; inputs default to the ingest and score caches."""
+    records = _load_cache(cfg) if records is None else records
+    if table is None:
+        scores_path = Path(cfg.out_dir) / SCORES_FILE
+        if not scores_path.exists():
+            raise ConfigError(f"{scores_path} missing; run the score subcommand first")
+        table = read_scores_csv(scores_path)
     if len(table.for_span(cfg.stats_span)) == 0:
-        raise EmptySample(f"scores.csv has no rows for span {cfg.stats_span}")
+        raise EmptySample(f"no score rows for span {cfg.stats_span}")
     data = join_scores(records, table, span=cfg.stats_span)
     out = Path(cfg.out_dir)
 
@@ -398,37 +397,21 @@ def cmd_stats(cfg: PipelineConfig) -> int:
     with atomic_write(out / "group_tests.csv") as tmp:
         _write_dict_csv(tmp, test_rows, list(test_rows[0].keys()))
 
-    # models are independent; NOVASCAPE_THREADS>1 fits them concurrently
-    fits: List[Tuple[str, Optional[object]]] = []
-    designs: Dict[str, object] = {}
-    failures: List[Tuple[str, Exception]] = []
-    workers = min(thread_cap(), max(1, len(cfg.models)))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_fit_one, data, name, spec) for name, spec in cfg.models]
-            results = []
-            for fut, (name, _) in zip(futures, cfg.models):
-                try:
-                    results.append(fut.result())
-                except NovascapeError as exc:
-                    results.append((name, None, exc))
-            iterator = iter(results)
-    else:
-        def _serial():
-            for name, spec in cfg.models:
-                try:
-                    yield _fit_one(data, name, spec)
-                except NovascapeError as exc:
-                    yield name, None, exc
-        iterator = _serial()
-    for name, design, fit in iterator:
-        if design is None:
-            failures.append((name, fit))
+    # a failed model is reported and left out; the others are still written
+    fits = []
+    designs = {}
+    failures = 0
+    for name, spec in cfg.models:
+        try:
+            design = build_design(data, spec)
+            fit = fit_model(design)
+        except NovascapeError as exc:
+            failures += 1
             fits.append((name, None))
-            log.error("model %s failed: %s", name, fit)
-        else:
-            designs[name] = design
-            fits.append((name, fit))
+            log.error("model %s failed: %s", name, exc)
+            continue
+        designs[name] = design
+        fits.append((name, fit))
 
     model_rows = []
     for name, fit in fits:
@@ -472,7 +455,7 @@ def cmd_stats(cfg: PipelineConfig) -> int:
 
     if failures:
         log.error("%d of %d models failed; remaining tables were still written",
-                  len(failures), len(cfg.models))
+                  failures, len(cfg.models))
         return EXIT_NUMERIC
     log.info("fitted %d models on %d joined rows (span %d)",
              len(cfg.models), len(data["distinctiveness"]), cfg.stats_span)
@@ -495,7 +478,11 @@ def cmd_synth(cfg: PipelineConfig) -> int:
 
 
 def cmd_report(cfg: PipelineConfig) -> int:
-    """Full pipeline in one command; steps share the output directory."""
+    """Full pipeline in one command; stages pass records and scores in memory.
+
+    Each stage still writes its files, so the output directory matches a
+    stepwise run of the subcommands byte for byte.
+    """
     if cfg.synth is not None and cfg.corpus_path is None:
         cmd_synth(cfg)
         cfg = replace(
@@ -503,10 +490,10 @@ def cmd_report(cfg: PipelineConfig) -> int:
             corpus_path=str(Path(cfg.out_dir) / "synth_corpus.csv"),
             registry_path=str(Path(cfg.out_dir) / "synth_registry.txt"),
         )
-    code = EXIT_OK
-    for step in (cmd_ingest, cmd_score, cmd_landscape, cmd_stats):
-        step_code = step(cfg)
-        code = code or step_code
+    records = cmd_ingest(cfg)
+    table = cmd_score(cfg, records)
+    code = cmd_landscape(cfg, records)
+    code = cmd_stats(cfg, records, table) or code
     with atomic_write(Path(cfg.out_dir) / "pipeline_config.json") as tmp:
         tmp.write_text(json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n",
                        encoding="utf-8")
@@ -557,7 +544,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
-        return COMMANDS[args.command](cfg)
+        result = COMMANDS[args.command](cfg)
+        # ingest and score return their records or scores for report to chain
+        return result if isinstance(result, int) else EXIT_OK
     except (ParseError, ConfigError, FileNotFoundError) as exc:
         log.error("%s", exc)
         return EXIT_INPUT

@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .corpus import Record, RecordSet
+from .corpus import Record, RecordSet, _format_number
 from .errors import DimensionError, EmptyWindow
 
 PAST = "past"
@@ -29,22 +29,16 @@ FUTURE = "future"
 SPAN_PRESETS = (1, 2, 5)
 DEFAULT_SPAN = 2
 
-COMPARISON_FILTERED = "filtered"
-COMPARISON_RAW = "raw"
-
 
 @dataclass(frozen=True)
 class WindowSpec:
-    """Window length in years and which corpus provides the comparators."""
+    """Window length in whole years."""
 
     span_years: int = DEFAULT_SPAN
-    comparison_set: str = COMPARISON_FILTERED
 
     def __post_init__(self):
         if self.span_years < 1:
             raise ValueError("span_years must be >= 1")
-        if self.comparison_set not in (COMPARISON_FILTERED, COMPARISON_RAW):
-            raise ValueError(f"unknown comparison_set {self.comparison_set!r}")
 
 
 def _as_spec(span: Union[int, WindowSpec]) -> WindowSpec:
@@ -120,6 +114,7 @@ class ScoreTable:
         return tuple(r for r in self.rows if r.span_years == span_years)
 
     def write_csv(self, path) -> None:
+        """Write one row per score; floats use round-trip repr, so no precision is lost."""
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(
@@ -131,17 +126,17 @@ class ScoreTable:
                     [
                         row.record_id,
                         row.span_years,
-                        f"{row.distinctiveness:.6f}",
+                        _format_number(row.distinctiveness),
                         row.novelty_count,
                         int(row.novelty_binary),
-                        f"{row.resonance:.6f}" if has_res else "NA",
+                        _format_number(row.resonance) if has_res else "NA",
                         int(has_res),
                     ]
                 )
 
 
 def read_scores_csv(path) -> ScoreTable:
-    """Inverse of ScoreTable.write_csv (values at the file's 6-decimal precision)."""
+    """Inverse of ScoreTable.write_csv; every score reads back exactly as written."""
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)

@@ -162,22 +162,8 @@ class GroupTestResult:
         assert abs(self.auc - self.u_statistic / (self.n[0] * self.n[1])) < 1e-9
 
 
-def _midranks(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values))
-    sv = values[order]
-    i = 0
-    while i < len(sv):
-        j = i
-        while j + 1 < len(sv) and sv[j + 1] == sv[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
-
-
 def _u_statistic(pooled: np.ndarray, n1: int) -> float:
-    ranks = _midranks(pooled)
+    ranks = sstats.rankdata(pooled, method="average")  # midranks for ties
     r1 = float(ranks[:n1].sum())
     return r1 - n1 * (n1 + 1) / 2.0
 
@@ -623,6 +609,10 @@ def _fit_glm(family: str, X: np.ndarray, y: np.ndarray, robust: str, columns) ->
             max_score = float(np.abs(X.T @ (y - _glm_mu_w(family, X @ beta)[0])).max())
             break
         ll = new_ll
+    if not converged:
+        raise NumericError(
+            f"{family} fit did not converge in {MAX_IRLS_ITER} iterations (max |score| {max_score:.3g})"
+        )
 
     eta = X @ beta
     mu, w = _glm_mu_w(family, eta)

@@ -1,18 +1,22 @@
 """End-to-end tests for the pipeline CLI: exit codes, files, determinism."""
 
 import json
+import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from novascape import cli, stats
 from novascape.cli import (
     EXIT_EMPTY,
     EXIT_INPUT,
     EXIT_NUMERIC,
     EXIT_OK,
     PipelineConfig,
+    atomic_write,
     main,
     thread_cap,
 )
@@ -228,16 +232,75 @@ class TestExitCodes:
         assert fitted == {"Good"}
         assert "Broken" in (out / "models.txt").read_text()
 
+    def test_unconverged_glm_is_exit_4_and_not_written(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(stats, "MAX_IRLS_ITER", 1)
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path, pipeline_payload(out))
+        assert main(["report", "--config", str(cfg)]) == EXIT_NUMERIC
+        fitted = {line.split(",")[0] for line in
+                  (out / "models.csv").read_text().splitlines()[1:]}
+        assert fitted == {"Distinctiveness", "Resonance"}
 
-class TestThreads:
-    def test_thread_cap_does_not_change_output(self, tmp_path, monkeypatch):
+
+class TestInMemoryReport:
+    def test_stepwise_run_writes_the_same_bytes_as_report(self, tmp_path):
+        report_out, step_out = tmp_path / "report", tmp_path / "step"
+        report_cfg = write_config(tmp_path, pipeline_payload(report_out), "report.json")
+        step_cfg = write_config(tmp_path, pipeline_payload(step_out), "step.json")
+        assert main(["report", "--config", str(report_cfg)]) == EXIT_OK
+        corpus = ["--corpus", str(step_out / "synth_corpus.csv"),
+                  "--registry", str(step_out / "synth_registry.txt")]
+        for command in ("synth", "ingest", "score", "landscape", "stats"):
+            extra = corpus if command == "ingest" else []
+            assert main([command, "--config", str(step_cfg), *extra]) == EXIT_OK
+        report, stepwise = snapshot(report_out), snapshot(step_out)
+        assert set(stepwise) == set(report) - {"pipeline_config.json"}
+        for name, data in stepwise.items():
+            assert data == report[name], name
+
+    def test_report_parses_its_input_once_and_lays_out_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def recording(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append((name, args[0]))
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("parse_records", "load_registry", "read_scores_csv", "layout"):
+            monkeypatch.setattr(cli, name, recording(name, getattr(cli, name)))
         out = tmp_path / "run"
         cfg = write_config(tmp_path, pipeline_payload(out))
         assert main(["report", "--config", str(cfg)]) == EXIT_OK
-        serial = snapshot(out)
-        monkeypatch.setenv("NOVASCAPE_THREADS", "4")
-        assert main(["stats", "--config", str(cfg)]) == EXIT_OK
-        assert snapshot(out) == serial
+        reads = [(name, Path(arg).name) for name, arg in calls if name != "layout"]
+        assert reads == [("load_registry", "synth_registry.txt"),
+                         ("parse_records", "synth_corpus.csv")]
+        assert [name for name, _ in calls].count("layout") == 1
+
+
+class TestAtomicWrite:
+    def test_nested_writers_of_one_path(self, tmp_path):
+        target = tmp_path / "out.txt"
+        with atomic_write(target) as outer:
+            outer.write_text("outer")
+            with atomic_write(target) as inner:
+                inner.write_text("inner")
+            assert target.read_text() == "inner"
+        assert target.read_text() == "outer"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+        umask = os.umask(0)
+        os.umask(umask)
+        assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~umask
+
+    def test_failed_writer_keeps_target_and_removes_temp(self, tmp_path):
+        target = tmp_path / "out.txt"
+        target.write_text("old")
+        with pytest.raises(RuntimeError):
+            with atomic_write(target) as tmp:
+                tmp.write_text("new")
+                raise RuntimeError("writer failed")
+        assert target.read_text() == "old"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 
 class TestConsoleEntry:

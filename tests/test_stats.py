@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from novascape import stats
 from novascape.errors import (
     EmptySample,
     NumericError,
@@ -539,6 +540,20 @@ class TestPoisson:
         f2 = fit_poisson(np.column_stack([np.ones(60), 2.0 * x]), y, columns=("const", "x"))
         assert f2.coefficients["x"] == pytest.approx(f1.coefficients["x"] / 2.0, rel=1e-6)
         assert f2.z_or_t["x"] == pytest.approx(f1.z_or_t["x"], abs=1e-8)
+
+
+class TestIterationCap:
+    @pytest.mark.parametrize("fit, y", [
+        (fit_logistic, [0, 0, 0, 1, 0, 1, 0, 1, 1, 1]),
+        (fit_poisson, [0, 1, 0, 2, 1, 3, 2, 4, 3, 5]),
+    ])
+    def test_fit_that_reaches_the_cap_raises(self, monkeypatch, fit, y):
+        X = np.column_stack([np.ones(10), np.linspace(-2.0, 2.5, 10)])
+        y = np.array(y, dtype=float)
+        assert fit(X, y).converged
+        monkeypatch.setattr(stats, "MAX_IRLS_ITER", 1)
+        with pytest.raises(NumericError, match="did not converge"):
+            fit(X, y)
 
 
 # ---------------------------------------------------------------------------
