@@ -358,6 +358,30 @@ def _write_dict_csv(path, rows: List[dict], columns: Sequence[str]) -> None:
         writer.writerows(rows)
 
 
+def _read_scores(cfg: PipelineConfig, records: RecordSet) -> ScoreTable:
+    """Read scores.csv and check that it was scored from the ingest cache `records`.
+
+    Every scored id must be a cached record, and the ids scored for
+    stats_span must be exactly the cached records with a non-empty past
+    window; a table left over from an earlier ingest fails one or the other.
+    """
+    path = Path(cfg.out_dir) / SCORES_FILE
+    if not path.exists():
+        raise ConfigError(f"{path} missing; run the score subcommand first")
+    table = read_scores_csv(path)
+    years = set(records.year_rows)
+    expected = {
+        rec.id for rec in records.records
+        if any(rec.year - k in years for k in range(1, cfg.stats_span + 1))
+    }
+    scored = {row.record_id for row in table.for_span(cfg.stats_span)}
+    if scored != expected or not {row.record_id for row in table} <= set(records.ids):
+        raise ConfigError(
+            f"{path} was not scored from the ingested corpus in {cfg.out_dir!r}; re-run score"
+        )
+    return table
+
+
 def cmd_stats(
     cfg: PipelineConfig,
     records: Optional[RecordSet] = None,
@@ -365,11 +389,7 @@ def cmd_stats(
 ) -> int:
     """Descriptives, group tests and models; inputs default to the ingest and score caches."""
     records = _load_cache(cfg) if records is None else records
-    if table is None:
-        scores_path = Path(cfg.out_dir) / SCORES_FILE
-        if not scores_path.exists():
-            raise ConfigError(f"{scores_path} missing; run the score subcommand first")
-        table = read_scores_csv(scores_path)
+    table = _read_scores(cfg, records) if table is None else table
     if len(table.for_span(cfg.stats_span)) == 0:
         raise EmptySample(f"no score rows for span {cfg.stats_span}")
     data = join_scores(records, table, span=cfg.stats_span)

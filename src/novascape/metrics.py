@@ -9,9 +9,20 @@ of whole calendar years:
 * resonance: distinctiveness against the past minus distinctiveness against
   the future, positive when later records sit closer than earlier ones.
 
-Same-year records are never part of a window. All Hamming sums are
-accumulated exactly in 64-bit integers and divided once, so results are
-deterministic and independent of scheduling.
+Same-year records are never part of a window. Every entry point runs on one
+exact kernel:
+
+* distinctiveness and resonance come from window feature counts
+  (FeatureProfile): a window's Hamming sum is an int64 dot product with its
+  counts, divided once, so the cost is O(n*d) and no pairwise distance is
+  formed. score_corpus counts each comparison year once and sums those counts
+  per window;
+* novelty packs vectors into ceil(d/64) uint64 words and takes the minimum
+  XOR popcount over blocks of NOVELTY_BLOCK_ROWS focal rows, so its memory is
+  bounded by block x window rows, not by focal x window.
+
+Results are exact integers (or one division of them), deterministic and
+independent of scheduling.
 """
 
 import csv
@@ -28,6 +39,9 @@ FUTURE = "future"
 
 SPAN_PRESETS = (1, 2, 5)
 DEFAULT_SPAN = 2
+
+# focal rows per XOR-popcount block of the novelty scan
+NOVELTY_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -51,12 +65,13 @@ def _as_vector(g) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FeatureProfile:
-    """Per-feature occurrence counts over one window; fast path for the mean distance.
+    """Per-feature occurrence counts over one window; the route of every mean distance.
 
     The mean Hamming distance from a vector g to n window vectors expands to
     sum_j (g_j ? n - c_j : c_j) / n where c_j counts window records with
-    feature j set. The integer numerator equals the brute-force pairwise sum
-    exactly.
+    feature j set, i.e. (c.sum() + g.(n - 2c)) / n. The numerator is taken in
+    int64 and equals the brute-force pairwise sum exactly. distinctiveness,
+    resonance and score_corpus all compute their means this way.
     """
 
     year_lo: int
@@ -167,9 +182,11 @@ def hamming(a, b) -> int:
 def cross_hamming(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Pairwise Hamming distances between row vectors of A (m,d) and B (k,d).
 
-    Uses popcount(a) + popcount(b) - 2 a.b; the dot products run through a
-    float BLAS matmul whose intermediate values are small exact integers, so
-    the int64 result is exact regardless of accumulation order.
+    The scores never form this matrix; it is the reference that tests compare
+    the scoring kernel with. Uses popcount(a) + popcount(b) - 2 a.b; the dot
+    products run through a float BLAS matmul whose intermediate values are
+    small exact integers, so the int64 result is exact regardless of
+    accumulation order.
     """
     if A.shape[1] != B.shape[1]:
         raise DimensionError(f"dimension mismatch: {A.shape[1]} vs {B.shape[1]}")
@@ -205,11 +222,45 @@ def build_profile(records: RecordSet, year_lo: int, year_hi: int) -> FeatureProf
     return FeatureProfile(year_lo=year_lo, year_hi=year_hi, n=int(len(rows)), counts=counts)
 
 
-def _mean_distance(g_vec: np.ndarray, window_matrix: np.ndarray) -> float:
-    if window_matrix.shape[0] == 0:
-        raise EmptyWindow("comparison window is empty")
-    total = int(cross_hamming(g_vec[None, :], window_matrix)[0].sum())
-    return total / window_matrix.shape[0]
+def _window_profile(year_profiles: Mapping[int, FeatureProfile], year_lo: int, year_hi: int,
+                    dimension: int) -> FeatureProfile:
+    """Profile of [year_lo, year_hi] as the sum of the single-year profiles it covers."""
+    parts = [p for y, p in year_profiles.items() if year_lo <= y <= year_hi]
+    counts = sum((p.counts for p in parts), np.zeros(dimension, dtype=np.int64))
+    return FeatureProfile(year_lo=year_lo, year_hi=year_hi, n=sum(p.n for p in parts), counts=counts)
+
+
+def _distance_sums(bits: np.ndarray, profile: FeatureProfile) -> np.ndarray:
+    """Exact int64 sum of Hamming distances from each row of `bits` (k, d) to the window."""
+    counts = profile.counts
+    return int(counts.sum()) + bits @ (profile.n - 2 * counts)
+
+
+def _pack(matrix: np.ndarray) -> np.ndarray:
+    """Pack 0/1 rows (k, d) into (k, ceil(d/64)) uint64 words; padding bits are 0."""
+    k, d = matrix.shape
+    packed = np.zeros((k, -(-d // 64) * 8), dtype=np.uint8)
+    packed[:, : -(-d // 8)] = np.packbits(matrix, axis=1, bitorder="little")
+    return packed.view(np.uint64)
+
+
+def _min_distances(focal: np.ndarray, window: np.ndarray, dimension: int) -> np.ndarray:
+    """Minimum Hamming distance from each packed focal row to the (non-empty) packed window.
+
+    Works through NOVELTY_BLOCK_ROWS focal rows at a time and sums the
+    per-word popcounts into the smallest unsigned type that holds
+    `dimension`; temporaries take about 10 bytes per (block row, window row).
+    """
+    acc = np.min_scalar_type(dimension)
+    columns = [np.ascontiguousarray(window[:, w]) for w in range(window.shape[1])]
+    out = np.empty(len(focal), dtype=np.int64)
+    for lo in range(0, len(focal), NOVELTY_BLOCK_ROWS):
+        block = focal[lo : lo + NOVELTY_BLOCK_ROWS]
+        dist = np.bitwise_count(block[:, :1] ^ columns[0]).astype(acc, copy=False)
+        for w in range(1, len(columns)):
+            dist += np.bitwise_count(block[:, w : w + 1] ^ columns[w])
+        out[lo : lo + len(block)] = dist.min(axis=1)
+    return out
 
 
 def distinctiveness(g, records: RecordSet, span: Union[int, WindowSpec] = DEFAULT_SPAN) -> float:
@@ -221,20 +272,17 @@ def distinctiveness(g, records: RecordSet, span: Union[int, WindowSpec] = DEFAUL
     rec = g if isinstance(g, Record) else None
     if rec is None:
         raise TypeError("distinctiveness requires a Record (needs a publication year)")
-    window = window_slice(records, rec.year, span, PAST)
-    return _mean_distance(rec.vector, window.matrix)
+    return distinctiveness_fast(rec, build_profile(records, *window_years(rec.year, span, PAST)))
 
 
 def distinctiveness_fast(g, profile: FeatureProfile) -> float:
-    """Profile-based mean distance; equals the pairwise mean exactly."""
+    """Mean distance from g to the profile's window; equals the pairwise mean exactly."""
     if profile.n == 0:
         raise EmptyWindow("comparison window is empty")
     bits = _as_vector(g)
     if len(bits) != len(profile.counts):
         raise DimensionError(f"dimension mismatch: {len(bits)} vs {len(profile.counts)}")
-    on = bits.astype(bool)
-    total = int((profile.n - profile.counts)[on].sum()) + int(profile.counts[~on].sum())
-    return total / profile.n
+    return int(_distance_sums(bits[None, :], profile)[0]) / profile.n
 
 
 def novelty_count(g, records: RecordSet, span: Union[int, WindowSpec] = DEFAULT_SPAN) -> int:
@@ -242,10 +290,10 @@ def novelty_count(g, records: RecordSet, span: Union[int, WindowSpec] = DEFAULT_
     rec = g if isinstance(g, Record) else None
     if rec is None:
         raise TypeError("novelty_count requires a Record")
-    window = window_slice(records, rec.year, span, PAST)
+    window = records.matrix[records.rows_in_years(*window_years(rec.year, span, PAST))]
     if len(window) == 0:
         raise EmptyWindow("comparison window is empty")
-    return int(cross_hamming(rec.vector[None, :], window.matrix)[0].min())
+    return int(_min_distances(_pack(rec.vector[None, :]), _pack(window), records.registry.dimension)[0])
 
 
 def novelty_binary(g, records: RecordSet, span: Union[int, WindowSpec] = DEFAULT_SPAN) -> bool:
@@ -270,11 +318,9 @@ def resonance(
     spec = _as_spec(span)
     if last_complete_year is None or rec.year + spec.span_years > last_complete_year:
         return None
-    past = window_slice(records, rec.year, spec, PAST)
-    future = window_slice(records, rec.year, spec, FUTURE)
-    d_past = _mean_distance(rec.vector, past.matrix)
-    d_future = _mean_distance(rec.vector, future.matrix)
-    return d_past - d_future
+    past = build_profile(records, *window_years(rec.year, spec, PAST))
+    future = build_profile(records, *window_years(rec.year, spec, FUTURE))
+    return distinctiveness_fast(rec, past) - distinctiveness_fast(rec, future)
 
 
 def score_corpus(
@@ -292,32 +338,39 @@ def score_corpus(
     is fully covered (<= last_complete_year) and non-empty.
     """
     comparison = records if comparison is None else comparison
-    if comparison.registry.dimension != records.registry.dimension:
+    dimension = records.registry.dimension
+    if comparison.registry.dimension != dimension:
         raise DimensionError("comparison set dimension differs from scored records")
+    specs = [_as_spec(span) for span in spans]
+    max_span = max((spec.span_years for spec in specs), default=0)
+    year_profiles = {y: build_profile(comparison, y, y) for y in comparison.year_rows}
+    packed = _pack(comparison.matrix)
+    focal_packed = packed if comparison is records else _pack(records.matrix)
     rows = []
     unscored = []
-    for span in spans:
-        spec = _as_spec(span)
-        for year in sorted(records.year_rows):
-            focal_rows = records.year_rows[year]
-            focal_matrix = records.matrix[focal_rows]
+    for year, focal_rows in sorted(records.year_rows.items()):
+        bits, focal = records.matrix[focal_rows], focal_packed[focal_rows]
+        # a window's minimum is the minimum over its years, so each
+        # (focal year, comparison year) block is scanned once for all spans
+        year_mins = {
+            y: _min_distances(focal, packed[comp_rows], dimension)
+            for y, comp_rows in comparison.year_rows.items()
+            if year - max_span <= y < year
+        }
+        for spec in specs:
             past_lo, past_hi = window_years(year, spec, PAST)
-            past_rows = comparison.rows_in_years(past_lo, past_hi)
-            if len(past_rows) == 0:
+            past = _window_profile(year_profiles, past_lo, past_hi, dimension)
+            if past.n == 0:
                 unscored.extend((records.ids[i], spec.span_years) for i in focal_rows)
                 continue
-            dist_past = cross_hamming(focal_matrix, comparison.matrix[past_rows])
-            sums = dist_past.sum(axis=1)
-            mins = dist_past.min(axis=1)
-            n_past = len(past_rows)
+            sums = _distance_sums(bits, past)
+            mins = np.minimum.reduce([m for y, m in year_mins.items() if y >= past_lo])
 
             res_vals = None
             if last_complete_year is not None and year + spec.span_years <= last_complete_year:
-                fut_lo, fut_hi = window_years(year, spec, FUTURE)
-                fut_rows = comparison.rows_in_years(fut_lo, fut_hi)
-                if len(fut_rows):
-                    dist_fut = cross_hamming(focal_matrix, comparison.matrix[fut_rows])
-                    res_vals = sums / n_past - dist_fut.sum(axis=1) / len(fut_rows)
+                future = _window_profile(year_profiles, *window_years(year, spec, FUTURE), dimension)
+                if future.n:
+                    res_vals = sums / past.n - _distance_sums(bits, future) / future.n
 
             for j, i in enumerate(focal_rows):
                 nov = int(mins[j])
@@ -325,7 +378,7 @@ def score_corpus(
                     InnovationScores(
                         record_id=records.ids[i],
                         span_years=spec.span_years,
-                        distinctiveness=int(sums[j]) / n_past,
+                        distinctiveness=int(sums[j]) / past.n,
                         novelty_count=nov,
                         novelty_binary=nov > 0,
                         resonance=float(res_vals[j]) if res_vals is not None else None,

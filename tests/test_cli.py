@@ -232,6 +232,24 @@ class TestExitCodes:
         assert fitted == {"Good"}
         assert "Broken" in (out / "models.txt").read_text()
 
+    def test_stats_rejects_scores_from_an_earlier_ingest(self, tmp_path, caplog):
+        out = tmp_path / "run"
+        payload = pipeline_payload(out)
+        cfg = write_config(tmp_path, payload)
+        corpus = ["--corpus", str(out / "synth_corpus.csv"),
+                  "--registry", str(out / "synth_registry.txt")]
+        assert main(["synth", "--config", str(cfg)]) == EXIT_OK
+        assert main(["ingest", "--config", str(cfg), *corpus]) == EXIT_OK
+        assert main(["score", "--config", str(cfg)]) == EXIT_OK
+        # the re-ingest drops 2006-2007, which the scores were computed against
+        narrowed = write_config(tmp_path, {**payload, "filters": {"year_min": 2008}}, "narrow.json")
+        assert main(["ingest", "--config", str(narrowed), *corpus]) == EXIT_OK
+        assert main(["stats", "--config", str(narrowed)]) == EXIT_INPUT
+        assert "re-run score" in caplog.text
+        assert not (out / "models.csv").exists()
+        assert main(["score", "--config", str(narrowed)]) == EXIT_OK
+        assert main(["stats", "--config", str(narrowed)]) == EXIT_OK
+
     def test_unconverged_glm_is_exit_4_and_not_written(self, tmp_path, monkeypatch):
         monkeypatch.setattr(stats, "MAX_IRLS_ITER", 1)
         out = tmp_path / "run"

@@ -5,6 +5,7 @@ packed into Python ints and distances taken with int.bit_count on the XOR,
 with exact Fraction means.
 """
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from novascape import metrics
 from novascape.errors import DimensionError, EmptyWindow
 from novascape.metrics import (
     FUTURE,
@@ -306,6 +308,55 @@ class TestScoreCorpus:
             assert ra.distinctiveness == rb.distinctiveness
             assert ra.novelty_count == rb.novelty_count
             assert ra.resonance == rb.resonance
+
+
+class TestPackedKernel:
+    @pytest.mark.parametrize("dim", [1, 63, 64, 65, 130, 300])
+    def test_score_corpus_matches_oracles_across_word_boundaries(self, dim, monkeypatch):
+        # 3-row blocks leave the 7-row year a partial last block; 2015 rows
+        # differ from 2014 rows in ~90% of features, so at d=300 distances pass 255
+        monkeypatch.setattr(metrics, "NOVELTY_BLOCK_ROWS", 3)
+        rng = np.random.default_rng(dim)
+        rows = [
+            (f"r{year}_{k}", year, (rng.random(dim) < p).astype(int).tolist())
+            for year, count, p in ((2014, 4, 0.05), (2015, 7, 0.95), (2016, 5, 0.5))
+            for k in range(count)
+        ]
+        table = score_corpus(make_recordset(rows), spans=(1, 2), last_complete_year=2016)
+        checked = 0
+        for rid, year, bits in rows:
+            for span in (1, 2):
+                past = [w for _, y, w in rows if year - span <= y < year]
+                future = [w for _, y, w in rows if year < y <= year + span]
+                got = table.get(rid, span)
+                if not past:
+                    assert got is None and (rid, span) in table.unscored
+                    continue
+                d_past = oracle_mean_distance(bits, past)
+                assert got.distinctiveness == float(d_past)
+                assert got.novelty_count == oracle_min_distance(bits, past)
+                if year + span <= 2016:
+                    assert got.resonance == float(d_past) - float(oracle_mean_distance(bits, future))
+                else:
+                    assert got.resonance is None
+                checked += 1
+        assert checked == 2 * 7 + 2 * 5
+
+    def test_peak_allocation_stays_far_below_a_pairwise_matrix(self):
+        rng = np.random.default_rng(51)
+        rs = make_recordset(
+            [(f"r{i}", 2015 + i % 2, rng.integers(0, 2, 51).tolist()) for i in range(6000)]
+        )
+        assert rs.matrix.shape == (6000, 51) and len(rs.year_rows) == 2  # cached before tracing
+        tracemalloc.start()
+        try:
+            table = score_corpus(rs, spans=(1, 2), last_complete_year=2016)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(table) == 2 * 3000
+        # one 3000 x 3000 focal x window int64 distance matrix alone is 72 MB
+        assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 class TestScoreTableCsv:
