@@ -8,55 +8,20 @@ Two arms over many seeds:
     coefficients in the distinctiveness OLS estimates the false-positive rate,
     which should sit near alpha.
 
-Seeds run in parallel across processes; NOVASCAPE_THREADS caps the workers.
+Seeds run in parallel, one worker process per CPU.
 
 Usage:
-    NOVASCAPE_THREADS=4 python3 scripts/effect_recovery.py --seeds 100 --null-seeds 200
+    python3 scripts/effect_recovery.py --seeds 100 --null-seeds 200
 """
 
 import argparse
+import multiprocessing
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
-from novascape.cli import thread_cap
-from novascape.corpus import FilterConfig, apply_filters
-from novascape.metrics import score_corpus
-from novascape.stats import (
-    COUNT_NOVELTY_MODEL,
-    STANDARD_MODELS,
-    build_design,
-    fit_model,
-    join_scores,
-)
-from novascape.synth import SynthConfig, generate_corpus
-
-SPECS = dict(STANDARD_MODELS)
-BOOST_MODELS = (
-    ("distinctiveness_ols", SPECS["Distinctiveness"]),
-    ("novelty_logistic", SPECS["Novelty"]),
-    ("novelty_count_poisson", COUNT_NOVELTY_MODEL[1]),
-)
-
-
-def one_seed(task):
-    seed, boost, games_per_year, years, share, span = task
-    cfg = SynthConfig(
-        year_start=2006,
-        year_end=2006 + years - 1,
-        games_per_year=games_per_year,
-        crowdfunded_share_by_year=share,
-        novelty_boost=boost,
-        seed=seed,
-    )
-    kept, _ = apply_filters(generate_corpus(cfg), FilterConfig())
-    table = score_corpus(kept, spans=(span,), last_complete_year=cfg.year_end)
-    data = join_scores(kept, table, span=span)
-    out = {}
-    for name, spec in BOOST_MODELS:
-        fit = fit_model(build_design(data, spec))
-        out[name] = (fit.coefficients["crowdfunded"], fit.p_values["crowdfunded"])
-    return seed, out
+from novascape.cli import RECOVERY_MODELS, recovery_seed
 
 
 def parse_args(argv=None):
@@ -76,27 +41,18 @@ def parse_args(argv=None):
 
 def run(argv=None) -> int:
     args = parse_args(argv)
-    workers = thread_cap()
-    print(f"workers={workers} games/yr={args.games_per_year} years={args.years} "
-          f"share={args.share} span={args.span}")
+    print(f"games/yr={args.games_per_year} years={args.years} share={args.share} span={args.span}")
 
     t0 = time.time()
-    boost_tasks = [(s, args.boost, args.games_per_year, args.years, args.share, args.span)
-                   for s in range(args.seeds)]
-    null_tasks = [(s, 0.0, args.games_per_year, args.years, args.share, args.span)
-                  for s in range(args.null_seeds)]
-
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            boost_results = list(pool.map(one_seed, boost_tasks))
-            null_results = list(pool.map(one_seed, null_tasks))
-    else:
-        boost_results = [one_seed(t) for t in boost_tasks]
-        null_results = [one_seed(t) for t in null_tasks]
+    seed_fn = partial(recovery_seed, games_per_year=args.games_per_year, years=args.years,
+                      share=args.share, span=args.span)
+    with ProcessPoolExecutor(mp_context=multiprocessing.get_context("spawn")) as pool:
+        boost_results = list(pool.map(partial(seed_fn, boost=args.boost), range(args.seeds)))
+        null_results = list(pool.map(partial(seed_fn, boost=0.0), range(args.null_seeds)))
 
     recovered = 0
-    worst = {name: 0.0 for name, _ in BOOST_MODELS}
-    for _, fits in boost_results:
+    worst = {name: 0.0 for name in RECOVERY_MODELS}
+    for fits in boost_results:
         ok = all(c > 0 and p < args.p_threshold for c, p in fits.values())
         recovered += ok
         for name, (_, p) in fits.items():
@@ -106,7 +62,7 @@ def run(argv=None) -> int:
     for name, p in worst.items():
         print(f"  worst {name} p = {p:.3g}")
 
-    false_pos = sum(fits["distinctiveness_ols"][1] < args.alpha for _, fits in null_results)
+    false_pos = sum(fits["Distinctiveness"][1] < args.alpha for fits in null_results)
     fpr = false_pos / args.null_seeds if args.null_seeds else float("nan")
     print(f"boost=0: distinctiveness-OLS false-positive rate at alpha={args.alpha}: "
           f"{false_pos}/{args.null_seeds} = {fpr:.3f}")

@@ -92,15 +92,6 @@ REGISTRY_CACHE = "registry.txt"
 SCORES_FILE = "scores.csv"
 
 
-def thread_cap() -> int:
-    """Worker bound from NOVASCAPE_THREADS (default 1, floor 1) for scripts/effect_recovery.py."""
-    raw = os.environ.get("NOVASCAPE_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 @contextmanager
 def atomic_write(path: Path):
     """Yield a unique temp path in the target directory; rename over `path` on success."""
@@ -518,6 +509,26 @@ def cmd_report(cfg: PipelineConfig) -> int:
         tmp.write_text(json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n",
                        encoding="utf-8")
     return code
+
+
+# the model presets the effect-recovery Monte Carlo fits
+RECOVERY_MODELS = ("Distinctiveness", "Novelty", "Novelty (Count)")
+
+
+def recovery_seed(seed: int, boost: float, games_per_year: int = 500, years: int = 10,
+                  share: float = 0.3, span: int = 2) -> dict:
+    """Crowdfunded (coef, p) per RECOVERY_MODELS preset for one synthetic corpus from 2006.
+
+    One Monte-Carlo seed in memory: synth, filter, score one span, join, fit.
+    """
+    cfg = SynthConfig(year_start=2006, year_end=2006 + years - 1, games_per_year=games_per_year,
+                      crowdfunded_share_by_year=share, novelty_boost=boost, seed=seed)
+    kept, _ = apply_filters(generate_corpus(cfg), FilterConfig())
+    table = score_corpus(kept, spans=(span,), last_complete_year=cfg.year_end)
+    data = join_scores(kept, table, span=span)
+    fits = {name: fit_model(build_design(data, MODEL_PRESETS[name])) for name in RECOVERY_MODELS}
+    return {name: (fit.coefficients["crowdfunded"], fit.p_values["crowdfunded"])
+            for name, fit in fits.items()}
 
 
 COMMANDS = {

@@ -12,7 +12,8 @@ and distribution functions.
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -357,7 +358,10 @@ def build_design(
     fe_levels: Optional[Mapping[str, Sequence]] = None,
 ) -> Design:
     """Complete-case design matrix with intercept, transformed terms, and
-    dummy-coded fixed effects (reference level = smallest), rank-checked.
+    dummy-coded fixed effects (reference level = smallest).
+
+    Its rank is not checked here: fit_model factorizes X once and raises
+    RankDeficient there, naming the dropped columns.
 
     fe_levels pins dummy columns to known level sets (for scoring new data);
     a value outside the pinned set raises UnknownLevel.
@@ -402,7 +406,6 @@ def build_design(
     X = np.column_stack(cols)
     if not np.isfinite(X).all():
         raise NumericError("design matrix has non-finite entries")
-    _check_rank(X, tuple(names))
     return Design(
         X=X,
         y=y,
@@ -414,50 +417,78 @@ def build_design(
     )
 
 
-def _check_rank(X: np.ndarray, columns: Tuple[str, ...]) -> None:
-    _, r, perm = sla.qr(X, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    tol = max(X.shape) * np.finfo(float).eps * (diag[0] if len(diag) else 0.0)
-    rank = int((diag > tol).sum())
-    if rank < X.shape[1]:
-        bad = tuple(columns[j] for j in sorted(perm[rank:]))
-        raise RankDeficient(bad)
-
-
 # ---------------------------------------------------------------------------
 # fitting
 
 @dataclass
 class FitResult:
+    """One fitted model: beta and its robust sandwich covariance cov, in column order.
+
+    The per-term maps (coefficients, robust_se, z_or_t, p_values) are views
+    of beta, cov, family and df_resid. converged is always True: a GLM fit
+    that reaches MAX_IRLS_ITER raises NumericError instead of returning.
+    """
+
     family: str
     columns: Tuple[str, ...]
     beta: np.ndarray
     cov: np.ndarray
-    coefficients: Dict[str, float]
-    robust_se: Dict[str, float]
-    z_or_t: Dict[str, float]
-    p_values: Dict[str, float]
     r_squared: float
     n_obs: int
-    converged: bool
     log_likelihood: float
     robust: str
     df_resid: int
     n_iter: int = 0
     max_score: float = 0.0
+    converged = True
 
-    def __post_init__(self):
-        for name in self.columns:
-            se = self.robust_se[name]
-            if se > 0:
-                assert abs(abs(self.z_or_t[name]) - abs(self.coefficients[name]) / se) < 1e-8
+    @cached_property
+    def coefficients(self) -> Dict[str, float]:
+        return dict(zip(self.columns, self.beta.tolist()))
+
+    @cached_property
+    def robust_se(self) -> Dict[str, float]:
+        return dict(zip(self.columns, np.sqrt(np.clip(np.diag(self.cov), 0.0, None)).tolist()))
+
+    @cached_property
+    def z_or_t(self) -> Dict[str, float]:
+        """beta / se per term; 0 where se is 0."""
+        return {name: b / se if se > 0 else 0.0
+                for (name, b), se in zip(self.coefficients.items(), self.robust_se.values())}
+
+    @cached_property
+    def p_values(self) -> Dict[str, float]:
+        """Two-sided p per term: t on df_resid for OLS, normal for the GLMs; 1 where se is 0."""
+        z = np.abs(list(self.z_or_t.values()))
+        tail = sstats.t.sf(z, self.df_resid) if self.family == FAMILY_OLS else sstats.norm.sf(z)
+        return {name: 2.0 * float(t) if se > 0 else 1.0
+                for name, t, se in zip(self.columns, tail, self.robust_se.values())}
 
 
-def _validate_xy(X: np.ndarray, y: np.ndarray) -> None:
+def _factorize(X, y, columns):
+    """Checked float X and y, column names (x0, x1, ... by default) and the
+    column-pivoted QR (q, r, perm) of X, so that X[:, perm] = q @ r.
+
+    Raises RankDeficient naming the columns pivoting leaves past the
+    numerical rank.
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
     if X.ndim != 2 or len(y) != X.shape[0]:
         raise NumericError("X must be 2-D with one row per outcome value")
     if not (np.isfinite(X).all() and np.isfinite(y).all()):
         raise NumericError("non-finite values in design or outcome")
+    n, k = X.shape
+    if n <= k:
+        raise NumericError(f"need more rows ({n}) than columns ({k})")
+    columns = tuple(columns) if columns else tuple(f"x{j}" for j in range(k))
+    q, r, perm = sla.qr(X, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(r))
+    tol = max(X.shape) * np.finfo(float).eps * (diag[0] if len(diag) else 0.0)
+    rank = int((diag > tol).sum())
+    if rank < k:
+        raise RankDeficient(tuple(columns[j] for j in sorted(perm[rank:])))
+    return X, y, columns, (q, r, perm)
 
 
 def _sandwich(X: np.ndarray, resid: np.ndarray, bread: np.ndarray, robust: str) -> np.ndarray:
@@ -469,45 +500,21 @@ def _sandwich(X: np.ndarray, resid: np.ndarray, bread: np.ndarray, robust: str) 
     return cov
 
 
-def _result_maps(columns, beta, cov, df, use_t):
-    se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-    stats = np.zeros(len(beta))
-    pvals = np.ones(len(beta))
-    for j in range(len(beta)):
-        if se[j] > 0:
-            stats[j] = beta[j] / se[j]
-            if use_t:
-                pvals[j] = 2.0 * sstats.t.sf(abs(stats[j]), df)
-            else:
-                pvals[j] = 2.0 * sstats.norm.sf(abs(stats[j]))
-    names = columns
-    return (
-        {n: float(beta[j]) for j, n in enumerate(names)},
-        {n: float(se[j]) for j, n in enumerate(names)},
-        {n: float(stats[j]) for j, n in enumerate(names)},
-        {n: float(pvals[j]) for j, n in enumerate(names)},
-    )
-
-
 def fit_ols(X: np.ndarray, y: np.ndarray, robust: str = "hc1", columns: Optional[Sequence[str]] = None) -> FitResult:
     """Least squares with HC0/HC1 sandwich errors and classical R².
 
-    Inference uses the t distribution on n - k residual degrees of freedom.
+    One column-pivoted QR of X checks the rank and gives both beta and the
+    (X'X)^{-1} bread. Inference uses the t distribution on n - k residual
+    degrees of freedom.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    _validate_xy(X, y)
+    X, y, columns, (q, r, perm) = _factorize(X, y, columns)
     n, k = X.shape
-    if n <= k:
-        raise NumericError(f"need more rows ({n}) than columns ({k})")
-    columns = tuple(columns) if columns else tuple(f"x{j}" for j in range(k))
-    _check_rank(X, columns)
-
-    beta, _, _, _ = np.linalg.lstsq(X, y, rcond=None)
-    resid = y - X @ beta
-    q, r = sla.qr(X, mode="economic")
+    beta = np.empty(k)
+    beta[perm] = sla.solve_triangular(r, q.T @ y)
     rinv = sla.solve_triangular(r, np.eye(k))
-    bread = rinv @ rinv.T  # (X'X)^{-1}
+    bread = np.empty((k, k))
+    bread[np.ix_(perm, perm)] = rinv @ rinv.T  # (X'X)^{-1}
+    resid = y - X @ beta
     cov = _sandwich(X, resid, bread, robust)
 
     sse = float(resid @ resid)
@@ -515,20 +522,13 @@ def fit_ols(X: np.ndarray, y: np.ndarray, robust: str = "hc1", columns: Optional
     r2 = 1.0 - sse / sst if sst > 0 else 0.0
     sigma2 = sse / n
     ll = -0.5 * n * (math.log(2 * math.pi * sigma2) + 1.0) if sigma2 > 0 else math.inf
-
-    coefs, ses, stats, pvals = _result_maps(columns, beta, cov, n - k, use_t=True)
     return FitResult(
         family=FAMILY_OLS,
         columns=columns,
         beta=beta,
         cov=cov,
-        coefficients=coefs,
-        robust_se=ses,
-        z_or_t=stats,
-        p_values=pvals,
         r_squared=r2,
         n_obs=n,
-        converged=True,
         log_likelihood=ll,
         robust=robust,
         df_resid=n - k,
@@ -559,15 +559,8 @@ def _null_ll(family: str, y: np.ndarray) -> float:
 
 
 def _fit_glm(family: str, X: np.ndarray, y: np.ndarray, robust: str, columns) -> FitResult:
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    _validate_xy(X, y)
+    X, y, columns, _ = _factorize(X, y, columns)
     n, k = X.shape
-    if n <= k:
-        raise NumericError(f"need more rows ({n}) than columns ({k})")
-    columns = tuple(columns) if columns else tuple(f"x{j}" for j in range(k))
-    _check_rank(X, columns)
-
     if family == FAMILY_LOGISTIC:
         if not np.isin(y, (0.0, 1.0)).all():
             raise NumericError("logistic outcome must be 0/1")
@@ -581,16 +574,11 @@ def _fit_glm(family: str, X: np.ndarray, y: np.ndarray, robust: str, columns) ->
 
     beta = np.zeros(k)
     ll = _glm_ll(family, X @ beta, y)
-    converged = False
-    max_score = math.inf
-    it = 0
     for it in range(1, MAX_IRLS_ITER + 1):
-        eta = X @ beta
-        mu, w = _glm_mu_w(family, eta)
+        mu, w = _glm_mu_w(family, X @ beta)
         score = X.T @ (y - mu)
         max_score = float(np.abs(score).max())
         if max_score < SCORE_TOL:
-            converged = True
             break
         a = (X * np.maximum(w, 1e-12)[:, None]).T @ X
         try:
@@ -604,38 +592,29 @@ def _fit_glm(family: str, X: np.ndarray, y: np.ndarray, robust: str, columns) ->
             )
         new_ll = _glm_ll(family, X @ beta, y)
         if abs(new_ll - ll) <= LL_REL_TOL * (abs(ll) + 1e-12):
-            ll = new_ll
-            converged = True
-            max_score = float(np.abs(X.T @ (y - _glm_mu_w(family, X @ beta)[0])).max())
             break
         ll = new_ll
-    if not converged:
+    else:
         raise NumericError(
             f"{family} fit did not converge in {MAX_IRLS_ITER} iterations (max |score| {max_score:.3g})"
         )
 
+    # one evaluation at the final beta gives the reported score, the bread and the log-likelihood
     eta = X @ beta
     mu, w = _glm_mu_w(family, eta)
-    a = (X * np.maximum(w, 1e-12)[:, None]).T @ X
-    bread = np.linalg.inv(a)
+    max_score = float(np.abs(X.T @ (y - mu)).max())
+    bread = np.linalg.inv((X * np.maximum(w, 1e-12)[:, None]).T @ X)
     cov = _sandwich(X, y - mu, bread, robust)
     ll = _glm_ll(family, eta, y)
     ll0 = _null_ll(family, y)
     pseudo_r2 = 1.0 - ll / ll0 if ll0 != 0 else 0.0
-
-    coefs, ses, stats, pvals = _result_maps(columns, beta, cov, n - k, use_t=False)
     return FitResult(
         family=family,
         columns=columns,
         beta=beta,
         cov=cov,
-        coefficients=coefs,
-        robust_se=ses,
-        z_or_t=stats,
-        p_values=pvals,
         r_squared=pseudo_r2,
         n_obs=n,
-        converged=converged,
         log_likelihood=ll,
         robust=robust,
         df_resid=n - k,

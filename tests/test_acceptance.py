@@ -15,22 +15,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from novascape.cli import main as cli_main
+from novascape.cli import main as cli_main, recovery_seed
 from novascape.corpus import RecordSet
 from novascape.landscape import flip_edges
 from novascape.metrics import build_profile, cross_hamming, distinctiveness_fast, score_corpus
 from novascape.stats import (
-    COUNT_NOVELTY_MODEL,
-    STANDARD_MODELS,
     _glm_ll,
     _glm_mu_w,
     auc_effect,
-    build_design,
     fit_logistic,
-    fit_model,
     fit_ols,
     fit_poisson,
-    join_scores,
     mann_whitney_u,
 )
 from novascape.synth import SynthConfig, generate_corpus
@@ -354,35 +349,17 @@ class TestStatisticsFidelity:
         )
 
 
-def _recovery_pvalues(seed: int, boost: float):
-    cfg = SynthConfig(year_start=2006, year_end=2015, games_per_year=500,
-                      crowdfunded_share_by_year=0.3, novelty_boost=boost, seed=seed)
-    rs = generate_corpus(cfg)
-    from novascape.corpus import FilterConfig, apply_filters
-
-    kept, _ = apply_filters(rs, FilterConfig())
-    table = score_corpus(kept, spans=(2,), last_complete_year=2015)
-    data = join_scores(kept, table, span=2)
-    specs = dict(STANDARD_MODELS)
-    out = {}
-    for name, spec in (("ols", specs["Distinctiveness"]), ("logit", specs["Novelty"]),
-                       ("poisson", COUNT_NOVELTY_MODEL[1])):
-        fit = fit_model(build_design(data, spec))
-        out[name] = (fit.coefficients["crowdfunded"], fit.p_values["crowdfunded"])
-    return out
-
-
 class TestSyntheticEffectRecovery:
     def test_boost_recovered_and_null_calibrated(self):
         t0 = time.perf_counter()
         recovered = 0
         for seed in range(100):
-            fits = _recovery_pvalues(seed, boost=2.0)
+            fits = recovery_seed(seed, boost=2.0)
             recovered += all(c > 0 and p < 0.001 for c, p in fits.values())
         false_pos = 0
         for seed in range(200):
-            fits = _recovery_pvalues(seed, boost=0.0)
-            c, p = fits["ols"]
+            fits = recovery_seed(seed, boost=0.0)
+            c, p = fits["Distinctiveness"]
             false_pos += p < 0.05
         fpr = false_pos / 200
         elapsed = time.perf_counter() - t0

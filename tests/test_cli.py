@@ -18,7 +18,6 @@ from novascape.cli import (
     PipelineConfig,
     atomic_write,
     main,
-    thread_cap,
 )
 from novascape.errors import ConfigError
 
@@ -78,16 +77,6 @@ class TestConfig:
         cfg = PipelineConfig.from_dict(pipeline_payload(Path("/tmp/x")))
         again = PipelineConfig.from_dict(cfg.to_dict())
         assert again == cfg
-
-    def test_thread_cap_parses_env(self, monkeypatch):
-        monkeypatch.delenv("NOVASCAPE_THREADS", raising=False)
-        assert thread_cap() == 1
-        monkeypatch.setenv("NOVASCAPE_THREADS", "6")
-        assert thread_cap() == 6
-        monkeypatch.setenv("NOVASCAPE_THREADS", "0")
-        assert thread_cap() == 1
-        monkeypatch.setenv("NOVASCAPE_THREADS", "oops")
-        assert thread_cap() == 1
 
 
 class TestReport:
@@ -325,9 +314,12 @@ class TestConsoleEntry:
     def test_python_dash_m_invocation(self, tmp_path):
         out = tmp_path / "run"
         cfg = write_config(tmp_path, pipeline_payload(out))
+        # the child imports the same novascape, installed or not
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
         proc = subprocess.run(
             [sys.executable, "-m", "novascape", "synth", "--config", str(cfg)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == EXIT_OK, proc.stderr
         assert (out / "synth_corpus.csv").exists()

@@ -234,7 +234,7 @@ class TestBuildDesign:
     def test_constant_term_rank_deficient(self):
         spec = ModelSpec("outcome", "ols", (("constant", "identity"),))
         with pytest.raises(RankDeficient) as exc:
-            build_design(demo_table(), spec)
+            fit_model(build_design(demo_table(), spec))
         assert "constant" in str(exc.value) or "const" in str(exc.value)
 
     def test_complete_cases_only(self):
@@ -322,6 +322,37 @@ class TestOls:
         fit = fit_ols(X, np.array(ys, dtype=float), robust="hc0", columns=("const", "x"))
         assert fit.robust_se["const"] == pytest.approx(math.sqrt(float(cov[0][0])), rel=1e-10)
         assert fit.robust_se["x"] == pytest.approx(math.sqrt(float(cov[1][1])), rel=1e-10)
+
+    def fraction_hc0_se(self, xs, ys):
+        """HC0 standard errors of (const, x) from the exact bread and meat."""
+        b0, b1 = self.fraction_ols_oracle(xs, ys)
+        n, sx, sxx = len(xs), sum(xs), sum(v * v for v in xs)
+        det = Fraction(n) * sxx - Fraction(sx) * sx
+        bread = [[Fraction(sxx) / det, Fraction(-sx) / det], [Fraction(-sx) / det, Fraction(n) / det]]
+        rows = [(Fraction(1), Fraction(x)) for x in xs]
+        resid = [Fraction(y) - b0 - b1 * x for x, y in zip(xs, ys)]
+        meat = [[sum(e * e * r[i] * r[j] for r, e in zip(rows, resid)) for j in range(2)] for i in range(2)]
+
+        def mul(a, b):
+            return [[sum(a[i][k] * b[k][j] for k in range(2)) for j in range(2)] for i in range(2)]
+
+        cov = mul(mul(bread, meat), bread)
+        return math.sqrt(float(cov[0][0])), math.sqrt(float(cov[1][1]))
+
+    def test_pivoted_columns_match_fraction_oracles(self):
+        # the large-scale x column is pivoted ahead of the intercept, so beta
+        # and the bread must be put back in column order
+        xs = [0, 1000, 2000, 3000]
+        ys = [1, 3, 2, 5]
+        X = np.column_stack([np.ones(4), np.array(xs, dtype=float)])
+        assert stats.sla.qr(X, mode="economic", pivoting=True)[2].tolist() == [1, 0]
+        fit = fit_ols(X, np.array(ys, dtype=float), robust="hc0", columns=("const", "x"))
+        b0, b1 = self.fraction_ols_oracle(xs, ys)
+        assert fit.coefficients["const"] == pytest.approx(float(b0), rel=1e-10)
+        assert fit.coefficients["x"] == pytest.approx(float(b1), rel=1e-10)
+        se0, se1 = self.fraction_hc0_se(xs, ys)
+        assert fit.robust_se["const"] == pytest.approx(se0, rel=1e-10)
+        assert fit.robust_se["x"] == pytest.approx(se1, rel=1e-10)
 
     def test_hc1_scales_hc0(self):
         rng = np.random.default_rng(3)
@@ -554,6 +585,38 @@ class TestIterationCap:
         monkeypatch.setattr(stats, "MAX_IRLS_ITER", 1)
         with pytest.raises(NumericError, match="did not converge"):
             fit(X, y)
+
+
+class TestOneFactorization:
+    MODELS = [("outcome", "ols"), ("binary", "logistic"), ("counts", "poisson")]
+
+    @pytest.mark.parametrize("outcome, family", MODELS)
+    def test_each_fit_makes_one_pivoted_qr_and_no_lstsq(self, monkeypatch, outcome, family):
+        real_qr = stats.sla.qr
+        pivoting = []
+
+        def counting_qr(*args, **kwargs):
+            pivoting.append(kwargs.get("pivoting", False))
+            return real_qr(*args, **kwargs)
+
+        def no_lstsq(*args, **kwargs):
+            raise AssertionError("np.linalg.lstsq called")
+
+        monkeypatch.setattr(stats.sla, "qr", counting_qr)
+        monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
+        spec = ModelSpec(outcome, family, (("crowdfunded", "identity"), ("playing_time", "log1p")), ("year",))
+        fit_model(build_design(demo_table(n=200), spec))
+        assert pivoting == [True]
+
+    @pytest.mark.parametrize("outcome, family", MODELS)
+    def test_rank_deficient_fit_names_the_dependent_middle_column(self, outcome, family):
+        data = demo_table(n=200)
+        data["half_time"] = 0.5 * data["playing_time"]
+        terms = (("playing_time", "identity"), ("half_time", "identity"), ("crowdfunded", "identity"))
+        design = build_design(data, ModelSpec(outcome, family, terms))
+        with pytest.raises(RankDeficient) as exc:
+            fit_model(design)
+        assert exc.value.columns == ["half_time"]
 
 
 # ---------------------------------------------------------------------------
