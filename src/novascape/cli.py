@@ -318,8 +318,6 @@ def cmd_landscape(cfg: PipelineConfig, records: Optional[RecordSet] = None) -> i
     rows = []
     for g in graphs:
         for fmt in cfg.formats:
-            if fmt == "csv":
-                continue
             path = out / f"landscape_{g.snapshot_year}.{fmt}"
             with atomic_write(path) as tmp:
                 if fmt == "svg":

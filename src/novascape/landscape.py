@@ -12,6 +12,7 @@ main component with a seeded random start; earlier snapshots reuse those
 fixed positions so types do not move between frames.
 """
 
+import csv
 import json
 import re
 from dataclasses import dataclass, field
@@ -40,7 +41,10 @@ DEFAULT_MIN_TYPE_COUNT = 6
 DEFAULT_CF_SHARE_THRESHOLD = 0.5
 DEFAULT_LAYOUT_SEED = 42
 
-EXPORT_FORMATS = ("graphml", "json", "dot")
+IMPORT_FORMATS = ("graphml", "json", "dot")
+# csv is a node table without edges, year or dimension, so it is written but not read back
+EXPORT_FORMATS = IMPORT_FORMATS + ("csv",)
+EXPORT_COLUMNS = ("id", "vector_bits", "count", "cf_count", "cf_share", "first_year", "x", "y")
 
 
 def pack_vector(bits) -> int:
@@ -313,32 +317,29 @@ def _export_rows(graph: LandscapeGraph, positions):
     for k in keys:
         node = graph.nodes[k]
         x, y = (positions or graph.positions or {}).get(k, (0.0, 0.0))
-        rows.append(
-            {
-                "id": k,
-                "vector_bits": vector_bits(k, graph.dimension),
-                "count": node.total_count,
-                "cf_count": node.crowdfunded_count,
-                "cf_share": node.cf_share,
-                "first_year": node.first_year,
-                "x": float(x),
-                "y": float(y),
-            }
-        )
+        values = (k, vector_bits(k, graph.dimension), node.total_count, node.crowdfunded_count,
+                  node.cf_share, node.first_year, float(x), float(y))
+        rows.append(dict(zip(EXPORT_COLUMNS, values)))
     return rows, edges
 
 
 def export_graph(graph: LandscapeGraph, positions, fmt: str, path, seed: Optional[int] = None) -> None:
     """Write the plotted (positioned) subgraph with node attributes.
 
-    Formats: graphml, json, dot. Node attributes are count, cf_count,
-    cf_share, first_year, x, y (plus the bit string, so files are
-    self-describing); the layout seed is recorded when given.
+    Formats: graphml, json, dot, and csv (one row per node, no edges).
+    Node attributes are count, cf_count, cf_share, first_year, x, y (plus
+    the bit string, so files are self-describing); graphml, json and dot
+    record the layout seed when given.
     """
     if fmt not in EXPORT_FORMATS:
         raise ValueError(f"unknown export format {fmt!r}")
     rows, edges = _export_rows(graph, positions)
-    if fmt == "graphml":
+    if fmt == "csv":
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.DictWriter(fh, fieldnames=EXPORT_COLUMNS, lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
+    elif fmt == "graphml":
         g = nx.Graph()
         g.graph["year"] = graph.snapshot_year
         g.graph["dimension"] = graph.dimension
@@ -388,8 +389,8 @@ def export_graph(graph: LandscapeGraph, positions, fmt: str, path, seed: Optiona
 
 
 def import_graph(path, fmt: str) -> LandscapeGraph:
-    """Parse a file written by export_graph back into a LandscapeGraph."""
-    if fmt not in EXPORT_FORMATS:
+    """Parse a graphml, json or dot file written by export_graph back into a LandscapeGraph."""
+    if fmt not in IMPORT_FORMATS:
         raise ValueError(f"unknown export format {fmt!r}")
     if fmt == "graphml":
         g = nx.read_graphml(path)

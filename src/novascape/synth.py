@@ -8,11 +8,13 @@ for crowdfunded ones; the boost is the knob an end-to-end recovery run must
 detect, and zero boost makes the groups exchangeable by construction.
 
 Controls are sampled independently of funding, so they cannot confound the
-group effect. All draws come from one seeded generator in a fixed order,
+group effect. Draws come from two substreams of one seed, one for vectors
+and one for controls, and each year is drawn as arrays in a fixed order,
 making output byte-identical for a fixed config.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Union
 
@@ -61,10 +63,10 @@ class SynthConfig:
             raise ConfigError("base_mechanism_rate must be in [0, 1]")
         if not 0.0 <= self.recombination_rate <= 1.0:
             raise ConfigError("recombination_rate must be in [0, 1]")
-        if self.base_mutation_bits < 0:
-            raise ConfigError("base_mutation_bits must be >= 0")
-        if self.novelty_boost < 0:
-            raise ConfigError("novelty_boost must be >= 0")
+        for name in ("base_mutation_bits", "novelty_boost"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"{name} must be finite and >= 0")
         shares = self.shares()
         for year, share in shares.items():
             if not 0.0 <= share <= 1.0:
@@ -134,7 +136,8 @@ def generate_corpus(cfg: SynthConfig) -> RecordSet:
     The first two simulated years are burn-in with fresh vectors only (there
     is no recombination source yet). Recombination then copies a uniform
     game from the previous two years and flips Poisson-many distinct bits,
-    truncated to the dimension.
+    truncated to the dimension. Each year is drawn as arrays: its controls
+    from one substream, its vectors from the other.
     """
     registry = synthetic_registry(cfg.dimension)
     shares = cfg.shares()
@@ -143,54 +146,61 @@ def generate_corpus(cfg: SynthConfig) -> RecordSet:
     vec_seed, ctrl_seed = np.random.SeedSequence(cfg.seed).spawn(2)
     rng_vec = np.random.default_rng(vec_seed)
     rng_ctrl = np.random.default_rng(ctrl_seed)
-    dim = cfg.dimension
+    dim, n = cfg.dimension, cfg.games_per_year
 
     records = []
-    vectors_by_year = {}
+    blocks = []
     for year in range(cfg.year_start, cfg.year_end + 1):
-        burn_in = year < cfg.year_start + BURN_IN_YEARS
-        pool = []
-        if not burn_in:
-            for y in (year - 2, year - 1):
-                pool.extend(vectors_by_year.get(y, ()))
-        year_vectors = []
-        for i in range(cfg.games_per_year):
-            crowdfunded = bool(rng_ctrl.random() < shares[year])
-            recombine = (not burn_in) and bool(pool) and bool(
-                rng_vec.random() < cfg.recombination_rate
-            )
-            if recombine:
-                source = pool[int(rng_vec.integers(len(pool)))]
-                mean_flips = cfg.base_mutation_bits + (cfg.novelty_boost if crowdfunded else 0.0)
-                n_flips = min(int(rng_vec.poisson(mean_flips)), dim)
-                vector = source.copy()
-                if n_flips:
-                    flip = rng_vec.choice(dim, size=n_flips, replace=False)
-                    vector[flip] ^= 1
-            else:
-                vector = (rng_vec.random(dim) < cfg.base_mechanism_rate).astype(np.uint8)
-            min_players = 1 + int(rng_ctrl.integers(0, 3))
-            records.append(
-                Record(
-                    id=f"syn-{year}-{i:04d}",
-                    year=year,
-                    vector=vector,
-                    crowdfunded=crowdfunded,
-                    genre=GENRES[int(rng_ctrl.integers(len(GENRES)))],
-                    team_size=1 + int(rng_ctrl.poisson(0.6)),
-                    debut=bool(rng_ctrl.random() < 0.35),
-                    complexity=round(float(rng_ctrl.uniform(1.0, 4.5)), 2),
-                    playing_time=float(rng_ctrl.integers(0, 241)),
-                    min_players=min_players,
-                    max_players=min_players + int(rng_ctrl.integers(0, 5)),
-                    min_age=int(MIN_AGES[int(rng_ctrl.integers(len(MIN_AGES)))]),
-                    # expansions carry no parent_id, so the trivial-expansion
-                    # filter keeps them; the flag just gives the covariate spread
-                    is_expansion=bool(rng_ctrl.random() < 0.10),
-                    is_adult=bool(rng_ctrl.random() < 0.02),
-                    num_ratings=10 + int(rng_ctrl.poisson(150.0)),
-                )
-            )
-            year_vectors.append(vector)
-        vectors_by_year[year] = year_vectors
+        crowdfunded = rng_ctrl.random(n) < shares[year]
+        min_players = 1 + rng_ctrl.integers(0, 3, size=n)
+        genre = rng_ctrl.integers(len(GENRES), size=n)
+        team_size = 1 + rng_ctrl.poisson(0.6, size=n)
+        debut = rng_ctrl.random(n) < 0.35
+        complexity = rng_ctrl.uniform(1.0, 4.5, size=n)
+        playing_time = rng_ctrl.integers(0, 241, size=n).astype(float)
+        max_players = min_players + rng_ctrl.integers(0, 5, size=n)
+        min_age = rng_ctrl.integers(len(MIN_AGES), size=n)
+        # expansions carry no parent_id, so the trivial-expansion filter
+        # keeps them; the flag just gives the covariate spread
+        is_expansion = rng_ctrl.random(n) < 0.10
+        is_adult = rng_ctrl.random(n) < 0.02
+        num_ratings = 10 + rng_ctrl.poisson(150.0, size=n)
+
+        vectors = np.empty((n, dim), dtype=np.uint8)
+        recombine = np.zeros(n, dtype=bool)
+        if year >= cfg.year_start + BURN_IN_YEARS:
+            recombine = rng_vec.random(n) < cfg.recombination_rate
+            pool = np.concatenate(blocks[-2:])
+            rows = np.flatnonzero(recombine)
+            source = pool[rng_vec.integers(len(pool), size=len(rows))]
+            mean_flips = np.where(crowdfunded[rows],
+                                  cfg.base_mutation_bits + cfg.novelty_boost,
+                                  cfg.base_mutation_bits)
+            n_flips = rng_vec.poisson(mean_flips)
+            # the n_flips lowest ranks of one row of uniform keys are distinct
+            # bits; a count of dim or more flips them all
+            ranks = rng_vec.random((len(rows), dim)).argsort(axis=1).argsort(axis=1)
+            vectors[rows] = source ^ (ranks < n_flips[:, None])
+        fresh = ~recombine
+        vectors[fresh] = rng_vec.random((int(fresh.sum()), dim)) < cfg.base_mechanism_rate
+        blocks.append(vectors)
+
+        # Record's field order after (id, year, vector); complexity takes
+        # Python's round, as np.round can differ in the last ulp
+        controls = zip(
+            crowdfunded.tolist(),
+            [GENRES[k] for k in genre.tolist()],
+            team_size.tolist(),
+            debut.tolist(),
+            [round(x, 2) for x in complexity.tolist()],
+            playing_time.tolist(),
+            min_players.tolist(),
+            max_players.tolist(),
+            [MIN_AGES[k] for k in min_age.tolist()],
+            is_expansion.tolist(),
+            is_adult.tolist(),
+            num_ratings.tolist(),
+        )
+        records.extend(Record(f"syn-{year}-{i:04d}", year, vectors[i], *values)
+                       for i, values in enumerate(controls))
     return RecordSet(records, registry)

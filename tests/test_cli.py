@@ -1,5 +1,6 @@
 """End-to-end tests for the pipeline CLI: exit codes, files, determinism."""
 
+import csv
 import json
 import os
 import stat
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from novascape import cli, stats
+from novascape import cli, landscape, stats
 from novascape.cli import (
     EXIT_EMPTY,
     EXIT_INPUT,
@@ -144,6 +145,20 @@ class TestOverrides:
         assert "landscape_2011.graphml" not in names
         assert "centroids.csv" in names
 
+    def test_csv_format_writes_node_tables(self, tmp_path):
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path, pipeline_payload(out))
+        assert main(["report", "--config", str(cfg), "--format", "csv"]) == EXIT_OK
+        assert main(["landscape", "--config", str(cfg), "--format", "json"]) == EXIT_OK
+        for year in (2009, 2011):
+            with open(out / f"landscape_{year}.csv", newline="", encoding="utf-8") as fh:
+                reader = csv.DictReader(fh)
+                assert tuple(reader.fieldnames) == landscape.EXPORT_COLUMNS
+                rows = list(reader)
+            nodes = json.loads((out / f"landscape_{year}.json").read_text())["nodes"]
+            assert nodes
+            assert rows == [{k: str(v) for k, v in node.items()} for node in nodes]
+
     def test_spans_flag_changes_score_rows(self, tmp_path):
         out = tmp_path / "run"
         payload = pipeline_payload(out)
@@ -173,6 +188,15 @@ class TestExitCodes:
     def test_synth_without_synth_section(self, tmp_path):
         cfg = write_config(tmp_path, {"out_dir": str(tmp_path / "o")})
         assert main(["synth", "--config", str(cfg)]) == EXIT_INPUT
+
+    @pytest.mark.parametrize("key", ["novelty_boost", "base_mutation_bits"])
+    def test_non_finite_synth_value_is_exit_2(self, tmp_path, key):
+        out = tmp_path / "o"
+        payload = pipeline_payload(out)
+        payload["synth"][key] = float("nan")  # json writes NaN, which json.loads accepts
+        cfg = write_config(tmp_path, payload)
+        assert main(["synth", "--config", str(cfg)]) == EXIT_INPUT
+        assert not (out / "synth_corpus.csv").exists()
 
     def test_unknown_mechanism_names_offending_row(self, tmp_path, caplog):
         registry = tmp_path / "reg.txt"

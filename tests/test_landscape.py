@@ -4,6 +4,7 @@ Edge sets are checked against an all-pairs popcount oracle that never uses
 the library's bit-flip construction.
 """
 
+import csv
 import itertools
 import math
 
@@ -17,6 +18,7 @@ from novascape.landscape import (
     CLASS_BASELINE,
     CLASS_CROWDFUNDED,
     CLASS_FORMER,
+    EXPORT_COLUMNS,
     GROUP_CROWDFUNDED,
     GROUP_TRADITIONAL,
     LandscapeGraph,
@@ -311,6 +313,23 @@ class TestExports:
             assert node.crowdfunded_count == orig.crowdfunded_count
             assert node.first_year == orig.first_year
             assert back.positions[key] == pytest.approx(pos[key], rel=1e-9)
+
+    def test_csv_node_table_is_written_but_not_imported(self, tmp_path):
+        g, pos = self.demo()
+        path = tmp_path / "land.csv"
+        export_graph(g, pos, "csv", path, seed=4)
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            assert tuple(reader.fieldnames) == EXPORT_COLUMNS
+            rows = list(reader)
+        assert {int(r["id"]) for r in rows} == set(pos)
+        for row in rows:
+            key = int(row["id"])
+            assert row["vector_bits"] == vector_bits(key, g.dimension)
+            assert int(row["count"]) == g.nodes[key].total_count
+            assert (float(row["x"]), float(row["y"])) == tuple(pos[key])
+        with pytest.raises(ValueError):
+            import_graph(path, "csv")
 
     def test_graphml_element_counts(self, tmp_path):
         rs = make_recordset([("a", 2010, [1, 0]), ("b", 2011, [1, 1])])

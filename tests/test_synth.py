@@ -1,5 +1,7 @@
 """Generator determinism, config validation, and effect direction."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,10 @@ class TestConfig:
             {"recombination_rate": -0.1},
             {"novelty_boost": -1.0},
             {"crowdfunded_share_by_year": 2.0},
+            {"novelty_boost": float("nan")},
+            {"base_mutation_bits": float("inf")},
+            {"novelty_boost": float("inf")},
+            {"base_mutation_bits": float("nan")},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -128,3 +134,68 @@ class TestGeneration:
             assert a.team_size == b.team_size
             assert a.complexity == b.complexity
             assert a.crowdfunded == b.crowdfunded
+
+    def test_controls_identical_field_by_field_across_boosts(self):
+        # the boost moves flip counts only; a vectorised control draw must not
+        # depend on how many rows recombine or how many bits they flip
+        cfg = dict(dimension=51, games_per_year=300, year_end=2012, seed=5)
+        rs0 = generate_corpus(small_config(novelty_boost=0.0, **cfg))
+        rs2 = generate_corpus(small_config(novelty_boost=2.0, **cfg))
+        names = [f.name for f in dataclasses.fields(rs0[0]) if f.name != "vector"]
+        assert len(names) == 15  # id, year, crowdfunded, eleven controls, parent_id
+        assert len(rs0) == len(rs2) == 7 * 300
+        for a, b in zip(rs0, rs2):
+            assert [getattr(a, n) for n in names] == [getattr(b, n) for n in names]
+        assert not np.array_equal(rs0.matrix, rs2.matrix)
+
+
+class TestRecombinationStructure:
+    def _check_post_burn_in(self, rs, transform):
+        for year in range(2008, 2011):
+            window = (rs.years >= year - 2) & (rs.years < year)
+            pool = {row.tobytes() for row in rs.matrix[window]}
+            for row in rs.matrix[rs.years == year]:
+                assert transform(row).tobytes() in pool
+
+    def test_zero_mutation_copies_a_vector_from_the_two_previous_years(self):
+        rs = generate_corpus(small_config(recombination_rate=1.0, base_mutation_bits=0.0,
+                                          novelty_boost=0.0))
+        self._check_post_burn_in(rs, lambda row: row)
+
+    def test_saturated_mutation_flips_every_bit_once(self):
+        # repeated flip positions would cancel under XOR and leave some bits
+        # as they were; a count above the dimension flips each bit once
+        rs = generate_corpus(small_config(recombination_rate=1.0, base_mutation_bits=1000.0))
+        self._check_post_burn_in(rs, lambda row: 1 - row)
+
+
+class TestEdgeConfigs:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"games_per_year": 1},
+            {"dimension": 1},
+            {"recombination_rate": 0.0},
+            {"recombination_rate": 1.0},
+            {"crowdfunded_share_by_year": 0.0},
+            {"crowdfunded_share_by_year": 1.0},
+            {"year_end": 2006},
+            {"games_per_year": 1, "dimension": 1, "recombination_rate": 1.0},
+        ],
+    )
+    def test_shape_and_rerun_bytes(self, kwargs, tmp_path):
+        cfg = small_config(**kwargs)
+        rs = generate_corpus(cfg)
+        n_years = cfg.year_end - cfg.year_start + 1
+        assert len(rs) == n_years * cfg.games_per_year
+        assert rs.matrix.shape == (len(rs), cfg.dimension)
+        assert set(np.unique(rs.matrix)) <= {0, 1}
+        assert rs.years.tolist() == [y for y in range(cfg.year_start, cfg.year_end + 1)
+                                     for _ in range(cfg.games_per_year)]
+        share = cfg.shares()[cfg.year_start]
+        if share in (0.0, 1.0):
+            assert all(r.crowdfunded == bool(share) for r in rs)
+        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_records_csv(rs, p1)
+        write_records_csv(generate_corpus(cfg), p2)
+        assert p1.read_bytes() == p2.read_bytes()
