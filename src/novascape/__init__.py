@@ -18,7 +18,6 @@ from .metrics import (
     FeatureProfile,
     InnovationScores,
     ScoreTable,
-    WindowSpec,
     build_profile,
     distinctiveness,
     distinctiveness_fast,
@@ -38,11 +37,9 @@ from .landscape import (
     classify_snapshots,
     export_graph,
     flip_edges,
-    import_graph,
     layout,
     pack_vector,
     render_svg,
-    unpack_vector,
 )
 from .stats import (
     FitResult,
@@ -62,7 +59,7 @@ from .stats import (
     mann_whitney_u,
     marginal_means,
 )
-from .synth import SynthConfig, generate_corpus, linear_share_ramp
+from .synth import SynthConfig, generate_corpus
 from .cli import PipelineConfig, main
 
 __version__ = "0.1.0"

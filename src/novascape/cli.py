@@ -51,6 +51,7 @@ from .errors import (
     RankDeficient,
 )
 from .landscape import (
+    EXPORT_FORMATS,
     build_landscape,
     centroids,
     classify_snapshots,
@@ -82,7 +83,6 @@ EXIT_INPUT = 2
 EXIT_EMPTY = 3
 EXIT_NUMERIC = 4
 
-EXPORT_FORMATS = ("csv", "json", "graphml", "svg")
 MODEL_PRESETS = dict(STANDARD_MODELS + (COUNT_NOVELTY_MODEL,))
 
 # cache file names inside the output directory; the standalone score,
@@ -156,34 +156,31 @@ class PipelineConfig:
                     "last_complete_year", "seed"):
             if key in payload:
                 kwargs[key] = payload[key]
-        if "spans" in payload:
-            kwargs["spans"] = tuple(int(s) for s in payload["spans"])
-        if "formats" in payload:
-            kwargs["formats"] = tuple(payload["formats"])
-        if "filters" in payload:
-            try:
+        try:
+            if "spans" in payload:
+                kwargs["spans"] = tuple(int(s) for s in payload["spans"])
+            if "formats" in payload:
+                kwargs["formats"] = tuple(payload["formats"])
+            if "filters" in payload:
                 kwargs["filters"] = FilterConfig(**payload["filters"])
-            except TypeError as exc:
-                raise ConfigError(f"bad filters section: {exc}") from exc
-        if "landscape" in payload:
-            ls = dict(payload["landscape"])
-            if "snapshot_years" in ls:
-                kwargs["snapshot_years"] = tuple(int(y) for y in ls.pop("snapshot_years"))
-            for key in ("min_type_count", "cf_share_threshold", "seed"):
-                if key in ls:
-                    kwargs[key] = ls.pop(key)
-            if ls:
-                raise ConfigError(f"unknown landscape keys {sorted(ls)}")
-        if "models" in payload:
-            try:
+            if "landscape" in payload:
+                ls = dict(payload["landscape"])
+                if "snapshot_years" in ls:
+                    kwargs["snapshot_years"] = tuple(int(y) for y in ls.pop("snapshot_years"))
+                for key in ("min_type_count", "cf_share_threshold", "seed"):
+                    if key in ls:
+                        kwargs[key] = ls.pop(key)
+                if ls:
+                    raise ConfigError(f"unknown landscape keys {sorted(ls)}")
+            if "models" in payload:
                 kwargs["models"] = tuple(
                     (name, ModelSpec.from_dict(spec)) for name, spec in payload["models"].items()
                 )
-            except (TypeError, ValueError, KeyError) as exc:
-                raise ConfigError(f"bad models section: {exc}") from exc
-        if "synth" in payload:
-            kwargs["synth"] = SynthConfig.from_dict(payload["synth"])
-        return cls(**kwargs)
+            if "synth" in payload:
+                kwargs["synth"] = SynthConfig.from_dict(payload["synth"])
+            return cls(**kwargs)
+        except (TypeError, ValueError, KeyError, AttributeError) as exc:
+            raise ConfigError(f"bad config value: {exc}") from exc
 
     @classmethod
     def from_json(cls, path) -> "PipelineConfig":

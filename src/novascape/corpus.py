@@ -8,11 +8,11 @@ an analysis set with explicit, reported rules.
 
 import csv
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -70,6 +70,10 @@ class FeatureRegistry:
         for name in self.names:
             if not name:
                 raise ParseError("empty feature name in registry")
+            # the corpus parser splits on the separator and strips each name,
+            # so no mechanisms cell could ever set such a feature's bit
+            if MECHANISM_SEPARATOR in name or name != name.strip():
+                raise ParseError(f"feature name {name!r} has a {MECHANISM_SEPARATOR!r} or edge whitespace")
             if name in seen:
                 raise DuplicateFeature(f"duplicate feature name {name!r}")
             seen.add(name)
@@ -231,9 +235,6 @@ class RecordSet:
         if not parts:
             return np.array([], dtype=np.int64)
         return np.concatenate(parts)
-
-    def subset(self, indices) -> "RecordSet":
-        return RecordSet((self.records[i] for i in indices), self.registry)
 
 
 @dataclass(frozen=True)

@@ -83,10 +83,6 @@ class UnknownTerm(NovascapeError):
     pass
 
 
-class UnknownLevel(NovascapeError):
-    pass
-
-
 # synthesis / configuration
 
 class ConfigError(NovascapeError):

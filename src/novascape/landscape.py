@@ -14,15 +14,14 @@ fixed positions so types do not move between frames.
 
 import csv
 import json
-import re
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import networkx as nx
 import numpy as np
 
 from .corpus import RecordSet
-from .errors import EmptyGraph, ParseError
+from .errors import EmptyGraph
 
 GROUP_CROWDFUNDED = "crowdfunded"
 GROUP_TRADITIONAL = "traditional"
@@ -41,9 +40,8 @@ DEFAULT_MIN_TYPE_COUNT = 6
 DEFAULT_CF_SHARE_THRESHOLD = 0.5
 DEFAULT_LAYOUT_SEED = 42
 
-IMPORT_FORMATS = ("graphml", "json", "dot")
-# csv is a node table without edges, year or dimension, so it is written but not read back
-EXPORT_FORMATS = IMPORT_FORMATS + ("csv",)
+# every landscape file format the CLI writes: svg by render_svg, the rest by export_graph
+EXPORT_FORMATS = ("csv", "json", "graphml", "svg")
 EXPORT_COLUMNS = ("id", "vector_bits", "count", "cf_count", "cf_share", "first_year", "x", "y")
 
 
@@ -56,10 +54,6 @@ def pack_vector(bits) -> int:
     return key
 
 
-def unpack_vector(key: int, dimension: int) -> np.ndarray:
-    return np.array([(key >> j) & 1 for j in range(dimension)], dtype=np.uint8)
-
-
 def vector_bits(key: int, dimension: int) -> str:
     return "".join(str((key >> j) & 1) for j in range(dimension))
 
@@ -70,12 +64,10 @@ class TypeNode:
     total_count: int
     crowdfunded_count: int
     first_year: int
-    first_funding: str
 
     def __post_init__(self):
         assert self.total_count >= 1
         assert 0 <= self.crowdfunded_count <= self.total_count
-        assert self.first_funding in (GROUP_CROWDFUNDED, GROUP_TRADITIONAL)
 
     @property
     def cf_share(self) -> float:
@@ -97,22 +89,12 @@ class LandscapeGraph:
     edges: Tuple[Tuple[int, int], ...]
     min_type_count: int
     cf_share_threshold: float
-    positions: Optional[Dict[int, Tuple[float, float]]] = None
 
     def __post_init__(self):
         plotted = set(self.plotted)
         for u, v in self.edges:
             assert u < v and u in plotted and v in plotted
             assert ((u ^ v).bit_count()) == 1
-
-    @property
-    def plotted_nodes(self) -> Tuple[TypeNode, ...]:
-        return tuple(self.nodes[k] for k in self.plotted)
-
-    def positioned(self) -> Tuple[int, ...]:
-        if self.positions is None:
-            return self.plotted
-        return tuple(k for k in self.plotted if k in self.positions)
 
 
 def build_landscape(
@@ -138,28 +120,25 @@ def build_landscape(
         if rec.year <= up_to_year:
             entry = snapshot.get(key)
             if entry is None:
-                # [total, cf_count, first_year, first_funding]
+                # [total, cf_count, first_year]
                 snapshot[key] = [
                     1,
                     int(rec.crowdfunded),
                     rec.year,
-                    GROUP_CROWDFUNDED if rec.crowdfunded else GROUP_TRADITIONAL,
                 ]
             else:
                 entry[0] += 1
                 entry[1] += int(rec.crowdfunded)
                 if rec.year < entry[2]:
                     entry[2] = rec.year
-                    entry[3] = GROUP_CROWDFUNDED if rec.crowdfunded else GROUP_TRADITIONAL
     nodes = {
         key: TypeNode(
             key=key,
             total_count=total,
             crowdfunded_count=cf,
             first_year=first_year,
-            first_funding=funding,
         )
-        for key, (total, cf, first_year, funding) in snapshot.items()
+        for key, (total, cf, first_year) in snapshot.items()
     }
     plotted = tuple(sorted(k for k in nodes if corpus_counts[k] >= min_type_count))
     return LandscapeGraph(
@@ -199,35 +178,28 @@ def _main_component(graph: LandscapeGraph) -> Tuple[int, ...]:
 
 def layout(
     graph: LandscapeGraph,
-    final_graph: Optional[LandscapeGraph] = None,
     seed: int = DEFAULT_LAYOUT_SEED,
 ) -> Dict[int, Tuple[float, float]]:
-    """Positions for the plotted nodes, anchored to the final snapshot.
+    """Positions for the plotted nodes of the graph's main connected component.
 
-    The Kamada-Kawai layout is computed once on the final snapshot's main
-    connected component from a seeded random start; any earlier snapshot
-    simply inherits those coordinates for the nodes it contains. Plotted
-    nodes outside the final main component get no position and are left out
-    of plots. A single-node component sits at the origin.
+    Kamada-Kawai from a seeded random start. Lay out the final snapshot once
+    and draw every earlier snapshot at those positions: its plotted nodes are
+    a subset of the final ones. Plotted nodes outside the main component get
+    no position and are left out of plots. A single-node component sits at
+    the origin.
     """
-    final_graph = graph if final_graph is None else final_graph
-    if not final_graph.plotted:
+    if not graph.plotted:
         raise EmptyGraph("no plotted nodes")
-    missing = [k for k in graph.plotted if k not in final_graph.nodes]
-    if missing:
-        raise EmptyGraph(f"snapshot has {len(missing)} plotted nodes absent from the final snapshot")
-    main = _main_component(final_graph)
+    main = _main_component(graph)
     if len(main) == 1:
-        final_pos = {main[0]: (0.0, 0.0)}
-    else:
-        g = nx.Graph()
-        g.add_nodes_from(main)
-        g.add_edges_from((u, v) for u, v in final_graph.edges if u in set(main) and v in set(main))
-        rng = np.random.default_rng(seed)
-        init = {k: rng.uniform(-1.0, 1.0, size=2) for k in main}
-        raw = nx.kamada_kawai_layout(g, pos=init)
-        final_pos = {k: (float(p[0]), float(p[1])) for k, p in raw.items()}
-    return {k: final_pos[k] for k in graph.plotted if k in final_pos}
+        return {main[0]: (0.0, 0.0)}
+    g = nx.Graph()
+    g.add_nodes_from(main)
+    g.add_edges_from((u, v) for u, v in graph.edges if u in set(main) and v in set(main))
+    rng = np.random.default_rng(seed)
+    init = {k: rng.uniform(-1.0, 1.0, size=2) for k in main}
+    raw = nx.kamada_kawai_layout(g, pos=init)
+    return {k: (float(p[0]), float(p[1])) for k, p in raw.items()}
 
 
 @dataclass(frozen=True)
@@ -245,16 +217,12 @@ def centroids(
     positions: Mapping[int, Tuple[float, float]],
     records: RecordSet,
     year: int,
-    weight_by: str = "games",
 ) -> Tuple[Optional[Centroid], Optional[Centroid]]:
     """(crowdfunded, traditional) centroids of positioned types at a year.
 
-    Weight is the group's cumulative game count at each positioned type, or
-    one per implemented type with weight_by="types". A group with no games on
-    positioned types has no centroid.
+    Weight is the group's cumulative game count at each positioned type. A
+    group with no games on positioned types has no centroid.
     """
-    if weight_by not in ("games", "types"):
-        raise ValueError(f"weight_by must be 'games' or 'types', got {weight_by!r}")
     weights = {GROUP_CROWDFUNDED: {}, GROUP_TRADITIONAL: {}}
     for rec in records:
         if rec.year > year:
@@ -267,8 +235,6 @@ def centroids(
     out = []
     for group in (GROUP_CROWDFUNDED, GROUP_TRADITIONAL):
         per_node = weights[group]
-        if weight_by == "types":
-            per_node = {k: 1 for k in per_node}
         total = sum(per_node.values())
         if total == 0:
             out.append(None)
@@ -280,23 +246,22 @@ def centroids(
 
 
 def classify_snapshots(
-    graphs: Sequence[LandscapeGraph], threshold: Optional[float] = None
+    graphs: Sequence[LandscapeGraph],
 ) -> Dict[int, Dict[int, str]]:
     """Share class per node per snapshot, with history.
 
     A node is "crowdfunded" while its cumulative crowdfunded share is at or
-    above the threshold, "formerly_crowdfunded" once it was above in an
+    above its snapshot's cf_share_threshold, "formerly_crowdfunded" once it was above in an
     earlier snapshot but is not now, and "baseline" otherwise.
     """
     ordered = sorted(graphs, key=lambda g: g.snapshot_year)
     out: Dict[int, Dict[int, str]] = {}
     ever_hot: set = set()
     for graph in ordered:
-        thr = graph.cf_share_threshold if threshold is None else threshold
         classes = {}
         for key in graph.plotted:
             node = graph.nodes[key]
-            if node.cf_share >= thr:
+            if node.cf_share >= graph.cf_share_threshold:
                 classes[key] = CLASS_CROWDFUNDED
             elif key in ever_hot:
                 classes[key] = CLASS_FORMER
@@ -307,16 +272,14 @@ def classify_snapshots(
     return out
 
 
-def _export_rows(graph: LandscapeGraph, positions):
-    keys = graph.positioned() if positions is None else tuple(
-        k for k in graph.plotted if k in positions
-    )
+def _export_rows(graph: LandscapeGraph, positions: Mapping[int, Tuple[float, float]]):
+    keys = tuple(k for k in graph.plotted if k in positions)
     key_set = set(keys)
     edges = tuple((u, v) for u, v in graph.edges if u in key_set and v in key_set)
     rows = []
     for k in keys:
         node = graph.nodes[k]
-        x, y = (positions or graph.positions or {}).get(k, (0.0, 0.0))
+        x, y = positions[k]
         values = (k, vector_bits(k, graph.dimension), node.total_count, node.crowdfunded_count,
                   node.cf_share, node.first_year, float(x), float(y))
         rows.append(dict(zip(EXPORT_COLUMNS, values)))
@@ -326,13 +289,13 @@ def _export_rows(graph: LandscapeGraph, positions):
 def export_graph(graph: LandscapeGraph, positions, fmt: str, path, seed: Optional[int] = None) -> None:
     """Write the plotted (positioned) subgraph with node attributes.
 
-    Formats: graphml, json, dot, and csv (one row per node, no edges).
-    Node attributes are count, cf_count, cf_share, first_year, x, y (plus
-    the bit string, so files are self-describing); graphml, json and dot
-    record the layout seed when given.
+    Formats: graphml, json, and csv (one row per node, no edges); svg is
+    drawn by render_svg. Node attributes are count, cf_count, cf_share,
+    first_year, x, y (plus the bit string, so files are self-describing);
+    graphml and json record the layout seed when given.
     """
-    if fmt not in EXPORT_FORMATS:
-        raise ValueError(f"unknown export format {fmt!r}")
+    if fmt not in EXPORT_FORMATS or fmt == "svg":
+        raise ValueError(f"export_graph cannot write format {fmt!r}")
     rows, edges = _export_rows(graph, positions)
     if fmt == "csv":
         with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -358,7 +321,7 @@ def export_graph(graph: LandscapeGraph, positions, fmt: str, path, seed: Optiona
             )
         g.add_edges_from((str(u), str(v)) for u, v in edges)
         nx.write_graphml(g, path)
-    elif fmt == "json":
+    else:
         payload = {
             "year": graph.snapshot_year,
             "dimension": graph.dimension,
@@ -370,106 +333,6 @@ def export_graph(graph: LandscapeGraph, positions, fmt: str, path, seed: Optiona
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
-    else:
-        lines = [f"graph landscape {{"]
-        lines.append(f'  // year={graph.snapshot_year} dimension={graph.dimension}'
-                     + (f" layout_seed={int(seed)}" if seed is not None else ""))
-        for row in rows:
-            attrs = (
-                f'vector_bits="{row["vector_bits"]}", count={row["count"]}, '
-                f'cf_count={row["cf_count"]}, cf_share={row["cf_share"]!r}, '
-                f'first_year={row["first_year"]}, x={row["x"]!r}, y={row["y"]!r}'
-            )
-            lines.append(f'  n{row["id"]} [{attrs}];')
-        for u, v in edges:
-            lines.append(f"  n{u} -- n{v};")
-        lines.append("}")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-
-
-def import_graph(path, fmt: str) -> LandscapeGraph:
-    """Parse a graphml, json or dot file written by export_graph back into a LandscapeGraph."""
-    if fmt not in IMPORT_FORMATS:
-        raise ValueError(f"unknown export format {fmt!r}")
-    if fmt == "graphml":
-        g = nx.read_graphml(path)
-        year = int(g.graph.get("year", 0))
-        dimension = int(g.graph.get("dimension", 0))
-        rows = []
-        for nid, data in g.nodes(data=True):
-            rows.append(
-                {
-                    "id": int(nid),
-                    "vector_bits": data["vector_bits"],
-                    "count": int(data["count"]),
-                    "cf_count": int(data["cf_count"]),
-                    "cf_share": float(data["cf_share"]),
-                    "first_year": int(data["first_year"]),
-                    "x": float(data["x"]),
-                    "y": float(data["y"]),
-                }
-            )
-        edges = [(int(u), int(v)) for u, v in g.edges()]
-    elif fmt == "json":
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        year = int(payload["year"])
-        dimension = int(payload["dimension"])
-        rows = payload["nodes"]
-        edges = [(int(u), int(v)) for u, v in payload["edges"]]
-    else:
-        text = open(path, encoding="utf-8").read()
-        meta = re.search(r"// year=(\d+) dimension=(\d+)", text)
-        if not meta:
-            raise ParseError(f"{path}: missing landscape header comment")
-        year, dimension = int(meta.group(1)), int(meta.group(2))
-        rows = []
-        node_re = re.compile(
-            r'n(\d+) \[vector_bits="([01]+)", count=(\d+), cf_count=(\d+), '
-            r"cf_share=([^,]+), first_year=(\d+), x=([^,]+), y=([^\]]+)\];"
-        )
-        for m in node_re.finditer(text):
-            rows.append(
-                {
-                    "id": int(m.group(1)),
-                    "vector_bits": m.group(2),
-                    "count": int(m.group(3)),
-                    "cf_count": int(m.group(4)),
-                    "cf_share": float(m.group(5)),
-                    "first_year": int(m.group(6)),
-                    "x": float(m.group(7)),
-                    "y": float(m.group(8)),
-                }
-            )
-        edges = [(int(u), int(v)) for u, v in re.findall(r"n(\d+) -- n(\d+);", text)]
-
-    nodes = {}
-    positions = {}
-    for row in rows:
-        key = int(row["id"])
-        count = int(row["count"])
-        cf = int(row["cf_count"])
-        nodes[key] = TypeNode(
-            key=key,
-            total_count=count,
-            crowdfunded_count=cf,
-            first_year=int(row["first_year"]),
-            first_funding=GROUP_TRADITIONAL,
-        )
-        positions[key] = (float(row["x"]), float(row["y"]))
-    plotted = tuple(sorted(nodes))
-    edges = tuple(sorted((min(u, v), max(u, v)) for u, v in edges))
-    return LandscapeGraph(
-        snapshot_year=year,
-        dimension=dimension,
-        nodes=nodes,
-        plotted=plotted,
-        edges=edges,
-        min_type_count=0,
-        cf_share_threshold=DEFAULT_CF_SHARE_THRESHOLD,
-        positions=positions,
-    )
 
 
 def render_svg(

@@ -27,7 +27,7 @@ independent of scheduling.
 
 import csv
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -42,21 +42,6 @@ DEFAULT_SPAN = 2
 
 # focal rows per XOR-popcount block of the novelty scan
 NOVELTY_BLOCK_ROWS = 256
-
-
-@dataclass(frozen=True)
-class WindowSpec:
-    """Window length in whole years."""
-
-    span_years: int = DEFAULT_SPAN
-
-    def __post_init__(self):
-        if self.span_years < 1:
-            raise ValueError("span_years must be >= 1")
-
-
-def _as_spec(span: Union[int, WindowSpec]) -> WindowSpec:
-    return span if isinstance(span, WindowSpec) else WindowSpec(span_years=int(span))
 
 
 def _as_vector(g) -> np.ndarray:
@@ -74,8 +59,6 @@ class FeatureProfile:
     resonance and score_corpus all compute their means this way.
     """
 
-    year_lo: int
-    year_hi: int
     n: int
     counts: np.ndarray
 
@@ -94,7 +77,6 @@ class InnovationScores:
     novelty_count: int
     novelty_binary: bool
     resonance: Optional[float]
-    window: WindowSpec
 
     def __post_init__(self):
         assert self.novelty_binary == (self.novelty_count > 0)
@@ -156,16 +138,14 @@ def read_scores_csv(path) -> ScoreTable:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         for rec in reader:
-            span = int(rec["span"])
             rows.append(
                 InnovationScores(
                     record_id=rec["id"],
-                    span_years=span,
+                    span_years=int(rec["span"]),
                     distinctiveness=float(rec["distinctiveness"]),
                     novelty_count=int(rec["novelty_count"]),
                     novelty_binary=bool(int(rec["novelty_binary"])),
                     resonance=None if rec["resonance"] == "NA" else float(rec["resonance"]),
-                    window=WindowSpec(span),
                 )
             )
     return ScoreTable(rows)
@@ -196,22 +176,12 @@ def cross_hamming(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return pa[:, None] + pb[None, :] - 2 * cross
 
 
-def window_years(focal_year: int, span: Union[int, WindowSpec], direction: str):
-    spec = _as_spec(span)
+def window_years(focal_year: int, span: int, direction: str):
     if direction == PAST:
-        return focal_year - spec.span_years, focal_year - 1
+        return focal_year - span, focal_year - 1
     if direction == FUTURE:
-        return focal_year + 1, focal_year + spec.span_years
+        return focal_year + 1, focal_year + span
     raise ValueError(f"direction must be {PAST!r} or {FUTURE!r}")
-
-
-def window_slice(records: RecordSet, focal_year: int, span: Union[int, WindowSpec], direction: str) -> RecordSet:
-    """Records in the look-back or look-forward window of a focal year.
-
-    The focal year itself is always excluded; the result may be empty.
-    """
-    lo, hi = window_years(focal_year, span, direction)
-    return records.subset(records.rows_in_years(lo, hi))
 
 
 def build_profile(records: RecordSet, year_lo: int, year_hi: int) -> FeatureProfile:
@@ -219,7 +189,7 @@ def build_profile(records: RecordSet, year_lo: int, year_hi: int) -> FeatureProf
     counts = records.matrix[rows].sum(axis=0, dtype=np.int64) if len(rows) else np.zeros(
         records.registry.dimension, dtype=np.int64
     )
-    return FeatureProfile(year_lo=year_lo, year_hi=year_hi, n=int(len(rows)), counts=counts)
+    return FeatureProfile(n=int(len(rows)), counts=counts)
 
 
 def _window_profile(year_profiles: Mapping[int, FeatureProfile], year_lo: int, year_hi: int,
@@ -227,7 +197,7 @@ def _window_profile(year_profiles: Mapping[int, FeatureProfile], year_lo: int, y
     """Profile of [year_lo, year_hi] as the sum of the single-year profiles it covers."""
     parts = [p for y, p in year_profiles.items() if year_lo <= y <= year_hi]
     counts = sum((p.counts for p in parts), np.zeros(dimension, dtype=np.int64))
-    return FeatureProfile(year_lo=year_lo, year_hi=year_hi, n=sum(p.n for p in parts), counts=counts)
+    return FeatureProfile(n=sum(p.n for p in parts), counts=counts)
 
 
 def _distance_sums(bits: np.ndarray, profile: FeatureProfile) -> np.ndarray:
@@ -263,7 +233,7 @@ def _min_distances(focal: np.ndarray, window: np.ndarray, dimension: int) -> np.
     return out
 
 
-def distinctiveness(g, records: RecordSet, span: Union[int, WindowSpec] = DEFAULT_SPAN) -> float:
+def distinctiveness(g, records: RecordSet, span: int = DEFAULT_SPAN) -> float:
     """Mean Hamming distance from g to every record in its past window.
 
     Records with vectors identical to g contribute distance 0; the window is
@@ -285,7 +255,7 @@ def distinctiveness_fast(g, profile: FeatureProfile) -> float:
     return int(_distance_sums(bits[None, :], profile)[0]) / profile.n
 
 
-def novelty_count(g, records: RecordSet, span: Union[int, WindowSpec] = DEFAULT_SPAN) -> int:
+def novelty_count(g, records: RecordSet, span: int = DEFAULT_SPAN) -> int:
     """Minimum Hamming distance from g to any record in its past window."""
     rec = g if isinstance(g, Record) else None
     if rec is None:
@@ -296,14 +266,14 @@ def novelty_count(g, records: RecordSet, span: Union[int, WindowSpec] = DEFAULT_
     return int(_min_distances(_pack(rec.vector[None, :]), _pack(window), records.registry.dimension)[0])
 
 
-def novelty_binary(g, records: RecordSet, span: Union[int, WindowSpec] = DEFAULT_SPAN) -> bool:
+def novelty_binary(g, records: RecordSet, span: int = DEFAULT_SPAN) -> bool:
     return novelty_count(g, records, span) > 0
 
 
 def resonance(
     g,
     records: RecordSet,
-    span: Union[int, WindowSpec] = DEFAULT_SPAN,
+    span: int = DEFAULT_SPAN,
     last_complete_year: Optional[int] = None,
 ) -> Optional[float]:
     """Past-window distinctiveness minus future-window distinctiveness.
@@ -315,60 +285,52 @@ def resonance(
     rec = g if isinstance(g, Record) else None
     if rec is None:
         raise TypeError("resonance requires a Record")
-    spec = _as_spec(span)
-    if last_complete_year is None or rec.year + spec.span_years > last_complete_year:
+    if last_complete_year is None or rec.year + span > last_complete_year:
         return None
-    past = build_profile(records, *window_years(rec.year, spec, PAST))
-    future = build_profile(records, *window_years(rec.year, spec, FUTURE))
+    past = build_profile(records, *window_years(rec.year, span, PAST))
+    future = build_profile(records, *window_years(rec.year, span, FUTURE))
     return distinctiveness_fast(rec, past) - distinctiveness_fast(rec, future)
 
 
 def score_corpus(
     records: RecordSet,
-    spans: Sequence[Union[int, WindowSpec]] = (DEFAULT_SPAN,),
+    spans: Sequence[int] = (DEFAULT_SPAN,),
     last_complete_year: Optional[int] = None,
-    comparison: Optional[RecordSet] = None,
 ) -> ScoreTable:
-    """Score every record for every requested window length.
+    """Score every record against the other records of the set, for every window length.
 
-    Comparators default to the scored records themselves; pass a separate
-    RecordSet (e.g. the unfiltered corpus) to change the comparison set.
-    Records whose past window is empty are listed in ScoreTable.unscored
-    instead of receiving a row. Resonance is absent unless the forward window
-    is fully covered (<= last_complete_year) and non-empty.
+    Spans are window lengths in whole years. Records whose past window is
+    empty are listed in ScoreTable.unscored instead of receiving a row.
+    Resonance is absent unless the forward window is fully covered
+    (<= last_complete_year) and non-empty.
     """
-    comparison = records if comparison is None else comparison
     dimension = records.registry.dimension
-    if comparison.registry.dimension != dimension:
-        raise DimensionError("comparison set dimension differs from scored records")
-    specs = [_as_spec(span) for span in spans]
-    max_span = max((spec.span_years for spec in specs), default=0)
-    year_profiles = {y: build_profile(comparison, y, y) for y in comparison.year_rows}
-    packed = _pack(comparison.matrix)
-    focal_packed = packed if comparison is records else _pack(records.matrix)
+    max_span = max(spans, default=0)
+    year_profiles = {y: build_profile(records, y, y) for y in records.year_rows}
+    packed = _pack(records.matrix)
     rows = []
     unscored = []
     for year, focal_rows in sorted(records.year_rows.items()):
-        bits, focal = records.matrix[focal_rows], focal_packed[focal_rows]
+        bits, focal = records.matrix[focal_rows], packed[focal_rows]
         # a window's minimum is the minimum over its years, so each
         # (focal year, comparison year) block is scanned once for all spans
         year_mins = {
             y: _min_distances(focal, packed[comp_rows], dimension)
-            for y, comp_rows in comparison.year_rows.items()
+            for y, comp_rows in records.year_rows.items()
             if year - max_span <= y < year
         }
-        for spec in specs:
-            past_lo, past_hi = window_years(year, spec, PAST)
+        for span in spans:
+            past_lo, past_hi = window_years(year, span, PAST)
             past = _window_profile(year_profiles, past_lo, past_hi, dimension)
             if past.n == 0:
-                unscored.extend((records.ids[i], spec.span_years) for i in focal_rows)
+                unscored.extend((records.ids[i], span) for i in focal_rows)
                 continue
             sums = _distance_sums(bits, past)
             mins = np.minimum.reduce([m for y, m in year_mins.items() if y >= past_lo])
 
             res_vals = None
-            if last_complete_year is not None and year + spec.span_years <= last_complete_year:
-                future = _window_profile(year_profiles, *window_years(year, spec, FUTURE), dimension)
+            if last_complete_year is not None and year + span <= last_complete_year:
+                future = _window_profile(year_profiles, *window_years(year, span, FUTURE), dimension)
                 if future.n:
                     res_vals = sums / past.n - _distance_sums(bits, future) / future.n
 
@@ -377,12 +339,11 @@ def score_corpus(
                 rows.append(
                     InnovationScores(
                         record_id=records.ids[i],
-                        span_years=spec.span_years,
+                        span_years=span,
                         distinctiveness=int(sums[j]) / past.n,
                         novelty_count=nov,
                         novelty_binary=nov > 0,
                         resonance=float(res_vals[j]) if res_vals is not None else None,
-                        window=spec,
                     )
                 )
     return ScoreTable(rows, unscored=unscored)

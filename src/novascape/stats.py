@@ -10,11 +10,10 @@ and distribution functions.
 """
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import linalg as sla
@@ -27,7 +26,6 @@ from .errors import (
     NumericError,
     RankDeficient,
     SeparationError,
-    UnknownLevel,
     UnknownTerm,
 )
 from .metrics import ScoreTable
@@ -298,10 +296,6 @@ class ModelSpec:
             robust_se=str(payload.get("robust_se", "hc1")),
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "ModelSpec":
-        return cls.from_dict(json.loads(text))
-
     def to_dict(self) -> dict:
         return {
             "outcome": self.outcome,
@@ -335,8 +329,6 @@ class Design:
     columns: Tuple[str, ...]
     spec: ModelSpec
     rows_used: np.ndarray
-    outcome_mean: float
-    outcome_std: float
 
 
 def _apply_transform(values: np.ndarray, transform: str, column: str) -> np.ndarray:
@@ -355,16 +347,12 @@ def _apply_transform(values: np.ndarray, transform: str, column: str) -> np.ndar
 def build_design(
     data: Mapping[str, np.ndarray],
     spec: ModelSpec,
-    fe_levels: Optional[Mapping[str, Sequence]] = None,
 ) -> Design:
     """Complete-case design matrix with intercept, transformed terms, and
     dummy-coded fixed effects (reference level = smallest).
 
     Its rank is not checked here: fit_model factorizes X once and raises
     RankDeficient there, naming the dropped columns.
-
-    fe_levels pins dummy columns to known level sets (for scoring new data);
-    a value outside the pinned set raises UnknownLevel.
     """
     for column, _ in spec.terms:
         if column not in data:
@@ -392,13 +380,7 @@ def build_design(
         if fe not in data:
             raise UnknownTerm(f"fixed-effect column {fe!r} not in data")
         values = data[fe][rows]
-        if fe_levels and fe in fe_levels:
-            levels = list(fe_levels[fe])
-            unseen = sorted(set(values.tolist()) - set(levels))
-            if unseen:
-                raise UnknownLevel(f"{fe!r} has unknown levels {unseen}")
-        else:
-            levels = sorted(set(values.tolist()))
+        levels = sorted(set(values.tolist()))
         for level in levels[1:]:
             cols.append((values == level).astype(float))
             names.append(f"{fe}={level}")
@@ -412,8 +394,6 @@ def build_design(
         columns=tuple(names),
         spec=spec,
         rows_used=rows,
-        outcome_mean=float(y.mean()),
-        outcome_std=float(y.std(ddof=1)) if len(y) > 1 else 0.0,
     )
 
 
@@ -658,14 +638,12 @@ def marginal_means(
     X: np.ndarray,
     focal: str,
     levels: Sequence[float] = (0.0, 1.0),
-    standardize: Optional[Tuple[float, float]] = None,
 ) -> Tuple[MarginalMean, ...]:
     """Average adjusted prediction at each focal level, with delta-method
     95% intervals from the robust covariance.
 
-    Every observation's focal column is forced to the level, predictions are
-    averaged over the observed covariate distribution, and optionally
-    z-scored against a supplied (mean, std) for standardized display.
+    Every observation's focal column is forced to the level and predictions
+    are averaged over the observed covariate distribution.
     """
     if focal not in fit.columns:
         raise UnknownTerm(f"{focal!r} is not a model column")
@@ -693,12 +671,6 @@ def marginal_means(
         var = float(grad @ fit.cov @ grad)
         se = math.sqrt(max(var, 0.0))
         lo, hi = m - crit * se, m + crit * se
-        if standardize is not None:
-            mean, std = standardize
-            if std <= 0:
-                raise NumericError("standardize std must be positive")
-            m, lo, hi = (m - mean) / std, (lo - mean) / std, (hi - mean) / std
-            se = se / std
         out.append(MarginalMean(float(level), m, se, lo, hi))
     return tuple(out)
 

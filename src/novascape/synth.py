@@ -13,9 +13,8 @@ and one for controls, and each year is drawn as arrays in a fixed order,
 making output byte-identical for a fixed config.
 """
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Union
 
 import numpy as np
@@ -37,6 +36,10 @@ GENRES = (
 MIN_AGES = (6, 8, 10, 12, 14, 16, 18)
 
 BURN_IN_YEARS = 2
+
+# numpy's Poisson sampler rejects larger means; a mean anywhere near it
+# already flips every bit, and no smaller mean is changed by the clip
+POISSON_MEAN_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
 
 
 @dataclass(frozen=True)
@@ -93,10 +96,6 @@ class SynthConfig:
             kwargs["crowdfunded_share_by_year"] = {int(y): float(s) for y, s in share.items()}
         return cls(**kwargs)
 
-    @classmethod
-    def from_json(cls, text: str) -> "SynthConfig":
-        return cls.from_dict(json.loads(text))
-
     def to_dict(self) -> dict:
         share = self.crowdfunded_share_by_year
         if isinstance(share, Mapping):
@@ -113,15 +112,6 @@ class SynthConfig:
             "novelty_boost": self.novelty_boost,
             "seed": self.seed,
         }
-
-
-def linear_share_ramp(year_start: int, year_end: int, lo: float = 0.01, hi: float = 0.30) -> dict:
-    """Crowdfunded share rising linearly from lo to hi across the years."""
-    years = list(range(year_start, year_end + 1))
-    if len(years) == 1:
-        return {years[0]: hi}
-    step = (hi - lo) / (len(years) - 1)
-    return {y: lo + i * step for i, y in enumerate(years)}
 
 
 def synthetic_registry(dimension: int) -> FeatureRegistry:
@@ -176,7 +166,7 @@ def generate_corpus(cfg: SynthConfig) -> RecordSet:
             mean_flips = np.where(crowdfunded[rows],
                                   cfg.base_mutation_bits + cfg.novelty_boost,
                                   cfg.base_mutation_bits)
-            n_flips = rng_vec.poisson(mean_flips)
+            n_flips = rng_vec.poisson(np.minimum(mean_flips, POISSON_MEAN_MAX))
             # the n_flips lowest ranks of one row of uniform keys are distinct
             # bits; a count of dim or more flips them all
             ranks = rng_vec.random((len(rows), dim)).argsort(axis=1).argsort(axis=1)

@@ -117,6 +117,19 @@ class TestReport:
         assert len(pairs) == len(set(pairs))
         assert {p[0] for p in pairs} == {"2009", "2011"}
 
+    def test_earlier_snapshot_reuses_final_positions(self, tmp_path):
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path, pipeline_payload(out))
+        assert main(["report", "--config", str(cfg)]) == EXIT_OK
+        early, final = (
+            {node["id"]: (node["x"], node["y"])
+             for node in json.loads((out / f"landscape_{year}.json").read_text())["nodes"]}
+            for year in (2009, 2011)
+        )
+        assert early
+        for key, xy in early.items():
+            assert final[key] == xy
+
     def test_model_table_mentions_reference_values(self, tmp_path):
         out = tmp_path / "run"
         cfg = write_config(tmp_path, pipeline_payload(out))
@@ -197,6 +210,19 @@ class TestExitCodes:
         cfg = write_config(tmp_path, payload)
         assert main(["synth", "--config", str(cfg)]) == EXIT_INPUT
         assert not (out / "synth_corpus.csv").exists()
+
+    @pytest.mark.parametrize("section", [
+        {"spans": ["x"]},
+        {"filters": {"min_mechanisms": -1}},
+        {"synth": {"dimensions": 51}},
+        {"synth": {"dimension": "51"}},
+        {"models": []},
+    ], ids=["span-text", "negative-filter", "unknown-synth-key", "synth-dimension-text", "models-list"])
+    def test_malformed_config_value_is_exit_2(self, tmp_path, section):
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path, {"out_dir": str(out), "synth": {}, **section})
+        assert main(["synth", "--config", str(cfg)]) == EXIT_INPUT
+        assert not out.exists()
 
     def test_unknown_mechanism_names_offending_row(self, tmp_path, caplog):
         registry = tmp_path / "reg.txt"

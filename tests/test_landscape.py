@@ -1,4 +1,4 @@
-"""Landscape construction, layout reuse, centroids, and export round-trips.
+"""Landscape construction, layout, centroids, and export round-trips.
 
 Edge sets are checked against an all-pairs popcount oracle that never uses
 the library's bit-flip construction.
@@ -6,8 +6,10 @@ the library's bit-flip construction.
 
 import csv
 import itertools
+import json
 import math
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,11 +29,9 @@ from novascape.landscape import (
     classify_snapshots,
     export_graph,
     flip_edges,
-    import_graph,
     layout,
     pack_vector,
     render_svg,
-    unpack_vector,
     vector_bits,
 )
 
@@ -51,13 +51,12 @@ class TestPacking:
     def test_round_trip(self):
         bits = [1, 0, 1, 1, 0]
         key = pack_vector(bits)
-        assert unpack_vector(key, 5).tolist() == bits
         assert vector_bits(key, 5) == "10110"
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=51))
     def test_pack_unpack_identity(self, bits):
-        assert unpack_vector(pack_vector(bits), len(bits)).tolist() == bits
+        assert vector_bits(pack_vector(bits), len(bits)) == "".join(map(str, bits))
 
 
 class TestBuild:
@@ -100,7 +99,6 @@ class TestBuild:
         node = g.nodes[pack_vector([1, 1])]
         assert node.crowdfunded_count == 2
         assert node.cf_share == 1.0
-        assert node.first_funding == GROUP_CROWDFUNDED
 
     def test_snapshot_monotonicity(self):
         rng = np.random.default_rng(7)
@@ -174,18 +172,6 @@ class TestLayout:
         with pytest.raises(EmptyGraph):
             layout(g, seed=5)
 
-    def test_earlier_snapshot_reuses_final_positions(self):
-        rows = [("a", 2008, [1, 0, 0]), ("b", 2008, [1, 1, 0])]
-        rows += [("c", 2016, [1, 1, 1]), ("d", 2016, [0, 1, 1])]
-        rs = make_recordset(rows)
-        early = build_landscape(rs, 2008, min_type_count=1)
-        final = build_landscape(rs, 2016, min_type_count=1)
-        pos_final = layout(final, seed=9)
-        pos_early = layout(early, final, seed=9)
-        assert set(pos_early) <= set(pos_final)
-        for key, p in pos_early.items():
-            assert p == pos_final[key]
-
     def test_nodes_outside_final_main_component_unpositioned(self):
         # main component of the final graph is the 3-node path; the isolate is excluded
         rows = [(f"p{i}", 2016, bits) for i, bits in enumerate(([1, 0, 0], [1, 1, 0], [1, 1, 1]))]
@@ -223,13 +209,6 @@ class TestCentroids:
         assert trad.point == pytest.approx((-1.0, 0.0))
         assert cf.group == GROUP_CROWDFUNDED
         assert trad.group == GROUP_TRADITIONAL
-
-    def test_types_weighting(self):
-        rs = self.positioned_corpus()
-        g = build_landscape(rs, 2011, min_type_count=1)
-        positions = {pack_vector([1, 0]): (0.0, 0.0), pack_vector([0, 1]): (3.0, 0.0), pack_vector([1, 1]): (-1.0, 0.0)}
-        cf, _ = centroids(g, positions, rs, 2011, weight_by="types")
-        assert cf.point == pytest.approx((1.5, 0.0))  # two types, unweighted
 
     def test_cumulative_year_cut(self):
         rs = self.positioned_corpus()
@@ -297,22 +276,30 @@ class TestExports:
         pos = layout(g, seed=4)
         return g, pos
 
-    @pytest.mark.parametrize("fmt", ["graphml", "json", "dot"])
+    @pytest.mark.parametrize("fmt", ["graphml", "json"])
     def test_round_trip(self, fmt, tmp_path):
         g, pos = self.demo()
         path = tmp_path / f"land.{fmt}"
         export_graph(g, pos, fmt, path, seed=4)
-        back = import_graph(path, fmt)
-        assert back.snapshot_year == g.snapshot_year
-        assert back.dimension == g.dimension
-        assert set(back.nodes) == set(pos)
-        assert set(back.edges) == {(u, v) for u, v in g.edges if u in pos and v in pos}
-        for key, node in back.nodes.items():
+        if fmt == "graphml":
+            back = nx.read_graphml(path)
+            meta = back.graph
+            nodes = {int(k): row for k, row in back.nodes(data=True)}
+            edges = {tuple(sorted((int(u), int(v)))) for u, v in back.edges()}
+        else:
+            with open(path, encoding="utf-8") as fh:
+                meta = json.load(fh)
+            nodes = {row["id"]: row for row in meta["nodes"]}
+            edges = {tuple(edge) for edge in meta["edges"]}
+        assert (meta["year"], meta["dimension"], meta["layout_seed"]) == (g.snapshot_year, g.dimension, 4)
+        assert set(nodes) == set(pos)
+        assert edges == {(u, v) for u, v in g.edges if u in pos and v in pos}
+        for key, row in nodes.items():
             orig = g.nodes[key]
-            assert node.total_count == orig.total_count
-            assert node.crowdfunded_count == orig.crowdfunded_count
-            assert node.first_year == orig.first_year
-            assert back.positions[key] == pytest.approx(pos[key], rel=1e-9)
+            assert row["count"] == orig.total_count
+            assert row["cf_count"] == orig.crowdfunded_count
+            assert row["first_year"] == orig.first_year
+            assert (row["x"], row["y"]) == pytest.approx(pos[key], rel=1e-9)
 
     def test_csv_node_table_is_written_but_not_imported(self, tmp_path):
         g, pos = self.demo()
@@ -328,8 +315,6 @@ class TestExports:
             assert row["vector_bits"] == vector_bits(key, g.dimension)
             assert int(row["count"]) == g.nodes[key].total_count
             assert (float(row["x"]), float(row["y"])) == tuple(pos[key])
-        with pytest.raises(ValueError):
-            import_graph(path, "csv")
 
     def test_graphml_element_counts(self, tmp_path):
         rs = make_recordset([("a", 2010, [1, 0]), ("b", 2011, [1, 1])])
@@ -347,8 +332,10 @@ class TestExports:
         g = build_landscape(rs, 2010, min_type_count=99)
         path = tmp_path / "empty.json"
         export_graph(g, {}, "json", path)
-        back = import_graph(path, "json")
-        assert len(back.nodes) == 0
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+        assert payload["nodes"] == []
+        assert payload["edges"] == []
 
     def test_export_deterministic(self, tmp_path):
         g, pos = self.demo()

@@ -20,7 +20,6 @@ from novascape.metrics import (
     PAST,
     FeatureProfile,
     ScoreTable,
-    WindowSpec,
     build_profile,
     cross_hamming,
     distinctiveness,
@@ -31,7 +30,6 @@ from novascape.metrics import (
     read_scores_csv,
     resonance,
     score_corpus,
-    window_slice,
     window_years,
 )
 
@@ -111,24 +109,24 @@ class TestWindows:
     def test_past_and_future_year_ranges(self):
         assert window_years(2015, 2, PAST) == (2013, 2014)
         assert window_years(2015, 2, FUTURE) == (2016, 2017)
-        assert window_years(2015, WindowSpec(span_years=5), PAST) == (2010, 2014)
+        assert window_years(2015, 5, PAST) == (2010, 2014)
 
     def test_same_year_excluded(self):
         rs = make_recordset(
             [("a", 2014, [1, 0]), ("b", 2015, [0, 1]), ("c", 2015, [1, 1]), ("d", 2016, [0, 0])]
         )
-        past = window_slice(rs, 2015, 1, PAST)
-        future = window_slice(rs, 2015, 1, FUTURE)
-        assert past.ids == ("a",)
-        assert future.ids == ("d",)
+        table = score_corpus(rs, spans=(1,), last_complete_year=2016)
+        # b's windows are {a} and {d}; with its same-year peer c in either, every value moves
+        b = table.get("b", 1)
+        assert (b.distinctiveness, b.novelty_count, b.resonance) == (2.0, 2, 1.0)
+        c = table.get("c", 1)
+        assert (c.distinctiveness, c.novelty_count, c.resonance) == (1.0, 1, -1.0)
 
     def test_empty_window_is_allowed(self):
         rs = make_recordset([("a", 2014, [1, 0])])
-        assert len(window_slice(rs, 2014, 2, PAST)) == 0
-
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            WindowSpec(span_years=0)
+        table = score_corpus(rs, spans=(2,))
+        assert len(table) == 0
+        assert table.unscored == (("a", 2),)
 
 
 class TestDistinctiveness:
@@ -149,7 +147,7 @@ class TestDistinctiveness:
             distinctiveness(rs.by_id["g"], rs, span=2)
 
     def test_profile_fast_path_frozen_example(self):
-        profile = FeatureProfile(year_lo=2014, year_hi=2014, n=2, counts=np.array([1, 1, 2]))
+        profile = FeatureProfile(n=2, counts=np.array([1, 1, 2]))
         assert distinctiveness_fast([1, 1, 0], profile) == 2.0
 
     def test_build_profile_counts(self):
@@ -282,14 +280,6 @@ class TestScoreCorpus:
         table = score_corpus(rs, spans=(2, 1))
         keys = [(r.record_id, r.span_years) for r in table]
         assert keys == sorted(keys)
-
-    def test_separate_comparison_set(self):
-        scored = make_recordset([("g", 2015, [1, 1, 0])])
-        comparison = make_recordset(
-            [("x", 2014, [0, 1, 1]), ("y", 2014, [1, 0, 1]), ("z", 2015, [1, 1, 0])]
-        )
-        table = score_corpus(scored, spans=(1,), comparison=comparison)
-        assert table.get("g", 1).distinctiveness == 2.0
 
     def test_resonance_rows_are_strict_subset(self):
         rs = self.demo_corpus()
