@@ -49,6 +49,7 @@ from .errors import (
     NumericError,
     ParseError,
     RankDeficient,
+    RegistryError,
 )
 from .landscape import (
     EXPORT_FORMATS,
@@ -111,6 +112,16 @@ def atomic_write(path: Path):
         raise
 
 
+# accepted Python types of each scalar config field type; a bool is none of them
+_SCALAR_TYPES = {
+    int: (int, "an integer"),
+    Optional[int]: ((int, type(None)), "an integer or null"),
+    float: ((int, float), "a number"),
+    str: (str, "a string"),
+    Optional[str]: ((str, type(None)), "a string or null"),
+}
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Everything a run needs; serializable so one JSON captures the run."""
@@ -131,6 +142,11 @@ class PipelineConfig:
     synth: Optional[SynthConfig] = None
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            kinds, text = _SCALAR_TYPES.get(f.type, (object, ""))
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise ConfigError(f"{f.name} must be {text}, got {value!r}")
         if not self.spans:
             raise ConfigError("spans must be non-empty")
         if any(s < 1 for s in self.spans):
@@ -151,6 +167,9 @@ class PipelineConfig:
         unknown = sorted(set(payload) - known)
         if unknown:
             raise ConfigError(f"unknown config keys {unknown}")
+        for key in ("spans", "formats"):
+            if not isinstance(payload.get(key, []), list):
+                raise ConfigError(f"{key} must be a list, got {payload[key]!r}")
         kwargs: dict = {}
         for key in ("corpus_path", "registry_path", "out_dir", "stats_span",
                     "last_complete_year", "seed"):
@@ -274,7 +293,7 @@ def cmd_ingest(cfg: PipelineConfig) -> RecordSet:
         write_registry(registry, tmp)
     with atomic_write(out / "filter_report.json") as tmp:
         tmp.write_text(report.to_json() + "\n", encoding="utf-8")
-    log.info("ingested %d records, kept %d after filters", len(records.records), len(kept.records))
+    log.info("ingested %d records, kept %d after filters", len(records), len(kept))
     return kept
 
 
@@ -357,8 +376,8 @@ def _read_scores(cfg: PipelineConfig, records: RecordSet) -> ScoreTable:
     table = read_scores_csv(path)
     years = set(records.year_rows)
     expected = {
-        rec.id for rec in records.records
-        if any(rec.year - k in years for k in range(1, cfg.stats_span + 1))
+        rid for rid, year in zip(records.ids, records.years.tolist())
+        if any(year - k in years for k in range(1, cfg.stats_span + 1))
     }
     scored = {row.record_id for row in table.for_span(cfg.stats_span)}
     if scored != expected or not {row.record_id for row in table} <= set(records.ids):
@@ -479,7 +498,7 @@ def cmd_synth(cfg: PipelineConfig) -> int:
     with atomic_write(out / "synth_registry.txt") as tmp:
         write_registry(corpus.registry, tmp)
     log.info("wrote %d synthetic records over %d-%d",
-             len(corpus.records), cfg.synth.year_start, cfg.synth.year_end)
+             len(corpus), cfg.synth.year_start, cfg.synth.year_end)
     return EXIT_OK
 
 
@@ -573,7 +592,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         result = COMMANDS[args.command](cfg)
         # ingest and score return their records or scores for report to chain
         return result if isinstance(result, int) else EXIT_OK
-    except (ParseError, ConfigError, FileNotFoundError) as exc:
+    except (ParseError, RegistryError, ConfigError, FileNotFoundError) as exc:
         log.error("%s", exc)
         return EXIT_INPUT
     except (EmptyGraph, EmptySample, EmptyWindow) as exc:

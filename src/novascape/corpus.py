@@ -8,11 +8,11 @@ an analysis set with explicit, reported rules.
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, make_dataclass
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 import numpy as np
 
@@ -26,24 +26,28 @@ from .errors import (
     UnknownFeature,
 )
 
-REQUIRED_COLUMNS = (
-    "id",
-    "year",
-    "mechanisms",
-    "crowdfunded",
-    "genre",
-    "team_size",
-    "debut",
-    "complexity",
-    "playing_time",
-    "min_players",
-    "max_players",
-    "min_age",
-    "is_expansion",
-    "is_adult",
-    "num_ratings",
+# The record schema after id, year and the mechanism vector: each control
+# field and its type, in CSV order. Record, the RecordSet columns, the parser,
+# the writer and the stats join all read it; parent_id alone may be absent.
+CONTROLS = (
+    ("crowdfunded", bool),
+    ("genre", str),
+    ("team_size", int),
+    ("debut", bool),
+    ("complexity", float),
+    ("playing_time", float),
+    ("min_players", int),
+    ("max_players", int),
+    ("min_age", int),
+    ("is_expansion", bool),
+    ("is_adult", bool),
+    ("num_ratings", int),
+    ("parent_id", Optional[str]),
 )
-OPTIONAL_COLUMNS = ("parent_id",)
+OPTIONAL_COLUMNS = tuple(name for name, kind in CONTROLS if kind == Optional[str])
+REQUIRED_COLUMNS = ("id", "year", "mechanisms") + tuple(
+    name for name, _ in CONTROLS if name not in OPTIONAL_COLUMNS
+)
 
 MECHANISM_SEPARATOR = ";"
 
@@ -143,91 +147,91 @@ def canonical_registry() -> FeatureRegistry:
     return FeatureRegistry(names)
 
 
-@dataclass(frozen=True, eq=False)
-class Record:
-    """One product: identity, publication year, feature vector, and controls."""
-
-    id: str
-    year: int
-    vector: np.ndarray
-    crowdfunded: bool
-    genre: str
-    team_size: int
-    debut: bool
-    complexity: float
-    playing_time: float
-    min_players: int
-    max_players: int
-    min_age: int
-    is_expansion: bool
-    is_adult: bool
-    num_ratings: int
-    parent_id: Optional[str] = None
-
-    @property
-    def popcount(self) -> int:
-        return int(self.vector.sum())
+# One product: identity, publication year, feature vector, and the CONTROLS
+# fields. A RecordSet builds these views on demand from its columns.
+Record = make_dataclass(
+    "Record",
+    [("id", str), ("year", int), ("vector", np.ndarray)]
+    + [(name, kind, None) if name in OPTIONAL_COLUMNS else (name, kind) for name, kind in CONTROLS],
+    namespace={"__module__": __name__, "popcount": property(lambda self: int(self.vector.sum()))},
+    frozen=True,
+    eq=False,
+)
 
 
 class RecordSet:
-    """Immutable collection of records sharing one registry.
+    """Immutable collection of records sharing one registry, held as columns.
 
-    Caches the stacked vector matrix and per-year row indices; safe to share
-    read-only across threads.
+    `ids`, `years`, the (n, dimension) uint8 `matrix` and `columns` (one
+    typed array per CONTROLS field) share row order; `row_of` maps id to
+    row. Indexing and iteration build Record views with Python scalars.
+    Safe to share read-only across threads.
     """
 
     def __init__(self, records: Iterable[Record], registry: FeatureRegistry):
-        self.registry = registry
-        self.records = tuple(records)
-        seen = set()
-        for rec in self.records:
+        records = tuple(records)
+        for rec in records:
             if len(rec.vector) != registry.dimension:
                 raise DimensionError(
                     f"record {rec.id}: vector length {len(rec.vector)} != dimension {registry.dimension}"
                 )
-            if rec.id in seen:
-                raise DuplicateId(f"duplicate record id {rec.id!r}")
-            seen.add(rec.id)
+        matrix = np.array([rec.vector for rec in records], dtype=np.uint8)
+        columns = {name: [getattr(rec, name) for rec in records] for name, _ in CONTROLS}
+        self._assign(registry, [rec.id for rec in records], [rec.year for rec in records],
+                     matrix.reshape(len(records), registry.dimension), columns)
+
+    @classmethod
+    def from_columns(cls, registry: FeatureRegistry, ids, years, matrix, columns: Mapping) -> "RecordSet":
+        """Records from parallel columns; `columns` maps every CONTROLS field to its values."""
+        out = cls.__new__(cls)
+        out._assign(registry, ids, years, matrix, columns)
+        return out
+
+    def _assign(self, registry, ids, years, matrix, columns) -> None:
+        self.registry = registry
+        self.ids = tuple(ids)
+        self.years = np.asarray(years, dtype=np.int64)
+        self.matrix = np.asarray(matrix, dtype=np.uint8)
+        if self.matrix.shape != (len(self.ids), registry.dimension):
+            raise DimensionError(
+                f"vector matrix shape {self.matrix.shape} != ({len(self.ids)}, {registry.dimension})"
+            )
+        self.columns = {
+            name: np.asarray(columns[name], dtype=_KINDS[kind][0])
+            for name, kind in CONTROLS
+        }
+        self.row_of = {}
+        for i, rid in enumerate(self.ids):
+            if self.row_of.setdefault(rid, i) != i:
+                raise DuplicateId(f"duplicate record id {rid!r}")
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.ids)
 
     def __iter__(self) -> Iterator[Record]:
-        return iter(self.records)
+        return (self[i] for i in range(len(self)))
 
     def __getitem__(self, i: int) -> Record:
-        return self.records[i]
+        controls = {name: column.item(i) for name, column in self.columns.items()}
+        return Record(self.ids[i], self.years.item(i), self.matrix[i], **controls)
 
     @cached_property
-    def matrix(self) -> np.ndarray:
-        """(n, dimension) uint8 matrix of all vectors, row order preserved."""
-        if not self.records:
-            return np.zeros((0, self.registry.dimension), dtype=np.uint8)
-        return np.stack([rec.vector for rec in self.records]).astype(np.uint8)
+    def records(self) -> tuple:
+        """Every row as a Record view, built on first use."""
+        return tuple(self)
 
-    @cached_property
-    def years(self) -> np.ndarray:
-        return np.array([rec.year for rec in self.records], dtype=np.int64)
-
-    @cached_property
-    def ids(self) -> tuple:
-        return tuple(rec.id for rec in self.records)
-
-    @cached_property
-    def crowdfunded(self) -> np.ndarray:
-        return np.array([rec.crowdfunded for rec in self.records], dtype=bool)
-
-    @cached_property
-    def by_id(self) -> dict:
-        return {rec.id: rec for rec in self.records}
+    def take(self, rows: np.ndarray) -> "RecordSet":
+        """The records at the given row indices, in that order."""
+        return RecordSet.from_columns(
+            self.registry, [self.ids[i] for i in rows.tolist()], self.years[rows], self.matrix[rows],
+            {name: column[rows] for name, column in self.columns.items()},
+        )
 
     @cached_property
     def year_rows(self) -> dict:
         """Map year -> sorted row indices of records published that year."""
-        out = {}
-        for i, rec in enumerate(self.records):
-            out.setdefault(rec.year, []).append(i)
-        return {y: np.array(rows, dtype=np.int64) for y, rows in out.items()}
+        years, first = np.unique(self.years, return_index=True)
+        return {int(y): np.flatnonzero(self.years == y) for y in years[np.argsort(first)]}
 
     def rows_in_years(self, year_lo: int, year_hi: int) -> np.ndarray:
         """Row indices of records with year in [year_lo, year_hi], ascending."""
@@ -270,9 +274,12 @@ class FilterReport:
 
 def _parse_int(value: str, row: int, column: str) -> int:
     try:
-        return int(value)
+        out = int(value)
     except (TypeError, ValueError):
         raise ParseError(f"row {row}: column {column!r} is not an integer: {value!r}")
+    if not -(2**63) <= out < 2**63:
+        raise ParseError(f"row {row}: column {column!r} is outside the int64 range: {value!r}")
+    return out
 
 
 def _parse_float(value: str, row: int, column: str) -> float:
@@ -293,13 +300,35 @@ def _parse_bool(value: str, row: int, column: str) -> bool:
     raise ParseError(f"row {row}: column {column!r} must be 0 or 1, got {value!r}")
 
 
+def _format_number(x) -> str:
+    """Canonical cell text: integers bare, floats via round-trip repr."""
+    f = float(x)
+    if f.is_integer() and abs(f) < 1e15:
+        return str(int(f))
+    return repr(f)
+
+
+# per CONTROLS type: column dtype, CSV cell parser, CSV cell formatter
+_KINDS = {
+    bool: (bool, _parse_bool, int),
+    int: (np.int64, _parse_int, int),
+    float: (np.float64, _parse_float, _format_number),
+    str: (object, lambda value, row, column: value, str),
+    Optional[str]: (object, lambda value, row, column: value or None, lambda value: value or ""),
+}
+
+
 def parse_records(path, registry: FeatureRegistry) -> RecordSet:
     """Parse the corpus CSV against a registry; row order is preserved.
 
     Rows with missing or out-of-range values are rejected outright (no
-    imputation); downstream analyses assume complete cases.
+    imputation); downstream analyses assume complete cases. Cells go
+    straight into columns, checked row by row, so the first bad row is the
+    one reported.
     """
-    records = []
+    ids, years, vectors = [], [], []
+    columns = {name: [] for name, _ in CONTROLS}
+    parsers = [(name, _KINDS[kind][1]) for name, kind in CONTROLS]
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
@@ -312,46 +341,32 @@ def parse_records(path, registry: FeatureRegistry) -> RecordSet:
                 raise ParseError(f"row {row_no}: short row")
             mech_field = row["mechanisms"].strip()
             mechanisms = [m.strip() for m in mech_field.split(MECHANISM_SEPARATOR) if m.strip()] if mech_field else []
-            vector = registry.encode(mechanisms, row=row_no)
-            rec = Record(
-                id=row["id"],
-                year=_parse_int(row["year"], row_no, "year"),
-                vector=vector,
-                crowdfunded=_parse_bool(row["crowdfunded"], row_no, "crowdfunded"),
-                genre=row["genre"],
-                team_size=_parse_int(row["team_size"], row_no, "team_size"),
-                debut=_parse_bool(row["debut"], row_no, "debut"),
-                complexity=_parse_float(row["complexity"], row_no, "complexity"),
-                playing_time=_parse_float(row["playing_time"], row_no, "playing_time"),
-                min_players=_parse_int(row["min_players"], row_no, "min_players"),
-                max_players=_parse_int(row["max_players"], row_no, "max_players"),
-                min_age=_parse_int(row["min_age"], row_no, "min_age"),
-                is_expansion=_parse_bool(row["is_expansion"], row_no, "is_expansion"),
-                is_adult=_parse_bool(row["is_adult"], row_no, "is_adult"),
-                num_ratings=_parse_int(row["num_ratings"], row_no, "num_ratings"),
-                parent_id=(row.get("parent_id") or None),
-            )
-            _validate_record(rec, row_no)
-            records.append(rec)
-    record_set = RecordSet(records, registry)
-    return record_set
+            vectors.append(registry.encode(mechanisms, row=row_no))
+            years.append(_parse_int(row["year"], row_no, "year"))
+            values = {name: parse(row.get(name), row_no, name) for name, parse in parsers}
+            _validate_row(row["id"], values, row_no)
+            ids.append(row["id"])
+            for name, value in values.items():
+                columns[name].append(value)
+    matrix = np.array(vectors, dtype=np.uint8).reshape(len(ids), registry.dimension)
+    return RecordSet.from_columns(registry, ids, years, matrix, columns)
 
 
-def _validate_record(rec: Record, row_no: int) -> None:
-    if not rec.id:
+def _validate_row(rid: str, v: dict, row_no: int) -> None:
+    if not rid:
         raise ParseError(f"row {row_no}: empty id")
-    if not 0.0 <= rec.complexity <= 5.0:
-        raise ParseError(f"row {row_no}: complexity {rec.complexity} outside [0, 5]")
-    if not 0 <= rec.min_age <= 25:
-        raise ParseError(f"row {row_no}: min_age {rec.min_age} outside [0, 25]")
-    if rec.playing_time < 0:
+    if not 0.0 <= v["complexity"] <= 5.0:
+        raise ParseError(f"row {row_no}: complexity {v['complexity']} outside [0, 5]")
+    if not 0 <= v["min_age"] <= 25:
+        raise ParseError(f"row {row_no}: min_age {v['min_age']} outside [0, 25]")
+    if v["playing_time"] < 0:
         raise ParseError(f"row {row_no}: negative playing_time")
-    if rec.num_ratings < 0:
+    if v["num_ratings"] < 0:
         raise ParseError(f"row {row_no}: negative num_ratings")
-    if rec.team_size < 0:
+    if v["team_size"] < 0:
         raise ParseError(f"row {row_no}: negative team_size")
-    if rec.max_players > 0 and rec.min_players > rec.max_players:
-        raise ParseError(f"row {row_no}: min_players {rec.min_players} > max_players {rec.max_players}")
+    if v["max_players"] > 0 and v["min_players"] > v["max_players"]:
+        raise ParseError(f"row {row_no}: min_players {v['min_players']} > max_players {v['max_players']}")
 
 
 def apply_filters(records: RecordSet, cfg: FilterConfig):
@@ -363,75 +378,43 @@ def apply_filters(records: RecordSet, cfg: FilterConfig):
     vector; expansions without a resolvable parent are retained. Filtering is
     idempotent and order independent.
     """
-    dropped = {rule: 0 for rule in FILTER_RULES}
-    keep = []
-    for rec in records:
-        rule = _first_failed_rule(rec, records, cfg)
-        if rule is None:
-            keep.append(rec)
-        else:
-            dropped[rule] += 1
-    out = RecordSet(keep, records.registry)
-    report = FilterReport(
-        input_count=len(records),
-        output_count=len(out),
-        dropped={rule: n for rule, n in dropped.items() if n > 0},
-    )
-    return out, report
+    years, columns = records.years, records.columns
+    year_max = np.inf if cfg.year_max is None else cfg.year_max
+    fails = {
+        RULE_YEAR: (years < cfg.year_min) | (years > year_max),
+        RULE_RATINGS: columns["num_ratings"] < cfg.min_ratings,
+        RULE_MECHANISMS: records.matrix.sum(axis=1) < cfg.min_mechanisms,
+        RULE_DESIGNER: (columns["team_size"] < 1) & bool(cfg.require_designer),
+        RULE_TRIVIAL_EXPANSION: _trivial_expansions(records) & bool(cfg.drop_trivial_expansions),
+    }
+    keep = np.ones(len(records), dtype=bool)
+    dropped = {}
+    for rule in FILTER_RULES:
+        hit = keep & fails[rule]
+        if hit.any():
+            dropped[rule] = int(hit.sum())
+        keep &= ~hit
+    out = records.take(np.flatnonzero(keep))
+    return out, FilterReport(input_count=len(records), output_count=len(out), dropped=dropped)
 
 
-def _first_failed_rule(rec: Record, records: RecordSet, cfg: FilterConfig):
-    if rec.year < cfg.year_min or (cfg.year_max is not None and rec.year > cfg.year_max):
-        return RULE_YEAR
-    if rec.num_ratings < cfg.min_ratings:
-        return RULE_RATINGS
-    if rec.popcount < cfg.min_mechanisms:
-        return RULE_MECHANISMS
-    if cfg.require_designer and rec.team_size < 1:
-        return RULE_DESIGNER
-    if cfg.drop_trivial_expansions and rec.is_expansion and rec.parent_id is not None:
-        parent = records.by_id.get(rec.parent_id)
-        if parent is not None and np.array_equal(parent.vector, rec.vector):
-            return RULE_TRIVIAL_EXPANSION
-    return None
-
-
-def _format_number(x) -> str:
-    """Canonical cell text: integers bare, floats via round-trip repr."""
-    f = float(x)
-    if f.is_integer() and abs(f) < 1e15:
-        return str(int(f))
-    return repr(f)
+def _trivial_expansions(records: RecordSet) -> np.ndarray:
+    """Expansions whose parent_id names a record of the set with an identical vector."""
+    out = np.zeros(len(records), dtype=bool)
+    for i in np.flatnonzero(records.columns["is_expansion"]).tolist():
+        parent = records.row_of.get(records.columns["parent_id"][i])
+        out[i] = parent is not None and np.array_equal(records.matrix[parent], records.matrix[i])
+    return out
 
 
 def write_records_csv(records: RecordSet, path) -> None:
     """Write records in the canonical corpus CSV schema (byte deterministic)."""
-    registry = records.registry
+    mechanisms = [MECHANISM_SEPARATOR.join(records.registry.decode(bits)) for bits in records.matrix]
+    cells = [map(_KINDS[kind][2], records.columns[name].tolist()) for name, kind in CONTROLS]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(REQUIRED_COLUMNS) + list(OPTIONAL_COLUMNS))
-        for rec in records:
-            mechanisms = MECHANISM_SEPARATOR.join(registry.decode(rec.vector))
-            writer.writerow(
-                [
-                    rec.id,
-                    rec.year,
-                    mechanisms,
-                    int(rec.crowdfunded),
-                    rec.genre,
-                    rec.team_size,
-                    int(rec.debut),
-                    _format_number(rec.complexity),
-                    _format_number(rec.playing_time),
-                    rec.min_players,
-                    rec.max_players,
-                    rec.min_age,
-                    int(rec.is_expansion),
-                    int(rec.is_adult),
-                    rec.num_ratings,
-                    rec.parent_id or "",
-                ]
-            )
+        writer.writerow(("id", "year", "mechanisms") + tuple(name for name, _ in CONTROLS))
+        writer.writerows(zip(records.ids, records.years.tolist(), mechanisms, *cells))
 
 
 def write_registry(registry: FeatureRegistry, path) -> None:

@@ -114,23 +114,24 @@ def build_landscape(
     dim = records.registry.dimension
     corpus_counts: Dict[int, int] = {}
     snapshot: Dict[int, list] = {}
-    for rec in records:
-        key = pack_vector(rec.vector)
+    for bits, year, funded in zip(records.matrix, records.years.tolist(),
+                                  records.columns["crowdfunded"].tolist()):
+        key = pack_vector(bits)
         corpus_counts[key] = corpus_counts.get(key, 0) + 1
-        if rec.year <= up_to_year:
+        if year <= up_to_year:
             entry = snapshot.get(key)
             if entry is None:
                 # [total, cf_count, first_year]
                 snapshot[key] = [
                     1,
-                    int(rec.crowdfunded),
-                    rec.year,
+                    int(funded),
+                    year,
                 ]
             else:
                 entry[0] += 1
-                entry[1] += int(rec.crowdfunded)
-                if rec.year < entry[2]:
-                    entry[2] = rec.year
+                entry[1] += int(funded)
+                if year < entry[2]:
+                    entry[2] = year
     nodes = {
         key: TypeNode(
             key=key,
@@ -224,13 +225,14 @@ def centroids(
     group with no games on positioned types has no centroid.
     """
     weights = {GROUP_CROWDFUNDED: {}, GROUP_TRADITIONAL: {}}
-    for rec in records:
-        if rec.year > year:
+    for bits, rec_year, funded in zip(records.matrix, records.years.tolist(),
+                                      records.columns["crowdfunded"].tolist()):
+        if rec_year > year:
             continue
-        key = pack_vector(rec.vector)
+        key = pack_vector(bits)
         if key not in positions:
             continue
-        group = GROUP_CROWDFUNDED if rec.crowdfunded else GROUP_TRADITIONAL
+        group = GROUP_CROWDFUNDED if funded else GROUP_TRADITIONAL
         weights[group][key] = weights[group].get(key, 0) + 1
     out = []
     for group in (GROUP_CROWDFUNDED, GROUP_TRADITIONAL):

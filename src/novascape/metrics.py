@@ -239,10 +239,9 @@ def distinctiveness(g, records: RecordSet, span: int = DEFAULT_SPAN) -> float:
     Records with vectors identical to g contribute distance 0; the window is
     a multiset over records, not unique vectors.
     """
-    rec = g if isinstance(g, Record) else None
-    if rec is None:
+    if not isinstance(g, Record):
         raise TypeError("distinctiveness requires a Record (needs a publication year)")
-    return distinctiveness_fast(rec, build_profile(records, *window_years(rec.year, span, PAST)))
+    return distinctiveness_fast(g, build_profile(records, *window_years(g.year, span, PAST)))
 
 
 def distinctiveness_fast(g, profile: FeatureProfile) -> float:
@@ -257,13 +256,12 @@ def distinctiveness_fast(g, profile: FeatureProfile) -> float:
 
 def novelty_count(g, records: RecordSet, span: int = DEFAULT_SPAN) -> int:
     """Minimum Hamming distance from g to any record in its past window."""
-    rec = g if isinstance(g, Record) else None
-    if rec is None:
+    if not isinstance(g, Record):
         raise TypeError("novelty_count requires a Record")
-    window = records.matrix[records.rows_in_years(*window_years(rec.year, span, PAST))]
+    window = records.matrix[records.rows_in_years(*window_years(g.year, span, PAST))]
     if len(window) == 0:
         raise EmptyWindow("comparison window is empty")
-    return int(_min_distances(_pack(rec.vector[None, :]), _pack(window), records.registry.dimension)[0])
+    return int(_min_distances(_pack(g.vector[None, :]), _pack(window), records.registry.dimension)[0])
 
 
 def novelty_binary(g, records: RecordSet, span: int = DEFAULT_SPAN) -> bool:
@@ -282,14 +280,13 @@ def resonance(
     window: every future year must be <= last_complete_year. Positive values
     mean the record sits closer to what followed than to what preceded it.
     """
-    rec = g if isinstance(g, Record) else None
-    if rec is None:
+    if not isinstance(g, Record):
         raise TypeError("resonance requires a Record")
-    if last_complete_year is None or rec.year + span > last_complete_year:
+    if last_complete_year is None or g.year + span > last_complete_year:
         return None
-    past = build_profile(records, *window_years(rec.year, span, PAST))
-    future = build_profile(records, *window_years(rec.year, span, FUTURE))
-    return distinctiveness_fast(rec, past) - distinctiveness_fast(rec, future)
+    past = build_profile(records, *window_years(g.year, span, PAST))
+    future = build_profile(records, *window_years(g.year, span, FUTURE))
+    return distinctiveness_fast(g, past) - distinctiveness_fast(g, future)
 
 
 def score_corpus(

@@ -20,7 +20,7 @@ from scipy import linalg as sla
 from scipy import stats as sstats
 from scipy.special import expit, gammaln
 
-from .corpus import RecordSet
+from .corpus import CONTROLS, RecordSet
 from .errors import (
     EmptySample,
     NumericError,
@@ -117,30 +117,24 @@ def join_scores(records: RecordSet, scores: ScoreTable, span: int) -> Dict[str, 
     Resonance is NaN where absent; model building drops incomplete cases per
     outcome.
     """
-    rows = [r for r in scores.for_span(span) if r.record_id in records.by_id]
+    rows = [r for r in scores.for_span(span) if r.record_id in records.row_of]
     if not rows:
         raise EmptySample(f"no scored records for span {span}")
-    recs = [records.by_id[r.record_id] for r in rows]
+    at = np.array([records.row_of[r.record_id] for r in rows], dtype=np.int64)
     out: Dict[str, np.ndarray] = {
-        "id": np.array([r.id for r in recs], dtype=object),
-        "year": np.array([r.year for r in recs], dtype=np.int64),
-        "genre": np.array([r.genre for r in recs], dtype=object),
-        "crowdfunded": np.array([float(r.crowdfunded) for r in recs]),
-        "team_size": np.array([float(r.team_size) for r in recs]),
-        "debut": np.array([float(r.debut) for r in recs]),
-        "complexity": np.array([r.complexity for r in recs]),
-        "playing_time": np.array([r.playing_time for r in recs]),
-        "min_players": np.array([float(r.min_players) for r in recs]),
-        "max_players": np.array([float(r.max_players) for r in recs]),
-        "min_age": np.array([float(r.min_age) for r in recs]),
-        "is_expansion": np.array([float(r.is_expansion) for r in recs]),
-        "is_adult": np.array([float(r.is_adult) for r in recs]),
-        "num_ratings": np.array([float(r.num_ratings) for r in recs]),
+        "id": np.array([r.record_id for r in rows], dtype=object),
+        "year": records.years[at],
         "distinctiveness": np.array([s.distinctiveness for s in rows]),
         "novelty_count": np.array([float(s.novelty_count) for s in rows]),
         "novelty_binary": np.array([float(s.novelty_binary) for s in rows]),
         "resonance": np.array([math.nan if s.resonance is None else s.resonance for s in rows]),
     }
+    for name, kind in CONTROLS:
+        # numeric controls as floats, genre as labels; parent_id is no model term
+        if kind in (bool, int, float):
+            out[name] = records.columns[name][at].astype(float)
+        elif kind is str:
+            out[name] = records.columns[name][at]
     return out
 
 

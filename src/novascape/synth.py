@@ -19,7 +19,7 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .corpus import FeatureRegistry, Record, RecordSet, canonical_registry
+from .corpus import FeatureRegistry, RecordSet, canonical_registry
 from .errors import ConfigError
 
 GENRES = (
@@ -138,23 +138,26 @@ def generate_corpus(cfg: SynthConfig) -> RecordSet:
     rng_ctrl = np.random.default_rng(ctrl_seed)
     dim, n = cfg.dimension, cfg.games_per_year
 
-    records = []
-    blocks = []
+    ids, years, blocks, controls = [], [], [], []
     for year in range(cfg.year_start, cfg.year_end + 1):
-        crowdfunded = rng_ctrl.random(n) < shares[year]
-        min_players = 1 + rng_ctrl.integers(0, 3, size=n)
-        genre = rng_ctrl.integers(len(GENRES), size=n)
-        team_size = 1 + rng_ctrl.poisson(0.6, size=n)
-        debut = rng_ctrl.random(n) < 0.35
-        complexity = rng_ctrl.uniform(1.0, 4.5, size=n)
-        playing_time = rng_ctrl.integers(0, 241, size=n).astype(float)
-        max_players = min_players + rng_ctrl.integers(0, 5, size=n)
-        min_age = rng_ctrl.integers(len(MIN_AGES), size=n)
+        # each control drawn into its CONTROLS column; complexity takes
+        # Python's round, as np.round can differ in the last ulp
+        drawn = {"crowdfunded": rng_ctrl.random(n) < shares[year]}
+        drawn["min_players"] = 1 + rng_ctrl.integers(0, 3, size=n)
+        drawn["genre"] = np.array(GENRES, dtype=object)[rng_ctrl.integers(len(GENRES), size=n)]
+        drawn["team_size"] = 1 + rng_ctrl.poisson(0.6, size=n)
+        drawn["debut"] = rng_ctrl.random(n) < 0.35
+        drawn["complexity"] = np.array([round(x, 2) for x in rng_ctrl.uniform(1.0, 4.5, size=n).tolist()])
+        drawn["playing_time"] = rng_ctrl.integers(0, 241, size=n).astype(float)
+        drawn["max_players"] = drawn["min_players"] + rng_ctrl.integers(0, 5, size=n)
+        drawn["min_age"] = np.array(MIN_AGES)[rng_ctrl.integers(len(MIN_AGES), size=n)]
         # expansions carry no parent_id, so the trivial-expansion filter
         # keeps them; the flag just gives the covariate spread
-        is_expansion = rng_ctrl.random(n) < 0.10
-        is_adult = rng_ctrl.random(n) < 0.02
-        num_ratings = 10 + rng_ctrl.poisson(150.0, size=n)
+        drawn["is_expansion"] = rng_ctrl.random(n) < 0.10
+        drawn["is_adult"] = rng_ctrl.random(n) < 0.02
+        drawn["num_ratings"] = 10 + rng_ctrl.poisson(150.0, size=n)
+        drawn["parent_id"] = np.full(n, None, dtype=object)
+        controls.append(drawn)
 
         vectors = np.empty((n, dim), dtype=np.uint8)
         recombine = np.zeros(n, dtype=bool)
@@ -163,7 +166,7 @@ def generate_corpus(cfg: SynthConfig) -> RecordSet:
             pool = np.concatenate(blocks[-2:])
             rows = np.flatnonzero(recombine)
             source = pool[rng_vec.integers(len(pool), size=len(rows))]
-            mean_flips = np.where(crowdfunded[rows],
+            mean_flips = np.where(drawn["crowdfunded"][rows],
                                   cfg.base_mutation_bits + cfg.novelty_boost,
                                   cfg.base_mutation_bits)
             n_flips = rng_vec.poisson(np.minimum(mean_flips, POISSON_MEAN_MAX))
@@ -174,23 +177,7 @@ def generate_corpus(cfg: SynthConfig) -> RecordSet:
         fresh = ~recombine
         vectors[fresh] = rng_vec.random((int(fresh.sum()), dim)) < cfg.base_mechanism_rate
         blocks.append(vectors)
-
-        # Record's field order after (id, year, vector); complexity takes
-        # Python's round, as np.round can differ in the last ulp
-        controls = zip(
-            crowdfunded.tolist(),
-            [GENRES[k] for k in genre.tolist()],
-            team_size.tolist(),
-            debut.tolist(),
-            [round(x, 2) for x in complexity.tolist()],
-            playing_time.tolist(),
-            min_players.tolist(),
-            max_players.tolist(),
-            [MIN_AGES[k] for k in min_age.tolist()],
-            is_expansion.tolist(),
-            is_adult.tolist(),
-            num_ratings.tolist(),
-        )
-        records.extend(Record(f"syn-{year}-{i:04d}", year, vectors[i], *values)
-                       for i, values in enumerate(controls))
-    return RecordSet(records, registry)
+        ids.extend(f"syn-{year}-{i:04d}" for i in range(n))
+        years.extend([year] * n)
+    columns = {name: np.concatenate([drawn[name] for drawn in controls]) for name in controls[0]}
+    return RecordSet.from_columns(registry, ids, years, np.concatenate(blocks), columns)

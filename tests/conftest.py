@@ -1,9 +1,16 @@
 """Shared builders for compact in-memory corpora."""
 
-import numpy as np
-import pytest
+import os
 
-from novascape.corpus import FeatureRegistry, Record, RecordSet
+# one BLAS thread before numpy loads: the suite's fits (the Monte Carlo's are
+# about 4,500 x 26) are too small to gain from a second thread
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from novascape.corpus import FeatureRegistry, Record, RecordSet  # noqa: E402
 
 
 def make_registry(dimension: int) -> FeatureRegistry:

@@ -3,8 +3,8 @@
 Run with `pytest tests/test_acceptance.py -s` to see the per-criterion lines.
 Every tolerance below is pinned; loosening one is a release decision, not a
 test fix. The synthetic-recovery criterion runs a full Monte Carlo and takes
-about 95 s on a 2-CPU host (93 s measured under `pytest -q`, with OpenBLAS's
-default two threads); everything else finishes in seconds.
+about 35 s on a 2-CPU host (35 s measured under `pytest -q`, with BLAS held
+to one thread by conftest.py); everything else finishes in seconds.
 """
 
 import itertools

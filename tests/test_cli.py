@@ -19,8 +19,11 @@ from novascape.cli import (
     PipelineConfig,
     atomic_write,
     main,
+    recovery_seed,
 )
+from novascape.corpus import Record
 from novascape.errors import ConfigError
+from novascape.synth import SynthConfig, generate_corpus
 
 
 def pipeline_payload(out_dir: Path) -> dict:
@@ -224,6 +227,39 @@ class TestExitCodes:
         assert main(["synth", "--config", str(cfg)]) == EXIT_INPUT
         assert not out.exists()
 
+    @pytest.mark.parametrize("section", [
+        {"landscape": {"min_type_count": "4"}},
+        {"landscape": {"cf_share_threshold": "0.5"}},
+        {"seed": "7"},
+        {"seed": True},
+        {"last_complete_year": "2009"},
+        {"stats_span": "2"},
+        {"out_dir": 5},
+        {"corpus_path": 5},
+        {"registry_path": ["r.txt"]},
+        {"formats": "json"},
+        {"spans": "12"},
+    ], ids=["min-type-count-text", "cf-share-text", "seed-text", "seed-bool", "last-year-text",
+            "stats-span-text", "out-dir-number", "corpus-path-number", "registry-path-list",
+            "formats-string", "spans-string"])
+    def test_wrongly_typed_config_value_is_exit_2(self, tmp_path, caplog, section):
+        out = tmp_path / "o"
+        synth = pipeline_payload(out)["synth"]
+        cfg = write_config(tmp_path, {"out_dir": str(out), "synth": synth, **section})
+        assert main(["synth", "--config", str(cfg), "--out", str(out)]) == EXIT_INPUT
+        assert "must be" in caplog.text
+        assert not out.exists()
+
+    @pytest.mark.parametrize("names", ["A\nB\nA\n", ""], ids=["duplicate-name", "empty-file"])
+    def test_bad_registry_is_exit_2(self, tmp_path, names):
+        registry = tmp_path / "reg.txt"
+        registry.write_text(names)
+        corpus = tmp_path / "corpus.csv"
+        corpus.write_text("id,year\n")
+        code = main(["ingest", "--corpus", str(corpus), "--registry", str(registry),
+                     "--out", str(tmp_path / "o")])
+        assert code == EXIT_INPUT
+
     def test_unknown_mechanism_names_offending_row(self, tmp_path, caplog):
         registry = tmp_path / "reg.txt"
         registry.write_text("Alpha\nBeta\nGamma\n")
@@ -333,6 +369,24 @@ class TestInMemoryReport:
         assert reads == [("load_registry", "synth_registry.txt"),
                          ("parse_records", "synth_corpus.csv")]
         assert [name for name, _ in calls].count("layout") == 1
+
+    def test_library_path_builds_no_record_view(self, tmp_path, monkeypatch):
+        built = []
+        init = Record.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args[0] if args else kwargs["id"])
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Record, "__init__", counting_init)
+        recovery_seed(0, 2.0)
+        cfg = write_config(tmp_path, pipeline_payload(tmp_path / "run"))
+        assert main(["report", "--config", str(cfg)]) == EXIT_OK
+        assert built == []
+        # the counter does see a view: indexing builds one
+        records = generate_corpus(SynthConfig(dimension=4, year_start=2006, year_end=2006,
+                                              games_per_year=3))
+        assert records[1].id == "syn-2006-0001" and built == ["syn-2006-0001"]
 
 
 class TestAtomicWrite:

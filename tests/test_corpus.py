@@ -1,6 +1,7 @@
 """Registry, parsing, filtering, and round-trip behaviour of the corpus layer."""
 
 import json
+from typing import get_args
 
 import numpy as np
 import pytest
@@ -8,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from novascape.corpus import (
+    CONTROLS,
     FILTER_RULES,
+    RULE_DESIGNER,
+    RULE_MECHANISMS,
+    RULE_RATINGS,
+    RULE_TRIVIAL_EXPANSION,
+    RULE_YEAR,
     FeatureRegistry,
     FilterConfig,
     RecordSet,
@@ -28,6 +35,7 @@ from novascape.errors import (
     SchemaError,
     UnknownFeature,
 )
+from novascape.synth import SynthConfig, generate_corpus
 
 from conftest import make_record, make_recordset, make_registry
 
@@ -338,22 +346,82 @@ def test_filter_counts_are_consistent(records):
     assert report.input_count == report.output_count + sum(report.dropped.values())
 
 
+def first_failed_rule(rec, records, cfg):
+    """Per-record reference of the filtering protocol: the first rule rec fails, or None."""
+    if rec.year < cfg.year_min or (cfg.year_max is not None and rec.year > cfg.year_max):
+        return RULE_YEAR
+    if rec.num_ratings < cfg.min_ratings:
+        return RULE_RATINGS
+    if rec.popcount < cfg.min_mechanisms:
+        return RULE_MECHANISMS
+    if cfg.require_designer and rec.team_size < 1:
+        return RULE_DESIGNER
+    if cfg.drop_trivial_expansions and rec.is_expansion and rec.parent_id is not None:
+        parent = {r.id: r for r in records}.get(rec.parent_id)
+        if parent is not None and np.array_equal(parent.vector, rec.vector):
+            return RULE_TRIVIAL_EXPANSION
+    return None
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    random_records(),
+    st.one_of(st.none(), st.integers(2000, 2018)),
+    st.integers(0, 5),
+    st.booleans(),
+    st.booleans(),
+)
+def test_filter_masks_match_per_record_reference(records, year_max, min_mechanisms, designer, trivial):
+    cfg = FilterConfig(min_mechanisms=min_mechanisms, year_max=year_max,
+                       require_designer=designer, drop_trivial_expansions=trivial)
+    out, report = apply_filters(records, cfg)
+    kept, dropped = [], {}
+    for rec in records:
+        rule = first_failed_rule(rec, records, cfg)
+        if rule is None:
+            kept.append(rec.id)
+        else:
+            dropped[rule] = dropped.get(rule, 0) + 1
+    assert out.ids == tuple(kept)
+    assert report.dropped == {rule: dropped[rule] for rule in FILTER_RULES if rule in dropped}
+
+
 def test_write_read_round_trip(tmp_path):
-    rs = make_recordset(
-        [("a", 2010, [1, 0, 1]), ("b", 2011, [0, 1, 1])],
-        complexity=3.25,
-        playing_time=45.5,
-    )
+    reg = make_registry(3)
+    rs = RecordSet([
+        make_record("a", 2010, [1, 0, 1], reg, complexity=3.25, playing_time=45.5, genre="party"),
+        make_record("b", 2011, [0, 1, 1], reg, crowdfunded=True, debut=False, team_size=3,
+                    min_players=1, max_players=0, min_age=0, is_expansion=True, is_adult=True,
+                    num_ratings=0, parent_id="a"),
+    ], reg)
     path = tmp_path / "corpus.csv"
     write_records_csv(rs, path)
     back = parse_records(path, rs.registry)
     assert back.ids == rs.ids
     assert np.array_equal(back.matrix, rs.matrix)
     for orig, rt in zip(rs, back):
-        assert rt.year == orig.year
-        assert rt.complexity == orig.complexity
-        assert rt.playing_time == orig.playing_time
-        assert rt.crowdfunded == orig.crowdfunded
+        for name in ("id", "year") + tuple(name for name, _ in CONTROLS):
+            assert getattr(rt, name) == getattr(orig, name), name
+        assert np.array_equal(rt.vector, orig.vector)
+        for name, kind in (("id", str), ("year", int)) + CONTROLS:
+            assert type(getattr(rt, name)) in (get_args(kind) or (kind,)), name
+    assert back[1].parent_id == "a" and back[0].parent_id is None
+    assert back[1].crowdfunded is True and back[1].is_adult is True and back[0].debut is True
+
+
+def test_synthetic_corpus_round_trips_through_csv(tmp_path):
+    rs = generate_corpus(SynthConfig(dimension=12, year_start=2006, year_end=2008,
+                                     games_per_year=60, novelty_boost=1.0, seed=3))
+    path = tmp_path / "synth.csv"
+    write_records_csv(rs, path)
+    back = parse_records(path, rs.registry)
+    assert back.ids == rs.ids
+    assert np.array_equal(back.years, rs.years)
+    assert np.array_equal(back.matrix, rs.matrix)
+    assert back.columns.keys() == rs.columns.keys()
+    for name, column in rs.columns.items():
+        assert back.columns[name].dtype == column.dtype, name
+        assert back.columns[name].tolist() == column.tolist(), name
 
 
 def test_write_is_byte_deterministic(tmp_path):

@@ -132,19 +132,19 @@ class TestWindows:
 class TestDistinctiveness:
     def test_frozen_example(self):
         rs = make_recordset([("g", 2015, [1, 1, 0]), ("w1", 2014, [0, 1, 1]), ("w2", 2014, [1, 0, 1])])
-        assert distinctiveness(rs.by_id["g"], rs, span=1) == 2.0
+        assert distinctiveness(rs[rs.row_of["g"]], rs, span=1) == 2.0
 
     def test_duplicates_count_as_multiset(self):
         rs = make_recordset(
             [("g", 2015, [1, 1]), ("w1", 2014, [1, 1]), ("w2", 2014, [1, 1]), ("w3", 2014, [0, 0])]
         )
         # distances 0, 0, 2 over three window records
-        assert distinctiveness(rs.by_id["g"], rs, span=1) == pytest.approx(2 / 3, rel=1e-12)
+        assert distinctiveness(rs[rs.row_of["g"]], rs, span=1) == pytest.approx(2 / 3, rel=1e-12)
 
     def test_empty_window_raises(self):
         rs = make_recordset([("g", 2015, [1, 1])])
         with pytest.raises(EmptyWindow):
-            distinctiveness(rs.by_id["g"], rs, span=2)
+            distinctiveness(rs[rs.row_of["g"]], rs, span=2)
 
     def test_profile_fast_path_frozen_example(self):
         profile = FeatureProfile(n=2, counts=np.array([1, 1, 2]))
@@ -163,7 +163,7 @@ class TestDistinctiveness:
         rs = make_recordset(rows)
         profile = build_profile(rs, 2014, 2014)
         want = oracle_mean_distance(g, window)
-        got_slow = distinctiveness(rs.by_id["g"], rs, span=1)
+        got_slow = distinctiveness(rs[rs.row_of["g"]], rs, span=1)
         got_fast = distinctiveness_fast(g, profile)
         assert got_slow == pytest.approx(float(want), rel=1e-12)
         assert got_fast == got_slow
@@ -174,32 +174,32 @@ class TestNovelty:
         rs = make_recordset(
             [("g", 2015, [1, 1, 0, 0]), ("w1", 2014, [1, 0, 0, 0]), ("w2", 2014, [0, 0, 1, 1])]
         )
-        assert novelty_count(rs.by_id["g"], rs, span=1) == 1
-        assert novelty_binary(rs.by_id["g"], rs, span=1) is True
+        assert novelty_count(rs[rs.row_of["g"]], rs, span=1) == 1
+        assert novelty_binary(rs[rs.row_of["g"]], rs, span=1) is True
 
     def test_repeat_of_window_vector_is_zero(self):
         rs = make_recordset([("g", 2015, [1, 1]), ("w", 2014, [1, 1])])
-        assert novelty_count(rs.by_id["g"], rs, span=1) == 0
-        assert novelty_binary(rs.by_id["g"], rs, span=1) is False
+        assert novelty_count(rs[rs.row_of["g"]], rs, span=1) == 0
+        assert novelty_binary(rs[rs.row_of["g"]], rs, span=1) is False
 
     def test_empty_window_raises(self):
         rs = make_recordset([("g", 2015, [1, 1])])
         with pytest.raises(EmptyWindow):
-            novelty_count(rs.by_id["g"], rs, span=1)
+            novelty_count(rs[rs.row_of["g"]], rs, span=1)
 
     @settings(max_examples=100, deadline=None)
     @given(bitvec, st.lists(bitvec, min_size=1, max_size=10))
     def test_matches_exhaustive_scan(self, g, window):
         rows = [("g", 2015, g)] + [(f"w{i}", 2014, w) for i, w in enumerate(window)]
         rs = make_recordset(rows)
-        assert novelty_count(rs.by_id["g"], rs, span=1) == oracle_min_distance(g, window)
+        assert novelty_count(rs[rs.row_of["g"]], rs, span=1) == oracle_min_distance(g, window)
 
     @settings(max_examples=100, deadline=None)
     @given(bitvec, st.lists(bitvec, min_size=1, max_size=10))
     def test_min_never_exceeds_mean(self, g, window):
         rows = [("g", 2015, g)] + [(f"w{i}", 2014, w) for i, w in enumerate(window)]
         rs = make_recordset(rows)
-        rec = rs.by_id["g"]
+        rec = rs[rs.row_of["g"]]
         assert novelty_count(rec, rs, span=1) <= distinctiveness(rec, rs, span=1)
 
 
@@ -211,13 +211,13 @@ class TestResonance:
 
     def test_frozen_example(self):
         rs = self.make_corpus()
-        got = resonance(rs.by_id["g"], rs, span=1, last_complete_year=2016)
+        got = resonance(rs[rs.row_of["g"]], rs, span=1, last_complete_year=2016)
         assert got == 3.0
 
     def test_absent_without_coverage(self):
         rs = self.make_corpus()
-        assert resonance(rs.by_id["g"], rs, span=1, last_complete_year=2015) is None
-        assert resonance(rs.by_id["g"], rs, span=1, last_complete_year=None) is None
+        assert resonance(rs[rs.row_of["g"]], rs, span=1, last_complete_year=2015) is None
+        assert resonance(rs[rs.row_of["g"]], rs, span=1, last_complete_year=None) is None
 
     def test_identity_against_component_means(self):
         rs = make_recordset(
@@ -229,7 +229,7 @@ class TestResonance:
                 ("f2", 2017, [1, 0, 1, 0]),
             ]
         )
-        g = rs.by_id["g"]
+        g = rs[rs.row_of["g"]]
         got = resonance(g, rs, span=2, last_complete_year=2017)
         d_past = oracle_mean_distance([1, 0, 1, 0], [[1, 1, 0, 0], [0, 0, 1, 1]])
         d_future = oracle_mean_distance([1, 0, 1, 0], [[1, 0, 1, 1], [1, 0, 1, 0]])
@@ -256,7 +256,7 @@ class TestScoreCorpus:
         table = score_corpus(rs, spans=(1, 2), last_complete_year=2016)
         assert len(table) > 0
         for row in table:
-            rec = rs.by_id[row.record_id]
+            rec = rs[rs.row_of[row.record_id]]
             assert row.distinctiveness == pytest.approx(
                 distinctiveness(rec, rs, span=row.span_years), rel=1e-12
             )
@@ -287,7 +287,7 @@ class TestScoreCorpus:
         with_res = [r for r in table if r.resonance is not None]
         assert 0 < len(with_res) < len(table)
         for row in with_res:
-            assert rs.by_id[row.record_id].year + row.span_years <= 2016
+            assert rs[rs.row_of[row.record_id]].year + row.span_years <= 2016
 
     def test_deterministic_across_runs(self):
         a = score_corpus(self.demo_corpus(), spans=(1, 2, 5), last_complete_year=2016)

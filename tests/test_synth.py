@@ -111,9 +111,8 @@ class TestGeneration:
         )
         rs = generate_corpus(cfg)
         table = score_corpus(rs, spans=(2,))
-        by_id = rs.by_id
-        cf = [r.novelty_count for r in table if by_id[r.record_id].crowdfunded]
-        trad = [r.novelty_count for r in table if not by_id[r.record_id].crowdfunded]
+        cf = [r.novelty_count for r in table if rs[rs.row_of[r.record_id]].crowdfunded]
+        trad = [r.novelty_count for r in table if not rs[rs.row_of[r.record_id]].crowdfunded]
         assert np.mean(cf) > np.mean(trad)
 
     def test_controls_independent_of_funding(self):
