@@ -19,13 +19,9 @@ from .metrics import (
     InnovationScores,
     ScoreTable,
     build_profile,
-    distinctiveness,
     distinctiveness_fast,
     hamming,
-    novelty_binary,
-    novelty_count,
     read_scores_csv,
-    resonance,
     score_corpus,
 )
 from .landscape import (

@@ -112,8 +112,9 @@ def atomic_write(path: Path):
         raise
 
 
-# accepted Python types of each scalar config field type; a bool is none of them
+# accepted Python types of each scalar config field type; only a bool field takes a bool
 _SCALAR_TYPES = {
+    bool: (bool, "true or false"),
     int: (int, "an integer"),
     Optional[int]: ((int, type(None)), "an integer or null"),
     float: ((int, float), "a number"),
@@ -142,11 +143,12 @@ class PipelineConfig:
     synth: Optional[SynthConfig] = None
 
     def __post_init__(self):
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            kinds, text = _SCALAR_TYPES.get(f.type, (object, ""))
-            if isinstance(value, bool) or not isinstance(value, kinds):
-                raise ConfigError(f"{f.name} must be {text}, got {value!r}")
+        for prefix, obj in (("", self), ("filters.", self.filters)):
+            for f in dataclasses.fields(obj):
+                value = getattr(obj, f.name)
+                kinds, text = _SCALAR_TYPES.get(f.type, (object, ""))
+                if isinstance(value, bool) and f.type is not bool or not isinstance(value, kinds):
+                    raise ConfigError(f"{prefix}{f.name} must be {text}, got {value!r}")
         if not self.spans:
             raise ConfigError("spans must be non-empty")
         if any(s < 1 for s in self.spans):
@@ -184,6 +186,8 @@ class PipelineConfig:
                 kwargs["filters"] = FilterConfig(**payload["filters"])
             if "landscape" in payload:
                 ls = dict(payload["landscape"])
+                if not isinstance(ls.get("snapshot_years", []), list):
+                    raise ConfigError(f"snapshot_years must be a list, got {ls['snapshot_years']!r}")
                 if "snapshot_years" in ls:
                     kwargs["snapshot_years"] = tuple(int(y) for y in ls.pop("snapshot_years"))
                 for key in ("min_type_count", "cf_share_threshold", "seed"):
@@ -379,8 +383,8 @@ def _read_scores(cfg: PipelineConfig, records: RecordSet) -> ScoreTable:
         rid for rid, year in zip(records.ids, records.years.tolist())
         if any(year - k in years for k in range(1, cfg.stats_span + 1))
     }
-    scored = {row.record_id for row in table.for_span(cfg.stats_span)}
-    if scored != expected or not {row.record_id for row in table} <= set(records.ids):
+    scored = set(table.ids[table.spans == cfg.stats_span].tolist())
+    if scored != expected or not set(table.ids.tolist()) <= set(records.ids):
         raise ConfigError(
             f"{path} was not scored from the ingested corpus in {cfg.out_dir!r}; re-run score"
         )
@@ -395,7 +399,7 @@ def cmd_stats(
     """Descriptives, group tests and models; inputs default to the ingest and score caches."""
     records = _load_cache(cfg) if records is None else records
     table = _read_scores(cfg, records) if table is None else table
-    if len(table.for_span(cfg.stats_span)) == 0:
+    if not (table.spans == cfg.stats_span).any():
         raise EmptySample(f"no score rows for span {cfg.stats_span}")
     data = join_scores(records, table, span=cfg.stats_span)
     out = Path(cfg.out_dir)

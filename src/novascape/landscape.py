@@ -47,11 +47,13 @@ EXPORT_COLUMNS = ("id", "vector_bits", "count", "cf_count", "cf_share", "first_y
 
 def pack_vector(bits) -> int:
     """Pack a binary vector into an int key; bit j of the key is feature j."""
-    key = 0
-    for j, b in enumerate(np.asarray(bits).tolist()):
-        if b:
-            key |= 1 << j
-    return key
+    return int.from_bytes(np.packbits(np.asarray(bits, dtype=bool), bitorder="little").tobytes(), "little")
+
+
+def _type_keys(matrix: np.ndarray):
+    """(keys, types): the pack_vector key of each distinct row, and each row's index into keys."""
+    unique, types = np.unique(np.packbits(matrix, axis=1, bitorder="little"), axis=0, return_inverse=True)
+    return [int.from_bytes(row.tobytes(), "little") for row in unique], types.reshape(-1)
 
 
 def vector_bits(key: int, dimension: int) -> str:
@@ -112,36 +114,26 @@ def build_landscape(
     if len(records) == 0:
         raise EmptyGraph("no records")
     dim = records.registry.dimension
-    corpus_counts: Dict[int, int] = {}
-    snapshot: Dict[int, list] = {}
-    for bits, year, funded in zip(records.matrix, records.years.tolist(),
-                                  records.columns["crowdfunded"].tolist()):
-        key = pack_vector(bits)
-        corpus_counts[key] = corpus_counts.get(key, 0) + 1
-        if year <= up_to_year:
-            entry = snapshot.get(key)
-            if entry is None:
-                # [total, cf_count, first_year]
-                snapshot[key] = [
-                    1,
-                    int(funded),
-                    year,
-                ]
-            else:
-                entry[0] += 1
-                entry[1] += int(funded)
-                if year < entry[2]:
-                    entry[2] = year
+    keys, types = _type_keys(records.matrix)
+    corpus_counts = np.bincount(types, minlength=len(keys))
+    in_snapshot = records.years <= up_to_year
+    snapshot_types, years = types[in_snapshot], records.years[in_snapshot]
+    totals = np.bincount(snapshot_types, minlength=len(keys))
+    funded_types = snapshot_types[records.columns["crowdfunded"][in_snapshot]]
+    cf_counts = np.bincount(funded_types, minlength=len(keys))
+    first_years = np.full(len(keys), np.iinfo(np.int64).max)
+    np.minimum.at(first_years, snapshot_types, years)
     nodes = {
-        key: TypeNode(
-            key=key,
-            total_count=total,
-            crowdfunded_count=cf,
-            first_year=first_year,
+        keys[t]: TypeNode(
+            key=keys[t],
+            total_count=int(totals[t]),
+            crowdfunded_count=int(cf_counts[t]),
+            first_year=int(first_years[t]),
         )
-        for key, (total, cf, first_year) in snapshot.items()
+        for t in np.flatnonzero(totals).tolist()
     }
-    plotted = tuple(sorted(k for k in nodes if corpus_counts[k] >= min_type_count))
+    plotted_types = np.flatnonzero((totals > 0) & (corpus_counts >= min_type_count))
+    plotted = tuple(sorted(keys[t] for t in plotted_types.tolist()))
     return LandscapeGraph(
         snapshot_year=up_to_year,
         dimension=dim,
@@ -224,25 +216,19 @@ def centroids(
     Weight is the group's cumulative game count at each positioned type. A
     group with no games on positioned types has no centroid.
     """
-    weights = {GROUP_CROWDFUNDED: {}, GROUP_TRADITIONAL: {}}
-    for bits, rec_year, funded in zip(records.matrix, records.years.tolist(),
-                                      records.columns["crowdfunded"].tolist()):
-        if rec_year > year:
-            continue
-        key = pack_vector(bits)
-        if key not in positions:
-            continue
-        group = GROUP_CROWDFUNDED if funded else GROUP_TRADITIONAL
-        weights[group][key] = weights[group].get(key, 0) + 1
+    keys, types = _type_keys(records.matrix)
+    positioned = np.array([k in positions for k in keys], dtype=bool)
+    funded = records.columns["crowdfunded"]
     out = []
-    for group in (GROUP_CROWDFUNDED, GROUP_TRADITIONAL):
-        per_node = weights[group]
-        total = sum(per_node.values())
+    for group, members in ((GROUP_CROWDFUNDED, funded), (GROUP_TRADITIONAL, ~funded)):
+        counts = np.bincount(types[members & (records.years <= year)], minlength=len(keys))
+        per_node = sorted((keys[t], int(counts[t])) for t in np.flatnonzero(counts * positioned).tolist())
+        total = sum(w for _, w in per_node)
         if total == 0:
             out.append(None)
             continue
-        x = sum(positions[k][0] * w for k, w in sorted(per_node.items())) / total
-        y = sum(positions[k][1] * w for k, w in sorted(per_node.items())) / total
+        x = sum(positions[k][0] * w for k, w in per_node) / total
+        y = sum(positions[k][1] * w for k, w in per_node) / total
         out.append(Centroid(group=group, point=(x, y), year=year))
     return tuple(out)
 

@@ -9,30 +9,34 @@ of whole calendar years:
 * resonance: distinctiveness against the past minus distinctiveness against
   the future, positive when later records sit closer than earlier ones.
 
-Same-year records are never part of a window. Every entry point runs on one
-exact kernel:
+Same-year records are never part of a window. score_corpus is the one way
+to score, and it runs on one exact kernel:
 
 * distinctiveness and resonance come from window feature counts
   (FeatureProfile): a window's Hamming sum is an int64 dot product with its
   counts, divided once, so the cost is O(n*d) and no pairwise distance is
-  formed. score_corpus counts each comparison year once and sums those counts
+  formed. Each comparison year is counted once and those counts are summed
   per window;
 * novelty packs vectors into ceil(d/64) uint64 words and takes the minimum
   XOR popcount over blocks of NOVELTY_BLOCK_ROWS focal rows, so its memory is
   bounded by block x window rows, not by focal x window.
+
+The scores come back as a ScoreTable of columns, one array per score, built
+from one block of arrays per (focal year, span); no object is made per row.
 
 Results are exact integers (or one division of them), deterministic and
 independent of scheduling.
 """
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .corpus import Record, RecordSet, _format_number
-from .errors import DimensionError, EmptyWindow
+from .corpus import RecordSet, _format_number, _parse_float, _parse_int
+from .errors import DimensionError, EmptyWindow, ParseError, SchemaError
 
 PAST = "past"
 FUTURE = "future"
@@ -44,10 +48,6 @@ DEFAULT_SPAN = 2
 NOVELTY_BLOCK_ROWS = 256
 
 
-def _as_vector(g) -> np.ndarray:
-    return g.vector if isinstance(g, Record) else np.asarray(g, dtype=np.uint8)
-
-
 @dataclass(frozen=True)
 class FeatureProfile:
     """Per-feature occurrence counts over one window; the route of every mean distance.
@@ -55,8 +55,8 @@ class FeatureProfile:
     The mean Hamming distance from a vector g to n window vectors expands to
     sum_j (g_j ? n - c_j : c_j) / n where c_j counts window records with
     feature j set, i.e. (c.sum() + g.(n - 2c)) / n. The numerator is taken in
-    int64 and equals the brute-force pairwise sum exactly. distinctiveness,
-    resonance and score_corpus all compute their means this way.
+    int64 and equals the brute-force pairwise sum exactly. score_corpus and
+    distinctiveness_fast compute their means this way.
     """
 
     n: int
@@ -71,6 +71,8 @@ class FeatureProfile:
 
 @dataclass(frozen=True, eq=False)
 class InnovationScores:
+    """One ScoreTable row as Python scalars; resonance is None where absent."""
+
     record_id: str
     span_years: int
     distinctiveness: float
@@ -78,82 +80,109 @@ class InnovationScores:
     novelty_binary: bool
     resonance: Optional[float]
 
-    def __post_init__(self):
-        assert self.novelty_binary == (self.novelty_count > 0)
-        # min <= mean over the same window; exact with integer-sum arithmetic
-        assert self.distinctiveness >= self.novelty_count
+
+SCORE_COLUMNS = ("id", "span", "distinctiveness", "novelty_count", "novelty_binary", "resonance",
+                 "resonance_available")
 
 
 class ScoreTable:
-    """Scores keyed by (record_id, span_years), in deterministic order."""
+    """Scores keyed by (record_id, span_years), held as columns in (id, span) order.
 
-    def __init__(self, rows: Iterable[InnovationScores], unscored: Iterable = ()):
-        self.rows = tuple(sorted(rows, key=lambda r: (r.record_id, r.span_years)))
+    `ids` (object), `spans` (int64), `distinctiveness` (float64),
+    `novelty_count` (int64) and `resonance` (float64, NaN where absent) share
+    row order, and `novelty_binary` derives from novelty_count. `unscored`
+    lists the sorted (record_id, span) pairs whose past window was empty.
+    `get` and iteration build InnovationScores views.
+    """
+
+    def __init__(self, ids, spans, distinctiveness, novelty_count, resonance, unscored: Iterable = ()):
+        ids = np.asarray(ids, dtype=object)
+        spans = np.asarray(spans, dtype=np.int64)
+        order = np.lexsort((spans, ids))
+        self.ids = ids[order]
+        self.spans = spans[order]
+        self.distinctiveness = np.asarray(distinctiveness, dtype=np.float64)[order]
+        self.novelty_count = np.asarray(novelty_count, dtype=np.int64)[order]
+        self.resonance = np.asarray(resonance, dtype=np.float64)[order]
         self.unscored = tuple(sorted(unscored))
-        seen = set()
-        for row in self.rows:
-            key = (row.record_id, row.span_years)
-            if key in seen:
-                raise ValueError(f"duplicate score row {key}")
-            seen.add(key)
-        self._index = {(r.record_id, r.span_years): r for r in self.rows}
+        repeats = np.flatnonzero((self.ids[1:] == self.ids[:-1]) & (self.spans[1:] == self.spans[:-1]))
+        if len(repeats):
+            i = int(repeats[0])
+            raise ValueError(f"duplicate score row {(self.ids[i], self.spans.item(i))}")
+        # min <= mean over the same window; exact with integer-sum arithmetic
+        if not (self.distinctiveness >= self.novelty_count).all():
+            raise ValueError("a novelty_count exceeds its distinctiveness")
+
+    @property
+    def novelty_binary(self) -> np.ndarray:
+        return self.novelty_count > 0
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.ids)
 
     def __iter__(self):
-        return iter(self.rows)
+        return (self._view(i) for i in range(len(self)))
+
+    def _view(self, i: int) -> InnovationScores:
+        novelty, resonance = self.novelty_count.item(i), self.resonance.item(i)
+        return InnovationScores(self.ids[i], self.spans.item(i), self.distinctiveness.item(i), novelty,
+                                novelty > 0, None if math.isnan(resonance) else resonance)
 
     def get(self, record_id: str, span_years: int) -> Optional[InnovationScores]:
-        return self._index.get((record_id, span_years))
-
-    def for_span(self, span_years: int) -> tuple:
-        return tuple(r for r in self.rows if r.span_years == span_years)
+        lo = int(np.searchsorted(self.ids, record_id, side="left"))
+        hi = int(np.searchsorted(self.ids, record_id, side="right"))
+        hit = np.flatnonzero(self.spans[lo:hi] == span_years)
+        return self._view(lo + int(hit[0])) if len(hit) else None
 
     def write_csv(self, path) -> None:
         """Write one row per score; floats use round-trip repr, so no precision is lost."""
+        has_res = ~np.isnan(self.resonance)
+        resonance = ["NA" if math.isnan(r) else _format_number(r) for r in self.resonance.tolist()]
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(
-                ["id", "span", "distinctiveness", "novelty_count", "novelty_binary", "resonance", "resonance_available"]
-            )
-            for row in self.rows:
-                has_res = row.resonance is not None
-                writer.writerow(
-                    [
-                        row.record_id,
-                        row.span_years,
-                        _format_number(row.distinctiveness),
-                        row.novelty_count,
-                        int(row.novelty_binary),
-                        _format_number(row.resonance) if has_res else "NA",
-                        int(has_res),
-                    ]
-                )
+            writer.writerow(SCORE_COLUMNS)
+            writer.writerows(zip(
+                self.ids.tolist(), self.spans.tolist(), map(_format_number, self.distinctiveness.tolist()),
+                self.novelty_count.tolist(), self.novelty_binary.astype(np.int64).tolist(), resonance,
+                has_res.astype(np.int64).tolist(),
+            ))
 
 
 def read_scores_csv(path) -> ScoreTable:
-    """Inverse of ScoreTable.write_csv; every score reads back exactly as written."""
-    rows = []
+    """Inverse of ScoreTable.write_csv; every score reads back exactly as written.
+
+    novelty_binary and resonance_available restate novelty_count and
+    resonance and are not read back. A missing column raises SchemaError; a
+    short row, a bad cell or a table ScoreTable rejects raises ParseError.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for rec in reader:
-            rows.append(
-                InnovationScores(
-                    record_id=rec["id"],
-                    span_years=int(rec["span"]),
-                    distinctiveness=float(rec["distinctiveness"]),
-                    novelty_count=int(rec["novelty_count"]),
-                    novelty_binary=bool(int(rec["novelty_binary"])),
-                    resonance=None if rec["resonance"] == "NA" else float(rec["resonance"]),
-                )
-            )
-    return ScoreTable(rows)
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = [c for c in SCORE_COLUMNS if c not in header]
+        if missing:
+            raise SchemaError(f"{path}: missing score columns {missing}")
+        rows = list(reader)
+    for row_no, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise ParseError(f"{path}: row {row_no}: expected {len(header)} cells, got {len(row)}")
+    cells = dict(zip(header, list(zip(*rows)) or [()] * len(header)))
+
+    def parsed(column, parse):
+        return [parse(value, row_no, column) for row_no, value in enumerate(cells[column], start=2)]
+
+    def parse_resonance(value, row_no, column):
+        return math.nan if value == "NA" else _parse_float(value, row_no, column)
+
+    try:
+        return ScoreTable(cells["id"], parsed("span", _parse_int), parsed("distinctiveness", _parse_float),
+                          parsed("novelty_count", _parse_int), parsed("resonance", parse_resonance))
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def hamming(a, b) -> int:
     """Number of positions where two equal-length binary vectors differ."""
-    va, vb = _as_vector(a), _as_vector(b)
+    va, vb = np.asarray(a, dtype=np.uint8), np.asarray(b, dtype=np.uint8)
     if va.shape != vb.shape:
         raise DimensionError(f"dimension mismatch: {va.shape} vs {vb.shape}")
     return int(np.count_nonzero(va != vb))
@@ -233,60 +262,14 @@ def _min_distances(focal: np.ndarray, window: np.ndarray, dimension: int) -> np.
     return out
 
 
-def distinctiveness(g, records: RecordSet, span: int = DEFAULT_SPAN) -> float:
-    """Mean Hamming distance from g to every record in its past window.
-
-    Records with vectors identical to g contribute distance 0; the window is
-    a multiset over records, not unique vectors.
-    """
-    if not isinstance(g, Record):
-        raise TypeError("distinctiveness requires a Record (needs a publication year)")
-    return distinctiveness_fast(g, build_profile(records, *window_years(g.year, span, PAST)))
-
-
 def distinctiveness_fast(g, profile: FeatureProfile) -> float:
     """Mean distance from g to the profile's window; equals the pairwise mean exactly."""
     if profile.n == 0:
         raise EmptyWindow("comparison window is empty")
-    bits = _as_vector(g)
+    bits = np.asarray(g, dtype=np.uint8)
     if len(bits) != len(profile.counts):
         raise DimensionError(f"dimension mismatch: {len(bits)} vs {len(profile.counts)}")
     return int(_distance_sums(bits[None, :], profile)[0]) / profile.n
-
-
-def novelty_count(g, records: RecordSet, span: int = DEFAULT_SPAN) -> int:
-    """Minimum Hamming distance from g to any record in its past window."""
-    if not isinstance(g, Record):
-        raise TypeError("novelty_count requires a Record")
-    window = records.matrix[records.rows_in_years(*window_years(g.year, span, PAST))]
-    if len(window) == 0:
-        raise EmptyWindow("comparison window is empty")
-    return int(_min_distances(_pack(g.vector[None, :]), _pack(window), records.registry.dimension)[0])
-
-
-def novelty_binary(g, records: RecordSet, span: int = DEFAULT_SPAN) -> bool:
-    return novelty_count(g, records, span) > 0
-
-
-def resonance(
-    g,
-    records: RecordSet,
-    span: int = DEFAULT_SPAN,
-    last_complete_year: Optional[int] = None,
-) -> Optional[float]:
-    """Past-window distinctiveness minus future-window distinctiveness.
-
-    Returns None (absent) when the corpus does not fully cover the forward
-    window: every future year must be <= last_complete_year. Positive values
-    mean the record sits closer to what followed than to what preceded it.
-    """
-    if not isinstance(g, Record):
-        raise TypeError("resonance requires a Record")
-    if last_complete_year is None or g.year + span > last_complete_year:
-        return None
-    past = build_profile(records, *window_years(g.year, span, PAST))
-    future = build_profile(records, *window_years(g.year, span, FUTURE))
-    return distinctiveness_fast(g, past) - distinctiveness_fast(g, future)
 
 
 def score_corpus(
@@ -305,7 +288,8 @@ def score_corpus(
     max_span = max(spans, default=0)
     year_profiles = {y: build_profile(records, y, y) for y in records.year_rows}
     packed = _pack(records.matrix)
-    rows = []
+    # one (rows, span, distinctiveness, novelty_count, resonance) block per scored (year, span)
+    blocks = []
     unscored = []
     for year, focal_rows in sorted(records.year_rows.items()):
         bits, focal = records.matrix[focal_rows], packed[focal_rows]
@@ -325,22 +309,11 @@ def score_corpus(
             sums = _distance_sums(bits, past)
             mins = np.minimum.reduce([m for y, m in year_mins.items() if y >= past_lo])
 
-            res_vals = None
+            res_vals = np.full(len(focal_rows), np.nan)
             if last_complete_year is not None and year + span <= last_complete_year:
                 future = _window_profile(year_profiles, *window_years(year, span, FUTURE), dimension)
                 if future.n:
                     res_vals = sums / past.n - _distance_sums(bits, future) / future.n
-
-            for j, i in enumerate(focal_rows):
-                nov = int(mins[j])
-                rows.append(
-                    InnovationScores(
-                        record_id=records.ids[i],
-                        span_years=span,
-                        distinctiveness=int(sums[j]) / past.n,
-                        novelty_count=nov,
-                        novelty_binary=nov > 0,
-                        resonance=float(res_vals[j]) if res_vals is not None else None,
-                    )
-                )
-    return ScoreTable(rows, unscored=unscored)
+            blocks.append((focal_rows, np.full(len(focal_rows), span), sums / past.n, mins, res_vals))
+    rows, span_col, dist, nov, res = (np.concatenate(c) for c in zip(*blocks)) if blocks else ([],) * 5
+    return ScoreTable(np.asarray(records.ids, dtype=object)[rows], span_col, dist, nov, res, unscored)

@@ -117,17 +117,18 @@ def join_scores(records: RecordSet, scores: ScoreTable, span: int) -> Dict[str, 
     Resonance is NaN where absent; model building drops incomplete cases per
     outcome.
     """
-    rows = [r for r in scores.for_span(span) if r.record_id in records.row_of]
-    if not rows:
+    in_span = np.flatnonzero(scores.spans == span)
+    at = np.array([records.row_of.get(rid, -1) for rid in scores.ids[in_span].tolist()], dtype=np.int64)
+    take, at = in_span[at >= 0], at[at >= 0]
+    if not len(take):
         raise EmptySample(f"no scored records for span {span}")
-    at = np.array([records.row_of[r.record_id] for r in rows], dtype=np.int64)
     out: Dict[str, np.ndarray] = {
-        "id": np.array([r.record_id for r in rows], dtype=object),
+        "id": scores.ids[take],
         "year": records.years[at],
-        "distinctiveness": np.array([s.distinctiveness for s in rows]),
-        "novelty_count": np.array([float(s.novelty_count) for s in rows]),
-        "novelty_binary": np.array([float(s.novelty_binary) for s in rows]),
-        "resonance": np.array([math.nan if s.resonance is None else s.resonance for s in rows]),
+        "distinctiveness": scores.distinctiveness[take],
+        "novelty_count": scores.novelty_count[take].astype(float),
+        "novelty_binary": scores.novelty_binary[take].astype(float),
+        "resonance": scores.resonance[take],
     }
     for name, kind in CONTROLS:
         # numeric controls as floats, genre as labels; parent_id is no model term

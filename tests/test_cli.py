@@ -22,6 +22,7 @@ from novascape.cli import (
     recovery_seed,
 )
 from novascape.corpus import Record
+from novascape.metrics import InnovationScores, score_corpus
 from novascape.errors import ConfigError
 from novascape.synth import SynthConfig, generate_corpus
 
@@ -239,9 +240,13 @@ class TestExitCodes:
         {"registry_path": ["r.txt"]},
         {"formats": "json"},
         {"spans": "12"},
+        {"landscape": {"snapshot_years": "2009"}},
+        {"filters": {"year_max": "2015"}},
+        {"filters": {"require_designer": "no"}},
     ], ids=["min-type-count-text", "cf-share-text", "seed-text", "seed-bool", "last-year-text",
             "stats-span-text", "out-dir-number", "corpus-path-number", "registry-path-list",
-            "formats-string", "spans-string"])
+            "formats-string", "spans-string", "snapshot-years-string", "year-max-text",
+            "require-designer-text"])
     def test_wrongly_typed_config_value_is_exit_2(self, tmp_path, caplog, section):
         out = tmp_path / "o"
         synth = pipeline_payload(out)["synth"]
@@ -325,6 +330,31 @@ class TestExitCodes:
         assert main(["score", "--config", str(narrowed)]) == EXIT_OK
         assert main(["stats", "--config", str(narrowed)]) == EXIT_OK
 
+    @pytest.mark.parametrize("column, cell, message", [
+        ("distinctiveness", "x1.5", "row 2: column 'distinctiveness' is not a number: 'x1.5'"),
+        ("resonance", None, "missing score columns ['resonance']"),
+    ], ids=["bad-cell", "missing-column"])
+    def test_damaged_scores_csv_is_exit_2(self, tmp_path, caplog, column, cell, message):
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path, pipeline_payload(out))
+        assert main(["synth", "--config", str(cfg)]) == EXIT_OK
+        assert main(["ingest", "--config", str(cfg), "--corpus", str(out / "synth_corpus.csv"),
+                     "--registry", str(out / "synth_registry.txt")]) == EXIT_OK
+        assert main(["score", "--config", str(cfg)]) == EXIT_OK
+        scores = out / "scores.csv"
+        with open(scores, newline="") as fh:
+            rows = list(csv.reader(fh))
+        at = rows[0].index(column)
+        if cell is None:
+            rows = [row[:at] + row[at + 1:] for row in rows]
+        else:
+            rows[1][at] = cell
+        with open(scores, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        assert main(["stats", "--config", str(cfg)]) == EXIT_INPUT
+        assert message in caplog.text
+        assert not (out / "models.csv").exists()
+
     def test_unconverged_glm_is_exit_4_and_not_written(self, tmp_path, monkeypatch):
         monkeypatch.setattr(stats, "MAX_IRLS_ITER", 1)
         out = tmp_path / "run"
@@ -372,21 +402,27 @@ class TestInMemoryReport:
 
     def test_library_path_builds_no_record_view(self, tmp_path, monkeypatch):
         built = []
-        init = Record.__init__
 
-        def counting_init(self, *args, **kwargs):
-            built.append(args[0] if args else kwargs["id"])
-            init(self, *args, **kwargs)
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                built.append((name, args[1] if len(args) > 1 else None))
+                return fn(*args, **kwargs)
+            return wrapper
 
-        monkeypatch.setattr(Record, "__init__", counting_init)
+        monkeypatch.setattr(Record, "__init__", counting("Record", Record.__init__))
+        monkeypatch.setattr(InnovationScores, "__init__",
+                            counting("InnovationScores", InnovationScores.__init__))
+        monkeypatch.setattr(landscape, "pack_vector", counting("pack_vector", landscape.pack_vector))
         recovery_seed(0, 2.0)
         cfg = write_config(tmp_path, pipeline_payload(tmp_path / "run"))
         assert main(["report", "--config", str(cfg)]) == EXIT_OK
         assert built == []
-        # the counter does see a view: indexing builds one
-        records = generate_corpus(SynthConfig(dimension=4, year_start=2006, year_end=2006,
+        # the counters do see views: indexing and table lookups build them
+        records = generate_corpus(SynthConfig(dimension=4, year_start=2006, year_end=2007,
                                               games_per_year=3))
-        assert records[1].id == "syn-2006-0001" and built == ["syn-2006-0001"]
+        assert records[1].id == "syn-2006-0001" and built == [("Record", "syn-2006-0001")]
+        assert score_corpus(records, spans=(1,)).get("syn-2007-0000", 1).span_years == 1
+        assert built[1:] == [("InnovationScores", "syn-2007-0000")]
 
 
 class TestAtomicWrite:

@@ -35,7 +35,8 @@ from novascape.landscape import (
     vector_bits,
 )
 
-from conftest import make_recordset
+from conftest import make_record, make_recordset, make_registry
+from novascape.corpus import RecordSet
 
 
 def oracle_edges(keys):
@@ -239,6 +240,76 @@ class TestCentroids:
                 continue
             assert pts[:, 0].min() - 1e-9 <= c.point[0] <= pts[:, 0].max() + 1e-9
             assert pts[:, 1].min() - 1e-9 <= c.point[1] <= pts[:, 1].max() + 1e-9
+
+
+def loop_pack(bits) -> int:
+    """The per-bit packing loop build_landscape and centroids used to run per record."""
+    key = 0
+    for j, b in enumerate(np.asarray(bits).tolist()):
+        if b:
+            key |= 1 << j
+    return key
+
+
+def reference_landscape(records, up_to_year, min_type_count):
+    """The old per-record build: {key: (total, cf_count, first_year)} and the plotted keys."""
+    corpus_counts, snapshot = {}, {}
+    for bits, year, funded in zip(records.matrix, records.years.tolist(),
+                                  records.columns["crowdfunded"].tolist()):
+        key = loop_pack(bits)
+        corpus_counts[key] = corpus_counts.get(key, 0) + 1
+        if year <= up_to_year:
+            total, cf, first = snapshot.get(key, (0, 0, year))
+            snapshot[key] = (total + 1, cf + int(funded), min(first, year))
+    return snapshot, tuple(sorted(k for k in snapshot if corpus_counts[k] >= min_type_count))
+
+
+def reference_centroids(records, positions, year):
+    """The old per-record centroids as (group, point) pairs, None for an empty group."""
+    weights = {GROUP_CROWDFUNDED: {}, GROUP_TRADITIONAL: {}}
+    for bits, rec_year, funded in zip(records.matrix, records.years.tolist(),
+                                      records.columns["crowdfunded"].tolist()):
+        key = loop_pack(bits)
+        if rec_year <= year and key in positions:
+            group = weights[GROUP_CROWDFUNDED if funded else GROUP_TRADITIONAL]
+            group[key] = group.get(key, 0) + 1
+    out = []
+    for group, per_node in weights.items():
+        total = sum(per_node.values())
+        if total == 0:
+            out.append(None)
+            continue
+        x = sum(positions[k][0] * w for k, w in sorted(per_node.items())) / total
+        y = sum(positions[k][1] * w for k, w in sorted(per_node.items())) / total
+        out.append((group, (x, y)))
+    return out
+
+
+class TestPerRecordReference:
+    @pytest.mark.parametrize("dim", [16, 64, 65, 130])
+    def test_packed_keys_match_per_record_loop(self, dim):
+        # a dozen base types with one-bit mutations, so types repeat across
+        # years and differ in high bytes of wide keys
+        rng = np.random.default_rng(dim)
+        base = rng.integers(0, 2, size=(12, dim))
+        registry = make_registry(dim)
+        records = []
+        for i in range(300):
+            bits = base[rng.integers(12)].copy()
+            if rng.random() < 0.4:
+                bits[rng.integers(dim)] ^= 1
+            records.append(make_record(f"r{i}", 2010 + int(rng.integers(5)), bits, registry,
+                                       crowdfunded=bool(rng.random() < 0.3)))
+        rs = RecordSet(records, registry)
+        assert all(pack_vector(bits) == loop_pack(bits) for bits in rs.matrix)
+        for year in (2011, 2014):
+            g = build_landscape(rs, year, min_type_count=3)
+            nodes, plotted = reference_landscape(rs, year, 3)
+            assert {k: (n.total_count, n.crowdfunded_count, n.first_year) for k, n in g.nodes.items()} == nodes
+            assert g.plotted == plotted and len(plotted) > 1
+            positions = {k: (float(i), float(i % 7) / 3) for i, k in enumerate(plotted) if i % 4}
+            got = [c and (c.group, c.point) for c in centroids(g, positions, rs, year)]
+            assert got == reference_centroids(rs, positions, year)
 
 
 class TestShareClasses:

@@ -22,13 +22,9 @@ from novascape.metrics import (
     ScoreTable,
     build_profile,
     cross_hamming,
-    distinctiveness,
     distinctiveness_fast,
     hamming,
-    novelty_binary,
-    novelty_count,
     read_scores_csv,
-    resonance,
     score_corpus,
     window_years,
 )
@@ -132,19 +128,20 @@ class TestWindows:
 class TestDistinctiveness:
     def test_frozen_example(self):
         rs = make_recordset([("g", 2015, [1, 1, 0]), ("w1", 2014, [0, 1, 1]), ("w2", 2014, [1, 0, 1])])
-        assert distinctiveness(rs[rs.row_of["g"]], rs, span=1) == 2.0
+        assert score_corpus(rs, spans=(1,)).get("g", 1).distinctiveness == 2.0
 
     def test_duplicates_count_as_multiset(self):
         rs = make_recordset(
             [("g", 2015, [1, 1]), ("w1", 2014, [1, 1]), ("w2", 2014, [1, 1]), ("w3", 2014, [0, 0])]
         )
         # distances 0, 0, 2 over three window records
-        assert distinctiveness(rs[rs.row_of["g"]], rs, span=1) == pytest.approx(2 / 3, rel=1e-12)
+        assert score_corpus(rs, spans=(1,)).get("g", 1).distinctiveness == pytest.approx(2 / 3, rel=1e-12)
 
     def test_empty_window_raises(self):
         rs = make_recordset([("g", 2015, [1, 1])])
         with pytest.raises(EmptyWindow):
-            distinctiveness(rs[rs.row_of["g"]], rs, span=2)
+            distinctiveness_fast([1, 1], build_profile(rs, *window_years(2015, 2, PAST)))
+        assert score_corpus(rs, spans=(2,)).unscored == (("g", 2),)
 
     def test_profile_fast_path_frozen_example(self):
         profile = FeatureProfile(n=2, counts=np.array([1, 1, 2]))
@@ -163,7 +160,7 @@ class TestDistinctiveness:
         rs = make_recordset(rows)
         profile = build_profile(rs, 2014, 2014)
         want = oracle_mean_distance(g, window)
-        got_slow = distinctiveness(rs[rs.row_of["g"]], rs, span=1)
+        got_slow = score_corpus(rs, spans=(1,)).get("g", 1).distinctiveness
         got_fast = distinctiveness_fast(g, profile)
         assert got_slow == pytest.approx(float(want), rel=1e-12)
         assert got_fast == got_slow
@@ -174,33 +171,35 @@ class TestNovelty:
         rs = make_recordset(
             [("g", 2015, [1, 1, 0, 0]), ("w1", 2014, [1, 0, 0, 0]), ("w2", 2014, [0, 0, 1, 1])]
         )
-        assert novelty_count(rs[rs.row_of["g"]], rs, span=1) == 1
-        assert novelty_binary(rs[rs.row_of["g"]], rs, span=1) is True
+        row = score_corpus(rs, spans=(1,)).get("g", 1)
+        assert row.novelty_count == 1
+        assert row.novelty_binary is True
 
     def test_repeat_of_window_vector_is_zero(self):
         rs = make_recordset([("g", 2015, [1, 1]), ("w", 2014, [1, 1])])
-        assert novelty_count(rs[rs.row_of["g"]], rs, span=1) == 0
-        assert novelty_binary(rs[rs.row_of["g"]], rs, span=1) is False
+        row = score_corpus(rs, spans=(1,)).get("g", 1)
+        assert row.novelty_count == 0
+        assert row.novelty_binary is False
 
-    def test_empty_window_raises(self):
+    def test_empty_window_is_unscored(self):
         rs = make_recordset([("g", 2015, [1, 1])])
-        with pytest.raises(EmptyWindow):
-            novelty_count(rs[rs.row_of["g"]], rs, span=1)
+        table = score_corpus(rs, spans=(1,))
+        assert table.get("g", 1) is None and table.unscored == (("g", 1),)
 
     @settings(max_examples=100, deadline=None)
     @given(bitvec, st.lists(bitvec, min_size=1, max_size=10))
     def test_matches_exhaustive_scan(self, g, window):
         rows = [("g", 2015, g)] + [(f"w{i}", 2014, w) for i, w in enumerate(window)]
         rs = make_recordset(rows)
-        assert novelty_count(rs[rs.row_of["g"]], rs, span=1) == oracle_min_distance(g, window)
+        assert score_corpus(rs, spans=(1,)).get("g", 1).novelty_count == oracle_min_distance(g, window)
 
     @settings(max_examples=100, deadline=None)
     @given(bitvec, st.lists(bitvec, min_size=1, max_size=10))
     def test_min_never_exceeds_mean(self, g, window):
         rows = [("g", 2015, g)] + [(f"w{i}", 2014, w) for i, w in enumerate(window)]
         rs = make_recordset(rows)
-        rec = rs[rs.row_of["g"]]
-        assert novelty_count(rec, rs, span=1) <= distinctiveness(rec, rs, span=1)
+        row = score_corpus(rs, spans=(1,)).get("g", 1)
+        assert row.novelty_count <= row.distinctiveness
 
 
 class TestResonance:
@@ -211,13 +210,13 @@ class TestResonance:
 
     def test_frozen_example(self):
         rs = self.make_corpus()
-        got = resonance(rs[rs.row_of["g"]], rs, span=1, last_complete_year=2016)
+        got = score_corpus(rs, spans=(1,), last_complete_year=2016).get("g", 1).resonance
         assert got == 3.0
 
     def test_absent_without_coverage(self):
         rs = self.make_corpus()
-        assert resonance(rs[rs.row_of["g"]], rs, span=1, last_complete_year=2015) is None
-        assert resonance(rs[rs.row_of["g"]], rs, span=1, last_complete_year=None) is None
+        assert score_corpus(rs, spans=(1,), last_complete_year=2015).get("g", 1).resonance is None
+        assert score_corpus(rs, spans=(1,), last_complete_year=None).get("g", 1).resonance is None
 
     def test_identity_against_component_means(self):
         rs = make_recordset(
@@ -229,12 +228,12 @@ class TestResonance:
                 ("f2", 2017, [1, 0, 1, 0]),
             ]
         )
-        g = rs[rs.row_of["g"]]
-        got = resonance(g, rs, span=2, last_complete_year=2017)
+        g = score_corpus(rs, spans=(2,), last_complete_year=2017).get("g", 2)
+        got = g.resonance
         d_past = oracle_mean_distance([1, 0, 1, 0], [[1, 1, 0, 0], [0, 0, 1, 1]])
         d_future = oracle_mean_distance([1, 0, 1, 0], [[1, 0, 1, 1], [1, 0, 1, 0]])
         assert got == pytest.approx(float(d_past - d_future), rel=1e-12)
-        assert got == pytest.approx(distinctiveness(g, rs, span=2) - float(d_future), rel=1e-12)
+        assert got == pytest.approx(g.distinctiveness - float(d_future), rel=1e-12)
 
 
 class TestScoreCorpus:
@@ -251,20 +250,21 @@ class TestScoreCorpus:
             ]
         )
 
-    def test_batch_agrees_with_single_record_api(self):
+    def test_batch_agrees_with_brute_force(self):
         rs = self.demo_corpus()
         table = score_corpus(rs, spans=(1, 2), last_complete_year=2016)
         assert len(table) > 0
         for row in table:
             rec = rs[rs.row_of[row.record_id]]
-            assert row.distinctiveness == pytest.approx(
-                distinctiveness(rec, rs, span=row.span_years), rel=1e-12
-            )
-            assert row.novelty_count == novelty_count(rec, rs, span=row.span_years)
-            want_res = resonance(rec, rs, span=row.span_years, last_complete_year=2016)
-            if want_res is None:
+            past = [w.vector for w in rs if rec.year - row.span_years <= w.year < rec.year]
+            future = [w.vector for w in rs if rec.year < w.year <= rec.year + row.span_years]
+            assert row.distinctiveness == float(oracle_mean_distance(rec.vector, past))
+            assert row.novelty_count == oracle_min_distance(rec.vector, past)
+            if rec.year + row.span_years > 2016:
                 assert row.resonance is None
             else:
+                want_res = float(oracle_mean_distance(rec.vector, past)) - float(
+                    oracle_mean_distance(rec.vector, future))
                 assert row.resonance == pytest.approx(want_res, rel=1e-12)
 
     def test_unscored_records_listed(self):
@@ -396,4 +396,5 @@ class TestScoreTableCsv:
         rs = make_recordset([("a", 2014, [0, 1]), ("b", 2015, [1, 1])])
         row = next(iter(score_corpus(rs, spans=(1,))))
         with pytest.raises(ValueError):
-            ScoreTable([row, row])
+            ScoreTable([row.record_id] * 2, [row.span_years] * 2, [row.distinctiveness] * 2,
+                       [row.novelty_count] * 2, [np.nan] * 2)
