@@ -155,6 +155,12 @@ class PipelineConfig:
             raise ConfigError(f"spans must be positive, got {self.spans}")
         if self.stats_span not in self.spans:
             raise ConfigError(f"stats_span {self.stats_span} not among spans {self.spans}")
+        for name in ("spans", "snapshot_years", "formats"):
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                raise ConfigError(f"{name} must not repeat a value, got {values}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         bad = [f for f in self.formats if f not in EXPORT_FORMATS]
         if bad:
             raise ConfigError(f"unknown formats {bad}; choose from {EXPORT_FORMATS}")
@@ -344,7 +350,7 @@ def cmd_landscape(cfg: PipelineConfig, records: Optional[RecordSet] = None) -> i
                     render_svg(g, positions, tmp, classes=classes[g.snapshot_year])
                 else:
                     export_graph(g, positions, fmt, tmp, seed=cfg.seed)
-        for cen in centroids(g, positions, records, g.snapshot_year):
+        for cen in centroids(g, positions):
             if cen is not None:
                 rows.append(
                     {

@@ -159,6 +159,14 @@ Record = make_dataclass(
 )
 
 
+def pack_rows(matrix: np.ndarray) -> np.ndarray:
+    """Pack 0/1 rows (k, d) into (k, ceil(d/64)) uint64 words; bit j is feature j, padding bits 0."""
+    k, d = matrix.shape
+    packed = np.zeros((k, -(-d // 64) * 8), dtype=np.uint8)
+    packed[:, : -(-d // 8)] = np.packbits(matrix, axis=1, bitorder="little")
+    return packed.view(np.uint64)
+
+
 class RecordSet:
     """Immutable collection of records sharing one registry, held as columns.
 

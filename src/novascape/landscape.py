@@ -5,11 +5,16 @@ exactly one feature. Snapshots are cumulative: the landscape at year Y covers
 every record published up to Y. Only types implemented by at least
 min_type_count records in the whole corpus are plotted; this makes early
 snapshots future-aware by construction, matching how the figures are built.
+A snapshot holds its plotted types only, and everything drawn or summarised
+from it (exports, SVG, share classes, centroids) reads those nodes.
 
-Edges come from single-bit-flip hash lookups (O(nodes * dimension)), never
-from all-pairs comparison. Layout is Kamada-Kawai on the final snapshot's
-main component with a seeded random start; earlier snapshots reuse those
-fixed positions so types do not move between frames.
+Type keys come from the corpus' packed uint64 words (corpus.pack_rows), so
+bit j of a key is feature j; each snapshot keys the corpus once. Edges come
+from single-bit-flip hash lookups (O(nodes * dimension)), never from
+all-pairs comparison. Layout is Kamada-Kawai, over breadth-first hop
+distances, on the final snapshot's main component with a seeded random
+start; earlier snapshots reuse those fixed positions so types do not move
+between frames.
 """
 
 import csv
@@ -19,8 +24,9 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import networkx as nx
 import numpy as np
+from scipy.sparse.csgraph import shortest_path
 
-from .corpus import RecordSet
+from .corpus import RecordSet, pack_rows
 from .errors import EmptyGraph
 
 GROUP_CROWDFUNDED = "crowdfunded"
@@ -47,12 +53,12 @@ EXPORT_COLUMNS = ("id", "vector_bits", "count", "cf_count", "cf_share", "first_y
 
 def pack_vector(bits) -> int:
     """Pack a binary vector into an int key; bit j of the key is feature j."""
-    return int.from_bytes(np.packbits(np.asarray(bits, dtype=bool), bitorder="little").tobytes(), "little")
+    return int.from_bytes(pack_rows(np.asarray(bits, dtype=bool).reshape(1, -1)).tobytes(), "little")
 
 
 def _type_keys(matrix: np.ndarray):
     """(keys, types): the pack_vector key of each distinct row, and each row's index into keys."""
-    unique, types = np.unique(np.packbits(matrix, axis=1, bitorder="little"), axis=0, return_inverse=True)
+    unique, types = np.unique(pack_rows(matrix), axis=0, return_inverse=True)
     return [int.from_bytes(row.tobytes(), "little") for row in unique], types.reshape(-1)
 
 
@@ -75,28 +81,26 @@ class TypeNode:
     def cf_share(self) -> float:
         return self.crowdfunded_count / self.total_count
 
-    def share_class(self, threshold: float) -> str:
-        return CLASS_CROWDFUNDED if self.cf_share >= threshold else CLASS_BASELINE
-
 
 @dataclass
 class LandscapeGraph:
-    """One cumulative snapshot: all types up to snapshot_year, plus the plotted
-    subset (whole-corpus count filter) and its distance-1 edges."""
+    """One cumulative snapshot: the plotted types up to snapshot_year (whole-corpus
+    count filter), keyed and ordered by type key, and their distance-1 edges."""
 
     snapshot_year: int
     dimension: int
     nodes: Dict[int, TypeNode]
-    plotted: Tuple[int, ...]
     edges: Tuple[Tuple[int, int], ...]
-    min_type_count: int
     cf_share_threshold: float
 
     def __post_init__(self):
-        plotted = set(self.plotted)
         for u, v in self.edges:
-            assert u < v and u in plotted and v in plotted
+            assert u < v and u in self.nodes and v in self.nodes
             assert ((u ^ v).bit_count()) == 1
+
+    @property
+    def plotted(self) -> Tuple[int, ...]:
+        return tuple(self.nodes)
 
 
 def build_landscape(
@@ -105,7 +109,7 @@ def build_landscape(
     min_type_count: int = DEFAULT_MIN_TYPE_COUNT,
     cf_share_threshold: float = DEFAULT_CF_SHARE_THRESHOLD,
 ) -> LandscapeGraph:
-    """Cumulative landscape of all records published up to up_to_year.
+    """Cumulative landscape of the records published up to up_to_year: its plotted types.
 
     Node counts are cumulative to the snapshot year, but the plotted filter
     uses implementation counts over the whole corpus, so the plotted node set
@@ -123,6 +127,7 @@ def build_landscape(
     cf_counts = np.bincount(funded_types, minlength=len(keys))
     first_years = np.full(len(keys), np.iinfo(np.int64).max)
     np.minimum.at(first_years, snapshot_types, years)
+    plotted_types = np.flatnonzero((totals > 0) & (corpus_counts >= min_type_count)).tolist()
     nodes = {
         keys[t]: TypeNode(
             key=keys[t],
@@ -130,17 +135,13 @@ def build_landscape(
             crowdfunded_count=int(cf_counts[t]),
             first_year=int(first_years[t]),
         )
-        for t in np.flatnonzero(totals).tolist()
+        for t in sorted(plotted_types, key=keys.__getitem__)
     }
-    plotted_types = np.flatnonzero((totals > 0) & (corpus_counts >= min_type_count))
-    plotted = tuple(sorted(keys[t] for t in plotted_types.tolist()))
     return LandscapeGraph(
         snapshot_year=up_to_year,
         dimension=dim,
         nodes=nodes,
-        plotted=plotted,
-        edges=flip_edges(plotted, dim),
-        min_type_count=min_type_count,
+        edges=flip_edges(tuple(nodes), dim),
         cf_share_threshold=cf_share_threshold,
     )
 
@@ -161,12 +162,14 @@ def flip_edges(keys: Sequence[int], dimension: int) -> Tuple[Tuple[int, int], ..
     return tuple(sorted(edges))
 
 
-def _main_component(graph: LandscapeGraph) -> Tuple[int, ...]:
+def _main_component(graph: LandscapeGraph) -> nx.Graph:
+    """Largest connected component of the plotted types (ties: smallest key), in key order."""
     g = nx.Graph()
     g.add_nodes_from(graph.plotted)
     g.add_edges_from(graph.edges)
     components = sorted(nx.connected_components(g), key=lambda c: (-len(c), min(c)))
-    return tuple(sorted(components[0]))
+    g.remove_nodes_from(set(g) - components[0])
+    return g
 
 
 def layout(
@@ -175,23 +178,23 @@ def layout(
 ) -> Dict[int, Tuple[float, float]]:
     """Positions for the plotted nodes of the graph's main connected component.
 
-    Kamada-Kawai from a seeded random start. Lay out the final snapshot once
-    and draw every earlier snapshot at those positions: its plotted nodes are
-    a subset of the final ones. Plotted nodes outside the main component get
-    no position and are left out of plots. A single-node component sits at
-    the origin.
+    Kamada-Kawai over hop distances from a seeded random start. Lay out the
+    final snapshot once and draw every earlier snapshot at those positions:
+    its plotted nodes are a subset of the final ones. Plotted nodes outside
+    the main component get no position and are left out of plots. A
+    single-node component sits at the origin.
     """
     if not graph.plotted:
         raise EmptyGraph("no plotted nodes")
-    main = _main_component(graph)
+    g = _main_component(graph)
+    main = list(g)
     if len(main) == 1:
         return {main[0]: (0.0, 0.0)}
-    g = nx.Graph()
-    g.add_nodes_from(main)
-    g.add_edges_from((u, v) for u, v in graph.edges if u in set(main) and v in set(main))
     rng = np.random.default_rng(seed)
     init = {k: rng.uniform(-1.0, 1.0, size=2) for k in main}
-    raw = nx.kamada_kawai_layout(g, pos=init)
+    hops = shortest_path(nx.to_scipy_sparse_array(g, nodelist=main), unweighted=True)
+    dist = {u: dict(zip(main, row.tolist())) for u, row in zip(main, hops)}
+    raw = nx.kamada_kawai_layout(g, dist=dist, pos=init)
     return {k: (float(p[0]), float(p[1])) for k, p in raw.items()}
 
 
@@ -208,28 +211,24 @@ class Centroid:
 def centroids(
     graph: LandscapeGraph,
     positions: Mapping[int, Tuple[float, float]],
-    records: RecordSet,
-    year: int,
 ) -> Tuple[Optional[Centroid], Optional[Centroid]]:
-    """(crowdfunded, traditional) centroids of positioned types at a year.
+    """(crowdfunded, traditional) centroids of the snapshot's positioned types.
 
     Weight is the group's cumulative game count at each positioned type. A
     group with no games on positioned types has no centroid.
     """
-    keys, types = _type_keys(records.matrix)
-    positioned = np.array([k in positions for k in keys], dtype=bool)
-    funded = records.columns["crowdfunded"]
+    positioned = [node for key, node in graph.nodes.items() if key in positions]
     out = []
-    for group, members in ((GROUP_CROWDFUNDED, funded), (GROUP_TRADITIONAL, ~funded)):
-        counts = np.bincount(types[members & (records.years <= year)], minlength=len(keys))
-        per_node = sorted((keys[t], int(counts[t])) for t in np.flatnonzero(counts * positioned).tolist())
+    for group, weight in ((GROUP_CROWDFUNDED, lambda n: n.crowdfunded_count),
+                          (GROUP_TRADITIONAL, lambda n: n.total_count - n.crowdfunded_count)):
+        per_node = [(node.key, weight(node)) for node in positioned if weight(node)]
         total = sum(w for _, w in per_node)
         if total == 0:
             out.append(None)
             continue
         x = sum(positions[k][0] * w for k, w in per_node) / total
         y = sum(positions[k][1] * w for k, w in per_node) / total
-        out.append(Centroid(group=group, point=(x, y), year=year))
+        out.append(Centroid(group=group, point=(x, y), year=graph.snapshot_year))
     return tuple(out)
 
 
@@ -297,16 +296,7 @@ def export_graph(graph: LandscapeGraph, positions, fmt: str, path, seed: Optiona
         if seed is not None:
             g.graph["layout_seed"] = int(seed)
         for row in rows:
-            g.add_node(
-                str(row["id"]),
-                vector_bits=row["vector_bits"],
-                count=row["count"],
-                cf_count=row["cf_count"],
-                cf_share=row["cf_share"],
-                first_year=row["first_year"],
-                x=row["x"],
-                y=row["y"],
-            )
+            g.add_node(str(row["id"]), **{k: v for k, v in row.items() if k != "id"})
         g.add_edges_from((str(u), str(v)) for u, v in edges)
         nx.write_graphml(g, path)
     else:
@@ -327,16 +317,15 @@ def render_svg(
     graph: LandscapeGraph,
     positions: Mapping[int, Tuple[float, float]],
     path,
-    classes: Optional[Mapping[int, str]] = None,
+    classes: Mapping[int, str],
     size: int = 720,
     base_radius: float = 3.0,
 ) -> None:
     """Plot the positioned subgraph: radius grows with sqrt(count), fill by
-    share class (crowdfunded red, formerly orange, baseline grey)."""
-    keys = tuple(k for k in graph.plotted if k in positions)
-    key_set = set(keys)
-    if classes is None:
-        classes = {k: graph.nodes[k].share_class(graph.cf_share_threshold) for k in keys}
+    share class (crowdfunded red, formerly orange, baseline grey); `classes`
+    is the snapshot's entry of classify_snapshots."""
+    rows, edges = _export_rows(graph, positions)
+    keys = [row["id"] for row in rows]
     pad = 0.08
     if keys:
         xs = [positions[k][0] for k in keys]
@@ -357,14 +346,13 @@ def render_svg(
         f'viewBox="0 0 {size} {size}">',
         f'  <title>type landscape, year {graph.snapshot_year}</title>',
     ]
-    for u, v in graph.edges:
-        if u in key_set and v in key_set:
-            ux, uy = to_px(positions[u])
-            vx, vy = to_px(positions[v])
-            lines.append(
-                f'  <line x1="{ux:.3f}" y1="{uy:.3f}" x2="{vx:.3f}" y2="{vy:.3f}" '
-                f'stroke="#cccccc" stroke-width="0.6"/>'
-            )
+    for u, v in edges:
+        ux, uy = to_px(positions[u])
+        vx, vy = to_px(positions[v])
+        lines.append(
+            f'  <line x1="{ux:.3f}" y1="{uy:.3f}" x2="{vx:.3f}" y2="{vy:.3f}" '
+            f'stroke="#cccccc" stroke-width="0.6"/>'
+        )
     for k in keys:
         x, y = to_px(positions[k])
         r = base_radius * np.sqrt(graph.nodes[k].total_count)

@@ -35,7 +35,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .corpus import RecordSet, _format_number, _parse_float, _parse_int
+from .corpus import RecordSet, _format_number, _parse_float, _parse_int, pack_rows
 from .errors import DimensionError, EmptyWindow, ParseError, SchemaError
 
 PAST = "past"
@@ -235,14 +235,6 @@ def _distance_sums(bits: np.ndarray, profile: FeatureProfile) -> np.ndarray:
     return int(counts.sum()) + bits @ (profile.n - 2 * counts)
 
 
-def _pack(matrix: np.ndarray) -> np.ndarray:
-    """Pack 0/1 rows (k, d) into (k, ceil(d/64)) uint64 words; padding bits are 0."""
-    k, d = matrix.shape
-    packed = np.zeros((k, -(-d // 64) * 8), dtype=np.uint8)
-    packed[:, : -(-d // 8)] = np.packbits(matrix, axis=1, bitorder="little")
-    return packed.view(np.uint64)
-
-
 def _min_distances(focal: np.ndarray, window: np.ndarray, dimension: int) -> np.ndarray:
     """Minimum Hamming distance from each packed focal row to the (non-empty) packed window.
 
@@ -287,7 +279,7 @@ def score_corpus(
     dimension = records.registry.dimension
     max_span = max(spans, default=0)
     year_profiles = {y: build_profile(records, y, y) for y in records.year_rows}
-    packed = _pack(records.matrix)
+    packed = pack_rows(records.matrix)
     # one (rows, span, distinctiveness, novelty_count, resonance) block per scored (year, span)
     blocks = []
     unscored = []

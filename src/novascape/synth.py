@@ -62,6 +62,8 @@ class SynthConfig:
             raise ConfigError("year_end must be >= year_start")
         if self.games_per_year < 1:
             raise ConfigError("games_per_year must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if not 0.0 <= self.base_mechanism_rate <= 1.0:
             raise ConfigError("base_mechanism_rate must be in [0, 1]")
         if not 0.0 <= self.recombination_rate <= 1.0:

@@ -221,11 +221,27 @@ class TestExitCodes:
         {"synth": {"dimensions": 51}},
         {"synth": {"dimension": "51"}},
         {"models": []},
-    ], ids=["span-text", "negative-filter", "unknown-synth-key", "synth-dimension-text", "models-list"])
+        {"spans": [2, 2]},
+        {"landscape": {"snapshot_years": [2015, 2011, 2015]}},
+        {"formats": ["json", "json"]},
+        {"seed": -1},
+        {"landscape": {"seed": -1}},
+        {"synth": {"seed": -1}},
+    ], ids=["span-text", "negative-filter", "unknown-synth-key", "synth-dimension-text", "models-list",
+            "repeated-span", "repeated-snapshot-year", "repeated-format", "negative-seed",
+            "negative-landscape-seed", "negative-synth-seed"])
     def test_malformed_config_value_is_exit_2(self, tmp_path, section):
         out = tmp_path / "o"
         cfg = write_config(tmp_path, {"out_dir": str(out), "synth": {}, **section})
         assert main(["synth", "--config", str(cfg)]) == EXIT_INPUT
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--spans", "2,2"], ["--seed", "-1"]],
+                             ids=["repeated-span", "negative-seed"])
+    def test_malformed_flag_is_exit_2(self, tmp_path, flags):
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path, pipeline_payload(out))
+        assert main(["report", "--config", str(cfg), *flags]) == EXIT_INPUT
         assert not out.exists()
 
     @pytest.mark.parametrize("section", [
@@ -399,6 +415,33 @@ class TestInMemoryReport:
         assert reads == [("load_registry", "synth_registry.txt"),
                          ("parse_records", "synth_corpus.csv")]
         assert [name for name, _ in calls].count("layout") == 1
+
+    def test_report_keys_the_corpus_once_per_snapshot(self, tmp_path, monkeypatch):
+        calls, graphs = [], []
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        def keeping(fn):
+            def wrapper(*args, **kwargs):
+                graphs.append(fn(*args, **kwargs))
+                return graphs[-1]
+            return wrapper
+
+        monkeypatch.setattr(landscape, "_type_keys", counting("_type_keys", landscape._type_keys))
+        monkeypatch.setattr(landscape.TypeNode, "__post_init__",
+                            counting("TypeNode", landscape.TypeNode.__post_init__))
+        monkeypatch.setattr(cli, "build_landscape", keeping(cli.build_landscape))
+        payload = pipeline_payload(tmp_path / "run")
+        payload["landscape"]["snapshot_years"] = [2008, 2009, 2011]
+        assert main(["report", "--config", str(write_config(tmp_path, payload))]) == EXIT_OK
+        assert len(graphs) == 3
+        assert calls.count("_type_keys") == 3
+        # only the plotted types of each snapshot become nodes
+        assert calls.count("TypeNode") == sum(len(g.plotted) for g in graphs)
 
     def test_library_path_builds_no_record_view(self, tmp_path, monkeypatch):
         built = []

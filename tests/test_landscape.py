@@ -205,7 +205,7 @@ class TestCentroids:
         rs = self.positioned_corpus()
         g = build_landscape(rs, 2011, min_type_count=1)
         positions = {pack_vector([1, 0]): (0.0, 0.0), pack_vector([0, 1]): (3.0, 0.0), pack_vector([1, 1]): (-1.0, 0.0)}
-        cf, trad = centroids(g, positions, rs, 2011)
+        cf, trad = centroids(g, positions)
         assert cf.point == pytest.approx((1.0, 0.0))  # (2*0 + 1*3)/3
         assert trad.point == pytest.approx((-1.0, 0.0))
         assert cf.group == GROUP_CROWDFUNDED
@@ -215,14 +215,14 @@ class TestCentroids:
         rs = self.positioned_corpus()
         g = build_landscape(rs, 2010, min_type_count=1)
         positions = {pack_vector([1, 0]): (0.0, 0.0), pack_vector([0, 1]): (3.0, 0.0), pack_vector([1, 1]): (-1.0, 0.0)}
-        cf, _ = centroids(g, positions, rs, 2010)
+        cf, _ = centroids(g, positions)
         assert cf.point == pytest.approx((0.0, 0.0))  # 2011 record not yet counted
 
     def test_absent_group(self):
         rs = make_recordset([("a", 2010, [1, 1])])  # traditional only
         g = build_landscape(rs, 2010, min_type_count=1)
         positions = {pack_vector([1, 1]): (0.5, 0.5)}
-        cf, trad = centroids(g, positions, rs, 2010)
+        cf, trad = centroids(g, positions)
         assert cf is None
         assert trad.point == (0.5, 0.5)
 
@@ -233,7 +233,7 @@ class TestCentroids:
         rs = make_recordset(rows)
         g = build_landscape(rs, 2010, min_type_count=1)
         pos = layout(g, seed=1)
-        cf, trad = centroids(g, pos, rs, 2010)
+        cf, trad = centroids(g, pos)
         pts = np.array(list(pos.values()))
         for c in (cf, trad):
             if c is None:
@@ -305,10 +305,11 @@ class TestPerRecordReference:
         for year in (2011, 2014):
             g = build_landscape(rs, year, min_type_count=3)
             nodes, plotted = reference_landscape(rs, year, 3)
-            assert {k: (n.total_count, n.crowdfunded_count, n.first_year) for k, n in g.nodes.items()} == nodes
+            assert {k: (n.total_count, n.crowdfunded_count, n.first_year)
+                    for k, n in g.nodes.items()} == {k: nodes[k] for k in plotted}
             assert g.plotted == plotted and len(plotted) > 1
             positions = {k: (float(i), float(i % 7) / 3) for i, k in enumerate(plotted) if i % 4}
-            got = [c and (c.group, c.point) for c in centroids(g, positions, rs, year)]
+            got = [c and (c.group, c.point) for c in centroids(g, positions)]
             assert got == reference_centroids(rs, positions, year)
 
 
@@ -423,7 +424,7 @@ class TestSvg:
         g = build_landscape(rs, 2012, min_type_count=1)
         pos = layout(g, seed=6)
         path = tmp_path / "land.svg"
-        render_svg(g, pos, path)
+        render_svg(g, pos, path, classify_snapshots([g])[2012])
         text = path.read_text(encoding="utf-8")
         assert text.count("<circle ") == len(pos)
         assert text.count("<line ") == len(g.edges)
@@ -434,7 +435,7 @@ class TestSvg:
         g = build_landscape(rs, 2010, min_type_count=1)
         pos = {pack_vector([1, 1]): (0.0, 0.0)}
         path = tmp_path / "one.svg"
-        render_svg(g, pos, path)
+        render_svg(g, pos, path, classify_snapshots([g])[2010])
         assert "#d62728" in path.read_text(encoding="utf-8")
 
     def test_deterministic(self, tmp_path):
@@ -442,6 +443,7 @@ class TestSvg:
         g = build_landscape(rs, 2011, min_type_count=1)
         pos = layout(g, seed=6)
         p1, p2 = tmp_path / "a.svg", tmp_path / "b.svg"
-        render_svg(g, pos, p1)
-        render_svg(g, pos, p2)
+        classes = classify_snapshots([g])[2011]
+        render_svg(g, pos, p1, classes)
+        render_svg(g, pos, p2, classes)
         assert p1.read_bytes() == p2.read_bytes()
