@@ -143,8 +143,8 @@ class PipelineConfig:
     synth: Optional[SynthConfig] = None
 
     def __post_init__(self):
-        for prefix, obj in (("", self), ("filters.", self.filters)):
-            for f in dataclasses.fields(obj):
+        for prefix, obj in (("", self), ("filters.", self.filters), ("synth.", self.synth)):
+            for f in dataclasses.fields(obj) if obj is not None else ():
                 value = getattr(obj, f.name)
                 kinds, text = _SCALAR_TYPES.get(f.type, (object, ""))
                 if isinstance(value, bool) and f.type is not bool or not isinstance(value, kinds):

@@ -5,8 +5,10 @@ analysis: Mann-Whitney U (midranks, tie-corrected normal approximation,
 exact enumeration for tiny samples), OLS and logistic/Poisson maximum
 likelihood with heteroskedasticity-robust sandwich covariance, average
 adjusted predictions with delta-method intervals, and a fixed-format text
-table for the three-model comparison. scipy supplies only decompositions
-and distribution functions.
+table for the three-model comparison. scipy supplies only the QR
+decomposition (scipy.linalg) and special functions (scipy.special): normal
+and Student t tails and quantiles come straight from the ndtr, ndtri, stdtr
+and stdtrit kernels, so none of scipy's distribution classes is loaded.
 """
 
 import itertools
@@ -17,8 +19,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import linalg as sla
-from scipy import stats as sstats
-from scipy.special import expit, gammaln
+from scipy.special import expit, gammaln, ndtr, ndtri, stdtr, stdtrit
 
 from .corpus import CONTROLS, RecordSet
 from .errors import (
@@ -156,26 +157,35 @@ class GroupTestResult:
         assert abs(self.auc - self.u_statistic / (self.n[0] * self.n[1])) < 1e-9
 
 
-def _u_statistic(pooled: np.ndarray, n1: int) -> float:
-    ranks = sstats.rankdata(pooled, method="average")  # midranks for ties
-    r1 = float(ranks[:n1].sum())
-    return r1 - n1 * (n1 + 1) / 2.0
+def _samples(x, y) -> Tuple[np.ndarray, np.ndarray]:
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if len(x) == 0 or len(y) == 0:
+        raise EmptySample("both samples must be non-empty")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise NumericError("non-finite sample values")
+    return x, y
 
 
-def _exact_two_sided_p(pooled: np.ndarray, n1: int, u_obs: float) -> float:
-    """Enumerate all group assignments of the pooled values."""
-    n = len(pooled)
+def _midranks(pooled: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Average ranks of the pooled values (ties share the mean of their
+    positions) and the size of each tie group, from one sort."""
+    _, inverse, counts = np.unique(pooled, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse], counts
+
+
+def _u_statistic(ranks: np.ndarray, n1: int) -> float:
+    return float(ranks[:n1].sum()) - n1 * (n1 + 1) / 2.0
+
+
+def _exact_two_sided_p(ranks: np.ndarray, n1: int, u_obs: float) -> float:
+    """Enumerate all group assignments of the pooled ranks."""
+    n = len(ranks)
     mu = n1 * (n - n1) / 2.0
     dev = abs(u_obs - mu)
-    hits = total = 0
-    for idx in itertools.combinations(range(n), n1):
-        mask = np.zeros(n, dtype=bool)
-        mask[list(idx)] = True
-        u = _u_statistic(np.concatenate([pooled[mask], pooled[~mask]]), n1)
-        total += 1
-        if abs(u - mu) >= dev - 1e-9:
-            hits += 1
-    return hits / total
+    splits = np.array(list(itertools.combinations(range(n), n1)))
+    u = ranks[splits].sum(axis=1) - n1 * (n1 + 1) / 2.0
+    return int(np.count_nonzero(np.abs(u - mu) >= dev - 1e-9)) / len(u)
 
 
 def mann_whitney_u(x, y, exact_limit: int = 12) -> GroupTestResult:
@@ -186,26 +196,20 @@ def mann_whitney_u(x, y, exact_limit: int = 12) -> GroupTestResult:
     (n1+n2 <= exact_limit) are tested by exhaustive enumeration; otherwise a
     tie-corrected normal approximation with 0.5 continuity correction.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if len(x) == 0 or len(y) == 0:
-        raise EmptySample("both samples must be non-empty")
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise NumericError("non-finite sample values")
+    x, y = _samples(x, y)
     n1, n2 = len(x), len(y)
     n = n1 + n2
-    pooled = np.concatenate([x, y])
-    u = _u_statistic(pooled, n1)
+    ranks, tie_counts = _midranks(np.concatenate([x, y]))
+    u = _u_statistic(ranks, n1)
     auc = u / (n1 * n2)
     means = (float(x.mean()), float(y.mean()))
 
-    _, tie_counts = np.unique(pooled, return_counts=True)
     if len(tie_counts) == 1:
         # every value identical in both samples
         return GroupTestResult(u, 1.0, 0.5, means, (n1, n2))
 
     if n <= exact_limit:
-        p = _exact_two_sided_p(pooled, n1, u)
+        p = _exact_two_sided_p(ranks, n1, u)
         return GroupTestResult(u, p, auc, means, (n1, n2), exact=True)
 
     mu = n1 * n2 / 2.0
@@ -214,17 +218,14 @@ def mann_whitney_u(x, y, exact_limit: int = 12) -> GroupTestResult:
     if sigma2 <= 0:
         return GroupTestResult(u, 1.0, auc, means, (n1, n2))
     z = max(abs(u - mu) - 0.5, 0.0) / math.sqrt(sigma2)
-    p = min(1.0, 2.0 * sstats.norm.sf(z))
+    p = min(1.0, 2.0 * ndtr(-z))
     return GroupTestResult(u, p, auc, means, (n1, n2))
 
 
 def auc_effect(x, y) -> float:
     """P(X > Y) + 0.5 P(X = Y) for random members of each sample."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if len(x) == 0 or len(y) == 0:
-        raise EmptySample("both samples must be non-empty")
-    return _u_statistic(np.concatenate([x, y]), len(x)) / (len(x) * len(y))
+    x, y = _samples(x, y)
+    return _u_statistic(_midranks(np.concatenate([x, y]))[0], len(x)) / (len(x) * len(y))
 
 
 def group_test_battery(
@@ -435,7 +436,7 @@ class FitResult:
     def p_values(self) -> Dict[str, float]:
         """Two-sided p per term: t on df_resid for OLS, normal for the GLMs; 1 where se is 0."""
         z = np.abs(list(self.z_or_t.values()))
-        tail = sstats.t.sf(z, self.df_resid) if self.family == FAMILY_OLS else sstats.norm.sf(z)
+        tail = stdtr(self.df_resid, -z) if self.family == FAMILY_OLS else ndtr(-z)
         return {name: 2.0 * float(t) if se > 0 else 1.0
                 for name, t, se in zip(self.columns, tail, self.robust_se.values())}
 
@@ -644,9 +645,7 @@ def marginal_means(
         raise UnknownTerm(f"{focal!r} is not a model column")
     X = np.asarray(X, dtype=float)
     j = fit.columns.index(focal)
-    crit = (
-        sstats.t.ppf(0.975, fit.df_resid) if fit.family == FAMILY_OLS else sstats.norm.ppf(0.975)
-    )
+    crit = stdtrit(fit.df_resid, 0.975) if fit.family == FAMILY_OLS else ndtri(0.975)
     out = []
     for level in levels:
         Xa = X.copy()

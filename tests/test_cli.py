@@ -259,10 +259,15 @@ class TestExitCodes:
         {"landscape": {"snapshot_years": "2009"}},
         {"filters": {"year_max": "2015"}},
         {"filters": {"require_designer": "no"}},
+        {"synth": {"seed": 1.5}},
+        {"synth": {"seed": True}},
+        {"synth": {"games_per_year": 50.5}},
+        {"synth": {"dimension": True}},
     ], ids=["min-type-count-text", "cf-share-text", "seed-text", "seed-bool", "last-year-text",
             "stats-span-text", "out-dir-number", "corpus-path-number", "registry-path-list",
             "formats-string", "spans-string", "snapshot-years-string", "year-max-text",
-            "require-designer-text"])
+            "require-designer-text", "synth-seed-float", "synth-seed-bool",
+            "synth-games-per-year-float", "synth-dimension-bool"])
     def test_wrongly_typed_config_value_is_exit_2(self, tmp_path, caplog, section):
         out = tmp_path / "o"
         synth = pipeline_payload(out)["synth"]
@@ -507,3 +512,27 @@ class TestConsoleEntry:
         assert proc.returncode == EXIT_OK, proc.stderr
         assert (out / "synth_corpus.csv").exists()
         assert "seed" in proc.stderr
+
+    def test_pipeline_never_imports_scipy_stats(self, tmp_path):
+        """A fresh interpreter runs a Monte-Carlo seed and a whole report
+        without loading scipy.stats; this process cannot tell, because the
+        test oracles import it."""
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path, {
+            "out_dir": str(out),
+            "landscape": {"min_type_count": 2},
+            "synth": {"dimension": 16, "games_per_year": 50, "novelty_boost": 2.0},
+        })
+        child = (
+            "import sys\n"
+            "from novascape.cli import main, recovery_seed\n"
+            "recovery_seed(0, 2.0)\n"
+            f"assert main(['report', '--config', {str(cfg)!r}]) == 0\n"
+            "assert 'scipy.optimize' in sys.modules  # the layout ran\n"
+            "assert 'scipy.stats' not in sys.modules, 'scipy.stats was imported'\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert (out / "models.csv").exists()

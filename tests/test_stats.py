@@ -1,6 +1,7 @@
 """Statistics checked against independent oracles: exhaustive rank
-permutations, Fraction-exact normal equations, likelihood grid searches, and
-finite-difference gradients."""
+permutations, Fraction-exact normal equations, likelihood grid searches,
+finite-difference gradients, and scipy.stats for the distribution tails and
+midranks the package computes without it."""
 
 import itertools
 import math
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats as sstats
 
 from novascape import stats
 from novascape.errors import (
@@ -77,6 +79,11 @@ class TestMannWhitney:
             mann_whitney_u([], [1, 2])
         with pytest.raises(EmptySample):
             auc_effect([1], [])
+
+    def test_non_finite_sample_raises(self):
+        for fn in (mann_whitney_u, auc_effect):
+            with pytest.raises(NumericError):
+                fn([1.0, float("nan")], [2.0])
 
     def test_group_means_and_n(self):
         res = mann_whitney_u([1, 3], [2, 4, 6])
@@ -147,6 +154,85 @@ class TestMannWhitney:
                 hits += 1
         assert res.u_statistic == pytest.approx(u_obs, abs=1e-9)
         assert res.p_value == pytest.approx(hits / total, abs=1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-3, 3), min_size=1, max_size=40))
+    def test_midranks_match_scipy_rankdata(self, values):
+        pooled = np.array(values, dtype=float)
+        ranks, counts = stats._midranks(pooled)
+        assert np.array_equal(ranks, sstats.rankdata(pooled, method="average"))
+        assert np.array_equal(counts, np.unique(pooled, return_counts=True)[1])
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.lists(st.integers(0, 6), min_size=1, max_size=30),
+        st.lists(st.integers(0, 6), min_size=1, max_size=30),
+    )
+    def test_normal_approximation_p_matches_scipy_stats(self, x, y):
+        res = mann_whitney_u(x, y, exact_limit=0)
+        pooled = np.array(x + y, dtype=float)
+        n1, n2, n = len(x), len(y), len(pooled)
+        counts = np.unique(pooled, return_counts=True)[1]
+        if len(counts) == 1:
+            assert res.p_value == 1.0
+            return
+        u = float(sstats.rankdata(pooled)[:n1].sum()) - n1 * (n1 + 1) / 2.0
+        sigma2 = (n1 * n2 / 12.0) * ((n + 1) - float((counts**3 - counts).sum()) / (n * (n - 1)))
+        z = max(abs(u - n1 * n2 / 2.0) - 0.5, 0.0) / math.sqrt(sigma2)
+        assert res.u_statistic == u
+        assert res.p_value == min(1.0, 2.0 * sstats.norm.sf(z))
+        reference = sstats.mannwhitneyu(x, y, method="asymptotic").pvalue
+        assert res.p_value == pytest.approx(reference, rel=1e-9, abs=1e-300)
+
+
+# the grid the special-function kernels are pinned on, against scipy.stats
+ORACLE_DF = (1, 2, 7, 30, 383, 4500, 1_000_000)
+ORACLE_Z = np.concatenate([
+    [0.0, 1e-300, 40.0, 1e3, np.inf],
+    np.random.default_rng(0).standard_normal(2000) * np.logspace(-3, 1.5, 2000),
+])
+
+
+def fixed_fit(family: str, beta, df_resid: int, cov=None) -> FitResult:
+    beta = np.asarray(beta, dtype=float)
+    return FitResult(
+        family=family,
+        columns=tuple(f"x{j}" for j in range(len(beta))),
+        beta=beta,
+        cov=np.eye(len(beta)) if cov is None else np.asarray(cov, dtype=float),
+        r_squared=0.0,
+        n_obs=df_resid + len(beta),
+        log_likelihood=0.0,
+        robust="hc1",
+        df_resid=df_resid,
+    )
+
+
+class TestDistributionKernels:
+    """p-values and critical values equal scipy.stats's bit for bit."""
+
+    @pytest.mark.parametrize("df", ORACLE_DF)
+    def test_ols_p_values_are_student_t_tails(self, df):
+        fit = fixed_fit(stats.FAMILY_OLS, ORACLE_Z, df)  # unit se, so z = beta
+        expected = 2.0 * sstats.t.sf(np.abs(ORACLE_Z), df)
+        assert list(fit.p_values.values()) == expected.tolist()
+
+    @pytest.mark.parametrize("family", [stats.FAMILY_LOGISTIC, stats.FAMILY_POISSON])
+    def test_glm_p_values_are_normal_tails(self, family):
+        fit = fixed_fit(family, ORACLE_Z, 50)
+        expected = 2.0 * sstats.norm.sf(np.abs(ORACLE_Z))
+        assert list(fit.p_values.values()) == expected.tolist()
+
+    @pytest.mark.parametrize("family, df", [(stats.FAMILY_OLS, df) for df in ORACLE_DF]
+                             + [(stats.FAMILY_LOGISTIC, 50), (stats.FAMILY_POISSON, 50)])
+    def test_marginal_mean_interval_uses_the_975_quantile(self, family, df):
+        X = np.column_stack([np.ones(6), [0, 1, 0, 1, 1, 0], np.linspace(-1, 1, 6)])
+        fit = fixed_fit(family, [0.3, 0.5, -0.2], df,
+                        cov=[[0.04, 0.01, 0.0], [0.01, 0.09, 0.002], [0.0, 0.002, 0.01]])
+        crit = sstats.t.ppf(0.975, df) if family == stats.FAMILY_OLS else sstats.norm.ppf(0.975)
+        for mm in marginal_means(fit, X, "x1"):
+            assert mm.se > 0
+            assert (mm.ci_low, mm.ci_high) == (mm.estimate - crit * mm.se, mm.estimate + crit * mm.se)
 
 
 class TestBattery:
