@@ -6,9 +6,10 @@ typical flow over a synthetic corpus:
     novascape synth  --config run.json --out runs/demo
     novascape report --config run.json --out runs/demo
 
-`report` parses its input once and hands records and scores from stage to
-stage in memory; the standalone subcommands read what the previous one left
-in the output directory. Both routes write the same bytes.
+`report` parses its input at most once (a corpus it synthesises goes to
+ingest in memory) and hands records and scores from stage to stage in
+memory; the standalone subcommands read what the previous one left in the
+output directory. Both routes write the same bytes.
 
 All randomness flows from seeds in the config (logged at run time). Outputs
 are written atomically (temp file + rename) and contain no timestamps, so a
@@ -289,18 +290,19 @@ def _last_complete_year(cfg: PipelineConfig, records: RecordSet) -> int:
     return inferred
 
 
-def cmd_ingest(cfg: PipelineConfig) -> RecordSet:
-    """Parse and filter the input corpus, write the caches, return the kept records."""
-    if not cfg.corpus_path:
-        raise ConfigError("ingest needs corpus_path (config key or --corpus)")
-    registry = load_registry(cfg.registry_path) if cfg.registry_path else canonical_registry()
-    records = parse_records(cfg.corpus_path, registry)
+def cmd_ingest(cfg: PipelineConfig, records: Optional[RecordSet] = None) -> RecordSet:
+    """Filter `records` (default: the parsed corpus_path), write the caches, return the kept records."""
+    if records is None:
+        if not cfg.corpus_path:
+            raise ConfigError("ingest needs corpus_path (config key or --corpus)")
+        registry = load_registry(cfg.registry_path) if cfg.registry_path else canonical_registry()
+        records = parse_records(cfg.corpus_path, registry)
     kept, report = apply_filters(records, cfg.filters)
     out = Path(cfg.out_dir)
     with atomic_write(out / CORPUS_CACHE) as tmp:
         write_records_csv(kept, tmp)
     with atomic_write(out / REGISTRY_CACHE) as tmp:
-        write_registry(registry, tmp)
+        write_registry(records.registry, tmp)
     with atomic_write(out / "filter_report.json") as tmp:
         tmp.write_text(report.to_json() + "\n", encoding="utf-8")
     log.info("ingested %d records, kept %d after filters", len(records), len(kept))
@@ -315,10 +317,8 @@ def cmd_score(cfg: PipelineConfig, records: Optional[RecordSet] = None) -> Score
     with atomic_write(Path(cfg.out_dir) / SCORES_FILE) as tmp:
         table.write_csv(tmp)
     if len(table) == 0:
-        log.warning(
-            "no record has a non-empty comparison window for spans %s; scores.csv is empty",
-            cfg.spans,
-        )
+        log.warning("no record has a non-empty comparison window for spans %s; scores.csv is empty",
+                    cfg.spans)
     elif table.unscored:
         log.info("%d (record, span) pairs had empty windows and were not scored", len(table.unscored))
     log.info("wrote %d score rows for spans %s", len(table), cfg.spans)
@@ -333,11 +333,10 @@ def cmd_landscape(cfg: PipelineConfig, records: Optional[RecordSet] = None) -> i
                         cf_share_threshold=cfg.cf_share_threshold)
         for y in years
     ]
-    final = graphs[-1]
     log.info("landscape layout seed: %d", cfg.seed)
     # one layout of the final snapshot; exports, SVGs and centroids keep only
     # the positions of each snapshot's plotted nodes
-    positions = layout(final, seed=cfg.seed)
+    positions = layout(graphs[-1], seed=cfg.seed)
     classes = classify_snapshots(graphs)
     out = Path(cfg.out_dir)
 
@@ -350,24 +349,16 @@ def cmd_landscape(cfg: PipelineConfig, records: Optional[RecordSet] = None) -> i
                     render_svg(g, positions, tmp, classes=classes[g.snapshot_year])
                 else:
                     export_graph(g, positions, fmt, tmp, seed=cfg.seed)
-        for cen in centroids(g, positions):
-            if cen is not None:
-                rows.append(
-                    {
-                        "year": cen.year,
-                        "group": cen.group,
-                        "x": f"{cen.point[0]:.6f}",
-                        "y": f"{cen.point[1]:.6f}",
-                    }
-                )
-    with atomic_write(out / "centroids.csv") as tmp:
-        _write_dict_csv(tmp, rows, ["year", "group", "x", "y"])
+        rows += [{"year": c.year, "group": c.group, "x": f"{c.point[0]:.6f}", "y": f"{c.point[1]:.6f}"}
+                 for c in centroids(g, positions) if c is not None]
+    _write_table(out / "centroids.csv", rows, ["year", "group", "x", "y"])
     log.info("wrote %d snapshots (%s) and %d centroid rows", len(graphs), years, len(rows))
     return EXIT_OK
 
 
-def _write_dict_csv(path, rows: List[dict], columns: Sequence[str]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+def _write_table(path: Path, rows: List[dict], columns: Sequence[str]) -> None:
+    """Write the rows as a CSV table with the given columns, atomically."""
+    with atomic_write(path) as tmp, open(tmp, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(columns), lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
@@ -411,8 +402,7 @@ def cmd_stats(
     out = Path(cfg.out_dir)
 
     desc = describe(data)
-    with atomic_write(out / "descriptives.csv") as tmp:
-        _write_dict_csv(tmp, desc, list(desc[0].keys()))
+    _write_table(out / "descriptives.csv", desc, list(desc[0]))
 
     battery = group_test_battery(data)
     test_rows = [
@@ -429,64 +419,34 @@ def cmd_stats(
         }
         for label, res in battery
     ]
-    with atomic_write(out / "group_tests.csv") as tmp:
-        _write_dict_csv(tmp, test_rows, list(test_rows[0].keys()))
+    _write_table(out / "group_tests.csv", test_rows, list(test_rows[0]))
 
     # a failed model is reported and left out; the others are still written
-    fits = []
-    designs = {}
-    failures = 0
+    fits, designs = [], {}
     for name, spec in cfg.models:
         try:
-            design = build_design(data, spec)
-            fit = fit_model(design)
+            designs[name] = build_design(data, spec)
+            fits.append((name, fit_model(designs[name])))
         except NovascapeError as exc:
-            failures += 1
             fits.append((name, None))
             log.error("model %s failed: %s", name, exc)
-            continue
-        designs[name] = design
-        fits.append((name, fit))
+    fitted = [(name, fit) for name, fit in fits if fit is not None]
+    failures = len(fits) - len(fitted)
 
-    model_rows = []
-    for name, fit in fits:
-        if fit is None:
-            continue
-        for row in fit_rows(fit):
-            model_rows.append(
-                {
-                    "model": name,
-                    "term": row["term"],
-                    "coef": f"{row['coef']:.6g}",
-                    "se": f"{row['se']:.6g}",
-                    "z": f"{row['z']:.6g}",
-                    "p": f"{row['p']:.6g}",
-                }
-            )
-    with atomic_write(out / "models.csv") as tmp:
-        _write_dict_csv(tmp, model_rows, ["model", "term", "coef", "se", "z", "p"])
-
+    fit_columns = ("coef", "se", "z", "p")
+    model_rows = [{"model": name, "term": row["term"], **{k: f"{row[k]:.6g}" for k in fit_columns}}
+                  for name, fit in fitted for row in fit_rows(fit)]
+    _write_table(out / "models.csv", model_rows, ["model", "term", *fit_columns])
     with atomic_write(out / "models.txt") as tmp:
         tmp.write_text(format_model_table(fits, reference=REFERENCE_CROWDFUNDED), encoding="utf-8")
 
-    mm_rows = []
-    for name, fit in fits:
-        if fit is None or "crowdfunded" not in fit.columns:
-            continue
-        design = designs[name]
-        for mm in marginal_means(fit, design.X, "crowdfunded", (0.0, 1.0)):
-            mm_rows.append(
-                {
-                    "model": name,
-                    "crowdfunded": int(mm.level),
-                    "estimate": f"{mm.estimate:.6f}",
-                    "se": f"{mm.se:.6f}",
-                    "ci_low": f"{mm.ci_low:.6f}",
-                    "ci_high": f"{mm.ci_high:.6f}",
-                }
-            )
-    with atomic_write(out / "marginal_means.csv") as tmp:
-        _write_dict_csv(tmp, mm_rows, ["model", "crowdfunded", "estimate", "se", "ci_low", "ci_high"])
+    mm_columns = ("estimate", "se", "ci_low", "ci_high")
+    mm_rows = [
+        {"model": name, "crowdfunded": int(mm.level), **{k: f"{getattr(mm, k):.6f}" for k in mm_columns}}
+        for name, fit in fitted if "crowdfunded" in fit.columns
+        for mm in marginal_means(fit, designs[name].X, "crowdfunded", (0.0, 1.0))
+    ]
+    _write_table(out / "marginal_means.csv", mm_rows, ["model", "crowdfunded", *mm_columns])
 
     if failures:
         log.error("%d of %d models failed; remaining tables were still written",
@@ -497,7 +457,8 @@ def cmd_stats(
     return EXIT_OK
 
 
-def cmd_synth(cfg: PipelineConfig) -> int:
+def cmd_synth(cfg: PipelineConfig) -> RecordSet:
+    """Generate the synthetic corpus, write it and its registry, return it."""
     if cfg.synth is None:
         raise ConfigError("config lacks a synth section")
     log.info("synthesis seed: %d", cfg.synth.seed)
@@ -509,7 +470,7 @@ def cmd_synth(cfg: PipelineConfig) -> int:
         write_registry(corpus.registry, tmp)
     log.info("wrote %d synthetic records over %d-%d",
              len(corpus), cfg.synth.year_start, cfg.synth.year_end)
-    return EXIT_OK
+    return corpus
 
 
 def cmd_report(cfg: PipelineConfig) -> int:
@@ -518,14 +479,14 @@ def cmd_report(cfg: PipelineConfig) -> int:
     Each stage still writes its files, so the output directory matches a
     stepwise run of the subcommands byte for byte.
     """
+    corpus = None
     if cfg.synth is not None and cfg.corpus_path is None:
-        cmd_synth(cfg)
-        cfg = replace(
-            cfg,
-            corpus_path=str(Path(cfg.out_dir) / "synth_corpus.csv"),
-            registry_path=str(Path(cfg.out_dir) / "synth_registry.txt"),
-        )
-    records = cmd_ingest(cfg)
+        # ingest takes the corpus in memory: parsing the files just written
+        # gives the same columns, and the written config names those files
+        corpus = cmd_synth(cfg)
+        cfg = replace(cfg, corpus_path=str(Path(cfg.out_dir) / "synth_corpus.csv"),
+                      registry_path=str(Path(cfg.out_dir) / "synth_registry.txt"))
+    records = cmd_ingest(cfg, corpus)
     table = cmd_score(cfg, records)
     code = cmd_landscape(cfg, records)
     code = cmd_stats(cfg, records, table) or code
@@ -600,7 +561,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         cfg = resolve_config(args)
         result = COMMANDS[args.command](cfg)
-        # ingest and score return their records or scores for report to chain
+        # synth, ingest and score return their records or scores for report to chain
         return result if isinstance(result, int) else EXIT_OK
     except (ParseError, RegistryError, ConfigError, FileNotFoundError) as exc:
         log.error("%s", exc)

@@ -7,6 +7,7 @@ an analysis set with explicit, reported rules.
 """
 
 import csv
+import itertools
 import json
 from dataclasses import dataclass, make_dataclass
 from functools import cached_property
@@ -417,7 +418,8 @@ def _trivial_expansions(records: RecordSet) -> np.ndarray:
 
 def write_records_csv(records: RecordSet, path) -> None:
     """Write records in the canonical corpus CSV schema (byte deterministic)."""
-    mechanisms = [MECHANISM_SEPARATOR.join(records.registry.decode(bits)) for bits in records.matrix]
+    names = records.registry.names
+    mechanisms = [MECHANISM_SEPARATOR.join(itertools.compress(names, row)) for row in records.matrix.tolist()]
     cells = [map(_KINDS[kind][2], records.columns[name].tolist()) for name, kind in CONTROLS]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")

@@ -11,10 +11,12 @@ from it (exports, SVG, share classes, centroids) reads those nodes.
 Type keys come from the corpus' packed uint64 words (corpus.pack_rows), so
 bit j of a key is feature j; each snapshot keys the corpus once. Edges come
 from single-bit-flip hash lookups (O(nodes * dimension)), never from
-all-pairs comparison. Layout is Kamada-Kawai, over breadth-first hop
-distances, on the final snapshot's main component with a seeded random
-start; earlier snapshots reuse those fixed positions so types do not move
-between frames.
+all-pairs comparison. Layout is Kamada-Kawai (Kamada & Kawai 1989), over
+breadth-first hop distances, on the final snapshot's main component with a
+seeded random start; earlier snapshots reuse those fixed positions so types
+do not move between frames. Its energy is NetworkX 3.6's _kamada_kawai_costfn,
+minimised and rescaled as NetworkX's kamada_kawai_layout does, bit for bit;
+scipy's sparse graphs and optimizer load only when `layout` runs.
 """
 
 import csv
@@ -22,9 +24,7 @@ import json
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
-from scipy.sparse.csgraph import shortest_path
 
 from .corpus import RecordSet, pack_rows
 from .errors import EmptyGraph
@@ -162,21 +162,12 @@ def flip_edges(keys: Sequence[int], dimension: int) -> Tuple[Tuple[int, int], ..
     return tuple(sorted(edges))
 
 
-def _main_component(graph: LandscapeGraph) -> nx.Graph:
-    """Largest connected component of the plotted types (ties: smallest key), in key order."""
-    g = nx.Graph()
-    g.add_nodes_from(graph.plotted)
-    g.add_edges_from(graph.edges)
-    components = sorted(nx.connected_components(g), key=lambda c: (-len(c), min(c)))
-    g.remove_nodes_from(set(g) - components[0])
-    return g
-
-
 def layout(
     graph: LandscapeGraph,
     seed: int = DEFAULT_LAYOUT_SEED,
 ) -> Dict[int, Tuple[float, float]]:
-    """Positions for the plotted nodes of the graph's main connected component.
+    """Positions for the plotted nodes of the graph's main connected component
+    (the largest; of equal ones, the one with the smallest key).
 
     Kamada-Kawai over hop distances from a seeded random start. Lay out the
     final snapshot once and draw every earlier snapshot at those positions:
@@ -184,18 +175,50 @@ def layout(
     the main component get no position and are left out of plots. A
     single-node component sits at the origin.
     """
-    if not graph.plotted:
+    plotted = graph.plotted
+    if not plotted:
         raise EmptyGraph("no plotted nodes")
-    g = _main_component(graph)
-    main = list(g)
-    if len(main) == 1:
-        return {main[0]: (0.0, 0.0)}
-    rng = np.random.default_rng(seed)
-    init = {k: rng.uniform(-1.0, 1.0, size=2) for k in main}
-    hops = shortest_path(nx.to_scipy_sparse_array(g, nodelist=main), unweighted=True)
-    dist = {u: dict(zip(main, row.tolist())) for u, row in zip(main, hops)}
-    raw = nx.kamada_kawai_layout(g, dist=dist, pos=init)
-    return {k: (float(p[0]), float(p[1])) for k, p in raw.items()}
+    from scipy.optimize import minimize
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import connected_components, shortest_path
+
+    n = len(plotted)
+    index = {k: i for i, k in enumerate(plotted)}
+    u, v = np.array([index[k] for edge in graph.edges for k in edge], dtype=np.intp).reshape(-1, 2).T
+    adjacency = csr_array((np.ones(len(u)), (u, v)), shape=(n, n))
+    # labels are numbered in order of each component's lowest index, so its smallest key
+    labels = connected_components(adjacency, directed=False)[1]
+    main = np.flatnonzero(labels == np.bincount(labels).argmax())
+    keys = [plotted[i] for i in main.tolist()]
+    if len(keys) == 1:
+        return {keys[0]: (0.0, 0.0)}
+    start = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(len(keys), 2))
+    hops = shortest_path(adjacency, directed=False, unweighted=True, indices=main)[:, main]
+    eye = np.eye(len(keys)) * 1e-3
+    pos = minimize(_kamada_kawai_energy, start.ravel(), args=(1 / (hops + eye), eye),
+                   method="L-BFGS-B", jac=True).x.reshape(-1, 2)
+    pos -= pos.mean(axis=0)
+    pos *= 1 / np.abs(pos).max()
+    # NetworkX's added zero centre turns any -0.0 into 0.0
+    return dict(zip(keys, map(tuple, (pos + np.zeros(2)).tolist())))
+
+
+def _kamada_kawai_energy(pos_vec: np.ndarray, invdist: np.ndarray, eye: np.ndarray):
+    """NetworkX 3.6's _kamada_kawai_costfn in two dimensions with mean weight 1e-3:
+    the energy and its gradient; `eye` is the identity times 1e-3."""
+    n = invdist.shape[0]
+    pos = pos_vec.reshape((n, 2))
+    delta = pos[:, np.newaxis, :] - pos[np.newaxis, :, :]
+    nodesep = np.linalg.norm(delta, axis=-1)
+    direction = np.einsum("ijk,ij->ijk", delta, 1 / (nodesep + eye))
+    offset = nodesep * invdist - 1.0
+    offset[np.diag_indices(n)] = 0
+    grad = np.einsum("ij,ij,ijk->ik", invdist, offset, direction) - np.einsum(
+        "ij,ij,ijk->jk", invdist, offset, direction)
+    # a parabolic term holding the mean position near the origin
+    sumpos = np.sum(pos, axis=0)
+    cost = 0.5 * np.sum(offset**2) + 0.5 * 1e-3 * np.sum(sumpos**2)
+    return cost, (grad + 1e-3 * sumpos).ravel()
 
 
 @dataclass(frozen=True)
@@ -241,36 +264,26 @@ def classify_snapshots(
     above its snapshot's cf_share_threshold, "formerly_crowdfunded" once it was above in an
     earlier snapshot but is not now, and "baseline" otherwise.
     """
-    ordered = sorted(graphs, key=lambda g: g.snapshot_year)
     out: Dict[int, Dict[int, str]] = {}
     ever_hot: set = set()
-    for graph in ordered:
-        classes = {}
-        for key in graph.plotted:
-            node = graph.nodes[key]
-            if node.cf_share >= graph.cf_share_threshold:
-                classes[key] = CLASS_CROWDFUNDED
-            elif key in ever_hot:
-                classes[key] = CLASS_FORMER
-            else:
-                classes[key] = CLASS_BASELINE
+    for graph in sorted(graphs, key=lambda g: g.snapshot_year):
+        classes = {
+            key: CLASS_CROWDFUNDED if node.cf_share >= graph.cf_share_threshold
+            else CLASS_FORMER if key in ever_hot else CLASS_BASELINE
+            for key, node in graph.nodes.items()
+        }
         out[graph.snapshot_year] = classes
         ever_hot.update(k for k, c in classes.items() if c == CLASS_CROWDFUNDED)
     return out
 
 
 def _export_rows(graph: LandscapeGraph, positions: Mapping[int, Tuple[float, float]]):
-    keys = tuple(k for k in graph.plotted if k in positions)
-    key_set = set(keys)
-    edges = tuple((u, v) for u, v in graph.edges if u in key_set and v in key_set)
-    rows = []
-    for k in keys:
-        node = graph.nodes[k]
-        x, y = positions[k]
-        values = (k, vector_bits(k, graph.dimension), node.total_count, node.crowdfunded_count,
-                  node.cf_share, node.first_year, float(x), float(y))
-        rows.append(dict(zip(EXPORT_COLUMNS, values)))
-    return rows, edges
+    """(EXPORT_COLUMNS row per positioned node, edges between positioned nodes), in key order."""
+    rows = [dict(zip(EXPORT_COLUMNS, (k, vector_bits(k, graph.dimension), node.total_count,
+                                      node.crowdfunded_count, node.cf_share, node.first_year,
+                                      float(positions[k][0]), float(positions[k][1]))))
+            for k, node in graph.nodes.items() if k in positions]
+    return rows, tuple((u, v) for u, v in graph.edges if u in positions and v in positions)
 
 
 def export_graph(graph: LandscapeGraph, positions, fmt: str, path, seed: Optional[int] = None) -> None:
@@ -284,33 +297,56 @@ def export_graph(graph: LandscapeGraph, positions, fmt: str, path, seed: Optiona
     if fmt not in EXPORT_FORMATS or fmt == "svg":
         raise ValueError(f"export_graph cannot write format {fmt!r}")
     rows, edges = _export_rows(graph, positions)
-    if fmt == "csv":
-        with open(path, "w", newline="", encoding="utf-8") as fh:
+    meta = {"year": graph.snapshot_year, "dimension": graph.dimension}
+    seeded = {} if seed is None else {"layout_seed": int(seed)}
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        if fmt == "csv":
             writer = csv.DictWriter(fh, fieldnames=EXPORT_COLUMNS, lineterminator="\n")
             writer.writeheader()
             writer.writerows(rows)
-    elif fmt == "graphml":
-        g = nx.Graph()
-        g.graph["year"] = graph.snapshot_year
-        g.graph["dimension"] = graph.dimension
-        if seed is not None:
-            g.graph["layout_seed"] = int(seed)
-        for row in rows:
-            g.add_node(str(row["id"]), **{k: v for k, v in row.items() if k != "id"})
-        g.add_edges_from((str(u), str(v)) for u, v in edges)
-        nx.write_graphml(g, path)
-    else:
-        payload = {
-            "year": graph.snapshot_year,
-            "dimension": graph.dimension,
-            "nodes": rows,
-            "edges": [[u, v] for u, v in edges],
-        }
-        if seed is not None:
-            payload["layout_seed"] = int(seed)
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
+        elif fmt == "graphml":
+            fh.write(_graphml_text({**meta, **seeded}, rows, edges))
+        else:
+            json.dump({**meta, "nodes": rows, "edges": [list(e) for e in edges], **seeded}, fh, indent=2)
             fh.write("\n")
+
+
+_GRAPHML_TYPES = {int: "long", float: "double", str: "string"}
+_XML_SPECIAL = frozenset("<>&\"'")
+
+
+def _graphml_text(meta: dict, rows, edges) -> str:
+    """GraphML of one graph, laid out as NetworkX's write_graphml writes it.
+
+    Keys are numbered in order of first use, graph data first, and listed
+    newest first; the graph's data follows its edges. Every id and value is
+    a number or a bit string, so no text needs XML escaping.
+    """
+    keys: Dict[tuple, str] = {}
+
+    def data(scope, name, value, indent):
+        text = str(value)
+        assert _XML_SPECIAL.isdisjoint(text), text
+        key = keys.setdefault((name, _GRAPHML_TYPES[type(value)], scope), f"d{len(keys)}")
+        return f'{indent}<data key="{key}">{text}</data>'
+
+    graph_data = [data("graph", name, value, "    ") for name, value in meta.items()]
+    body = []
+    for row in rows:
+        body.append(f'    <node id="{row["id"]}">')
+        body.extend(data("node", name, value, "      ") for name, value in row.items() if name != "id")
+        body.append("    </node>")
+    body.extend(f'    <edge source="{u}" target="{v}" />' for u, v in edges)
+    key_lines = [f'  <key id="{key}" for="{scope}" attr.name="{name}" attr.type="{kind}" />'
+                 for (name, kind, scope), key in reversed(keys.items())]
+    return "\n".join([
+        "<?xml version='1.0' encoding='utf-8'?>",
+        '<graphml xmlns="http://graphml.graphdrawing.org/xmlns" '
+        'xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance" xsi:schemaLocation='
+        '"http://graphml.graphdrawing.org/xmlns http://graphml.graphdrawing.org/xmlns/1.0/graphml.xsd">',
+        *key_lines, '  <graph edgedefault="undirected">', *body, *graph_data,
+        "  </graph>", "</graphml>", "",
+    ])
 
 
 def render_svg(

@@ -413,9 +413,18 @@ class TestInMemoryReport:
 
         for name in ("parse_records", "load_registry", "read_scores_csv", "layout"):
             monkeypatch.setattr(cli, name, recording(name, getattr(cli, name)))
-        out = tmp_path / "run"
-        cfg = write_config(tmp_path, pipeline_payload(out))
+        synth_out = tmp_path / "synth"
+        cfg = write_config(tmp_path, pipeline_payload(synth_out))
         assert main(["report", "--config", str(cfg)]) == EXIT_OK
+        # the synthetic corpus is handed to ingest, not parsed back
+        assert [name for name, _ in calls] == ["layout"]
+
+        calls.clear()
+        payload = pipeline_payload(tmp_path / "csv")
+        del payload["synth"]
+        payload["corpus_path"] = str(synth_out / "synth_corpus.csv")
+        payload["registry_path"] = str(synth_out / "synth_registry.txt")
+        assert main(["report", "--config", str(write_config(tmp_path, payload, "csv.json"))]) == EXIT_OK
         reads = [(name, Path(arg).name) for name, arg in calls if name != "layout"]
         assert reads == [("load_registry", "synth_registry.txt"),
                          ("parse_records", "synth_corpus.csv")]
@@ -515,8 +524,9 @@ class TestConsoleEntry:
 
     def test_pipeline_never_imports_scipy_stats(self, tmp_path):
         """A fresh interpreter runs a Monte-Carlo seed and a whole report
-        without loading scipy.stats; this process cannot tell, because the
-        test oracles import it."""
+        without loading scipy.stats or networkx, and the seed alone loads
+        none of the layout's scipy modules; this process cannot tell,
+        because the test oracles import them."""
         out = tmp_path / "run"
         cfg = write_config(tmp_path, {
             "out_dir": str(out),
@@ -525,14 +535,22 @@ class TestConsoleEntry:
         })
         child = (
             "import sys\n"
+            "import novascape\n"
             "from novascape.cli import main, recovery_seed\n"
             "recovery_seed(0, 2.0)\n"
+            "layout_only = ('networkx', 'scipy.optimize', 'scipy.sparse.csgraph')\n"
+            "loaded = [m for m in layout_only if m in sys.modules]\n"
+            "assert not loaded, f'a Monte-Carlo seed imported {loaded}'\n"
             f"assert main(['report', '--config', {str(cfg)!r}]) == 0\n"
             "assert 'scipy.optimize' in sys.modules  # the layout ran\n"
             "assert 'scipy.stats' not in sys.modules, 'scipy.stats was imported'\n"
+            "assert 'networkx' not in sys.modules, 'networkx was imported'\n"
         )
-        src = str(Path(cli.__file__).resolve().parents[1])
+        src = Path(cli.__file__).resolve().parents[1]
         proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": src})
+                              env={**os.environ, "PYTHONPATH": str(src)})
         assert proc.returncode == 0, proc.stderr[-2000:]
         assert (out / "models.csv").exists()
+        # networkx is the tests' oracle only: no package source names it
+        naming = [p.name for p in (src / "novascape").rglob("*.py") if "networkx" in p.read_text("utf-8")]
+        assert not naming, naming

@@ -5,7 +5,7 @@ from typing import get_args
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from novascape.corpus import (
@@ -409,9 +409,27 @@ def test_write_read_round_trip(tmp_path):
     assert back[1].crowdfunded is True and back[1].is_adult is True and back[0].debut is True
 
 
-def test_synthetic_corpus_round_trips_through_csv(tmp_path):
-    rs = generate_corpus(SynthConfig(dimension=12, year_start=2006, year_end=2008,
-                                     games_per_year=60, novelty_boost=1.0, seed=3))
+small_synth_configs = st.builds(
+    SynthConfig,
+    dimension=st.integers(1, 20),
+    year_start=st.just(2006),
+    year_end=st.integers(2006, 2009),
+    games_per_year=st.integers(1, 40),
+    crowdfunded_share_by_year=st.floats(0.0, 1.0),
+    base_mechanism_rate=st.floats(0.0, 1.0),
+    recombination_rate=st.floats(0.0, 1.0),
+    base_mutation_bits=st.floats(0.0, 5.0),
+    novelty_boost=st.floats(0.0, 5.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+# report hands the synthetic corpus to ingest in memory; a stepwise ingest
+# parses the written CSV, so the two must hold the same columns
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(small_synth_configs)
+def test_synthetic_corpus_round_trips_through_csv(tmp_path, cfg):
+    rs = generate_corpus(cfg)
     path = tmp_path / "synth.csv"
     write_records_csv(rs, path)
     back = parse_records(path, rs.registry)

@@ -12,7 +12,7 @@ import math
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from novascape.errors import EmptyGraph
@@ -24,6 +24,7 @@ from novascape.landscape import (
     GROUP_CROWDFUNDED,
     GROUP_TRADITIONAL,
     LandscapeGraph,
+    TypeNode,
     build_landscape,
     centroids,
     classify_snapshots,
@@ -172,6 +173,41 @@ class TestLayout:
         g = build_landscape(rs, 2010, min_type_count=99)
         with pytest.raises(EmptyGraph):
             layout(g, seed=5)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 10), st.lists(st.tuples(st.integers(0, 99), st.integers(0, 9)),
+                                        min_size=1, max_size=14),
+           st.integers(0, 2**32 - 1))
+    def test_positions_equal_networkx_kamada_kawai(self, dimension, steps, seed):
+        # a random walk of single-bit flips keeps the induced graph connected
+        keys = [0]
+        for parent, bit in steps:
+            keys.append(keys[parent % len(keys)] ^ (1 << (bit % dimension)))
+        keys = sorted(set(keys))
+        assume(len(keys) > 1)
+        graph = LandscapeGraph(
+            snapshot_year=2010, dimension=dimension,
+            nodes={k: TypeNode(key=k, total_count=1, crowdfunded_count=0, first_year=2010) for k in keys},
+            edges=flip_edges(keys, dimension), cf_share_threshold=0.5,
+        )
+        g = nx.Graph()
+        g.add_nodes_from(keys)
+        g.add_edges_from(graph.edges)
+        rng = np.random.default_rng(seed)
+        start = {k: rng.uniform(-1.0, 1.0, size=2) for k in keys}
+        raw = nx.kamada_kawai_layout(g, dist=dict(nx.shortest_path_length(g)), pos=start)
+        assert layout(graph, seed=seed) == {k: (float(p[0]), float(p[1])) for k, p in raw.items()}
+
+    def test_equal_components_go_to_the_one_with_the_smallest_key(self):
+        # {1, 9} and {4, 6} are two edges apart; 1 is the smallest key
+        pairs = [[1, 0, 0, 0], [1, 0, 0, 1], [0, 0, 1, 0], [0, 1, 1, 0]]
+        rs = make_recordset([(f"g{i}", 2010, bits) for i, bits in enumerate(pairs)])
+        pos = layout(build_landscape(rs, 2010, min_type_count=1), seed=3)
+        assert set(pos) == {pack_vector(pairs[0]), pack_vector(pairs[1])}
+        # one more node makes {4, 6} the largest component
+        rs = make_recordset([(f"g{i}", 2010, bits) for i, bits in enumerate(pairs + [[0, 1, 1, 1]])])
+        pos = layout(build_landscape(rs, 2010, min_type_count=1), seed=3)
+        assert set(pos) == {pack_vector(bits) for bits in pairs[2:] + [[0, 1, 1, 1]]}
 
     def test_nodes_outside_final_main_component_unpositioned(self):
         # main component of the final graph is the 3-node path; the isolate is excluded
@@ -372,6 +408,28 @@ class TestExports:
             assert row["cf_count"] == orig.crowdfunded_count
             assert row["first_year"] == orig.first_year
             assert (row["x"], row["y"]) == pytest.approx(pos[key], rel=1e-9)
+
+    @pytest.mark.parametrize("seed, positioned", [(4, True), (None, True), (4, False)])
+    def test_graphml_bytes_equal_networkx_writer(self, seed, positioned, tmp_path, rng):
+        rows = [(f"g{i}", 2010 + i % 3, rng.integers(0, 2, size=7).tolist()) for i in range(30)]
+        g = build_landscape(make_recordset(rows), 2011, min_type_count=1)
+        pos = layout(g, seed=5) if positioned else {}
+        assert 0 < len(pos) < len(g.plotted) or not positioned
+        ours, theirs = tmp_path / "ours.graphml", tmp_path / "theirs.graphml"
+        export_graph(g, pos, "graphml", ours, seed=seed)
+        # the networkx writer export_graph used before writing its own text
+        oracle = nx.Graph()
+        oracle.graph.update(year=g.snapshot_year, dimension=g.dimension)
+        if seed is not None:
+            oracle.graph["layout_seed"] = seed
+        for key in (k for k in g.plotted if k in pos):
+            node = g.nodes[key]
+            oracle.add_node(str(key), vector_bits=vector_bits(key, g.dimension), count=node.total_count,
+                            cf_count=node.crowdfunded_count, cf_share=node.cf_share,
+                            first_year=node.first_year, x=pos[key][0], y=pos[key][1])
+        oracle.add_edges_from((str(u), str(v)) for u, v in g.edges if u in pos and v in pos)
+        nx.write_graphml(oracle, theirs)
+        assert ours.read_bytes() == theirs.read_bytes()
 
     def test_csv_node_table_is_written_but_not_imported(self, tmp_path):
         g, pos = self.demo()
