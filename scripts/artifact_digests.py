@@ -132,9 +132,9 @@ def main(argv=None) -> int:
 
     actual = compute(args.large)
     if args.write:
-        manifest = {"versions": versions(), "runs": {}}
-        if MANIFEST.exists() and load_manifest()["versions"] == versions():
-            manifest["runs"] = load_manifest()["runs"]
+        # runs not recomputed are kept only while the versions match
+        old = load_manifest() if MANIFEST.exists() else {"versions": None}
+        manifest = {"versions": versions(), "runs": old["runs"] if old["versions"] == versions() else {}}
         manifest["runs"].update(actual)
         MANIFEST.parent.mkdir(parents=True, exist_ok=True)
         MANIFEST.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")

@@ -19,6 +19,7 @@ Exit codes: 0 success, 2 input error, 3 empty result, 4 numeric failure.
 """
 
 import argparse
+import collections.abc
 import csv
 import dataclasses
 import json
@@ -29,7 +30,7 @@ import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple, Union, get_args, get_origin
 
 from .corpus import (
     FilterConfig,
@@ -64,6 +65,8 @@ from .landscape import (
 from .metrics import SPAN_PRESETS, ScoreTable, read_scores_csv, score_corpus
 from .stats import (
     COUNT_NOVELTY_MODEL,
+    JOINED_COLUMNS,
+    JOINED_LABELS,
     REFERENCE_CROWDFUNDED,
     STANDARD_MODELS,
     ModelSpec,
@@ -113,20 +116,85 @@ def atomic_write(path: Path):
         raise
 
 
-# accepted Python types of each scalar config field type; only a bool field takes a bool
+# the JSON types each scalar config field type accepts; only a bool field takes a bool
 _SCALAR_TYPES = {
-    bool: (bool, "true or false"),
-    int: (int, "an integer"),
-    Optional[int]: ((int, type(None)), "an integer or null"),
+    bool: ((bool,), "true or false"),
+    int: ((int,), "an integer"),
     float: ((int, float), "a number"),
-    str: (str, "a string"),
-    Optional[str]: ((str, type(None)), "a string or null"),
+    str: ((str,), "a string"),
+    type(None): ((type(None),), "null"),
 }
+
+
+def _json_form(kind) -> Tuple[tuple, str]:
+    """The Python types json.load gives a value of config type `kind`, and their name."""
+    origin = get_origin(kind)
+    if origin is Union:
+        forms = [_json_form(option) for option in get_args(kind)]
+        return sum((types for types, _ in forms), ()), " or ".join(text for _, text in forms)
+    if origin is tuple:
+        return (list,), "a list"
+    if origin is collections.abc.Mapping or dataclasses.is_dataclass(kind):
+        return (dict,), "an object"
+    return _SCALAR_TYPES[kind]
+
+
+def _read(kind, value, name: str):
+    """The config value `name` of field type `kind`, read from its JSON form.
+
+    A dataclass comes from an object without unknown keys, Tuple[X, ...] from a
+    list, a Mapping from an object, and a Union through the first of its types
+    that takes the value's JSON type; every element is read the same way, and
+    a float field stores a float.
+    """
+    types, text = _json_form(kind)
+    if not isinstance(value, types) or isinstance(value, bool) and bool not in types:
+        raise ConfigError(f"{name} must be {text}, got {value!r}")
+    origin, args = get_origin(kind), get_args(kind)
+    if origin is Union:
+        return _read(next(k for k in args if isinstance(value, _json_form(k)[0])), value, name)
+    if dataclasses.is_dataclass(kind):
+        fields = {f.name: f.type for f in dataclasses.fields(kind)}
+        unknown = sorted(set(value) - set(fields))
+        if unknown:
+            raise ConfigError(f"unknown keys {unknown} in {name or 'the config'}; "
+                              f"a key must be one of {sorted(fields)}")
+        return kind(**{key: _read(fields[key], item, f"{name}.{key}" if name else key)
+                       for key, item in value.items()})
+    if origin is tuple:
+        if args[-1] is not Ellipsis and len(value) != len(args):
+            raise ConfigError(f"{name} must be a list of {len(args)}, got {value!r}")
+        kinds = args[:1] * len(value) if args[-1] is Ellipsis else args
+        return tuple(_read(k, item, f"{name}[{i}]") for i, (k, item) in enumerate(zip(kinds, value)))
+    if origin is collections.abc.Mapping:
+        # JSON object keys are strings; an int key is parsed from one
+        return {args[0](key): _read(args[1], item, f"{name}.{key}") for key, item in value.items()}
+    return float(value) if kind is float else value
+
+
+@dataclass(frozen=True)
+class LandscapeConfig:
+    """Which snapshots are drawn, which types they plot, and the layout seed."""
+
+    snapshot_years: Tuple[int, ...] = ()
+    min_type_count: int = 6
+    cf_share_threshold: float = 0.5
+    seed: int = 42
+
+    def __post_init__(self):
+        if len(set(self.snapshot_years)) < len(self.snapshot_years):
+            raise ConfigError(f"snapshot_years must not repeat a value, got {self.snapshot_years}")
+        if self.min_type_count < 1:
+            raise ConfigError(f"min_type_count must be >= 1, got {self.min_type_count}")
+        if not 0.0 <= self.cf_share_threshold <= 1.0:
+            raise ConfigError(f"cf_share_threshold must be in [0, 1], got {self.cf_share_threshold}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Everything a run needs; serializable so one JSON captures the run."""
+    """Everything a run needs; its JSON form is this dataclass tree (see _read)."""
 
     corpus_path: Optional[str] = None
     registry_path: Optional[str] = None
@@ -135,81 +203,40 @@ class PipelineConfig:
     stats_span: int = 2
     last_complete_year: Optional[int] = None
     filters: FilterConfig = field(default_factory=FilterConfig)
-    snapshot_years: Tuple[int, ...] = ()
-    min_type_count: int = 6
-    cf_share_threshold: float = 0.5
-    seed: int = 42
+    landscape: LandscapeConfig = field(default_factory=LandscapeConfig)
     formats: Tuple[str, ...] = ("graphml", "json", "svg")
-    models: Tuple[Tuple[str, ModelSpec], ...] = STANDARD_MODELS
+    models: Mapping[str, ModelSpec] = field(default_factory=lambda: dict(STANDARD_MODELS))
     synth: Optional[SynthConfig] = None
 
     def __post_init__(self):
-        for prefix, obj in (("", self), ("filters.", self.filters), ("synth.", self.synth)):
-            for f in dataclasses.fields(obj) if obj is not None else ():
-                value = getattr(obj, f.name)
-                kinds, text = _SCALAR_TYPES.get(f.type, (object, ""))
-                if isinstance(value, bool) and f.type is not bool or not isinstance(value, kinds):
-                    raise ConfigError(f"{prefix}{f.name} must be {text}, got {value!r}")
         if not self.spans:
             raise ConfigError("spans must be non-empty")
         if any(s < 1 for s in self.spans):
             raise ConfigError(f"spans must be positive, got {self.spans}")
         if self.stats_span not in self.spans:
             raise ConfigError(f"stats_span {self.stats_span} not among spans {self.spans}")
-        for name in ("spans", "snapshot_years", "formats"):
+        for name in ("spans", "formats"):
             values = getattr(self, name)
             if len(set(values)) < len(values):
                 raise ConfigError(f"{name} must not repeat a value, got {values}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         bad = [f for f in self.formats if f not in EXPORT_FORMATS]
         if bad:
             raise ConfigError(f"unknown formats {bad}; choose from {EXPORT_FORMATS}")
+        for name, spec in self.models.items():
+            bad = [c for c in (spec.outcome, *(c for c, _ in spec.terms))
+                   if c not in JOINED_COLUMNS or c in JOINED_LABELS]
+            bad += [c for c in spec.fixed_effects if c not in JOINED_COLUMNS]
+            if bad:
+                raise ConfigError(
+                    f"model {name!r} names {bad}; an outcome or term must be a numeric column of "
+                    f"the score join and a fixed effect any of its columns {JOINED_COLUMNS}"
+                )
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "PipelineConfig":
-        known = {
-            "corpus_path", "registry_path", "out_dir", "spans", "stats_span",
-            "last_complete_year", "filters", "landscape", "seed", "formats",
-            "models", "synth",
-        }
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ConfigError(f"unknown config keys {unknown}")
-        for key in ("spans", "formats"):
-            if not isinstance(payload.get(key, []), list):
-                raise ConfigError(f"{key} must be a list, got {payload[key]!r}")
-        kwargs: dict = {}
-        for key in ("corpus_path", "registry_path", "out_dir", "stats_span",
-                    "last_complete_year", "seed"):
-            if key in payload:
-                kwargs[key] = payload[key]
         try:
-            if "spans" in payload:
-                kwargs["spans"] = tuple(int(s) for s in payload["spans"])
-            if "formats" in payload:
-                kwargs["formats"] = tuple(payload["formats"])
-            if "filters" in payload:
-                kwargs["filters"] = FilterConfig(**payload["filters"])
-            if "landscape" in payload:
-                ls = dict(payload["landscape"])
-                if not isinstance(ls.get("snapshot_years", []), list):
-                    raise ConfigError(f"snapshot_years must be a list, got {ls['snapshot_years']!r}")
-                if "snapshot_years" in ls:
-                    kwargs["snapshot_years"] = tuple(int(y) for y in ls.pop("snapshot_years"))
-                for key in ("min_type_count", "cf_share_threshold", "seed"):
-                    if key in ls:
-                        kwargs[key] = ls.pop(key)
-                if ls:
-                    raise ConfigError(f"unknown landscape keys {sorted(ls)}")
-            if "models" in payload:
-                kwargs["models"] = tuple(
-                    (name, ModelSpec.from_dict(spec)) for name, spec in payload["models"].items()
-                )
-            if "synth" in payload:
-                kwargs["synth"] = SynthConfig.from_dict(payload["synth"])
-            return cls(**kwargs)
-        except (TypeError, ValueError, KeyError, AttributeError) as exc:
+            return _read(cls, payload, "")
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad config value: {exc}") from exc
 
     @classmethod
@@ -224,25 +251,10 @@ class PipelineConfig:
         return cls.from_dict(payload)
 
     def to_dict(self) -> dict:
-        out = {
-            "corpus_path": self.corpus_path,
-            "registry_path": self.registry_path,
-            "out_dir": self.out_dir,
-            "spans": list(self.spans),
-            "stats_span": self.stats_span,
-            "last_complete_year": self.last_complete_year,
-            "filters": dataclasses.asdict(self.filters),
-            "landscape": {
-                "snapshot_years": list(self.snapshot_years),
-                "min_type_count": self.min_type_count,
-                "cf_share_threshold": self.cf_share_threshold,
-                "seed": self.seed,
-            },
-            "formats": list(self.formats),
-            "models": {name: spec.to_dict() for name, spec in self.models},
-        }
-        if self.synth is not None:
-            out["synth"] = self.synth.to_dict()
+        """The JSON form from_dict reads back; without synth when there is none."""
+        out = json.loads(json.dumps(dataclasses.asdict(self)))
+        if self.synth is None:
+            del out["synth"]
         return out
 
 
@@ -265,7 +277,7 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
     if getattr(args, "registry", None):
         overrides["registry_path"] = args.registry
     if args.seed is not None:
-        overrides["seed"] = args.seed
+        overrides["landscape"] = replace(cfg.landscape, seed=args.seed)
         if cfg.synth is not None:
             overrides["synth"] = replace(cfg.synth, seed=args.seed)
     return replace(cfg, **overrides) if overrides else cfg
@@ -282,10 +294,17 @@ def _load_cache(cfg: PipelineConfig) -> RecordSet:
     return parse_records(corpus, load_registry(registry))
 
 
+def _final_year(records: RecordSet) -> int:
+    """The latest year among `records`; EmptySample when the filters kept none."""
+    if not len(records):
+        raise EmptySample("no record passed the filters")
+    return int(records.years.max())
+
+
 def _last_complete_year(cfg: PipelineConfig, records: RecordSet) -> int:
     if cfg.last_complete_year is not None:
         return cfg.last_complete_year
-    inferred = max(int(y) for y in records.years)
+    inferred = _final_year(records)
     log.info("last_complete_year not set; assuming final corpus year %d is complete", inferred)
     return inferred
 
@@ -327,16 +346,17 @@ def cmd_score(cfg: PipelineConfig, records: Optional[RecordSet] = None) -> Score
 
 def cmd_landscape(cfg: PipelineConfig, records: Optional[RecordSet] = None) -> int:
     records = _load_cache(cfg) if records is None else records
-    years = tuple(sorted(cfg.snapshot_years)) or (max(int(y) for y in records.years),)
+    settings = cfg.landscape
+    years = tuple(sorted(settings.snapshot_years)) or (_final_year(records),)
     graphs = [
-        build_landscape(records, up_to_year=y, min_type_count=cfg.min_type_count,
-                        cf_share_threshold=cfg.cf_share_threshold)
+        build_landscape(records, up_to_year=y, min_type_count=settings.min_type_count,
+                        cf_share_threshold=settings.cf_share_threshold)
         for y in years
     ]
-    log.info("landscape layout seed: %d", cfg.seed)
+    log.info("landscape layout seed: %d", settings.seed)
     # one layout of the final snapshot; exports, SVGs and centroids keep only
     # the positions of each snapshot's plotted nodes
-    positions = layout(graphs[-1], seed=cfg.seed)
+    positions = layout(graphs[-1], seed=settings.seed)
     classes = classify_snapshots(graphs)
     out = Path(cfg.out_dir)
 
@@ -348,7 +368,7 @@ def cmd_landscape(cfg: PipelineConfig, records: Optional[RecordSet] = None) -> i
                 if fmt == "svg":
                     render_svg(g, positions, tmp, classes=classes[g.snapshot_year])
                 else:
-                    export_graph(g, positions, fmt, tmp, seed=cfg.seed)
+                    export_graph(g, positions, fmt, tmp, seed=settings.seed)
         rows += [{"year": c.year, "group": c.group, "x": f"{c.point[0]:.6f}", "y": f"{c.point[1]:.6f}"}
                  for c in centroids(g, positions) if c is not None]
     _write_table(out / "centroids.csv", rows, ["year", "group", "x", "y"])
@@ -423,7 +443,7 @@ def cmd_stats(
 
     # a failed model is reported and left out; the others are still written
     fits, designs = [], {}
-    for name, spec in cfg.models:
+    for name, spec in cfg.models.items():
         try:
             designs[name] = build_design(data, spec)
             fits.append((name, fit_model(designs[name])))

@@ -15,7 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy import linalg as sla
@@ -112,8 +112,18 @@ def significance_stars(p: float) -> str:
 # ---------------------------------------------------------------------------
 # data table: records joined with one span's scores
 
+# the columns join_scores builds, in order: numeric controls as floats and
+# genre as labels (parent_id is no model term); models take outcomes and terms
+# from the numeric columns and fixed effects from any
+JOINED_SCORES = ("distinctiveness", "novelty_count", "novelty_binary", "resonance")
+JOINED_COLUMNS = ("id", "year", *JOINED_SCORES) + tuple(
+    name for name, kind in CONTROLS if kind in (bool, int, float, str)
+)
+JOINED_LABELS = ("id",) + tuple(name for name, kind in CONTROLS if kind is str)
+
+
 def join_scores(records: RecordSet, scores: ScoreTable, span: int) -> Dict[str, np.ndarray]:
-    """Column table of every record that has a score row for the given span.
+    """Column table (JOINED_COLUMNS) of every record that has a score row for the given span.
 
     Resonance is NaN where absent; model building drops incomplete cases per
     outcome.
@@ -123,20 +133,13 @@ def join_scores(records: RecordSet, scores: ScoreTable, span: int) -> Dict[str, 
     take, at = in_span[at >= 0], at[at >= 0]
     if not len(take):
         raise EmptySample(f"no scored records for span {span}")
-    out: Dict[str, np.ndarray] = {
-        "id": scores.ids[take],
-        "year": records.years[at],
-        "distinctiveness": scores.distinctiveness[take],
-        "novelty_count": scores.novelty_count[take].astype(float),
-        "novelty_binary": scores.novelty_binary[take].astype(float),
-        "resonance": scores.resonance[take],
-    }
+    out: Dict[str, np.ndarray] = {"id": scores.ids[take], "year": records.years[at]}
+    for name in JOINED_SCORES:
+        out[name] = getattr(scores, name)[take].astype(float)
     for name, kind in CONTROLS:
-        # numeric controls as floats, genre as labels; parent_id is no model term
-        if kind in (bool, int, float):
-            out[name] = records.columns[name][at].astype(float)
-        elif kind is str:
-            out[name] = records.columns[name][at]
+        if name in JOINED_COLUMNS:
+            column = records.columns[name][at]
+            out[name] = column if kind is str else column.astype(float)
     return out
 
 
@@ -254,13 +257,21 @@ def group_test_battery(
 
 @dataclass(frozen=True)
 class ModelSpec:
+    """One regression: outcome ~ terms + fixed effects, with robust standard errors.
+
+    A term is a (column, transform) pair; a bare column name means
+    (name, "identity").
+    """
+
     outcome: str
     family: str
-    terms: Tuple[Tuple[str, str], ...]
+    terms: Tuple[Union[str, Tuple[str, str]], ...]
     fixed_effects: Tuple[str, ...] = ()
     robust_se: str = "hc1"
 
     def __post_init__(self):
+        terms = tuple((t, "identity") if isinstance(t, str) else tuple(t) for t in self.terms)
+        object.__setattr__(self, "terms", terms)
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         if self.robust_se not in ROBUST_VARIANTS:
@@ -274,32 +285,6 @@ class ModelSpec:
             if column in seen:
                 raise ValueError(f"duplicate term {column!r}")
             seen.add(column)
-
-    @classmethod
-    def from_dict(cls, payload: Mapping) -> "ModelSpec":
-        terms = []
-        for entry in payload.get("terms", ()):
-            if isinstance(entry, str):
-                terms.append((entry, "identity"))
-            else:
-                column, transform = entry
-                terms.append((str(column), str(transform)))
-        return cls(
-            outcome=str(payload["outcome"]),
-            family=str(payload["family"]),
-            terms=tuple(terms),
-            fixed_effects=tuple(payload.get("fixed_effects", ())),
-            robust_se=str(payload.get("robust_se", "hc1")),
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "outcome": self.outcome,
-            "family": self.family,
-            "terms": [[c, t] for c, t in self.terms],
-            "fixed_effects": list(self.fixed_effects),
-            "robust_se": self.robust_se,
-        }
 
 
 # the three headline models plus the count-novelty check

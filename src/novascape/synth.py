@@ -90,31 +90,6 @@ class SynthConfig:
             out[y] = float(raw[y])
         return out
 
-    @classmethod
-    def from_dict(cls, payload: Mapping) -> "SynthConfig":
-        kwargs = dict(payload)
-        share = kwargs.get("crowdfunded_share_by_year")
-        if isinstance(share, Mapping):
-            kwargs["crowdfunded_share_by_year"] = {int(y): float(s) for y, s in share.items()}
-        return cls(**kwargs)
-
-    def to_dict(self) -> dict:
-        share = self.crowdfunded_share_by_year
-        if isinstance(share, Mapping):
-            share = {str(y): float(s) for y, s in sorted(share.items())}
-        return {
-            "dimension": self.dimension,
-            "year_start": self.year_start,
-            "year_end": self.year_end,
-            "games_per_year": self.games_per_year,
-            "crowdfunded_share_by_year": share,
-            "base_mechanism_rate": self.base_mechanism_rate,
-            "recombination_rate": self.recombination_rate,
-            "base_mutation_bits": self.base_mutation_bits,
-            "novelty_boost": self.novelty_boost,
-            "seed": self.seed,
-        }
-
 
 def synthetic_registry(dimension: int) -> FeatureRegistry:
     if dimension == 51:

@@ -1,14 +1,20 @@
 """End-to-end tests for the pipeline CLI: exit codes, files, determinism."""
 
+import collections.abc
+import copy
 import csv
+import dataclasses
 import json
 import os
 import stat
 import subprocess
 import sys
 from pathlib import Path
+from typing import Union, get_args, get_origin
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from novascape import cli, landscape, stats
 from novascape.cli import (
@@ -16,14 +22,16 @@ from novascape.cli import (
     EXIT_INPUT,
     EXIT_NUMERIC,
     EXIT_OK,
+    LandscapeConfig,
     PipelineConfig,
     atomic_write,
     main,
     recovery_seed,
 )
-from novascape.corpus import Record
+from novascape.corpus import FilterConfig, Record
 from novascape.metrics import InnovationScores, score_corpus
 from novascape.errors import ConfigError
+from novascape.stats import FAMILIES, JOINED_COLUMNS, JOINED_LABELS, ROBUST_VARIANTS, TRANSFORMS, ModelSpec
 from novascape.synth import SynthConfig, generate_corpus
 
 
@@ -47,6 +55,9 @@ def pipeline_payload(out_dir: Path) -> dict:
     }
 
 
+MODEL = {"outcome": "distinctiveness", "family": "ols", "terms": ["crowdfunded"]}
+
+
 def write_config(tmp_path: Path, payload: dict, name: str = "run.json") -> Path:
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -55,6 +66,105 @@ def write_config(tmp_path: Path, payload: dict, name: str = "run.json") -> Path:
 
 def snapshot(out_dir: Path) -> dict:
     return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir()) if p.is_file()}
+
+
+# a valid config with every section, every list non-empty and the share as a map,
+# so that every field path below exists in it
+FULL_PAYLOAD = {
+    "spans": [2],
+    "filters": {},
+    "landscape": {"snapshot_years": [2011]},
+    "formats": ["json"],
+    "models": {"M": {"outcome": "distinctiveness", "family": "ols",
+                     "terms": [["crowdfunded", "identity"]], "fixed_effects": ["year"]}},
+    "synth": {"year_start": 2006, "year_end": 2006, "crowdfunded_share_by_year": {"2006": 0.3}},
+}
+
+# one value of each JSON type
+JSON_VALUES = (True, 3, 2.5, "text", None, [1], {"k": 1})
+
+
+def field_paths(kind, path=()):
+    """(path, type) of `kind` and of all it nests: dataclass fields, the values
+    of a mapping (under the key FULL_PAYLOAD uses) and list elements (the first
+    of a Tuple[X, ...], each of a fixed-length tuple)."""
+    yield path, kind
+    for option in get_args(kind) if get_origin(kind) is Union else (kind,):
+        if dataclasses.is_dataclass(option):
+            for f in dataclasses.fields(option):
+                yield from field_paths(f.type, path + (f.name,))
+        elif get_origin(option) is collections.abc.Mapping:
+            key = "2006" if get_args(option)[0] is int else "M"
+            yield from field_paths(get_args(option)[1], path + (key,))
+        elif get_origin(option) is tuple:
+            items = get_args(option)
+            for i, item in enumerate(items[:1] if items[-1] is Ellipsis else items):
+                yield from field_paths(item, path + (i,))
+
+
+def json_fits(kind, value) -> bool:
+    """Whether the JSON type of `value` is one that field type `kind` takes."""
+    if get_origin(kind) is Union:
+        return any(json_fits(option, value) for option in get_args(kind))
+    if get_origin(kind) is tuple:
+        return isinstance(value, list)
+    if get_origin(kind) is collections.abc.Mapping or dataclasses.is_dataclass(kind):
+        return isinstance(value, dict)
+    return type(value) in ((int, float) if kind is float else (kind,))
+
+
+def with_value(payload: dict, path: tuple, value) -> dict:
+    out = copy.deepcopy(payload)
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return out
+
+
+@st.composite
+def model_specs(draw):
+    numeric = [c for c in JOINED_COLUMNS if c not in JOINED_LABELS]
+    outcome = draw(st.sampled_from(numeric))
+    terms = draw(st.lists(st.sampled_from([c for c in numeric if c != outcome]), unique=True, max_size=3))
+    return ModelSpec(
+        outcome, draw(st.sampled_from(FAMILIES)),
+        tuple((t, draw(st.sampled_from(TRANSFORMS))) for t in terms),
+        tuple(draw(st.lists(st.sampled_from(JOINED_COLUMNS), unique=True, max_size=2))),
+        draw(st.sampled_from(ROBUST_VARIANTS)),
+    )
+
+
+@st.composite
+def pipeline_configs(draw):
+    years, seeds = st.integers(1900, 2100), st.integers(0, 2**63 - 1)
+    unit, texts = st.floats(0.0, 1.0), st.text(max_size=8)
+    spans = tuple(draw(st.lists(st.integers(1, 10), min_size=1, max_size=3, unique=True)))
+    synth = None
+    if draw(st.booleans()):
+        start = draw(years)
+        end = start + draw(st.integers(0, 3))
+        synth = SynthConfig(
+            dimension=draw(st.integers(1, 64)), year_start=start, year_end=end,
+            games_per_year=draw(st.integers(1, 1000)),
+            crowdfunded_share_by_year=draw(unit | st.fixed_dictionaries(
+                {y: unit for y in range(start, end + 1)})),
+            base_mechanism_rate=draw(unit), recombination_rate=draw(unit),
+            base_mutation_bits=draw(st.floats(0.0, 1e6)), novelty_boost=draw(st.floats(0.0, 1e6)),
+            seed=draw(seeds),
+        )
+    return PipelineConfig(
+        corpus_path=draw(st.none() | texts), registry_path=draw(st.none() | texts),
+        out_dir=draw(texts), spans=spans, stats_span=draw(st.sampled_from(spans)),
+        last_complete_year=draw(st.none() | years),
+        filters=FilterConfig(draw(st.integers(0, 5)), draw(st.integers(0, 50)), draw(st.booleans()),
+                             draw(st.booleans()), draw(years), draw(st.none() | years)),
+        landscape=LandscapeConfig(tuple(draw(st.lists(years, max_size=3, unique=True))),
+                                  draw(st.integers(1, 20)), draw(unit), draw(seeds)),
+        formats=tuple(draw(st.lists(st.sampled_from(landscape.EXPORT_FORMATS), max_size=4, unique=True))),
+        models=draw(st.dictionaries(texts, model_specs(), max_size=3)),
+        synth=synth,
+    )
 
 
 class TestConfig:
@@ -82,6 +192,25 @@ class TestConfig:
         cfg = PipelineConfig.from_dict(pipeline_payload(Path("/tmp/x")))
         again = PipelineConfig.from_dict(cfg.to_dict())
         assert again == cfg
+
+    @given(pipeline_configs())
+    def test_json_round_trip_of_drawn_configs(self, cfg):
+        assert PipelineConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+    def test_every_field_rejects_every_wrong_json_type(self):
+        PipelineConfig.from_dict(FULL_PAYLOAD)
+        checked = set()
+        for path, kind in field_paths(PipelineConfig):
+            name = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path).lstrip(".")
+            for value in JSON_VALUES:
+                if path and not json_fits(kind, value):
+                    with pytest.raises(ConfigError) as exc:
+                        PipelineConfig.from_dict(with_value(FULL_PAYLOAD, path, value))
+                    assert f"{name} must be" in str(exc.value)
+                    checked.add(name)
+        # the walk reaches nested sections, mapping values and list elements
+        assert {"landscape.seed", "synth.crowdfunded_share_by_year.2006",
+                "models.M.terms[0][1]", "filters.year_max", "spans[0]"} <= checked
 
 
 class TestReport:
@@ -227,9 +356,18 @@ class TestExitCodes:
         {"seed": -1},
         {"landscape": {"seed": -1}},
         {"synth": {"seed": -1}},
+        {"seed": 7},
+        {"landscape": {"min_type_count": -3}},
+        {"landscape": {"cf_share_threshold": 7.0}},
+        {"models": {"M": {**MODEL, "outcome": "distinctivness"}}},
+        {"models": {"M": {**MODEL, "terms": ["crowdfunded", "teamsize"]}}},
+        {"models": {"M": {**MODEL, "fixed_effects": ["genres"]}}},
+        {"models": {"M": {**MODEL, "terms": ["genre"]}}},
     ], ids=["span-text", "negative-filter", "unknown-synth-key", "synth-dimension-text", "models-list",
             "repeated-span", "repeated-snapshot-year", "repeated-format", "negative-seed",
-            "negative-landscape-seed", "negative-synth-seed"])
+            "negative-landscape-seed", "negative-synth-seed", "top-level-seed",
+            "min-type-count-negative", "cf-share-threshold-above-1", "unknown-outcome",
+            "unknown-term", "unknown-fixed-effect", "label-column-as-term"])
     def test_malformed_config_value_is_exit_2(self, tmp_path, section):
         out = tmp_path / "o"
         cfg = write_config(tmp_path, {"out_dir": str(out), "synth": {}, **section})
@@ -263,11 +401,17 @@ class TestExitCodes:
         {"synth": {"seed": True}},
         {"synth": {"games_per_year": 50.5}},
         {"synth": {"dimension": True}},
+        {"landscape": {"seed": "7"}},
+        {"landscape": {"seed": True}},
+        {"spans": [1.9, 2]},
+        {"models": {"M": {**MODEL, "fixed_effects": "year"}}},
+        {"synth": {"crowdfunded_share_by_year": "0.3"}},
     ], ids=["min-type-count-text", "cf-share-text", "seed-text", "seed-bool", "last-year-text",
             "stats-span-text", "out-dir-number", "corpus-path-number", "registry-path-list",
             "formats-string", "spans-string", "snapshot-years-string", "year-max-text",
             "require-designer-text", "synth-seed-float", "synth-seed-bool",
-            "synth-games-per-year-float", "synth-dimension-bool"])
+            "synth-games-per-year-float", "synth-dimension-bool", "landscape-seed-text",
+            "landscape-seed-bool", "span-float", "fixed-effects-string", "synth-share-text"])
     def test_wrongly_typed_config_value_is_exit_2(self, tmp_path, caplog, section):
         out = tmp_path / "o"
         synth = pipeline_payload(out)["synth"]
@@ -304,6 +448,22 @@ class TestExitCodes:
         code = main(["ingest", "--config", str(cfg)])
         assert code == EXIT_INPUT
         assert "row 2" in caplog.text and "Delta" in caplog.text
+
+    def test_report_with_no_record_kept_is_exit_3(self, tmp_path, caplog):
+        payload = {**pipeline_payload(tmp_path / "run"), "filters": {"year_min": 3000}}
+        assert main(["report", "--config", str(write_config(tmp_path, payload))]) == EXIT_EMPTY
+        assert "no record passed the filters" in caplog.text
+
+    def test_landscape_with_no_record_kept_is_exit_3(self, tmp_path, caplog):
+        out = tmp_path / "run"
+        payload = {**pipeline_payload(out), "filters": {"year_min": 3000}, "landscape": {}}
+        cfg = write_config(tmp_path, payload)
+        assert main(["synth", "--config", str(cfg)]) == EXIT_OK
+        assert main(["ingest", "--config", str(cfg),
+                     "--corpus", str(out / "synth_corpus.csv"),
+                     "--registry", str(out / "synth_registry.txt")]) == EXIT_OK
+        assert main(["landscape", "--config", str(cfg)]) == EXIT_EMPTY
+        assert "no record passed the filters" in caplog.text
 
     def test_empty_landscape_is_exit_3(self, tmp_path):
         out = tmp_path / "run"

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from scipy import stats as sstats
 
 from novascape import stats
+from novascape.cli import PipelineConfig
 from novascape.errors import (
     EmptySample,
     NumericError,
@@ -21,6 +22,7 @@ from novascape.errors import (
     SeparationError,
     UnknownTerm,
 )
+from novascape.metrics import score_corpus
 from novascape.stats import (
     BATTERY_FEATURES,
     REFERENCE_CROWDFUNDED,
@@ -39,10 +41,12 @@ from novascape.stats import (
     fit_rows,
     format_model_table,
     group_test_battery,
+    join_scores,
     mann_whitney_u,
     marginal_means,
     significance_stars,
 )
+from novascape.synth import SynthConfig, generate_corpus
 
 
 def sigmoid(v: float) -> float:
@@ -340,12 +344,20 @@ class TestBuildDesign:
 
     def test_spec_json_round_trip(self):
         spec = STANDARD_MODELS[0][1]
-        back = ModelSpec.from_dict(spec.to_dict())
+        back = PipelineConfig.from_dict(PipelineConfig(models={"m": spec}).to_dict()).models["m"]
         assert back == spec
 
     def test_terms_accept_bare_strings(self):
-        spec = ModelSpec.from_dict({"outcome": "y", "family": "ols", "terms": ["a", ["b", "log1p"]]})
-        assert spec.terms == (("a", "identity"), ("b", "log1p"))
+        model = {"outcome": "distinctiveness", "family": "ols",
+                 "terms": ["crowdfunded", ["playing_time", "log1p"]]}
+        spec = PipelineConfig.from_dict({"models": {"m": model}}).models["m"]
+        assert spec.terms == (("crowdfunded", "identity"), ("playing_time", "log1p"))
+
+    def test_join_builds_exactly_the_joined_columns(self):
+        records = generate_corpus(SynthConfig(dimension=8, year_start=2006, year_end=2009,
+                                              games_per_year=40, seed=3))
+        data = join_scores(records, score_corpus(records, spans=(2,), last_complete_year=2009), span=2)
+        assert tuple(data) == stats.JOINED_COLUMNS
 
 
 # ---------------------------------------------------------------------------

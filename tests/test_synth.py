@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from novascape.cli import PipelineConfig
 from novascape.corpus import FilterConfig, apply_filters, write_records_csv
 from novascape.errors import ConfigError
 from novascape.metrics import score_corpus
@@ -57,7 +58,7 @@ class TestConfig:
 
     def test_json_round_trip(self):
         cfg = small_config(crowdfunded_share_by_year={y: 0.2 for y in range(2006, 2011)})
-        back = SynthConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
+        back = PipelineConfig.from_dict(json.loads(json.dumps(PipelineConfig(synth=cfg).to_dict()))).synth
         assert back.shares() == cfg.shares()
         assert back.seed == cfg.seed
 
