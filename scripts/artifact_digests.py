@@ -8,7 +8,7 @@ relative input and output paths, so the paths that pipeline_config.json and
 demo_config.json record are the same on every host. The digests are written
 to, or compared with, tests/data/artifact_digests.json, which also records
 the Python, numpy and scipy versions they were taken with: layout and fit
-bits depend on those.
+bits depend on those. BLAS runs on one thread, whatever the environment says.
 
 A change that is meant to move bytes regenerates the manifest with --write
 and names every moved file.
@@ -34,6 +34,12 @@ ROOT = Path(__file__).resolve().parents[1]
 for _path in (ROOT / "src", ROOT / "scripts", ROOT):
     if str(_path) not in sys.path:
         sys.path.insert(0, str(_path))
+
+# one BLAS thread before numpy loads, as in tests/conftest.py and bench/: the
+# separated Novelty logit of report-large seeds 1 and 3 writes other models.*
+# bytes under two threads
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 import numpy  # noqa: E402
 import scipy  # noqa: E402

@@ -424,24 +424,21 @@ def cmd_stats(
     desc = describe(data)
     _write_table(out / "descriptives.csv", desc, list(desc[0]))
 
+    # a failed group test or model is reported and left out; the others are still written
     battery = group_test_battery(data)
+    untested = [label for label, res in battery if res is None]
+    for label in untested:
+        log.error("group test %s failed: a group has no values", label)
+    test_columns = ("feature", "n_crowdfunded", "n_traditional", "mean_crowdfunded", "mean_traditional",
+                    "u_statistic", "auc", "p_value", "exact")
     test_rows = [
-        {
-            "feature": label,
-            "n_crowdfunded": res.n[0],
-            "n_traditional": res.n[1],
-            "mean_crowdfunded": f"{res.group_means[0]:.6f}",
-            "mean_traditional": f"{res.group_means[1]:.6f}",
-            "u_statistic": f"{res.u_statistic:.1f}",
-            "auc": f"{res.auc:.6f}",
-            "p_value": f"{res.p_value:.6g}",
-            "exact": int(res.exact),
-        }
-        for label, res in battery
+        dict(zip(test_columns, (
+            label, *res.n, *(f"{m:.6f}" for m in res.group_means), f"{res.u_statistic:.1f}",
+            f"{res.auc:.6f}", f"{res.p_value:.6g}", int(res.exact))))
+        for label, res in battery if res is not None
     ]
-    _write_table(out / "group_tests.csv", test_rows, list(test_rows[0]))
+    _write_table(out / "group_tests.csv", test_rows, test_columns)
 
-    # a failed model is reported and left out; the others are still written
     fits, designs = [], {}
     for name, spec in cfg.models.items():
         try:
@@ -468,10 +465,10 @@ def cmd_stats(
     ]
     _write_table(out / "marginal_means.csv", mm_rows, ["model", "crowdfunded", *mm_columns])
 
-    if failures:
-        log.error("%d of %d models failed; remaining tables were still written",
-                  failures, len(cfg.models))
-        return EXIT_NUMERIC
+    if untested or failures:
+        log.error("%d of %d group tests and %d of %d models failed; remaining tables were still written",
+                  len(untested), len(battery), failures, len(cfg.models))
+        return EXIT_EMPTY if untested else EXIT_NUMERIC
     log.info("fitted %d models on %d joined rows (span %d)",
              len(cfg.models), len(data["distinctiveness"]), cfg.stats_span)
     return EXIT_OK

@@ -409,10 +409,12 @@ def apply_filters(records: RecordSet, cfg: FilterConfig):
 
 def _trivial_expansions(records: RecordSet) -> np.ndarray:
     """Expansions whose parent_id names a record of the set with an identical vector."""
+    rows = np.flatnonzero(records.columns["is_expansion"])
+    # each parent's row (-1 for an absent or unknown parent_id), then one gather of both vectors
+    parents = np.fromiter(map(records.row_of.get, records.columns["parent_id"][rows].tolist(),
+                              itertools.repeat(-1)), dtype=np.intp, count=len(rows))
     out = np.zeros(len(records), dtype=bool)
-    for i in np.flatnonzero(records.columns["is_expansion"]).tolist():
-        parent = records.row_of.get(records.columns["parent_id"][i])
-        out[i] = parent is not None and np.array_equal(records.matrix[parent], records.matrix[i])
+    out[rows] = (parents >= 0) & (records.matrix[parents] == records.matrix[rows]).all(axis=1)
     return out
 
 

@@ -205,20 +205,22 @@ def layout(
 
 def _kamada_kawai_energy(pos_vec: np.ndarray, invdist: np.ndarray, eye: np.ndarray):
     """NetworkX 3.6's _kamada_kawai_costfn in two dimensions with mean weight 1e-3:
-    the energy and its gradient; `eye` is the identity times 1e-3."""
-    n = invdist.shape[0]
-    pos = pos_vec.reshape((n, 2))
-    delta = pos[:, np.newaxis, :] - pos[np.newaxis, :, :]
-    nodesep = np.linalg.norm(delta, axis=-1)
-    direction = np.einsum("ijk,ij->ijk", delta, 1 / (nodesep + eye))
+    the energy and its gradient; `eye` is the identity times 1e-3. Computed on
+    planar (n, n) arrays, one per axis, bit for bit: dx[j, i] == -dx[i, j], so
+    NetworkX's "ij,ij,ijk->ik" einsum is exactly minus its "->jk" one, and both
+    add in index order, as an axis-0 sum does (an axis-1 sum is pairwise)."""
+    pos = pos_vec.reshape((-1, 2))
+    dx, dy = (pos[:, np.newaxis, k] - pos[np.newaxis, :, k] for k in (0, 1))
+    nodesep = np.sqrt(dx * dx + dy * dy)
+    inv_sep = 1 / (nodesep + eye)
     offset = nodesep * invdist - 1.0
-    offset[np.diag_indices(n)] = 0
-    grad = np.einsum("ij,ij,ijk->ik", invdist, offset, direction) - np.einsum(
-        "ij,ij,ijk->jk", invdist, offset, direction)
+    np.fill_diagonal(offset, 0)
+    w = invdist * offset
+    g = np.stack([(w * (d * inv_sep)).sum(axis=0) for d in (dx, dy)], axis=1)
     # a parabolic term holding the mean position near the origin
     sumpos = np.sum(pos, axis=0)
     cost = 0.5 * np.sum(offset**2) + 0.5 * 1e-3 * np.sum(sumpos**2)
-    return cost, (grad + 1e-3 * sumpos).ravel()
+    return cost, (-(g + g) + 1e-3 * sumpos).ravel()
 
 
 @dataclass(frozen=True)
@@ -363,13 +365,10 @@ def render_svg(
     rows, edges = _export_rows(graph, positions)
     keys = [row["id"] for row in rows]
     pad = 0.08
-    if keys:
-        xs = [positions[k][0] for k in keys]
-        ys = [positions[k][1] for k in keys]
-        lo_x, hi_x = min(xs), max(xs)
-        lo_y, hi_y = min(ys), max(ys)
-    else:
-        lo_x = hi_x = lo_y = hi_y = 0.0
+    xs = [positions[k][0] for k in keys]
+    ys = [positions[k][1] for k in keys]
+    lo_x, hi_x = min(xs, default=0.0), max(xs, default=0.0)
+    lo_y, hi_y = min(ys, default=0.0), max(ys, default=0.0)
     span = max(hi_x - lo_x, hi_y - lo_y, 1e-9)
 
     def to_px(p):

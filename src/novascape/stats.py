@@ -235,11 +235,12 @@ def group_test_battery(
     data: Mapping[str, np.ndarray],
     group_column: str = "crowdfunded",
     features: Sequence[Tuple[str, str]] = BATTERY_FEATURES,
-) -> List[Tuple[str, GroupTestResult]]:
+) -> List[Tuple[str, Optional[GroupTestResult]]]:
     """Mann-Whitney comparisons of each feature between the two groups.
 
     Group 1 is group_column == 1 (crowdfunded), so auc > 0.5 means that group
-    ranks higher. NaNs (absent resonance) are dropped per feature.
+    ranks higher. NaNs (absent resonance) are dropped per feature; a feature
+    left with an empty group gets None instead of a result.
     """
     mask1 = data[group_column] == 1
     out = []
@@ -248,7 +249,7 @@ def group_test_battery(
         ok = np.isfinite(values)
         x = values[ok & mask1]
         y = values[ok & ~mask1]
-        out.append((label, mann_whitney_u(x, y)))
+        out.append((label, mann_whitney_u(x, y) if len(x) and len(y) else None))
     return out
 
 

@@ -493,6 +493,19 @@ class TestExitCodes:
         assert fitted == {"Good"}
         assert "Broken" in (out / "models.txt").read_text()
 
+    def test_empty_group_test_is_exit_3_and_the_rest_still_written(self, tmp_path, caplog):
+        # no year is complete, so every resonance is NaN: its test and its model fail
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path, {**pipeline_payload(out), "last_complete_year": 1990})
+        assert main(["report", "--config", str(cfg)]) == EXIT_EMPTY
+        assert "group test Resonance failed" in caplog.text
+        with open(out / "group_tests.csv", newline="") as fh:
+            tested = [row["feature"] for row in csv.DictReader(fh)]
+        assert tested == [label for _, label in stats.BATTERY_FEATURES if label != "Resonance"]
+        fitted = {line.split(",")[0] for line in (out / "models.csv").read_text().splitlines()[1:]}
+        assert fitted == {"Distinctiveness", "Novelty"}
+        assert (out / "marginal_means.csv").exists() and (out / "pipeline_config.json").exists()
+
     def test_stats_rejects_scores_from_an_earlier_ingest(self, tmp_path, caplog):
         out = tmp_path / "run"
         payload = pipeline_payload(out)

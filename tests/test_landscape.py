@@ -11,12 +11,14 @@ import math
 
 import networkx as nx
 import numpy as np
+from networkx.drawing.layout import _kamada_kawai_costfn
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from novascape.errors import EmptyGraph
 from novascape.landscape import (
+    _kamada_kawai_energy,
     CLASS_BASELINE,
     CLASS_CROWDFUNDED,
     CLASS_FORMER,
@@ -38,6 +40,7 @@ from novascape.landscape import (
 
 from conftest import make_record, make_recordset, make_registry
 from novascape.corpus import RecordSet
+from novascape.synth import SynthConfig, generate_corpus
 
 
 def oracle_edges(keys):
@@ -197,6 +200,37 @@ class TestLayout:
         start = {k: rng.uniform(-1.0, 1.0, size=2) for k in keys}
         raw = nx.kamada_kawai_layout(g, dist=dict(nx.shortest_path_length(g)), pos=start)
         assert layout(graph, seed=seed) == {k: (float(p[0]), float(p[1])) for k, p in raw.items()}
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 250), st.integers(0, 2**32 - 1), st.floats(-6, 3))
+    def test_energy_equals_networkx_costfn(self, n, seed, log_scale):
+        # summation-order differences show only on matrices well past the 15 keys above
+        rng = np.random.default_rng(seed)
+        hops = np.triu(rng.integers(1, 12, size=(n, n)), 1)
+        eye = np.eye(n) * 1e-3
+        invdist = 1 / (hops + hops.T + eye)
+        pos_vec = rng.uniform(-1.0, 1.0, size=2 * n) * 10.0**log_scale
+        cost, grad = _kamada_kawai_energy(pos_vec, invdist, eye)
+        want_cost, want_grad = _kamada_kawai_costfn(pos_vec, np, invdist, 1e-3, 2)
+        assert cost == want_cost
+        assert np.array_equal(grad, want_grad)
+
+    def test_demo_sized_positions_equal_networkx_kamada_kawai(self):
+        # the README demo's final snapshot: about 200 positioned types
+        rs = generate_corpus(SynthConfig(
+            dimension=16, year_start=2006, year_end=2015, games_per_year=500,
+            base_mechanism_rate=0.15, recombination_rate=0.6, base_mutation_bits=1.0,
+            novelty_boost=2.0, seed=7))
+        graph = build_landscape(rs, 2015, min_type_count=4)
+        g = nx.Graph()
+        g.add_nodes_from(graph.plotted)
+        g.add_edges_from(graph.edges)
+        main = sorted(max(nx.connected_components(g), key=len))
+        assert len(main) > 150
+        start = dict(zip(main, np.random.default_rng(42).uniform(-1.0, 1.0, size=(len(main), 2))))
+        sub = g.subgraph(main)
+        raw = nx.kamada_kawai_layout(sub, dist=dict(nx.shortest_path_length(sub)), pos=start)
+        assert layout(graph, seed=42) == {k: (float(p[0]), float(p[1])) for k, p in raw.items()}
 
     def test_equal_components_go_to_the_one_with_the_smallest_key(self):
         # {1, 9} and {4, 6} are two edges apart; 1 is the smallest key

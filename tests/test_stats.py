@@ -270,6 +270,13 @@ class TestBattery:
         assert res.auc == 0.5
         assert res.p_value == 1.0
 
+    def test_feature_with_an_empty_group_has_no_result(self):
+        data = self.demo_data()
+        data["resonance"][data["crowdfunded"] == 1] = np.nan
+        results = dict(group_test_battery(data))
+        assert results["Resonance"] is None
+        assert all(res is not None for label, res in results.items() if label != "Resonance")
+
 
 # ---------------------------------------------------------------------------
 # design building
