@@ -52,6 +52,10 @@ REQUIRED_COLUMNS = ("id", "year", "mechanisms") + tuple(
 
 MECHANISM_SEPARATOR = ";"
 
+# Non-blank corpus rows parsed per block: enough to amortise the per-block
+# array work, few enough that the row lists stay small next to the columns.
+PARSE_BLOCK_ROWS = 4096
+
 # Filter rule identifiers, in application order. A dropped record is counted
 # against the first rule it fails.
 RULE_YEAR = "year_range"
@@ -116,8 +120,8 @@ class FeatureRegistry:
 
 
 def load_registry(path) -> FeatureRegistry:
-    """Load a registry from a text file (one name per line) or a JSON array."""
-    text = Path(path).read_text(encoding="utf-8")
+    """Load a registry from a text file (one name per line) or a JSON array; a UTF-8 BOM is skipped."""
+    text = Path(path).read_text(encoding="utf-8-sig")
     stripped = text.lstrip()
     if stripped.startswith("["):
         try:
@@ -317,13 +321,69 @@ def _format_number(x) -> str:
     return repr(f)
 
 
-# per CONTROLS type: column dtype, CSV cell parser, CSV cell formatter
+# Column converters: a sequence of cells in, (values array, mask of the cells
+# the matching _parse_* rejects) out. They call the builtins the cell parsers
+# call, never numpy's string casts, which accept a different set of strings.
+
+def _cellwise(parse, cells, dtype) -> tuple:
+    """Cell by cell through `parse`; 0 stands in for each rejected cell."""
+    values, bad = [], np.zeros(len(cells), dtype=bool)
+    for i, value in enumerate(cells):
+        try:
+            values.append(parse(value, 0, ""))
+        except ParseError:
+            values.append(0)
+            bad[i] = True
+    return np.array(values, dtype=dtype), bad
+
+
+def _int_column(cells) -> tuple:
+    try:
+        return np.array(list(map(int, cells)), dtype=np.int64), np.zeros(len(cells), dtype=bool)
+    except (ValueError, OverflowError):  # not an integer, or outside int64
+        return _cellwise(_parse_int, cells, np.int64)
+
+
+def _float_column(cells) -> tuple:
+    try:
+        values = np.array(list(map(float, cells)), dtype=np.float64)
+    except ValueError:
+        return _cellwise(_parse_float, cells, np.float64)
+    return values, ~np.isfinite(values)
+
+
+_BOOL_CODES = {"0": 0, "1": 1}
+
+
+def _bool_column(cells) -> tuple:
+    codes = np.fromiter(map(_BOOL_CODES.get, cells, itertools.repeat(2)), dtype=np.int8, count=len(cells))
+    return codes == 1, codes == 2
+
+
+def _str_column(cells) -> tuple:
+    return np.array(cells, dtype=object), np.zeros(len(cells), dtype=bool)
+
+
+def _optional_str_column(cells) -> tuple:
+    return _str_column([value or None for value in cells])
+
+
+def _raise_first(bad: np.ndarray, check) -> None:
+    """If any row is flagged, call check(i) on the first; it raises that row's error."""
+    if bad.any():
+        i = int(bad.argmax())
+        check(i)
+        raise AssertionError(f"row index {i} was flagged but passes the row checks")
+
+
+# per CONTROLS type: column dtype, CSV cell parser, CSV cell formatter, column converter
 _KINDS = {
-    bool: (bool, _parse_bool, int),
-    int: (np.int64, _parse_int, int),
-    float: (np.float64, _parse_float, _format_number),
-    str: (object, lambda value, row, column: value, str),
-    Optional[str]: (object, lambda value, row, column: value or None, lambda value: value or ""),
+    bool: (bool, _parse_bool, int, _bool_column),
+    int: (np.int64, _parse_int, int, _int_column),
+    float: (np.float64, _parse_float, _format_number, _float_column),
+    str: (object, lambda value, row, column: value, str, _str_column),
+    Optional[str]: (object, lambda value, row, column: value or None, lambda value: value or "",
+                    _optional_str_column),
 }
 
 
@@ -331,34 +391,130 @@ def parse_records(path, registry: FeatureRegistry) -> RecordSet:
     """Parse the corpus CSV against a registry; row order is preserved.
 
     Rows with missing or out-of-range values are rejected outright (no
-    imputation); downstream analyses assume complete cases. Cells go
-    straight into columns, checked row by row, so the first bad row is the
-    one reported.
+    imputation); downstream analyses assume complete cases. Non-blank rows
+    are read PARSE_BLOCK_ROWS at a time and each block is checked column by
+    column. The error raised is that of the smallest failing row, from the
+    first check it fails in `_check_row`'s order; a repeated id is reported
+    only once every row has parsed. A UTF-8 byte order mark is skipped.
     """
-    ids, years, vectors = [], [], []
-    columns = {name: [] for name, _ in CONTROLS}
-    parsers = [(name, _KINDS[kind][1]) for name, kind in CONTROLS]
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
         missing = [c for c in REQUIRED_COLUMNS if c not in header]
         if missing:
             raise SchemaError(f"{path}: missing required columns {missing}")
-        # DictReader rows are 1-based after the header line
-        for row_no, row in enumerate(reader, start=2):
-            if any(row.get(c) is None for c in REQUIRED_COLUMNS):
-                raise ParseError(f"row {row_no}: short row")
-            mech_field = row["mechanisms"].strip()
-            mechanisms = [m.strip() for m in mech_field.split(MECHANISM_SEPARATOR) if m.strip()] if mech_field else []
-            vectors.append(registry.encode(mechanisms, row=row_no))
-            years.append(_parse_int(row["year"], row_no, "year"))
-            values = {name: parse(row.get(name), row_no, name) for name, parse in parsers}
-            _validate_row(row["id"], values, row_no)
-            ids.append(row["id"])
-            for name, value in values.items():
-                columns[name].append(value)
-    matrix = np.array(vectors, dtype=np.uint8).reshape(len(ids), registry.dimension)
-    return RecordSet.from_columns(registry, ids, years, matrix, columns)
+        # a repeated name reads its last column, as csv.DictReader does
+        position = {name: i for i, name in enumerate(header)}
+        ids, years = [], [np.empty(0, dtype=np.int64)]
+        matrices = [np.empty((0, registry.dimension), dtype=np.uint8)]
+        columns = {name: [np.empty(0, dtype=_KINDS[kind][0])] for name, kind in CONTROLS}
+        # rows are numbered 1-based after the header, counting non-blank rows only
+        first_row = 2
+        for rows in _row_blocks(reader):
+            block_ids, block_years, matrix, values = _parse_block(rows, position, registry, first_row)
+            ids.extend(block_ids)
+            years.append(block_years)
+            matrices.append(matrix)
+            for name, column in values.items():
+                columns[name].append(column)
+            first_row += len(block_ids)
+    return RecordSet.from_columns(registry, ids, np.concatenate(years), np.concatenate(matrices),
+                                  {name: np.concatenate(parts) for name, parts in columns.items()})
+
+
+def _row_blocks(reader) -> Iterator[list]:
+    """The reader's non-blank rows in lists of PARSE_BLOCK_ROWS.
+
+    The rows read before a reader error come out before it is raised, so a
+    bad row ahead of the damage is still the one reported.
+    """
+    rows = filter(None, reader)
+    while True:
+        block = []
+        try:
+            block.extend(itertools.islice(rows, PARSE_BLOCK_ROWS))  # keeps the rows read before a failure
+        except (csv.Error, UnicodeDecodeError):
+            if block:
+                yield block
+            raise
+        if not block:
+            return
+        yield block
+
+
+def _parse_block(rows: list, position: dict, registry: FeatureRegistry, first_row: int) -> tuple:
+    """Ids, years, vector matrix and CONTROLS columns of one block; raises its first row's error."""
+    n = len(rows)
+    required = max(position[c] for c in REQUIRED_COLUMNS)
+    width = 1 + max(position[c] for c in REQUIRED_COLUMNS + OPTIONAL_COLUMNS if c in position)
+    lengths = np.fromiter(map(len, rows), dtype=np.intp, count=n)
+    bad = lengths <= required  # short row
+    # pad short rows so one transpose holds every column read; an absent
+    # parent_id reads as "" and so as None, and a short row fails anyway
+    for i in np.flatnonzero(lengths < width).tolist():
+        rows[i] = rows[i] + [""] * (width - len(rows[i]))
+    cells = list(zip(*rows))
+    del rows
+
+    def column(name):
+        return cells[position[name]] if name in position else ("",) * n
+
+    mechanisms = column("mechanisms")
+    parts = np.fromiter(map(str.count, mechanisms, itertools.repeat(MECHANISM_SEPARATOR)),
+                        dtype=np.intp, count=n) + 1
+    # one code per separated name: its feature index, -1 for an empty name, -2 for an unknown one
+    codes = {**registry._index, "": -1}
+    names = MECHANISM_SEPARATOR.join(mechanisms).split(MECHANISM_SEPARATOR)
+    feature = np.fromiter(map(codes.get, map(str.strip, names), itertools.repeat(-2)),
+                          dtype=np.intp, count=len(names))
+    row = np.repeat(np.arange(n), parts)
+    matrix = np.zeros((n, registry.dimension), dtype=np.uint8)
+    matrix[row[feature >= 0], feature[feature >= 0]] = 1
+    bad[row[feature == -2]] = True  # unknown feature
+
+    years, bad_year = _int_column(column("year"))
+    bad |= bad_year
+    values = {}
+    for name, kind in CONTROLS:
+        values[name], bad_value = _KINDS[kind][3](column(name))
+        bad |= bad_value
+    ids = column("id")
+    bad |= _failed_ranges(ids, values)
+
+    def check(i):
+        def cell(name):  # a csv.DictReader row's get: None where absent or past the row's end
+            at = position.get(name)
+            return None if at is None or at >= lengths[i] else cells[at][i]
+
+        _check_row(cell, first_row + i, registry)
+
+    _raise_first(bad, check)
+    return ids, years, matrix, values
+
+
+def _check_row(cell, row_no: int, registry: FeatureRegistry) -> None:
+    """Every check of one row in order; `cell(name)` is its text, None where absent or short."""
+    if any(cell(c) is None for c in REQUIRED_COLUMNS):
+        raise ParseError(f"row {row_no}: short row")
+    mech_field = cell("mechanisms").strip()
+    mechanisms = [m.strip() for m in mech_field.split(MECHANISM_SEPARATOR) if m.strip()] if mech_field else []
+    registry.encode(mechanisms, row=row_no)
+    _parse_int(cell("year"), row_no, "year")
+    values = {name: _KINDS[kind][1](cell(name), row_no, name) for name, kind in CONTROLS}
+    _validate_row(cell("id"), values, row_no)
+
+
+def _failed_ranges(ids, v: dict) -> np.ndarray:
+    """Mask of the rows _validate_row rejects."""
+    return (
+        np.fromiter(map("".__eq__, ids), dtype=bool, count=len(ids))
+        | ~((0.0 <= v["complexity"]) & (v["complexity"] <= 5.0))
+        | ~((0 <= v["min_age"]) & (v["min_age"] <= 25))
+        | (v["playing_time"] < 0)
+        | (v["num_ratings"] < 0)
+        | (v["team_size"] < 0)
+        | ((v["max_players"] > 0) & (v["min_players"] > v["max_players"]))
+    )
 
 
 def _validate_row(rid: str, v: dict, row_no: int) -> None:
@@ -420,8 +576,11 @@ def _trivial_expansions(records: RecordSet) -> np.ndarray:
 
 def write_records_csv(records: RecordSet, path) -> None:
     """Write records in the canonical corpus CSV schema (byte deterministic)."""
-    names = records.registry.names
-    mechanisms = [MECHANISM_SEPARATOR.join(itertools.compress(names, row)) for row in records.matrix.tolist()]
+    # every set bit in row-major order, so each row's names are one slice in registry order
+    rows, features = np.nonzero(records.matrix)
+    names = np.array(records.registry.names, dtype=object)[features].tolist()
+    ends = np.searchsorted(rows, np.arange(1, len(records) + 1)).tolist()
+    mechanisms = [MECHANISM_SEPARATOR.join(names[lo:hi]) for lo, hi in zip([0] + ends, ends)]
     cells = [map(_KINDS[kind][2], records.columns[name].tolist()) for name, kind in CONTROLS]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")

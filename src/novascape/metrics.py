@@ -35,7 +35,16 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .corpus import RecordSet, _format_number, _parse_float, _parse_int, pack_rows
+from .corpus import (
+    RecordSet,
+    _float_column,
+    _format_number,
+    _int_column,
+    _parse_float,
+    _parse_int,
+    _raise_first,
+    pack_rows,
+)
 from .errors import DimensionError, EmptyWindow, ParseError, SchemaError
 
 PAST = "past"
@@ -167,15 +176,25 @@ def read_scores_csv(path) -> ScoreTable:
             raise ParseError(f"{path}: row {row_no}: expected {len(header)} cells, got {len(row)}")
     cells = dict(zip(header, list(zip(*rows)) or [()] * len(header)))
 
-    def parsed(column, parse):
-        return [parse(value, row_no, column) for row_no, value in enumerate(cells[column], start=2)]
+    def parsed(column, convert, parse):
+        values, bad = convert(cells[column])
+        _raise_first(bad, lambda i: parse(cells[column][i], i + 2, column))
+        return values
 
     def parse_resonance(value, row_no, column):
         return math.nan if value == "NA" else _parse_float(value, row_no, column)
 
+    def resonance_column(values):
+        na = np.array([value == "NA" for value in values], dtype=bool)
+        out, bad = _float_column(["nan" if value == "NA" else value for value in values])
+        out[na] = math.nan
+        return out, bad & ~na
+
     try:
-        return ScoreTable(cells["id"], parsed("span", _parse_int), parsed("distinctiveness", _parse_float),
-                          parsed("novelty_count", _parse_int), parsed("resonance", parse_resonance))
+        return ScoreTable(cells["id"], parsed("span", _int_column, _parse_int),
+                          parsed("distinctiveness", _float_column, _parse_float),
+                          parsed("novelty_count", _int_column, _parse_int),
+                          parsed("resonance", resonance_column, parse_resonance))
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc
 

@@ -1,15 +1,22 @@
 """Registry, parsing, filtering, and round-trip behaviour of the corpus layer."""
 
+import csv
+import io
+import itertools
 import json
-from typing import get_args
+from typing import Optional, get_args
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from novascape import corpus
 from novascape.corpus import (
+    _KINDS,
     CONTROLS,
+    MECHANISM_SEPARATOR,
+    REQUIRED_COLUMNS,
     FILTER_RULES,
     RULE_DESIGNER,
     RULE_MECHANISMS,
@@ -25,6 +32,8 @@ from novascape.corpus import (
     parse_records,
     write_records_csv,
     write_registry,
+    _parse_int,
+    _validate_row,
 )
 from novascape.errors import (
     DimensionError,
@@ -123,6 +132,16 @@ class TestRegistry:
         write_registry(reg, path)
         assert load_registry(path).names == reg.names
 
+    @pytest.mark.parametrize("text", ["Dice Rolling\nHand Management\n", '["Dice Rolling", "Hand Management"]'],
+                             ids=["text", "json"])
+    def test_utf8_bom_is_not_part_of_the_first_name(self, tmp_path, text):
+        path = tmp_path / "reg.txt"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        reg = load_registry(path)
+        assert reg.names == ("Dice Rolling", "Hand Management")
+        write_registry(reg, path)
+        assert path.read_bytes().startswith(b"Dice Rolling\n")
+
 
 class TestParsing:
     def good_row(self, rid="g1", mechanisms="f0;f2", **over):
@@ -204,6 +223,37 @@ class TestParsing:
         path = write_csv(tmp_path, [self.good_row(mechanisms="")])
         rs = parse_records(path, registry4)
         assert rs[0].popcount == 0
+
+    def test_earliest_bad_row_wins_over_an_earlier_check(self, tmp_path, registry4):
+        # year is checked before min_age within a row, but row 2 comes first
+        path = write_csv(tmp_path, [self.good_row(min_age="30"), self.good_row(rid="g2", year="20x5")])
+        with pytest.raises(ParseError, match=r"^row 2: min_age 30 outside \[0, 25\]$"):
+            parse_records(path, registry4)
+
+    def test_header_only_file_is_empty(self, tmp_path, registry4):
+        rs = parse_records(write_csv(tmp_path, []), registry4)
+        assert len(rs) == 0 and rs.matrix.shape == (0, 4)
+        assert {name: column.dtype for name, column in rs.columns.items()} == {
+            name: np.dtype(_KINDS[kind][0]) for name, kind in CONTROLS}
+
+    def test_utf8_bom_is_skipped_and_not_written(self, tmp_path, registry4):
+        plain = write_csv(tmp_path, [self.good_row()])
+        marked = tmp_path / "bom.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        rs = parse_records(marked, registry4)
+        assert rs.ids == ("g1",) and rs.matrix.tolist() == [[1, 0, 1, 0]]
+        write_records_csv(rs, marked)
+        assert marked.read_bytes().startswith(b"id,year,")
+
+    @pytest.mark.parametrize("first", ["good", "bad"])
+    def test_bad_row_before_an_unreadable_one_is_reported_as_before(self, tmp_path, registry4, first):
+        # csv.reader fails on row 3's oversized field; a bad row 2 is still the error
+        row = self.good_row() if first == "good" else self.good_row(min_age="30")
+        path = write_csv(tmp_path, [row, self.good_row(rid="x" * (csv.field_size_limit() + 1))])
+        assert parse_outcome(parse_records, path, registry4) == parse_outcome(
+            dictreader_parse_records, path, registry4)
+        with pytest.raises(csv.Error if first == "good" else ParseError):
+            parse_records(path, registry4)
 
 
 class TestRecordSet:
@@ -448,3 +498,155 @@ def test_write_is_byte_deterministic(tmp_path):
     write_records_csv(rs, p1)
     write_records_csv(rs, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def dictreader_parse_records(path, registry):
+    """The row-by-row csv.DictReader parser that parse_records replaced, kept as its oracle."""
+    ids, years, vectors = [], [], []
+    columns = {name: [] for name, _ in CONTROLS}
+    parsers = [(name, _KINDS[kind][1]) for name, kind in CONTROLS]
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        header = reader.fieldnames or []
+        missing = [c for c in REQUIRED_COLUMNS if c not in header]
+        if missing:
+            raise SchemaError(f"{path}: missing required columns {missing}")
+        # DictReader rows are 1-based after the header line
+        for row_no, row in enumerate(reader, start=2):
+            if any(row.get(c) is None for c in REQUIRED_COLUMNS):
+                raise ParseError(f"row {row_no}: short row")
+            mech_field = row["mechanisms"].strip()
+            mechanisms = [m.strip() for m in mech_field.split(MECHANISM_SEPARATOR) if m.strip()] if mech_field else []
+            vectors.append(registry.encode(mechanisms, row=row_no))
+            years.append(_parse_int(row["year"], row_no, "year"))
+            values = {name: parse(row.get(name), row_no, name) for name, parse in parsers}
+            _validate_row(row["id"], values, row_no)
+            ids.append(row["id"])
+            for name, value in values.items():
+                columns[name].append(value)
+    matrix = np.array(vectors, dtype=np.uint8).reshape(len(ids), registry.dimension)
+    return RecordSet.from_columns(registry, ids, years, matrix, columns)
+
+
+def parse_outcome(parse, path, registry):
+    """Every column with its dtype, or the type and message of the error raised."""
+    try:
+        rs = parse(path, registry)
+    except Exception as exc:
+        return type(exc), str(exc)
+    columns = {"year": rs.years, "matrix": rs.matrix, **rs.columns}
+    return rs.ids, {name: (column.dtype, column.tolist()) for name, column in columns.items()}
+
+
+# Cells each column draws from: valid ones, edge cases of the builtins'
+# grammar among them (underscores, edge spaces, Unicode digits, signs), and
+# for a spoiled cell ones that fail a parse, the int64 or finiteness check, or
+# a range check.
+GOOD_CELLS = {
+    "year": ["2015", "1_999", " 2010 ", "\u0662\u0660\u0661\u0665", "+2001", "-5"],
+    "team_size": ["2", "0", "1_0", " 3 "],
+    "complexity": ["2.5", "0", " 1.5 ", "0_1.5", "\u0663.5", "5", "1e0"],
+    "playing_time": ["90", "0", "1_0.5", "1e2", " 45.5 ", "\u0663"],
+    "min_players": ["1", "2", " 1 ", "\u0661"],
+    "max_players": ["0", "4", "1_0", " 7 ", "\u0664"],
+    "min_age": ["12", "0", " 7 ", "2_5", "\u0663", "25"],
+    "num_ratings": ["150", "0", "1_000", "9223372036854775807", " 7 "],
+    "notes": ["Strategy Games", "a,b", 'say "hi"', "two\nlines", "x;y", ""],
+    "id": ["", ",a", '"q"', "\nb", ";c"],  # suffixes to a row's unique id
+    **{name: ["0", "1"] for name, kind in CONTROLS if kind is bool},
+}
+GOOD_CELLS.update(genre=GOOD_CELLS["notes"], parent_id=["", "r0", "zz", "a;b"])
+BAD_CELLS = {
+    "id": ["", "r0", "r1"],  # empty, or the id of row 2 or 3
+    "year": ["x", "2.5", "", "1__0", "9223372036854775808", "-9223372036854775809"],
+    "team_size": ["-1", "-1", "x", "nan"],
+    "complexity": ["5.5", "-0.5", "nan", "inf", "1e400", "1,5"],
+    "playing_time": ["-1", "-1e-9", "inf", "1e400", "-inf", "", "abc"],
+    "min_players": ["9", "11", "", "+-1"],
+    "max_players": ["1", "1", "9223372036854775808", "1.0"],
+    "min_age": ["26", "-1", "\u0663\u0663", "2__5"],
+    "num_ratings": ["-1", "-1", "-9223372036854775809", "1e3"],
+    **{name: ["", " 1", "true", "2", "01"] for name, kind in CONTROLS if kind is bool},
+}
+MECHANISM_PARTS = ["f0", "f1", "f2", "f3", " f1 ", "f2\n", "", " "]
+BAD_MECHANISM_PARTS = ["zz", "F0", "f0 f1"]
+GOOD_CELLS["mechanisms"] = [MECHANISM_SEPARATOR.join(parts) for k in range(4)
+                            for parts in itertools.product(MECHANISM_PARTS, repeat=k)]
+
+
+@st.composite
+def corpus_csv_texts(draw):
+    """CSV text in the corpus schema: shuffled, repeated, missing or extra columns; good and bad rows."""
+    names = list(REQUIRED_COLUMNS) + draw(st.sampled_from([[], ["parent_id"], ["notes"], ["parent_id", "notes"]]))
+    header = draw(st.permutations(names))
+    if draw(st.integers(0, 3)) == 0:
+        header.insert(draw(st.integers(0, len(header))), draw(st.sampled_from(names)))  # repeated name
+    if draw(st.integers(0, 9)) == 0:
+        header.remove(draw(st.sampled_from(REQUIRED_COLUMNS)))  # schema error
+    n = draw(st.integers(0, 12))
+    spoiled_rows = draw(st.sets(st.integers(0, max(n - 1, 0)), max_size=2))
+    lines = [header]
+    for i in range(n):
+        spoil = i in spoiled_rows
+        # a spoiled row takes a bad cell in one or two columns
+        spoiled = draw(st.sets(st.sampled_from(names), min_size=1, max_size=2)) if spoil else set()
+        pick = draw(st.integers(0, 2**64))  # one draw chooses every other cell of the row
+        row = []
+        for name in header:
+            if name == "mechanisms" and name in spoiled:
+                parts = draw(st.lists(st.sampled_from(MECHANISM_PARTS + BAD_MECHANISM_PARTS), max_size=4))
+                cell = MECHANISM_SEPARATOR.join(parts)
+            elif name in spoiled:
+                cell = draw(st.sampled_from(BAD_CELLS.get(name, GOOD_CELLS[name])))
+            else:
+                pick, at = divmod(pick, len(GOOD_CELLS[name]))
+                cell = f"r{i}{GOOD_CELLS[name][at]}" if name == "id" else GOOD_CELLS[name][at]
+            row.append(cell)
+        if spoil and draw(st.integers(0, 3)) == 0:  # short or long row
+            row = row[:max(0, len(row) - draw(st.integers(0, 3)))]
+            row += draw(st.lists(st.sampled_from(["", "9"]), max_size=2))
+        lines.extend([[]] * draw(st.integers(0, 1)) + [row])  # [] writes a blank line
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(lines)
+    return out.getvalue()
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(corpus_csv_texts(), st.sampled_from([1, 3, 4096]))
+def test_column_parser_matches_the_row_parser(tmp_path, monkeypatch, text, block_rows):
+    # a block of 3 puts block boundaries inside most drawn files
+    monkeypatch.setattr(corpus, "PARSE_BLOCK_ROWS", block_rows)
+    path = tmp_path / "corpus.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    registry = make_registry(4)
+    assert parse_outcome(parse_records, path, registry) == parse_outcome(dictreader_parse_records, path, registry)
+
+
+def single_cell_variants():
+    """(column, cell) for every listed cell, and (None, length) for every cut of a row."""
+    names = list(REQUIRED_COLUMNS) + ["parent_id"]
+    for name in names:
+        if name == "mechanisms":
+            yield from ((name, part) for part in MECHANISM_PARTS + BAD_MECHANISM_PARTS)
+        else:
+            yield from ((name, cell) for cell in GOOD_CELLS[name] + BAD_CELLS.get(name, []))
+    yield from ((None, length) for length in range(len(names) + 2))
+
+
+@pytest.mark.parametrize("block_rows", [2, 4096])
+def test_column_parser_matches_the_row_parser_on_every_listed_cell(tmp_path, monkeypatch, block_rows):
+    # each listed cell, or each row length, in row 3 of an otherwise valid file
+    monkeypatch.setattr(corpus, "PARSE_BLOCK_ROWS", block_rows)
+    names = list(REQUIRED_COLUMNS) + ["parent_id"]
+    registry = make_registry(4)
+    path = tmp_path / "corpus.csv"
+    for name, variant in single_cell_variants():
+        rows = [[f"r{i}" if c == "id" else GOOD_CELLS[c][0] for c in names] for i in range(4)]
+        if name is None:
+            rows[1] = (rows[1] + ["9"])[:variant]
+        else:
+            rows[1][names.index(name)] = variant
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([names] + rows)
+        expected = parse_outcome(dictreader_parse_records, path, registry)
+        assert parse_outcome(parse_records, path, registry) == expected, (name, variant)

@@ -5,6 +5,7 @@ packed into Python ints and distances taken with int.bit_count on the XOR,
 with exact Fraction means.
 """
 
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -14,10 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from novascape import metrics
-from novascape.errors import DimensionError, EmptyWindow
+from novascape.errors import DimensionError, EmptyWindow, ParseError
 from novascape.metrics import (
     FUTURE,
     PAST,
+    SCORE_COLUMNS,
     FeatureProfile,
     ScoreTable,
     build_profile,
@@ -383,6 +385,18 @@ class TestScoreTableCsv:
         again = read_scores_csv(path)
         assert fields(again) == fields(table)
         assert again.get("g", 1).resonance == 7 / 3 - 1
+
+    @pytest.mark.parametrize("rows, message", [
+        # columns are checked in column order, so row 3's span comes before row 2's distinctiveness
+        (["a,1,x,0,0,NA,0", "b,1.5,1,0,0,NA,0"], "row 3: column 'span' is not an integer: '1.5'"),
+        (["a,1,1,0,0,NA,0", "b,1,1,0,0,nan,1"], "row 3: column 'resonance' is not finite: 'nan'"),
+        (["a,1,1,0,0,NA,0", "", "b,1,1,0,0,NA,0"], "row 3: expected 7 cells, got 0"),
+    ], ids=["column-order", "nan-is-not-NA", "blank-row"])
+    def test_bad_rows(self, tmp_path, rows, message):
+        path = tmp_path / "scores.csv"
+        path.write_text("\n".join([",".join(SCORE_COLUMNS)] + rows) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=re.escape(message)):
+            read_scores_csv(path)
 
     def test_byte_deterministic(self, tmp_path):
         rs = make_recordset([("a", 2014, [0, 1]), ("b", 2015, [1, 1])])
