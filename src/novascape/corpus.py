@@ -95,29 +95,6 @@ class FeatureRegistry:
     def _index(self) -> dict:
         return {name: j for j, name in enumerate(self.names)}
 
-    def index(self, name: str) -> int:
-        return self._index[name]
-
-    def encode(self, mechanisms: Iterable[str], row: int = -1) -> np.ndarray:
-        """Encode feature names into a uint8 bit vector of registry dimension.
-
-        Unknown names raise UnknownFeature with the offending row number.
-        Repeated names set their bit once.
-        """
-        bits = np.zeros(self.dimension, dtype=np.uint8)
-        for name in mechanisms:
-            j = self._index.get(name)
-            if j is None:
-                raise UnknownFeature(row, name)
-            bits[j] = 1
-        return bits
-
-    def decode(self, bits: np.ndarray) -> tuple:
-        """Feature names whose bit is set, in registry order."""
-        if len(bits) != self.dimension:
-            raise DimensionError(f"vector length {len(bits)} != registry dimension {self.dimension}")
-        return tuple(self.names[j] for j in np.flatnonzero(bits))
-
 
 def load_registry(path) -> FeatureRegistry:
     """Load a registry from a text file (one name per line) or a JSON array; a UTF-8 BOM is skipped."""
@@ -132,14 +109,12 @@ def load_registry(path) -> FeatureRegistry:
             raise ParseError(f"{path}: JSON registry must be an array of strings")
         names = entries
     else:
-        names = []
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            name = line.strip()
-            if not name:
-                if line.strip("\n\r ") == "" and lineno == len(text.splitlines()):
-                    continue
-                raise ParseError(f"{path}: blank feature name at line {lineno}")
-            names.append(name)
+        lines = text.splitlines()
+        if lines and not lines[-1].strip():
+            lines.pop()  # a last line of whitespace only
+        names = [line.strip() for line in lines]
+        if "" in names:
+            raise ParseError(f"{path}: blank feature name at line {names.index('') + 1}")
     if not names:
         raise EmptyRegistry(f"{path}: registry file is empty")
     return FeatureRegistry(tuple(names))
@@ -368,12 +343,22 @@ def _optional_str_column(cells) -> tuple:
     return _str_column([value or None for value in cells])
 
 
-def _raise_first(bad: np.ndarray, check) -> None:
-    """If any row is flagged, call check(i) on the first; it raises that row's error."""
-    if bad.any():
-        i = int(bad.argmax())
-        check(i)
-        raise AssertionError(f"row index {i} was flagged but passes the row checks")
+def _raise_first(checks: list) -> None:
+    """Raise the error of the first check that flags the smallest flagged row.
+
+    Each check is (row mask, error): error(i) returns row index i's exception,
+    or raises it itself, as a cell parser does.
+    """
+    flagged = [(int(bad.argmax()), k) for k, (bad, _) in enumerate(checks) if bad.any()]
+    if flagged:
+        i, k = min(flagged)
+        raise checks[k][1](i)
+
+
+def _column_check(cells, convert, parse, column: str, first_row: int) -> tuple:
+    """The column's values from `convert`, and its check: the cells `convert` rejects, `parse`'s error."""
+    values, bad = convert(cells)
+    return values, (bad, lambda i: parse(cells[i], first_row + i, column))
 
 
 # per CONTROLS type: column dtype, CSV cell parser, CSV cell formatter, column converter
@@ -394,7 +379,7 @@ def parse_records(path, registry: FeatureRegistry) -> RecordSet:
     imputation); downstream analyses assume complete cases. Non-blank rows
     are read PARSE_BLOCK_ROWS at a time and each block is checked column by
     column. The error raised is that of the smallest failing row, from the
-    first check it fails in `_check_row`'s order; a repeated id is reported
+    first check it fails in `_parse_block`'s order; a repeated id is reported
     only once every row has parsed. A UTF-8 byte order mark is skipped.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -443,12 +428,16 @@ def _row_blocks(reader) -> Iterator[list]:
 
 
 def _parse_block(rows: list, position: dict, registry: FeatureRegistry, first_row: int) -> tuple:
-    """Ids, years, vector matrix and CONTROLS columns of one block; raises its first row's error."""
+    """Ids, years, vector matrix and CONTROLS columns of one block; raises its first row's error.
+
+    Every check is a (row mask, error) pair in one list, in the order a row is
+    checked: short row, unknown feature, year, each CONTROLS column, then the
+    value ranges.
+    """
     n = len(rows)
     required = max(position[c] for c in REQUIRED_COLUMNS)
     width = 1 + max(position[c] for c in REQUIRED_COLUMNS + OPTIONAL_COLUMNS if c in position)
     lengths = np.fromiter(map(len, rows), dtype=np.intp, count=n)
-    bad = lengths <= required  # short row
     # pad short rows so one transpose holds every column read; an absent
     # parent_id reads as "" and so as None, and a short row fails anyway
     for i in np.flatnonzero(lengths < width).tolist():
@@ -458,6 +447,12 @@ def _parse_block(rows: list, position: dict, registry: FeatureRegistry, first_ro
 
     def column(name):
         return cells[position[name]] if name in position else ("",) * n
+
+    def error(message, *values):
+        """Row index i's ParseError: `message` formatted with each of `values` at i."""
+        return lambda i: ParseError(f"row {first_row + i}: " + message.format(*(v.item(i) for v in values)))
+
+    checks = [(lengths <= required, error("short row"))]
 
     mechanisms = column("mechanisms")
     parts = np.fromiter(map(str.count, mechanisms, itertools.repeat(MECHANISM_SEPARATOR)),
@@ -470,68 +465,33 @@ def _parse_block(rows: list, position: dict, registry: FeatureRegistry, first_ro
     row = np.repeat(np.arange(n), parts)
     matrix = np.zeros((n, registry.dimension), dtype=np.uint8)
     matrix[row[feature >= 0], feature[feature >= 0]] = 1
-    bad[row[feature == -2]] = True  # unknown feature
+    unknown = np.zeros(n, dtype=bool)
+    unknown[row[feature == -2]] = True
 
-    years, bad_year = _int_column(column("year"))
-    bad |= bad_year
+    def unknown_feature(i):
+        stripped = map(str.strip, mechanisms[i].split(MECHANISM_SEPARATOR))
+        return UnknownFeature(first_row + i, next(name for name in stripped if name not in codes))
+
+    checks.append((unknown, unknown_feature))
+    years, check = _column_check(column("year"), _int_column, _parse_int, "year", first_row)
+    checks.append(check)
     values = {}
     for name, kind in CONTROLS:
-        values[name], bad_value = _KINDS[kind][3](column(name))
-        bad |= bad_value
+        values[name], check = _column_check(column(name), _KINDS[kind][3], _KINDS[kind][1], name, first_row)
+        checks.append(check)
     ids = column("id")
-    bad |= _failed_ranges(ids, values)
-
-    def check(i):
-        def cell(name):  # a csv.DictReader row's get: None where absent or past the row's end
-            at = position.get(name)
-            return None if at is None or at >= lengths[i] else cells[at][i]
-
-        _check_row(cell, first_row + i, registry)
-
-    _raise_first(bad, check)
+    complexity, min_age, lo, hi = (values[c] for c in ("complexity", "min_age", "min_players", "max_players"))
+    checks += [
+        (np.fromiter(map("".__eq__, ids), dtype=bool, count=n), error("empty id")),
+        (~((0.0 <= complexity) & (complexity <= 5.0)), error("complexity {} outside [0, 5]", complexity)),
+        (~((0 <= min_age) & (min_age <= 25)), error("min_age {} outside [0, 25]", min_age)),
+        (values["playing_time"] < 0, error("negative playing_time")),
+        (values["num_ratings"] < 0, error("negative num_ratings")),
+        (values["team_size"] < 0, error("negative team_size")),
+        ((hi > 0) & (lo > hi), error("min_players {} > max_players {}", lo, hi)),
+    ]
+    _raise_first(checks)
     return ids, years, matrix, values
-
-
-def _check_row(cell, row_no: int, registry: FeatureRegistry) -> None:
-    """Every check of one row in order; `cell(name)` is its text, None where absent or short."""
-    if any(cell(c) is None for c in REQUIRED_COLUMNS):
-        raise ParseError(f"row {row_no}: short row")
-    mech_field = cell("mechanisms").strip()
-    mechanisms = [m.strip() for m in mech_field.split(MECHANISM_SEPARATOR) if m.strip()] if mech_field else []
-    registry.encode(mechanisms, row=row_no)
-    _parse_int(cell("year"), row_no, "year")
-    values = {name: _KINDS[kind][1](cell(name), row_no, name) for name, kind in CONTROLS}
-    _validate_row(cell("id"), values, row_no)
-
-
-def _failed_ranges(ids, v: dict) -> np.ndarray:
-    """Mask of the rows _validate_row rejects."""
-    return (
-        np.fromiter(map("".__eq__, ids), dtype=bool, count=len(ids))
-        | ~((0.0 <= v["complexity"]) & (v["complexity"] <= 5.0))
-        | ~((0 <= v["min_age"]) & (v["min_age"] <= 25))
-        | (v["playing_time"] < 0)
-        | (v["num_ratings"] < 0)
-        | (v["team_size"] < 0)
-        | ((v["max_players"] > 0) & (v["min_players"] > v["max_players"]))
-    )
-
-
-def _validate_row(rid: str, v: dict, row_no: int) -> None:
-    if not rid:
-        raise ParseError(f"row {row_no}: empty id")
-    if not 0.0 <= v["complexity"] <= 5.0:
-        raise ParseError(f"row {row_no}: complexity {v['complexity']} outside [0, 5]")
-    if not 0 <= v["min_age"] <= 25:
-        raise ParseError(f"row {row_no}: min_age {v['min_age']} outside [0, 25]")
-    if v["playing_time"] < 0:
-        raise ParseError(f"row {row_no}: negative playing_time")
-    if v["num_ratings"] < 0:
-        raise ParseError(f"row {row_no}: negative num_ratings")
-    if v["team_size"] < 0:
-        raise ParseError(f"row {row_no}: negative team_size")
-    if v["max_players"] > 0 and v["min_players"] > v["max_players"]:
-        raise ParseError(f"row {row_no}: min_players {v['min_players']} > max_players {v['max_players']}")
 
 
 def apply_filters(records: RecordSet, cfg: FilterConfig):

@@ -37,6 +37,7 @@ import numpy as np
 
 from .corpus import (
     RecordSet,
+    _column_check,
     _float_column,
     _format_number,
     _int_column,
@@ -162,9 +163,10 @@ def read_scores_csv(path) -> ScoreTable:
 
     novelty_binary and resonance_available restate novelty_count and
     resonance and are not read back. A missing column raises SchemaError; a
-    short row, a bad cell or a table ScoreTable rejects raises ParseError.
+    short row, a bad cell or a table ScoreTable rejects raises ParseError. A
+    UTF-8 byte order mark is skipped.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         missing = [c for c in SCORE_COLUMNS if c not in header]
@@ -177,8 +179,8 @@ def read_scores_csv(path) -> ScoreTable:
     cells = dict(zip(header, list(zip(*rows)) or [()] * len(header)))
 
     def parsed(column, convert, parse):
-        values, bad = convert(cells[column])
-        _raise_first(bad, lambda i: parse(cells[column][i], i + 2, column))
+        values, check = _column_check(cells[column], convert, parse, column, 2)
+        _raise_first([check])
         return values
 
     def parse_resonance(value, row_no, column):

@@ -386,6 +386,17 @@ class TestScoreTableCsv:
         assert fields(again) == fields(table)
         assert again.get("g", 1).resonance == 7 / 3 - 1
 
+    def test_utf8_bom_is_skipped(self, tmp_path):
+        rs = make_recordset([("a", 2014, [0, 1]), ("b", 2015, [1, 1]), ("c", 2016, [1, 0])])
+        table = score_corpus(rs, spans=(1, 2), last_complete_year=2016)
+        path, bom = tmp_path / "scores.csv", tmp_path / "bom.csv"
+        table.write_csv(path)
+        bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        plain, again = read_scores_csv(path), read_scores_csv(bom)
+        assert again.ids.tolist() == plain.ids.tolist()
+        for name in ("spans", "distinctiveness", "novelty_count", "resonance"):
+            assert np.array_equal(getattr(again, name), getattr(plain, name), equal_nan=True), name
+
     @pytest.mark.parametrize("rows, message", [
         # columns are checked in column order, so row 3's span comes before row 2's distinctiveness
         (["a,1,x,0,0,NA,0", "b,1.5,1,0,0,NA,0"], "row 3: column 'span' is not an integer: '1.5'"),
