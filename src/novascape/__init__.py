@@ -6,7 +6,6 @@ from .corpus import (
     FeatureRegistry,
     FilterConfig,
     FilterReport,
-    Record,
     RecordSet,
     apply_filters,
     canonical_registry,
@@ -18,9 +17,6 @@ from .metrics import (
     FeatureProfile,
     InnovationScores,
     ScoreTable,
-    build_profile,
-    distinctiveness_fast,
-    hamming,
     read_scores_csv,
     score_corpus,
 )

@@ -46,7 +46,6 @@ from .errors import (
     ConfigError,
     EmptyGraph,
     EmptySample,
-    EmptyWindow,
     NovascapeError,
     NumericError,
     ParseError,
@@ -222,6 +221,8 @@ class PipelineConfig:
         bad = [f for f in self.formats if f not in EXPORT_FORMATS]
         if bad:
             raise ConfigError(f"unknown formats {bad}; choose from {EXPORT_FORMATS}")
+        if not self.models:
+            raise ConfigError("models must name at least one model")
         for name, spec in self.models.items():
             bad = [c for c in (spec.outcome, *(c for c, _ in spec.terms))
                    if c not in JOINED_COLUMNS or c in JOINED_LABELS]
@@ -347,7 +348,11 @@ def cmd_score(cfg: PipelineConfig, records: Optional[RecordSet] = None) -> Score
 def cmd_landscape(cfg: PipelineConfig, records: Optional[RecordSet] = None) -> int:
     records = _load_cache(cfg) if records is None else records
     settings = cfg.landscape
-    years = tuple(sorted(settings.snapshot_years)) or (_final_year(records),)
+    final_year = _final_year(records)
+    late = [y for y in settings.snapshot_years if y > final_year]
+    if late:
+        raise ConfigError(f"snapshot years {late} come after the corpus's final year {final_year}")
+    years = tuple(sorted(settings.snapshot_years)) or (final_year,)
     graphs = [
         build_landscape(records, up_to_year=y, min_type_count=settings.min_type_count,
                         cf_share_threshold=settings.cf_share_threshold)
@@ -505,7 +510,12 @@ def cmd_report(cfg: PipelineConfig) -> int:
                       registry_path=str(Path(cfg.out_dir) / "synth_registry.txt"))
     records = cmd_ingest(cfg, corpus)
     table = cmd_score(cfg, records)
-    code = cmd_landscape(cfg, records)
+    try:
+        code = cmd_landscape(cfg, records)
+    except EmptyGraph as exc:
+        # stats reads no landscape output, so its files are still written
+        log.error("empty result: %s", exc)
+        code = EXIT_EMPTY
     code = cmd_stats(cfg, records, table) or code
     with atomic_write(Path(cfg.out_dir) / "pipeline_config.json") as tmp:
         tmp.write_text(json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n",
@@ -583,7 +593,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ParseError, RegistryError, ConfigError, FileNotFoundError) as exc:
         log.error("%s", exc)
         return EXIT_INPUT
-    except (EmptyGraph, EmptySample, EmptyWindow) as exc:
+    except (EmptyGraph, EmptySample) as exc:
         log.error("empty result: %s", exc)
         return EXIT_EMPTY
     except (NumericError, RankDeficient) as exc:

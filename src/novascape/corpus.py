@@ -13,7 +13,7 @@ from dataclasses import dataclass, make_dataclass
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 import numpy as np
 
@@ -152,30 +152,12 @@ class RecordSet:
 
     `ids`, `years`, the (n, dimension) uint8 `matrix` and `columns` (one
     typed array per CONTROLS field) share row order; `row_of` maps id to
-    row. Indexing and iteration build Record views with Python scalars.
-    Safe to share read-only across threads.
+    row. Iteration builds Record views with Python scalars. Safe to share
+    read-only across threads.
     """
 
-    def __init__(self, records: Iterable[Record], registry: FeatureRegistry):
-        records = tuple(records)
-        for rec in records:
-            if len(rec.vector) != registry.dimension:
-                raise DimensionError(
-                    f"record {rec.id}: vector length {len(rec.vector)} != dimension {registry.dimension}"
-                )
-        matrix = np.array([rec.vector for rec in records], dtype=np.uint8)
-        columns = {name: [getattr(rec, name) for rec in records] for name, _ in CONTROLS}
-        self._assign(registry, [rec.id for rec in records], [rec.year for rec in records],
-                     matrix.reshape(len(records), registry.dimension), columns)
-
-    @classmethod
-    def from_columns(cls, registry: FeatureRegistry, ids, years, matrix, columns: Mapping) -> "RecordSet":
+    def __init__(self, registry: FeatureRegistry, ids, years, matrix, columns: Mapping):
         """Records from parallel columns; `columns` maps every CONTROLS field to its values."""
-        out = cls.__new__(cls)
-        out._assign(registry, ids, years, matrix, columns)
-        return out
-
-    def _assign(self, registry, ids, years, matrix, columns) -> None:
         self.registry = registry
         self.ids = tuple(ids)
         self.years = np.asarray(years, dtype=np.int64)
@@ -197,20 +179,12 @@ class RecordSet:
         return len(self.ids)
 
     def __iter__(self) -> Iterator[Record]:
-        return (self[i] for i in range(len(self)))
-
-    def __getitem__(self, i: int) -> Record:
-        controls = {name: column.item(i) for name, column in self.columns.items()}
-        return Record(self.ids[i], self.years.item(i), self.matrix[i], **controls)
-
-    @cached_property
-    def records(self) -> tuple:
-        """Every row as a Record view, built on first use."""
-        return tuple(self)
+        controls = (column.tolist() for column in self.columns.values())
+        return (Record(*row) for row in zip(self.ids, self.years.tolist(), self.matrix, *controls))
 
     def take(self, rows: np.ndarray) -> "RecordSet":
         """The records at the given row indices, in that order."""
-        return RecordSet.from_columns(
+        return RecordSet(
             self.registry, [self.ids[i] for i in rows.tolist()], self.years[rows], self.matrix[rows],
             {name: column[rows] for name, column in self.columns.items()},
         )
@@ -220,13 +194,6 @@ class RecordSet:
         """Map year -> sorted row indices of records published that year."""
         years, first = np.unique(self.years, return_index=True)
         return {int(y): np.flatnonzero(self.years == y) for y in years[np.argsort(first)]}
-
-    def rows_in_years(self, year_lo: int, year_hi: int) -> np.ndarray:
-        """Row indices of records with year in [year_lo, year_hi], ascending."""
-        parts = [self.year_rows[y] for y in sorted(self.year_rows) if year_lo <= y <= year_hi]
-        if not parts:
-            return np.array([], dtype=np.int64)
-        return np.concatenate(parts)
 
 
 @dataclass(frozen=True)
@@ -403,8 +370,8 @@ def parse_records(path, registry: FeatureRegistry) -> RecordSet:
             for name, column in values.items():
                 columns[name].append(column)
             first_row += len(block_ids)
-    return RecordSet.from_columns(registry, ids, np.concatenate(years), np.concatenate(matrices),
-                                  {name: np.concatenate(parts) for name, parts in columns.items()})
+    return RecordSet(registry, ids, np.concatenate(years), np.concatenate(matrices),
+                     {name: np.concatenate(parts) for name, parts in columns.items()})
 
 
 def _row_blocks(reader) -> Iterator[list]:

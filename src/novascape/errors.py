@@ -43,14 +43,8 @@ class SchemaError(ParseError):
     pass
 
 
-# metrics
-
 class DimensionError(NovascapeError):
     pass
-
-
-class EmptyWindow(NovascapeError):
-    """Comparison window contains no records; the score is undefined, not 0."""
 
 
 # landscape

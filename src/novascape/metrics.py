@@ -46,7 +46,7 @@ from .corpus import (
     _raise_first,
     pack_rows,
 )
-from .errors import DimensionError, EmptyWindow, ParseError, SchemaError
+from .errors import ParseError, SchemaError
 
 PAST = "past"
 FUTURE = "future"
@@ -65,8 +65,8 @@ class FeatureProfile:
     The mean Hamming distance from a vector g to n window vectors expands to
     sum_j (g_j ? n - c_j : c_j) / n where c_j counts window records with
     feature j set, i.e. (c.sum() + g.(n - 2c)) / n. The numerator is taken in
-    int64 and equals the brute-force pairwise sum exactly. score_corpus and
-    distinctiveness_fast compute their means this way.
+    int64 and equals the brute-force pairwise sum exactly. score_corpus
+    computes every mean this way, from one profile per year summed per window.
     """
 
     n: int
@@ -102,7 +102,7 @@ class ScoreTable:
     `novelty_count` (int64) and `resonance` (float64, NaN where absent) share
     row order, and `novelty_binary` derives from novelty_count. `unscored`
     lists the sorted (record_id, span) pairs whose past window was empty.
-    `get` and iteration build InnovationScores views.
+    `get` builds one InnovationScores view.
     """
 
     def __init__(self, ids, spans, distinctiveness, novelty_count, resonance, unscored: Iterable = ()):
@@ -130,19 +130,16 @@ class ScoreTable:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def __iter__(self):
-        return (self._view(i) for i in range(len(self)))
-
-    def _view(self, i: int) -> InnovationScores:
-        novelty, resonance = self.novelty_count.item(i), self.resonance.item(i)
-        return InnovationScores(self.ids[i], self.spans.item(i), self.distinctiveness.item(i), novelty,
-                                novelty > 0, None if math.isnan(resonance) else resonance)
-
     def get(self, record_id: str, span_years: int) -> Optional[InnovationScores]:
         lo = int(np.searchsorted(self.ids, record_id, side="left"))
         hi = int(np.searchsorted(self.ids, record_id, side="right"))
         hit = np.flatnonzero(self.spans[lo:hi] == span_years)
-        return self._view(lo + int(hit[0])) if len(hit) else None
+        if not len(hit):
+            return None
+        i = lo + int(hit[0])
+        novelty, resonance = self.novelty_count.item(i), self.resonance.item(i)
+        return InnovationScores(self.ids[i], self.spans.item(i), self.distinctiveness.item(i), novelty,
+                                novelty > 0, None if math.isnan(resonance) else resonance)
 
     def write_csv(self, path) -> None:
         """Write one row per score; floats use round-trip repr, so no precision is lost."""
@@ -201,45 +198,12 @@ def read_scores_csv(path) -> ScoreTable:
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def hamming(a, b) -> int:
-    """Number of positions where two equal-length binary vectors differ."""
-    va, vb = np.asarray(a, dtype=np.uint8), np.asarray(b, dtype=np.uint8)
-    if va.shape != vb.shape:
-        raise DimensionError(f"dimension mismatch: {va.shape} vs {vb.shape}")
-    return int(np.count_nonzero(va != vb))
-
-
-def cross_hamming(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Pairwise Hamming distances between row vectors of A (m,d) and B (k,d).
-
-    The scores never form this matrix; it is the reference that tests compare
-    the scoring kernel with. Uses popcount(a) + popcount(b) - 2 a.b; the dot
-    products run through a float BLAS matmul whose intermediate values are
-    small exact integers, so the int64 result is exact regardless of
-    accumulation order.
-    """
-    if A.shape[1] != B.shape[1]:
-        raise DimensionError(f"dimension mismatch: {A.shape[1]} vs {B.shape[1]}")
-    pa = A.sum(axis=1, dtype=np.int64)
-    pb = B.sum(axis=1, dtype=np.int64)
-    cross = np.rint(A.astype(np.float64) @ B.T.astype(np.float64)).astype(np.int64)
-    return pa[:, None] + pb[None, :] - 2 * cross
-
-
 def window_years(focal_year: int, span: int, direction: str):
     if direction == PAST:
         return focal_year - span, focal_year - 1
     if direction == FUTURE:
         return focal_year + 1, focal_year + span
     raise ValueError(f"direction must be {PAST!r} or {FUTURE!r}")
-
-
-def build_profile(records: RecordSet, year_lo: int, year_hi: int) -> FeatureProfile:
-    rows = records.rows_in_years(year_lo, year_hi)
-    counts = records.matrix[rows].sum(axis=0, dtype=np.int64) if len(rows) else np.zeros(
-        records.registry.dimension, dtype=np.int64
-    )
-    return FeatureProfile(n=int(len(rows)), counts=counts)
 
 
 def _window_profile(year_profiles: Mapping[int, FeatureProfile], year_lo: int, year_hi: int,
@@ -275,16 +239,6 @@ def _min_distances(focal: np.ndarray, window: np.ndarray, dimension: int) -> np.
     return out
 
 
-def distinctiveness_fast(g, profile: FeatureProfile) -> float:
-    """Mean distance from g to the profile's window; equals the pairwise mean exactly."""
-    if profile.n == 0:
-        raise EmptyWindow("comparison window is empty")
-    bits = np.asarray(g, dtype=np.uint8)
-    if len(bits) != len(profile.counts):
-        raise DimensionError(f"dimension mismatch: {len(bits)} vs {len(profile.counts)}")
-    return int(_distance_sums(bits[None, :], profile)[0]) / profile.n
-
-
 def score_corpus(
     records: RecordSet,
     spans: Sequence[int] = (DEFAULT_SPAN,),
@@ -299,7 +253,8 @@ def score_corpus(
     """
     dimension = records.registry.dimension
     max_span = max(spans, default=0)
-    year_profiles = {y: build_profile(records, y, y) for y in records.year_rows}
+    year_profiles = {y: FeatureProfile(len(rows), records.matrix[rows].sum(axis=0, dtype=np.int64))
+                     for y, rows in records.year_rows.items()}
     packed = pack_rows(records.matrix)
     # one (rows, span, distinctiveness, novelty_count, resonance) block per scored (year, span)
     blocks = []

@@ -157,4 +157,4 @@ def generate_corpus(cfg: SynthConfig) -> RecordSet:
         ids.extend(f"syn-{year}-{i:04d}" for i in range(n))
         years.extend([year] * n)
     columns = {name: np.concatenate([drawn[name] for drawn in controls]) for name in controls[0]}
-    return RecordSet.from_columns(registry, ids, years, np.concatenate(blocks), columns)
+    return RecordSet(registry, ids, years, np.concatenate(blocks), columns)

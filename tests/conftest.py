@@ -1,4 +1,4 @@
-"""Shared builders for compact in-memory corpora."""
+"""Shared builders for compact in-memory corpora, and the Hamming oracles the tests share."""
 
 import os
 
@@ -10,7 +10,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
-from novascape.corpus import FeatureRegistry, Record, RecordSet  # noqa: E402
+from novascape.corpus import CONTROLS, FeatureRegistry, Record, RecordSet  # noqa: E402
+from novascape.errors import DimensionError  # noqa: E402
 
 
 def make_registry(dimension: int) -> FeatureRegistry:
@@ -39,14 +40,47 @@ def make_record(rid, year, bits, registry, **overrides) -> Record:
     return Record(**fields)
 
 
+def recordset_of(records, registry) -> RecordSet:
+    """The RecordSet of `records` (make_record outputs) in their order, built from their columns."""
+    records = list(records)
+    matrix = np.array([rec.vector for rec in records], dtype=np.uint8)
+    columns = {name: [getattr(rec, name) for rec in records] for name, _ in CONTROLS}
+    return RecordSet(registry, [rec.id for rec in records], [rec.year for rec in records],
+                     matrix.reshape(len(records), registry.dimension), columns)
+
+
 def make_recordset(rows, dimension=None, **overrides) -> RecordSet:
     """rows: iterable of (id, year, bits) triples."""
     rows = list(rows)
     if dimension is None:
         dimension = len(rows[0][2])
     registry = make_registry(dimension)
-    records = [make_record(rid, year, bits, registry, **overrides) for rid, year, bits in rows]
-    return RecordSet(records, registry)
+    return recordset_of((make_record(rid, year, bits, registry, **overrides) for rid, year, bits in rows),
+                        registry)
+
+
+def hamming(a, b) -> int:
+    """Number of positions where two equal-length binary vectors differ."""
+    va, vb = np.asarray(a, dtype=np.uint8), np.asarray(b, dtype=np.uint8)
+    if va.shape != vb.shape:
+        raise DimensionError(f"dimension mismatch: {va.shape} vs {vb.shape}")
+    return int(np.count_nonzero(va != vb))
+
+
+def cross_hamming(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Pairwise Hamming distances between row vectors of A (m,d) and B (k,d).
+
+    The scoring kernel never forms this matrix; the tests compare it with
+    this one. Uses popcount(a) + popcount(b) - 2 a.b; the dot products run
+    through a float BLAS matmul whose intermediate values are small exact
+    integers, so the int64 result is exact regardless of accumulation order.
+    """
+    if A.shape[1] != B.shape[1]:
+        raise DimensionError(f"dimension mismatch: {A.shape[1]} vs {B.shape[1]}")
+    pa = A.sum(axis=1, dtype=np.int64)
+    pb = B.sum(axis=1, dtype=np.int64)
+    cross = np.rint(A.astype(np.float64) @ B.T.astype(np.float64)).astype(np.int64)
+    return pa[:, None] + pb[None, :] - 2 * cross
 
 
 @pytest.fixture

@@ -19,7 +19,7 @@ import pytest
 from novascape.cli import main as cli_main, recovery_seed
 from novascape.corpus import RecordSet
 from novascape.landscape import flip_edges
-from novascape.metrics import build_profile, cross_hamming, distinctiveness_fast, score_corpus
+from novascape.metrics import score_corpus
 from novascape.stats import (
     _glm_ll,
     _glm_mu_w,
@@ -31,7 +31,7 @@ from novascape.stats import (
 )
 from novascape.synth import SynthConfig, generate_corpus
 
-from conftest import make_record, make_registry
+from conftest import cross_hamming, make_record, make_registry, recordset_of
 
 
 def check(name: str, ok: bool, detail: str = "") -> None:
@@ -52,7 +52,12 @@ def random_corpus(n: int, dim: int, years, seed: int) -> RecordSet:
     for i in range(n):
         bits = tuple(int(b) for b in rng.integers(0, 2, size=dim))
         recs.append(make_record(f"r{i:05d}", years[i % len(years)], bits, registry))
-    return RecordSet(recs, registry)
+    return recordset_of(recs, registry)
+
+
+def window_rows(rs: RecordSet, year_lo: int, year_hi: int) -> np.ndarray:
+    """Row indices of the records published in [year_lo, year_hi], ascending."""
+    return np.flatnonzero((rs.years >= year_lo) & (rs.years <= year_hi))
 
 
 def as_ints(matrix: np.ndarray) -> list:
@@ -71,20 +76,17 @@ class TestOracleEquivalence:
         checked = 0
         sums_exact = True
         div_ok = True
-        for i, rec in enumerate(rs.records):
-            win = rs.rows_in_years(rec.year - span, rec.year - 1)
+        for i, rec in enumerate(rs):
+            win = window_rows(rs, rec.year - span, rec.year - 1)
             if len(win) == 0:
                 assert table.get(rec.id, span) is None
                 continue
             oracle_sum = sum(popcount_int(ints[i] ^ ints[j]) for j in win)
             prod_sum = int(cross_hamming(rec.vector[None, :], rs.matrix[win])[0].sum())
             sums_exact &= prod_sum == oracle_sum
-            profile = build_profile(rs, rec.year - span, rec.year - 1)
-            fast = distinctiveness_fast(rec.vector, profile)
             oracle = Fraction(oracle_sum, len(win))
-            for value in (fast, table.get(rec.id, span).distinctiveness):
-                rel = abs(value - float(oracle)) / max(float(oracle), 1e-300)
-                div_ok &= rel <= 1e-12
+            value = table.get(rec.id, span).distinctiveness
+            div_ok &= abs(value - float(oracle)) / max(float(oracle), 1e-300) <= 1e-12
             checked += 1
         elapsed = time.perf_counter() - t0
         check(
@@ -100,15 +102,15 @@ class TestNoveltyOracle:
         cfg = SynthConfig(year_start=2006, year_end=2015, games_per_year=500,
                           crowdfunded_share_by_year=0.3, novelty_boost=1.0, seed=21)
         rs = generate_corpus(cfg)
-        assert len(rs.records) == 5000
+        assert len(rs) == 5000
         spans = (1, 2, 5)
         table = score_corpus(rs, spans=spans, last_complete_year=2015)
-        row_of = {i: rec for i, rec in enumerate(rs.records)}
+        row_of = dict(enumerate(rs))
         mismatches = 0
         scored = 0
         for span in spans:
             for i, rec in row_of.items():
-                win = rs.rows_in_years(rec.year - span, rec.year - 1)
+                win = window_rows(rs, rec.year - span, rec.year - 1)
                 got = table.get(rec.id, span)
                 if len(win) == 0:
                     assert got is None and (rec.id, span) in set(table.unscored)
@@ -122,7 +124,7 @@ class TestNoveltyOracle:
         rng = np.random.default_rng(7)
         for i in rng.choice(len(ints), size=200, replace=False):
             rec = row_of[int(i)]
-            win = rs.rows_in_years(rec.year - 2, rec.year - 1)
+            win = window_rows(rs, rec.year - 2, rec.year - 1)
             if len(win) == 0:
                 continue
             oracle = min(popcount_int(ints[int(i)] ^ ints[j]) for j in win)
@@ -143,27 +145,27 @@ class TestResonanceIdentity:
         last = 2015
         table = score_corpus(rs, spans=(span,), last_complete_year=last)
         ints = as_ints(rs.matrix)
-        idx = {rec.id: i for i, rec in enumerate(rs.records)}
         identity_ok = True
         absent_ok = True
         n_res = 0
-        for row in table:
-            i = idx[row.record_id]
-            rec = rs.records[i]
-            if rec.year + span > last:
-                absent_ok &= row.resonance is None
+        for rid, distinctiveness, resonance in zip(table.ids, table.distinctiveness.tolist(),
+                                                   table.resonance.tolist()):
+            i = rs.row_of[rid]
+            year = rs.years.item(i)
+            if year + span > last:
+                absent_ok &= math.isnan(resonance)
                 continue
-            past = rs.rows_in_years(rec.year - span, rec.year - 1)
-            future = rs.rows_in_years(rec.year + 1, rec.year + span)
+            past = window_rows(rs, year - span, year - 1)
+            future = window_rows(rs, year + 1, year + span)
             if len(future) == 0:
-                absent_ok &= row.resonance is None
+                absent_ok &= math.isnan(resonance)
                 continue
             d_past = Fraction(sum(popcount_int(ints[i] ^ ints[j]) for j in past), len(past))
             d_future = Fraction(sum(popcount_int(ints[i] ^ ints[j]) for j in future), len(future))
             oracle = float(d_past) - float(d_future)
-            identity_ok &= row.resonance is not None
-            identity_ok &= abs(row.resonance - oracle) <= 1e-12 * max(1.0, abs(oracle))
-            identity_ok &= abs(row.distinctiveness - float(d_past)) <= 1e-12 * float(d_past)
+            identity_ok &= not math.isnan(resonance)
+            identity_ok &= abs(resonance - oracle) <= 1e-12 * max(1.0, abs(oracle))
+            identity_ok &= abs(distinctiveness - float(d_past)) <= 1e-12 * float(d_past)
             n_res += 1
         strictly_fewer = 0 < n_res < len(table)
         check(

@@ -162,7 +162,7 @@ def pipeline_configs(draw):
         landscape=LandscapeConfig(tuple(draw(st.lists(years, max_size=3, unique=True))),
                                   draw(st.integers(1, 20)), draw(unit), draw(seeds)),
         formats=tuple(draw(st.lists(st.sampled_from(landscape.EXPORT_FORMATS), max_size=4, unique=True))),
-        models=draw(st.dictionaries(texts, model_specs(), max_size=3)),
+        models=draw(st.dictionaries(texts, model_specs(), min_size=1, max_size=3)),
         synth=synth,
     )
 
@@ -363,11 +363,12 @@ class TestExitCodes:
         {"models": {"M": {**MODEL, "terms": ["crowdfunded", "teamsize"]}}},
         {"models": {"M": {**MODEL, "fixed_effects": ["genres"]}}},
         {"models": {"M": {**MODEL, "terms": ["genre"]}}},
+        {"models": {}},
     ], ids=["span-text", "negative-filter", "unknown-synth-key", "synth-dimension-text", "models-list",
             "repeated-span", "repeated-snapshot-year", "repeated-format", "negative-seed",
             "negative-landscape-seed", "negative-synth-seed", "top-level-seed",
             "min-type-count-negative", "cf-share-threshold-above-1", "unknown-outcome",
-            "unknown-term", "unknown-fixed-effect", "label-column-as-term"])
+            "unknown-term", "unknown-fixed-effect", "label-column-as-term", "models-empty"])
     def test_malformed_config_value_is_exit_2(self, tmp_path, section):
         out = tmp_path / "o"
         cfg = write_config(tmp_path, {"out_dir": str(out), "synth": {}, **section})
@@ -475,6 +476,26 @@ class TestExitCodes:
                      "--corpus", str(out / "synth_corpus.csv"),
                      "--registry", str(out / "synth_registry.txt")]) == EXIT_OK
         assert main(["landscape", "--config", str(cfg)]) == EXIT_EMPTY
+
+    def test_report_with_empty_landscape_still_writes_stats(self, tmp_path, caplog):
+        # no type is plotted in 1990, before the corpus starts
+        out = tmp_path / "run"
+        payload = pipeline_payload(out)
+        payload["landscape"]["snapshot_years"] = [1990]
+        assert main(["report", "--config", str(write_config(tmp_path, payload))]) == EXIT_EMPTY
+        assert "no plotted nodes" in caplog.text
+        assert not list(out.glob("landscape_*")) and not (out / "centroids.csv").exists()
+        for name in ("descriptives.csv", "group_tests.csv", "models.csv", "models.txt",
+                     "marginal_means.csv", "pipeline_config.json"):
+            assert (out / name).stat().st_size > 0, name
+
+    def test_snapshot_year_after_the_corpus_is_exit_2(self, tmp_path, caplog):
+        out = tmp_path / "run"
+        payload = pipeline_payload(out)
+        payload["landscape"]["snapshot_years"] = [2009, 2050]
+        assert main(["report", "--config", str(write_config(tmp_path, payload))]) == EXIT_INPUT
+        assert "[2050]" in caplog.text and "final year 2011" in caplog.text
+        assert not list(out.glob("landscape_*"))
 
     def test_failing_model_is_exit_4_and_others_still_run(self, tmp_path):
         out = tmp_path / "run"
@@ -647,12 +668,13 @@ class TestInMemoryReport:
         cfg = write_config(tmp_path, pipeline_payload(tmp_path / "run"))
         assert main(["report", "--config", str(cfg)]) == EXIT_OK
         assert built == []
-        # the counters do see views: indexing and table lookups build them
+        # the counters do see views: iteration and table lookups build them
         records = generate_corpus(SynthConfig(dimension=4, year_start=2006, year_end=2007,
                                               games_per_year=3))
-        assert records[1].id == "syn-2006-0001" and built == [("Record", "syn-2006-0001")]
+        assert [rec.id for rec in records] == list(records.ids)
+        assert built == [("Record", rid) for rid in records.ids]
         assert score_corpus(records, spans=(1,)).get("syn-2007-0000", 1).span_years == 1
-        assert built[1:] == [("InnovationScores", "syn-2007-0000")]
+        assert built[len(records):] == [("InnovationScores", "syn-2007-0000")]
 
 
 class TestAtomicWrite:

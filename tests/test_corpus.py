@@ -44,7 +44,7 @@ from novascape.errors import (
 )
 from novascape.synth import SynthConfig, generate_corpus
 
-from conftest import make_record, make_recordset, make_registry
+from conftest import make_record, make_recordset, make_registry, recordset_of
 
 CSV_HEADER = (
     "id,year,mechanisms,crowdfunded,genre,team_size,debut,complexity,"
@@ -157,7 +157,7 @@ class TestParsing:
         path = write_csv(tmp_path, [self.good_row()])
         rs = parse_records(path, registry4)
         assert len(rs) == 1
-        rec = rs[0]
+        rec, = rs
         assert rec.id == "g1"
         assert rec.year == 2015
         assert rec.vector.tolist() == [1, 0, 1, 0]
@@ -171,8 +171,7 @@ class TestParsing:
         rows = [self.good_row() + ",", self.good_row(rid="g2") + ",g1"]
         path = write_csv(tmp_path, rows, header=header)
         rs = parse_records(path, registry4)
-        assert rs[0].parent_id is None
-        assert rs[1].parent_id == "g1"
+        assert [rec.parent_id for rec in rs] == [None, "g1"]
 
     def test_missing_column_is_schema_error(self, tmp_path, registry4):
         header = CSV_HEADER.replace(",num_ratings", "")
@@ -209,8 +208,8 @@ class TestParsing:
 
     def test_empty_mechanism_list_is_zero_vector(self, tmp_path, registry4):
         path = write_csv(tmp_path, [self.good_row(mechanisms="")])
-        rs = parse_records(path, registry4)
-        assert rs[0].popcount == 0
+        rec, = parse_records(path, registry4)
+        assert rec.popcount == 0
 
     def test_earliest_bad_row_wins_over_an_earlier_check(self, tmp_path, registry4):
         # year is checked before min_age within a row, but row 2 comes first
@@ -250,20 +249,20 @@ class TestRecordSet:
         assert rs.matrix.shape == (3, 2)
         assert rs.matrix.dtype == np.uint8
         assert rs.year_rows[2010].tolist() == [0, 2]
-        assert rs.rows_in_years(2010, 2010).tolist() == [0, 2]
-        assert rs.rows_in_years(2005, 2009).tolist() == []
+        assert list(rs.year_rows) == [2010, 2011]
+
+    @staticmethod
+    def columns(n):
+        """Every CONTROLS column, n zeros long."""
+        return {name: [0] * n for name, _ in CONTROLS}
 
     def test_duplicate_ids_rejected(self):
-        reg = make_registry(2)
-        recs = [make_record("x", 2010, [1, 0], reg), make_record("x", 2011, [0, 1], reg)]
-        with pytest.raises(DuplicateId):
-            RecordSet(recs, reg)
+        with pytest.raises(DuplicateId, match="'x'"):
+            RecordSet(make_registry(2), ["x", "x"], [2010, 2011], [[1, 0], [0, 1]], self.columns(2))
 
     def test_dimension_mismatch_rejected(self):
-        reg = make_registry(2)
-        rec = make_record("x", 2010, [1, 0, 1], make_registry(3))
         with pytest.raises(DimensionError):
-            RecordSet([rec], reg)
+            RecordSet(make_registry(2), ["x"], [2010], [[1, 0, 1]], self.columns(1))
 
 
 class TestFilters:
@@ -279,7 +278,7 @@ class TestFilters:
 
     def test_each_rule_fires(self):
         reg, recs = self.base_rows()
-        out, report = apply_filters(RecordSet(recs, reg), FilterConfig())
+        out, report = apply_filters(recordset_of(recs, reg), FilterConfig())
         assert out.ids == ("keep",)
         assert report.input_count == 5
         assert report.output_count == 1
@@ -294,7 +293,7 @@ class TestFilters:
         # old AND quiet: year_range is checked first
         reg = make_registry(2)
         rec = make_record("both", 1999, [1, 1], reg, num_ratings=0)
-        _, report = apply_filters(RecordSet([rec], reg), FilterConfig())
+        _, report = apply_filters(recordset_of([rec], reg), FilterConfig())
         assert report.dropped == {"year_range": 1}
 
     def test_trivial_expansion_dropped(self):
@@ -303,7 +302,7 @@ class TestFilters:
         clone = make_record("exp1", 2011, [1, 1, 0], reg, is_expansion=True, parent_id="base")
         fresh = make_record("exp2", 2012, [1, 0, 1], reg, is_expansion=True, parent_id="base")
         orphan = make_record("exp3", 2011, [1, 1, 0], reg, is_expansion=True, parent_id="gone")
-        out, report = apply_filters(RecordSet([parent, clone, fresh, orphan], reg), FilterConfig())
+        out, report = apply_filters(recordset_of([parent, clone, fresh, orphan], reg), FilterConfig())
         assert out.ids == ("base", "exp2", "exp3")
         assert report.dropped == {"trivial_expansion": 1}
 
@@ -311,19 +310,19 @@ class TestFilters:
         reg = make_registry(2)
         parent = make_record("base", 2010, [1, 1], reg)
         clone = make_record("exp", 2011, [1, 1], reg, is_expansion=True, parent_id="base")
-        out, _ = apply_filters(RecordSet([parent, clone], reg), FilterConfig(drop_trivial_expansions=False))
+        out, _ = apply_filters(recordset_of([parent, clone], reg), FilterConfig(drop_trivial_expansions=False))
         assert out.ids == ("base", "exp")
 
     def test_year_max(self):
         reg = make_registry(2)
         recs = [make_record("a", 2016, [1, 1], reg), make_record("b", 2018, [1, 1], reg)]
-        out, report = apply_filters(RecordSet(recs, reg), FilterConfig(year_max=2016))
+        out, report = apply_filters(recordset_of(recs, reg), FilterConfig(year_max=2016))
         assert out.ids == ("a",)
         assert report.dropped == {"year_range": 1}
 
     def test_report_json_lists_every_rule(self):
         reg, recs = self.base_rows()
-        _, report = apply_filters(RecordSet(recs, reg), FilterConfig())
+        _, report = apply_filters(recordset_of(recs, reg), FilterConfig())
         payload = json.loads(report.to_json())
         assert payload["input_count"] == 5
         assert payload["output_count"] == 1
@@ -333,7 +332,7 @@ class TestFilters:
     def test_idempotent(self):
         reg, recs = self.base_rows()
         cfg = FilterConfig()
-        once, _ = apply_filters(RecordSet(recs, reg), cfg)
+        once, _ = apply_filters(recordset_of(recs, reg), cfg)
         twice, report = apply_filters(once, cfg)
         assert twice.ids == once.ids
         assert report.input_count == report.output_count
@@ -341,8 +340,8 @@ class TestFilters:
     def test_order_independent(self):
         reg, recs = self.base_rows()
         cfg = FilterConfig()
-        fwd, _ = apply_filters(RecordSet(recs, reg), cfg)
-        rev, _ = apply_filters(RecordSet(list(reversed(recs)), reg), cfg)
+        fwd, _ = apply_filters(recordset_of(recs, reg), cfg)
+        rev, _ = apply_filters(recordset_of(list(reversed(recs)), reg), cfg)
         assert sorted(fwd.ids) == sorted(rev.ids)
 
 
@@ -365,7 +364,7 @@ def random_records(draw):
                 parent_id=draw(st.sampled_from([None, "r0", "r1"])),
             )
         )
-    return RecordSet(recs, reg)
+    return recordset_of(recs, reg)
 
 
 @settings(max_examples=60, deadline=None)
@@ -426,7 +425,7 @@ def test_filter_masks_match_per_record_reference(records, year_max, min_mechanis
 
 def test_write_read_round_trip(tmp_path):
     reg = make_registry(3)
-    rs = RecordSet([
+    rs = recordset_of([
         make_record("a", 2010, [1, 0, 1], reg, complexity=3.25, playing_time=45.5, genre="party"),
         make_record("b", 2011, [0, 1, 1], reg, crowdfunded=True, debut=False, team_size=3,
                     min_players=1, max_players=0, min_age=0, is_expansion=True, is_adult=True,
@@ -443,8 +442,9 @@ def test_write_read_round_trip(tmp_path):
         assert np.array_equal(rt.vector, orig.vector)
         for name, kind in (("id", str), ("year", int)) + CONTROLS:
             assert type(getattr(rt, name)) in (get_args(kind) or (kind,)), name
-    assert back[1].parent_id == "a" and back[0].parent_id is None
-    assert back[1].crowdfunded is True and back[1].is_adult is True and back[0].debut is True
+    a, b = back
+    assert b.parent_id == "a" and a.parent_id is None
+    assert b.crowdfunded is True and b.is_adult is True and a.debut is True
 
 
 small_synth_configs = st.builds(
@@ -582,7 +582,7 @@ def dictreader_parse_records(path, registry):
             for name, value in values.items():
                 columns[name].append(value)
     matrix = np.array(vectors, dtype=np.uint8).reshape(len(ids), registry.dimension)
-    return RecordSet.from_columns(registry, ids, years, matrix, columns)
+    return RecordSet(registry, ids, years, matrix, columns)
 
 
 def parse_outcome(parse, path, registry):

@@ -38,8 +38,7 @@ from novascape.landscape import (
     vector_bits,
 )
 
-from conftest import make_record, make_recordset, make_registry
-from novascape.corpus import RecordSet
+from conftest import make_record, make_recordset, make_registry, recordset_of
 from novascape.synth import SynthConfig, generate_corpus
 
 
@@ -262,14 +261,8 @@ class TestCentroids:
             ("cf3", 2011, [0, 1], {"crowdfunded": True}),
             ("tr1", 2010, [1, 1], {"crowdfunded": False}),
         ]
-        rs = make_recordset([(r[0], r[1], r[2]) for r in rows])
-        # rebuild with the per-row crowdfunded flags
-        from conftest import make_record, make_registry
-        from novascape.corpus import RecordSet
-
         reg = make_registry(2)
-        recs = [make_record(r[0], r[1], r[2], reg, **r[3]) for r in rows]
-        return RecordSet(recs, reg)
+        return recordset_of([make_record(r[0], r[1], r[2], reg, **r[3]) for r in rows], reg)
 
     def test_weighted_mean_by_hand(self):
         rs = self.positioned_corpus()
@@ -370,7 +363,7 @@ class TestPerRecordReference:
                 bits[rng.integers(dim)] ^= 1
             records.append(make_record(f"r{i}", 2010 + int(rng.integers(5)), bits, registry,
                                        crowdfunded=bool(rng.random() < 0.3)))
-        rs = RecordSet(records, registry)
+        rs = recordset_of(records, registry)
         assert all(pack_vector(bits) == loop_pack(bits) for bits in rs.matrix)
         for year in (2011, 2014):
             g = build_landscape(rs, year, min_type_count=3)
@@ -385,16 +378,13 @@ class TestPerRecordReference:
 
 class TestShareClasses:
     def test_red_then_orange(self):
-        from conftest import make_record, make_registry
-        from novascape.corpus import RecordSet
-
         reg = make_registry(2)
         recs = [
             make_record("a", 2010, [1, 1], reg, crowdfunded=True),
             make_record("b", 2015, [1, 1], reg, crowdfunded=False),
             make_record("c", 2015, [1, 1], reg, crowdfunded=False),
         ]
-        rs = RecordSet(recs, reg)
+        rs = recordset_of(recs, reg)
         early = build_landscape(rs, 2010, min_type_count=1)
         late = build_landscape(rs, 2015, min_type_count=1)
         classes = classify_snapshots([early, late])

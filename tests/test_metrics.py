@@ -15,23 +15,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from novascape import metrics
-from novascape.errors import DimensionError, EmptyWindow, ParseError
+from novascape.errors import DimensionError, ParseError
 from novascape.metrics import (
     FUTURE,
     PAST,
     SCORE_COLUMNS,
-    FeatureProfile,
     ScoreTable,
-    build_profile,
-    cross_hamming,
-    distinctiveness_fast,
-    hamming,
     read_scores_csv,
     score_corpus,
     window_years,
 )
 
-from conftest import make_recordset
+from conftest import cross_hamming, hamming, make_recordset
 
 
 def pack(bits) -> int:
@@ -139,33 +134,17 @@ class TestDistinctiveness:
         # distances 0, 0, 2 over three window records
         assert score_corpus(rs, spans=(1,)).get("g", 1).distinctiveness == pytest.approx(2 / 3, rel=1e-12)
 
-    def test_empty_window_raises(self):
+    def test_empty_window_is_unscored(self):
         rs = make_recordset([("g", 2015, [1, 1])])
-        with pytest.raises(EmptyWindow):
-            distinctiveness_fast([1, 1], build_profile(rs, *window_years(2015, 2, PAST)))
         assert score_corpus(rs, spans=(2,)).unscored == (("g", 2),)
-
-    def test_profile_fast_path_frozen_example(self):
-        profile = FeatureProfile(n=2, counts=np.array([1, 1, 2]))
-        assert distinctiveness_fast([1, 1, 0], profile) == 2.0
-
-    def test_build_profile_counts(self):
-        rs = make_recordset([("a", 2013, [0, 1, 1]), ("b", 2014, [1, 0, 1]), ("c", 2015, [1, 1, 1])])
-        profile = build_profile(rs, 2013, 2014)
-        assert profile.n == 2
-        assert profile.counts.tolist() == [1, 1, 2]
 
     @settings(max_examples=100, deadline=None)
     @given(bitvec, st.lists(bitvec, min_size=1, max_size=10))
     def test_fast_path_equals_brute_force(self, g, window):
         rows = [("g", 2015, g)] + [(f"w{i}", 2014, w) for i, w in enumerate(window)]
-        rs = make_recordset(rows)
-        profile = build_profile(rs, 2014, 2014)
         want = oracle_mean_distance(g, window)
-        got_slow = score_corpus(rs, spans=(1,)).get("g", 1).distinctiveness
-        got_fast = distinctiveness_fast(g, profile)
-        assert got_slow == pytest.approx(float(want), rel=1e-12)
-        assert got_fast == got_slow
+        got = score_corpus(make_recordset(rows), spans=(1,)).get("g", 1).distinctiveness
+        assert got == pytest.approx(float(want), rel=1e-12)
 
 
 class TestNovelty:
@@ -256,18 +235,20 @@ class TestScoreCorpus:
         rs = self.demo_corpus()
         table = score_corpus(rs, spans=(1, 2), last_complete_year=2016)
         assert len(table) > 0
-        for row in table:
-            rec = rs[rs.row_of[row.record_id]]
-            past = [w.vector for w in rs if rec.year - row.span_years <= w.year < rec.year]
-            future = [w.vector for w in rs if rec.year < w.year <= rec.year + row.span_years]
-            assert row.distinctiveness == float(oracle_mean_distance(rec.vector, past))
-            assert row.novelty_count == oracle_min_distance(rec.vector, past)
-            if rec.year + row.span_years > 2016:
-                assert row.resonance is None
+        records = {rec.id: rec for rec in rs}
+        for rid, span, dist, count, res in zip(table.ids, table.spans.tolist(), table.distinctiveness,
+                                               table.novelty_count, table.resonance):
+            rec = records[rid]
+            past = [w.vector for w in rs if rec.year - span <= w.year < rec.year]
+            future = [w.vector for w in rs if rec.year < w.year <= rec.year + span]
+            assert dist == float(oracle_mean_distance(rec.vector, past))
+            assert count == oracle_min_distance(rec.vector, past)
+            if rec.year + span > 2016:
+                assert np.isnan(res)
             else:
                 want_res = float(oracle_mean_distance(rec.vector, past)) - float(
                     oracle_mean_distance(rec.vector, future))
-                assert row.resonance == pytest.approx(want_res, rel=1e-12)
+                assert res == pytest.approx(want_res, rel=1e-12)
 
     def test_unscored_records_listed(self):
         rs = self.demo_corpus()
@@ -280,26 +261,25 @@ class TestScoreCorpus:
     def test_rows_sorted_by_id_then_span(self):
         rs = self.demo_corpus()
         table = score_corpus(rs, spans=(2, 1))
-        keys = [(r.record_id, r.span_years) for r in table]
+        keys = list(zip(table.ids, table.spans.tolist()))
         assert keys == sorted(keys)
 
     def test_resonance_rows_are_strict_subset(self):
         rs = self.demo_corpus()
         table = score_corpus(rs, spans=(1,), last_complete_year=2016)
-        with_res = [r for r in table if r.resonance is not None]
-        assert 0 < len(with_res) < len(table)
-        for row in with_res:
-            assert rs[rs.row_of[row.record_id]].year + row.span_years <= 2016
+        with_res = ~np.isnan(table.resonance)
+        assert 0 < with_res.sum() < len(table)
+        rows = [rs.row_of[rid] for rid in table.ids[with_res]]
+        assert (rs.years[rows] + table.spans[with_res] <= 2016).all()
 
     def test_deterministic_across_runs(self):
         a = score_corpus(self.demo_corpus(), spans=(1, 2, 5), last_complete_year=2016)
         b = score_corpus(self.demo_corpus(), spans=(1, 2, 5), last_complete_year=2016)
         assert len(a) == len(b)
-        for ra, rb in zip(a, b):
-            assert ra.record_id == rb.record_id
-            assert ra.distinctiveness == rb.distinctiveness
-            assert ra.novelty_count == rb.novelty_count
-            assert ra.resonance == rb.resonance
+        assert a.ids.tolist() == b.ids.tolist()
+        assert a.distinctiveness.tolist() == b.distinctiveness.tolist()
+        assert a.novelty_count.tolist() == b.novelty_count.tolist()
+        assert np.array_equal(a.resonance, b.resonance, equal_nan=True)
 
 
 class TestPackedKernel:
@@ -379,8 +359,9 @@ class TestScoreTableCsv:
         table.write_csv(path)
 
         def fields(t):
-            return [(r.record_id, r.span_years, r.distinctiveness, r.novelty_count,
-                     r.novelty_binary, r.resonance) for r in t]
+            resonance = [None if np.isnan(r) else r for r in t.resonance.tolist()]
+            return [t.ids.tolist(), t.spans.tolist(), t.distinctiveness.tolist(), t.novelty_count.tolist(),
+                    t.novelty_binary.tolist(), resonance]
 
         again = read_scores_csv(path)
         assert fields(again) == fields(table)
@@ -419,7 +400,7 @@ class TestScoreTableCsv:
 
     def test_duplicate_rows_rejected(self):
         rs = make_recordset([("a", 2014, [0, 1]), ("b", 2015, [1, 1])])
-        row = next(iter(score_corpus(rs, spans=(1,))))
+        t = score_corpus(rs, spans=(1,))
         with pytest.raises(ValueError):
-            ScoreTable([row.record_id] * 2, [row.span_years] * 2, [row.distinctiveness] * 2,
-                       [row.novelty_count] * 2, [np.nan] * 2)
+            ScoreTable([t.ids[0]] * 2, [t.spans[0]] * 2, [t.distinctiveness[0]] * 2,
+                       [t.novelty_count[0]] * 2, [np.nan] * 2)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from novascape.cli import PipelineConfig
-from novascape.corpus import FilterConfig, apply_filters, write_records_csv
+from novascape.corpus import FilterConfig, Record, apply_filters, write_records_csv
 from novascape.errors import ConfigError
 from novascape.metrics import score_corpus
 from novascape.synth import GENRES, SynthConfig, generate_corpus
@@ -112,8 +112,8 @@ class TestGeneration:
         )
         rs = generate_corpus(cfg)
         table = score_corpus(rs, spans=(2,))
-        cf = [r.novelty_count for r in table if rs[rs.row_of[r.record_id]].crowdfunded]
-        trad = [r.novelty_count for r in table if not rs[rs.row_of[r.record_id]].crowdfunded]
+        crowdfunded = rs.columns["crowdfunded"][[rs.row_of[rid] for rid in table.ids]]
+        cf, trad = table.novelty_count[crowdfunded], table.novelty_count[~crowdfunded]
         assert np.mean(cf) > np.mean(trad)
 
     def test_controls_independent_of_funding(self):
@@ -132,7 +132,7 @@ class TestGeneration:
         cfg = dict(dimension=51, games_per_year=300, year_end=2012, seed=5)
         rs0 = generate_corpus(small_config(novelty_boost=0.0, **cfg))
         rs2 = generate_corpus(small_config(novelty_boost=2.0, **cfg))
-        names = [f.name for f in dataclasses.fields(rs0[0]) if f.name != "vector"]
+        names = [f.name for f in dataclasses.fields(Record) if f.name != "vector"]
         assert len(names) == 15  # id, year, crowdfunded, eleven controls, parent_id
         assert len(rs0) == len(rs2) == 7 * 300
         for a, b in zip(rs0, rs2):
