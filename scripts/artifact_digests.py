@@ -35,9 +35,11 @@ for _path in (ROOT / "src", ROOT / "scripts", ROOT):
     if str(_path) not in sys.path:
         sys.path.insert(0, str(_path))
 
-# one BLAS thread before numpy loads, as in tests/conftest.py and bench/: the
-# separated Novelty logit of report-large seeds 1 and 3 writes other models.*
-# bytes under two threads
+# one BLAS thread before numpy loads, as in tests/conftest.py and bench/. Since
+# build_design drops separated fixed-effect levels, demo seed 0 and
+# report-large seeds 1 and 3 write the same models.* bytes under two threads
+# (tests/test_artifact_digests.py checks demo seed 0); one thread keeps the
+# digests from depending on the thread count a host's BLAS would choose
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 

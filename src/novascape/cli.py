@@ -462,6 +462,20 @@ def cmd_stats(
     with atomic_write(out / "models.txt") as tmp:
         tmp.write_text(format_model_table(fits, reference=REFERENCE_CROWDFUNDED), encoding="utf-8")
 
+    # OLS is solved directly, so its n_iter and max_score are 0
+    diagnostic_columns = ("model", "family", "n_obs", "incomplete_dropped", "separated_levels",
+                          "separated_rows", "n_iter", "max_score", "log_likelihood")
+    diagnostic_rows = []
+    for name, fit in fitted:
+        separated = designs[name].separated
+        separated_rows = sum(rows for _, _, rows in separated)
+        incomplete = len(data[cfg.models[name].outcome]) - len(designs[name].rows_used) - separated_rows
+        diagnostic_rows.append(dict(zip(diagnostic_columns, (
+            name, fit.family, fit.n_obs, incomplete,
+            "; ".join(f"{fe}={level} ({rows} rows)" for fe, level, rows in separated),
+            separated_rows, fit.n_iter, f"{fit.max_score:.3g}", f"{fit.log_likelihood:.6f}"))))
+    _write_table(out / "model_diagnostics.csv", diagnostic_rows, diagnostic_columns)
+
     mm_columns = ("estimate", "se", "ci_low", "ci_high")
     mm_rows = [
         {"model": name, "crowdfunded": int(mm.level), **{k: f"{getattr(mm, k):.6f}" for k in mm_columns}}

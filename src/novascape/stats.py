@@ -40,6 +40,7 @@ TRANSFORMS = ("identity", "log1p", "zscore")
 ROBUST_VARIANTS = ("hc0", "hc1")
 
 MAX_IRLS_ITER = 100
+MAX_STEP_HALVINGS = 30
 SCORE_TOL = 1e-8
 LL_REL_TOL = 1e-10
 SEPARATION_BOUND = 30.0
@@ -306,11 +307,19 @@ COUNT_NOVELTY_MODEL = ("Novelty (Count)", ModelSpec("novelty_count", FAMILY_POIS
 
 @dataclass
 class Design:
+    """The design matrix X and outcome y of one spec, in the columns' order.
+
+    rows_used indexes the data rows that X holds: the complete cases minus
+    the rows of separated fixed-effect levels. separated lists each dropped
+    level as (fixed effect, level, rows), in the order they were found.
+    """
+
     X: np.ndarray
     y: np.ndarray
     columns: Tuple[str, ...]
     spec: ModelSpec
     rows_used: np.ndarray
+    separated: Tuple[Tuple[str, object, int], ...] = ()
 
 
 def _apply_transform(values: np.ndarray, transform: str, column: str) -> np.ndarray:
@@ -326,13 +335,54 @@ def _apply_transform(values: np.ndarray, transform: str, column: str) -> np.ndar
     return (values - values.mean()) / sd
 
 
+def _check_glm_outcome(family: str, y: np.ndarray) -> None:
+    """NumericError unless y is 0/1 (logistic) or non-negative integers (Poisson)."""
+    if family == FAMILY_LOGISTIC:
+        if not np.isin(y, (0.0, 1.0)).all():
+            raise NumericError("logistic outcome must be 0/1")
+    elif (y < 0).any() or not np.equal(np.mod(y, 1), 0).all():
+        raise NumericError("poisson outcome must be non-negative integers")
+
+
+def _separated_levels(family: str, y: np.ndarray, coded) -> Tuple[np.ndarray, list]:
+    """Rows to keep once every separated fixed-effect level is dropped, and
+    the dropped levels as (fixed effect, level, rows).
+
+    A logistic level whose outcome is all 0 or all 1, or a Poisson level
+    whose outcome is all 0, has no finite maximum likelihood: its dummy (or,
+    for the reference level, the constant) runs off to infinity. Dropping
+    one fixed effect's level can separate a level of another, so the check
+    repeats until nothing changes.
+    """
+    keep = np.ones(len(y), dtype=bool)
+    dropped = []
+    while True:
+        found = False
+        for fe, levels, codes in coded:
+            count = np.bincount(codes, weights=keep, minlength=len(levels))
+            total = np.bincount(codes, weights=y * keep, minlength=len(levels))
+            bad = total == 0
+            if family == FAMILY_LOGISTIC:
+                bad |= total == count
+            bad &= count > 0
+            if bad.any():
+                found = True
+                keep &= ~bad[codes]
+                dropped += [(fe, levels[j], int(count[j])) for j in np.flatnonzero(bad)]
+        if not found:
+            return keep, dropped
+
+
 def build_design(
     data: Mapping[str, np.ndarray],
     spec: ModelSpec,
 ) -> Design:
     """Complete-case design matrix with intercept, transformed terms, and
-    dummy-coded fixed effects (reference level = smallest).
+    dummy-coded fixed effects (reference level = smallest level left).
 
+    For the logistic and Poisson families, the rows of every fixed-effect
+    level that separates the outcome (see _separated_levels) are dropped
+    first and listed in Design.separated; SeparationError if no row is left.
     Its rank is not checked here: fit_model factorizes X once and raises
     RankDeficient there, naming the dropped columns.
     """
@@ -341,6 +391,9 @@ def build_design(
             raise UnknownTerm(f"term column {column!r} not in data")
     if spec.outcome not in data:
         raise UnknownTerm(f"outcome column {spec.outcome!r} not in data")
+    for fe in spec.fixed_effects:
+        if fe not in data:
+            raise UnknownTerm(f"fixed-effect column {fe!r} not in data")
 
     n = len(data[spec.outcome])
     keep = np.ones(n, dtype=bool)
@@ -350,22 +403,38 @@ def build_design(
     rows = np.flatnonzero(keep)
     if len(rows) == 0:
         raise EmptySample(f"no complete cases for outcome {spec.outcome!r}")
-
     y = np.asarray(data[spec.outcome], dtype=float)[rows]
+
+    # each fixed effect coded once as indices into its sorted levels
+    coded = []
+    for fe in spec.fixed_effects:
+        values = data[fe][rows].tolist()
+        levels = sorted(set(values))
+        index = {level: j for j, level in enumerate(levels)}
+        coded.append((fe, levels, np.fromiter(map(index.__getitem__, values), np.intp, len(values))))
+
+    separated = []
+    if spec.family != FAMILY_OLS:
+        # checked before separation, which could otherwise drop the offending rows
+        _check_glm_outcome(spec.family, y)
+        kept, separated = _separated_levels(spec.family, y, coded)
+        if not kept.any():
+            raise SeparationError(f"every {'/'.join(spec.fixed_effects)} level separates {spec.outcome!r}")
+        if separated:
+            rows, y = rows[kept], y[kept]
+            coded = [(fe, levels, codes[kept]) for fe, levels, codes in coded]
+
     cols = [np.ones(len(rows))]
     names = ["const"]
     for column, transform in spec.terms:
         values = np.asarray(data[column], dtype=float)[rows]
         cols.append(_apply_transform(values, transform, column))
         names.append(column)
-    for fe in spec.fixed_effects:
-        if fe not in data:
-            raise UnknownTerm(f"fixed-effect column {fe!r} not in data")
-        values = data[fe][rows]
-        levels = sorted(set(values.tolist()))
-        for level in levels[1:]:
-            cols.append((values == level).astype(float))
-            names.append(f"{fe}={level}")
+    for fe, levels, codes in coded:
+        present = np.flatnonzero(np.bincount(codes, minlength=len(levels)))
+        dummies = present[1:]
+        cols.append((codes[:, None] == dummies).astype(float))
+        names += [f"{fe}={levels[j]}" for j in dummies]
 
     X = np.column_stack(cols)
     if not np.isfinite(X).all():
@@ -376,6 +445,7 @@ def build_design(
         columns=tuple(names),
         spec=spec,
         rows_used=rows,
+        separated=tuple(separated),
     )
 
 
@@ -387,8 +457,12 @@ class FitResult:
     """One fitted model: beta and its robust sandwich covariance cov, in column order.
 
     The per-term maps (coefficients, robust_se, z_or_t, p_values) are views
-    of beta, cov, family and df_resid. converged is always True: a GLM fit
-    that reaches MAX_IRLS_ITER raises NumericError instead of returning.
+    of beta, cov, family and df_resid. For a GLM, n_iter counts the Newton
+    steps taken, each halved until the log-likelihood does not fall, and
+    max_score is the largest |score| at the returned beta; OLS leaves both 0.
+    converged is always True: a GLM fit that reaches MAX_IRLS_ITER, or a step
+    that still lowers the log-likelihood after MAX_STEP_HALVINGS halvings,
+    raises NumericError instead of returning.
     """
 
     family: str
@@ -497,11 +571,21 @@ def fit_ols(X: np.ndarray, y: np.ndarray, robust: str = "hc1", columns: Optional
     )
 
 
-def _glm_ll(family: str, eta: np.ndarray, y: np.ndarray) -> float:
+def _log_y_factorial(family: str, y: np.ndarray) -> float:
+    """sum(log y!), the Poisson log-likelihood's constant term; 0 for logistic."""
+    return float(gammaln(y + 1.0).sum()) if family == FAMILY_POISSON else 0.0
+
+
+def _glm_ll(family: str, eta: np.ndarray, y: np.ndarray, log_y_factorial: Optional[float] = None) -> float:
+    """Log-likelihood at eta; a Poisson fit passes its _log_y_factorial once
+    instead of summing it on every call. An overflowing exp(eta) gives -inf
+    or nan, without a warning."""
     if family == FAMILY_LOGISTIC:
         return float((y * eta - np.logaddexp(0.0, eta)).sum())
-    mu = np.exp(eta)
-    return float((y * eta - mu - gammaln(y + 1.0)).sum())
+    if log_y_factorial is None:
+        log_y_factorial = _log_y_factorial(family, y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float((y * eta - np.exp(eta)).sum()) - log_y_factorial
 
 
 def _glm_mu_w(family: str, eta: np.ndarray):
@@ -512,32 +596,29 @@ def _glm_mu_w(family: str, eta: np.ndarray):
     return mu, mu
 
 
-def _null_ll(family: str, y: np.ndarray) -> float:
+def _null_ll(family: str, y: np.ndarray, log_y_factorial: float) -> float:
     if family == FAMILY_LOGISTIC:
         p = y.mean()
         return float(len(y) * (p * math.log(p) + (1 - p) * math.log(1 - p)))
     lam = y.mean()
-    return float((y * math.log(lam) - lam - gammaln(y + 1.0)).sum())
+    return float((y * math.log(lam) - lam).sum()) - log_y_factorial
 
 
 def _fit_glm(family: str, X: np.ndarray, y: np.ndarray, robust: str, columns) -> FitResult:
     X, y, columns, _ = _factorize(X, y, columns)
     n, k = X.shape
-    if family == FAMILY_LOGISTIC:
-        if not np.isin(y, (0.0, 1.0)).all():
-            raise NumericError("logistic outcome must be 0/1")
-        if y.min() == y.max():
-            raise SeparationError("outcome is constant")
-    else:
-        if (y < 0).any() or not np.equal(np.mod(y, 1), 0).all():
-            raise NumericError("poisson outcome must be non-negative integers")
-        if y.max() == 0:
-            raise SeparationError("outcome is all zeros")
+    _check_glm_outcome(family, y)
+    if family == FAMILY_LOGISTIC and y.min() == y.max():
+        raise SeparationError("outcome is constant")
+    if family == FAMILY_POISSON and y.max() == 0:
+        raise SeparationError("outcome is all zeros")
 
+    log_y_factorial = _log_y_factorial(family, y)
     beta = np.zeros(k)
-    ll = _glm_ll(family, X @ beta, y)
+    eta = np.zeros(n)
+    ll = _glm_ll(family, eta, y, log_y_factorial)
     for it in range(1, MAX_IRLS_ITER + 1):
-        mu, w = _glm_mu_w(family, X @ beta)
+        mu, w = _glm_mu_w(family, eta)
         score = X.T @ (y - mu)
         max_score = float(np.abs(score).max())
         if max_score < SCORE_TOL:
@@ -547,28 +628,38 @@ def _fit_glm(family: str, X: np.ndarray, y: np.ndarray, robust: str, columns) ->
             step = np.linalg.solve(a, score)
         except np.linalg.LinAlgError as exc:
             raise NumericError(f"singular weighted information matrix: {exc}")
-        beta = beta + step
+        # halve the Newton step while the log-likelihood is not finite or
+        # falls by more than rounding near the optimum (Marschner 2011)
+        for _ in range(MAX_STEP_HALVINGS + 1):
+            new_beta = beta + step
+            new_eta = X @ new_beta
+            new_ll = _glm_ll(family, new_eta, y, log_y_factorial)
+            if math.isfinite(new_ll) and new_ll >= ll - LL_REL_TOL * (abs(ll) + 1e-12):
+                break
+            step = 0.5 * step
+        else:
+            raise NumericError(
+                f"{family} step {it} still lowers the log-likelihood, or makes it non-finite, "
+                f"after {MAX_STEP_HALVINGS} halvings"
+            )
+        beta, eta, last_ll, ll = new_beta, new_eta, ll, new_ll
         if np.abs(beta).max() > SEPARATION_BOUND:
             raise SeparationError(
                 f"coefficients diverged beyond {SEPARATION_BOUND}; data likely separable"
             )
-        new_ll = _glm_ll(family, X @ beta, y)
-        if abs(new_ll - ll) <= LL_REL_TOL * (abs(ll) + 1e-12):
+        if abs(ll - last_ll) <= LL_REL_TOL * (abs(last_ll) + 1e-12):
             break
-        ll = new_ll
     else:
         raise NumericError(
             f"{family} fit did not converge in {MAX_IRLS_ITER} iterations (max |score| {max_score:.3g})"
         )
 
-    # one evaluation at the final beta gives the reported score, the bread and the log-likelihood
-    eta = X @ beta
+    # one evaluation at the final beta gives the reported score and the bread
     mu, w = _glm_mu_w(family, eta)
     max_score = float(np.abs(X.T @ (y - mu)).max())
     bread = np.linalg.inv((X * np.maximum(w, 1e-12)[:, None]).T @ X)
     cov = _sandwich(X, y - mu, bread, robust)
-    ll = _glm_ll(family, eta, y)
-    ll0 = _null_ll(family, y)
+    ll0 = _null_ll(family, y, log_y_factorial)
     pseudo_r2 = 1.0 - ll / ll0 if ll0 != 0 else 0.0
     return FitResult(
         family=family,

@@ -1,11 +1,16 @@
 """The README demo writes the bytes recorded in tests/data/artifact_digests.json."""
 
+import hashlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "artifact_digests.py"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "scripts" / "artifact_digests.py"
 
 
 def load_script():
@@ -15,11 +20,27 @@ def load_script():
     return module
 
 
-def test_demo_artifacts_match_the_manifest():
-    digests = load_script()
+def load_manifest_for_this_host(digests) -> dict:
     manifest = digests.load_manifest()
     # layout and fit bits depend on these versions; no other condition skips
     if manifest["versions"] != digests.versions():
         pytest.skip(f"digests taken with {manifest['versions']}, running {digests.versions()}")
+    return manifest
+
+
+def test_demo_artifacts_match_the_manifest():
+    digests = load_script()
+    manifest = load_manifest_for_this_host(digests)
     actual = {f"demo-{seed}": digests.demo_digests(seed) for seed in digests.DEMO_SEEDS}
     assert digests.differences(manifest["runs"], actual) == []
+
+
+def test_demo_models_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the manifest was taken on one BLAS thread; the fits must not depend on it
+    manifest = load_manifest_for_this_host(load_script())
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2", "MKL_NUM_THREADS": "2",
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, str(ROOT / "scripts" / "run_synthetic_demo.py"), "--out", "out",
+                    "--seed", "0"], cwd=tmp_path, env=env, check=True, capture_output=True, timeout=300)
+    digest = hashlib.sha256((tmp_path / "out" / "models.csv").read_bytes()).hexdigest()
+    assert digest == manifest["runs"]["demo-0"]["models.csv"]

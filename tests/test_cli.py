@@ -227,7 +227,7 @@ class TestReport:
             "landscape_2011.graphml", "landscape_2011.json", "landscape_2011.svg",
             "centroids.csv",
             "descriptives.csv", "group_tests.csv", "models.csv", "models.txt",
-            "marginal_means.csv", "pipeline_config.json",
+            "model_diagnostics.csv", "marginal_means.csv", "pipeline_config.json",
         }
         assert expected <= names
         assert not any(n.endswith(".tmp") for n in names)
@@ -239,6 +239,22 @@ class TestReport:
         first = snapshot(out)
         assert main(["report", "--config", str(cfg)]) == EXIT_OK
         assert snapshot(out) == first
+
+    def test_model_diagnostics_account_for_every_joined_row(self, tmp_path):
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path, pipeline_payload(out))
+        assert main(["report", "--config", str(cfg)]) == EXIT_OK
+        with open(out / "model_diagnostics.csv", newline="") as fh:
+            rows = {row["model"]: row for row in csv.DictReader(fh)}
+        assert list(rows) == ["Distinctiveness", "Novelty", "Resonance"]
+        with open(out / "scores.csv", newline="") as fh:
+            joined = [row for row in csv.DictReader(fh) if row["span"] == "2"]
+        for name, row in rows.items():
+            accounted = int(row["n_obs"]) + int(row["incomplete_dropped"]) + int(row["separated_rows"])
+            assert accounted == len(joined), name
+        assert int(rows["Resonance"]["incomplete_dropped"]) == sum(r["resonance_available"] == "0" for r in joined)
+        assert rows["Novelty"]["family"] == "logistic" and 0 < int(rows["Novelty"]["n_iter"]) <= 8
+        assert rows["Distinctiveness"]["separated_levels"] == "" and rows["Distinctiveness"]["n_iter"] == "0"
 
     def test_centroid_rows_are_group_by_year(self, tmp_path):
         out = tmp_path / "run"
@@ -486,7 +502,7 @@ class TestExitCodes:
         assert "no plotted nodes" in caplog.text
         assert not list(out.glob("landscape_*")) and not (out / "centroids.csv").exists()
         for name in ("descriptives.csv", "group_tests.csv", "models.csv", "models.txt",
-                     "marginal_means.csv", "pipeline_config.json"):
+                     "model_diagnostics.csv", "marginal_means.csv", "pipeline_config.json"):
             assert (out / name).stat().st_size > 0, name
 
     def test_snapshot_year_after_the_corpus_is_exit_2(self, tmp_path, caplog):
@@ -525,6 +541,8 @@ class TestExitCodes:
         assert tested == [label for _, label in stats.BATTERY_FEATURES if label != "Resonance"]
         fitted = {line.split(",")[0] for line in (out / "models.csv").read_text().splitlines()[1:]}
         assert fitted == {"Distinctiveness", "Novelty"}
+        diagnosed = {line.split(",")[0] for line in (out / "model_diagnostics.csv").read_text().splitlines()[1:]}
+        assert diagnosed == fitted
         assert (out / "marginal_means.csv").exists() and (out / "pipeline_config.json").exists()
 
     def test_stats_rejects_scores_from_an_earlier_ingest(self, tmp_path, caplog):

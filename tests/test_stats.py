@@ -15,6 +15,7 @@ from scipy import stats as sstats
 
 from novascape import stats
 from novascape.cli import PipelineConfig
+from novascape.corpus import FilterConfig, apply_filters
 from novascape.errors import (
     EmptySample,
     NumericError,
@@ -672,6 +673,110 @@ class TestPoisson:
         f2 = fit_poisson(np.column_stack([np.ones(60), 2.0 * x]), y, columns=("const", "x"))
         assert f2.coefficients["x"] == pytest.approx(f1.coefficients["x"] / 2.0, rel=1e-6)
         assert f2.z_or_t["x"] == pytest.approx(f1.z_or_t["x"], abs=1e-8)
+
+
+class TestSeparatedLevels:
+    TERMS = (("crowdfunded", "identity"), ("playing_time", "log1p"))
+
+    @pytest.mark.parametrize("outcome, family, value", [
+        ("binary", "logistic", 1.0), ("binary", "logistic", 0.0), ("counts", "poisson", 0.0),
+    ])
+    @pytest.mark.parametrize("level", [2006, 2008])  # the reference level and another
+    def test_constant_outcome_level_is_dropped(self, outcome, family, value, level):
+        data = demo_table(n=200)
+        in_level = data["year"] == level
+        data[outcome][in_level] = value
+        spec = ModelSpec(outcome, family, self.TERMS, ("year",))
+        design = build_design(data, spec)
+        assert design.separated == (("year", level, int(in_level.sum())),)
+        # the design built from the data without that level's rows
+        kept = np.flatnonzero(~in_level)
+        expected = build_design({name: column[kept] for name, column in data.items()}, spec)
+        assert design.rows_used.tolist() == kept.tolist()
+        assert design.columns == expected.columns
+        assert np.array_equal(design.X, expected.X) and np.array_equal(design.y, expected.y)
+        reference = min({2006, 2007, 2008, 2009} - {level})
+        assert [c for c in design.columns if c.startswith("year=")] == [
+            f"year={year}" for year in range(reference + 1, 2010) if year != level]
+        fit = fit_model(design)
+        assert fit.n_iter <= 8 and abs(fit.coefficients["const"]) < 5
+
+    def test_ols_keeps_constant_outcome_levels(self):
+        data = demo_table(n=200)
+        data["outcome"][data["year"] == 2006] = 1.0
+        design = build_design(data, ModelSpec("outcome", "ols", self.TERMS, ("year",)))
+        assert design.separated == () and len(design.rows_used) == 200
+
+    @pytest.mark.parametrize("fixed_effects", [("year", "genre"), ("genre", "year")])
+    def test_separation_cascades_across_fixed_effects(self, fixed_effects):
+        # year 2006 is all 0; once it is dropped, genre b is all 1
+        rng = np.random.default_rng(5)
+        n = 240
+        year = np.array([2006, 2007, 2008])[np.arange(n) % 3]
+        genre = np.array(["a", "b", "c", "d"], dtype=object)[(np.arange(n) // 3) % 4]
+        y = rng.integers(0, 2, n).astype(float)
+        y[year == 2006] = 0.0
+        y[(genre == "b") & (year != 2006)] = 1.0
+        data = {"binary": y, "x": rng.normal(size=n), "year": year, "genre": genre}
+        design = build_design(data, ModelSpec("binary", "logistic", ("x",), fixed_effects))
+        in_b = (genre == "b") & (year != 2006)
+        assert sorted(design.separated) == [("genre", "b", int(in_b.sum())),
+                                            ("year", 2006, int((year == 2006).sum()))]
+        assert design.rows_used.tolist() == np.flatnonzero((year != 2006) & ~in_b).tolist()
+        dummies = {"year": ["year=2008"], "genre": ["genre=c", "genre=d"]}
+        assert list(design.columns[2:]) == [c for fe in fixed_effects for c in dummies[fe]]
+        assert fit_model(design).n_iter <= 8
+
+    def test_every_level_separated_raises(self):
+        data = demo_table(n=200)
+        data["binary"] = (data["year"] >= 2008).astype(float)
+        with pytest.raises(SeparationError, match="every year level"):
+            build_design(data, ModelSpec("binary", "logistic", self.TERMS, ("year",)))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_synthetic_novelty_logit_converges_in_a_few_steps(self, seed):
+        # the first scored year, 2007 at span 2, is 100% novel: its past window holds only burn-in
+        cfg = SynthConfig(year_start=2006, year_end=2015, games_per_year=500,
+                          crowdfunded_share_by_year=0.3, novelty_boost=2.0, seed=seed)
+        kept, _ = apply_filters(generate_corpus(cfg), FilterConfig())
+        data = join_scores(kept, score_corpus(kept, spans=(2,), last_complete_year=2015), span=2)
+        design = build_design(data, dict(STANDARD_MODELS)["Novelty"])
+        fit = fit_model(design)
+        assert [level for _, level, _ in design.separated] == [2007]
+        assert fit.n_iter <= 8 and abs(fit.coefficients["const"]) < 5
+
+
+class TestStepHalving:
+    def large_mean(self):
+        rng = np.random.default_rng(8)
+        group = (np.arange(200) % 2).astype(float)
+        y = rng.poisson(np.where(group == 1, 1500.0, 1000.0)).astype(float)
+        return np.column_stack([np.ones(200), group]), y, group
+
+    def test_large_mean_poisson_recovers_by_step_halving(self):
+        # the undamped first step from zero puts the constant near 1000, where exp overflows
+        X, y, group = self.large_mean()
+        fit = fit_poisson(X, y, columns=("const", "group"))
+        # with one binary regressor the MLE is the log of each group's mean
+        mean0, mean1 = y[group == 0].mean(), y[group == 1].mean()
+        assert fit.coefficients["const"] == pytest.approx(math.log(mean0), abs=1e-8)
+        assert fit.coefficients["group"] == pytest.approx(math.log(mean1 / mean0), abs=1e-8)
+        assert fit.max_score < 1e-6
+
+    def test_overflow_without_halvings_left_is_not_separation(self, monkeypatch):
+        # only the undamped first step is tried, and its exp(eta) overflows
+        X, y, _ = self.large_mean()
+        monkeypatch.setattr(stats, "MAX_STEP_HALVINGS", 0)
+        with pytest.raises(NumericError, match="halvings") as exc:
+            fit_poisson(X, y)
+        assert not isinstance(exc.value, SeparationError)
+
+    def test_log_likelihood_with_and_without_the_precomputed_constant(self):
+        X, y, _ = self.large_mean()
+        eta = X @ np.array([6.9, 0.4])
+        constant = stats._log_y_factorial("poisson", y)
+        assert stats._glm_ll("poisson", eta, y, constant) == pytest.approx(stats._glm_ll("poisson", eta, y),
+                                                                          rel=1e-12)
 
 
 class TestIterationCap:
