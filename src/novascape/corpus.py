@@ -170,10 +170,11 @@ class RecordSet:
             name: np.asarray(columns[name], dtype=_KINDS[kind][0])
             for name, kind in CONTROLS
         }
-        self.row_of = {}
-        for i, rid in enumerate(self.ids):
-            if self.row_of.setdefault(rid, i) != i:
-                raise DuplicateId(f"duplicate record id {rid!r}")
+        self.row_of = dict(zip(self.ids, range(len(self.ids))))
+        if len(self.row_of) < len(self.ids):  # name the first repeat in row order
+            seen = {}
+            first = next(rid for i, rid in enumerate(self.ids) if seen.setdefault(rid, i) != i)
+            raise DuplicateId(f"duplicate record id {first!r}")
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -185,7 +186,7 @@ class RecordSet:
     def take(self, rows: np.ndarray) -> "RecordSet":
         """The records at the given row indices, in that order."""
         return RecordSet(
-            self.registry, [self.ids[i] for i in rows.tolist()], self.years[rows], self.matrix[rows],
+            self.registry, map(self.ids.__getitem__, rows.tolist()), self.years[rows], self.matrix[rows],
             {name: column[rows] for name, column in self.columns.items()},
         )
 

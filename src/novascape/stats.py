@@ -130,7 +130,8 @@ def join_scores(records: RecordSet, scores: ScoreTable, span: int) -> Dict[str, 
     outcome.
     """
     in_span = np.flatnonzero(scores.spans == span)
-    at = np.array([records.row_of.get(rid, -1) for rid in scores.ids[in_span].tolist()], dtype=np.int64)
+    at = np.fromiter(map(records.row_of.get, scores.ids[in_span].tolist(), itertools.repeat(-1)),
+                     np.int64, len(in_span))
     take, at = in_span[at >= 0], at[at >= 0]
     if not len(take):
         raise EmptySample(f"no scored records for span {span}")
@@ -344,6 +345,20 @@ def _check_glm_outcome(family: str, y: np.ndarray) -> None:
         raise NumericError("poisson outcome must be non-negative integers")
 
 
+def _code_levels(values: np.ndarray) -> Tuple[list, np.ndarray]:
+    """Sorted levels of a fixed-effect column and each row's index into them, -1
+    at NaN or None. An object column (genre) takes a set and a dict: np.unique
+    sorts Python objects more slowly."""
+    if values.dtype == object:
+        values = values.tolist()
+        levels = sorted(v for v in set(values) if v is not None and v == v)
+        index = {level: j for j, level in enumerate(levels)}
+        return levels, np.fromiter(map(index.get, values, itertools.repeat(-1)), np.intp, len(values))
+    levels, codes = np.unique(values, return_inverse=True)
+    valid = levels == levels  # a NaN level sorts last, so the others keep their codes
+    return levels[valid].tolist(), np.where(valid[codes], codes, -1)
+
+
 def _separated_levels(family: str, y: np.ndarray, coded) -> Tuple[np.ndarray, list]:
     """Rows to keep once every separated fixed-effect level is dropped, and
     the dropped levels as (fixed effect, level, rows).
@@ -377,8 +392,8 @@ def build_design(
     data: Mapping[str, np.ndarray],
     spec: ModelSpec,
 ) -> Design:
-    """Complete-case design matrix with intercept, transformed terms, and
-    dummy-coded fixed effects (reference level = smallest level left).
+    """Complete-case design matrix with intercept, transformed terms, and dummy-coded fixed
+    effects (reference level = smallest level left); a NaN or None fixed effect is incomplete.
 
     For the logistic and Poisson families, the rows of every fixed-effect
     level that separates the outcome (see _separated_levels) are dropped
@@ -395,23 +410,17 @@ def build_design(
         if fe not in data:
             raise UnknownTerm(f"fixed-effect column {fe!r} not in data")
 
-    n = len(data[spec.outcome])
-    keep = np.ones(n, dtype=bool)
-    keep &= np.isfinite(np.asarray(data[spec.outcome], dtype=float))
+    keep = np.isfinite(np.asarray(data[spec.outcome], dtype=float))
     for column, _ in spec.terms:
         keep &= np.isfinite(np.asarray(data[column], dtype=float))
+    coded = [(fe, *_code_levels(np.asarray(data[fe]))) for fe in spec.fixed_effects]
+    for _, _, codes in coded:
+        keep &= codes >= 0
     rows = np.flatnonzero(keep)
     if len(rows) == 0:
         raise EmptySample(f"no complete cases for outcome {spec.outcome!r}")
     y = np.asarray(data[spec.outcome], dtype=float)[rows]
-
-    # each fixed effect coded once as indices into its sorted levels
-    coded = []
-    for fe in spec.fixed_effects:
-        values = data[fe][rows].tolist()
-        levels = sorted(set(values))
-        index = {level: j for j, level in enumerate(levels)}
-        coded.append((fe, levels, np.fromiter(map(index.__getitem__, values), np.intp, len(values))))
+    coded = [(fe, levels, codes[rows]) for fe, levels, codes in coded]
 
     separated = []
     if spec.family != FAMILY_OLS:
@@ -424,21 +433,23 @@ def build_design(
             rows, y = rows[kept], y[kept]
             coded = [(fe, levels, codes[kept]) for fe, levels, codes in coded]
 
-    cols = [np.ones(len(rows))]
-    names = ["const"]
-    for column, transform in spec.terms:
-        values = np.asarray(data[column], dtype=float)[rows]
-        cols.append(_apply_transform(values, transform, column))
-        names.append(column)
+    names = ["const", *(column for column, _ in spec.terms)]
+    dummy_at = []  # per fixed effect, each row's dummy column; 0 (the constant) at the reference
     for fe, levels, codes in coded:
         present = np.flatnonzero(np.bincount(codes, minlength=len(levels)))
-        dummies = present[1:]
-        cols.append((codes[:, None] == dummies).astype(float))
-        names += [f"{fe}={levels[j]}" for j in dummies]
+        column_of = np.zeros(len(levels), dtype=np.intp)
+        column_of[present[1:]] = np.arange(len(names), len(names) + len(present) - 1)
+        dummy_at.append(column_of[codes])
+        names += [f"{fe}={levels[j]}" for j in present[1:]]
 
-    X = np.column_stack(cols)
+    X = np.zeros((len(rows), len(names)))
+    X[:, 0] = 1.0
+    for j, (column, transform) in enumerate(spec.terms, 1):
+        X[:, j] = _apply_transform(np.asarray(data[column], dtype=float)[rows], transform, column)
     if not np.isfinite(X).all():
         raise NumericError("design matrix has non-finite entries")
+    for at in dummy_at:
+        X[np.arange(len(rows)), at] = 1.0
     return Design(
         X=X,
         y=y,
@@ -501,13 +512,8 @@ class FitResult:
                 for name, t, se in zip(self.columns, tail, self.robust_se.values())}
 
 
-def _factorize(X, y, columns):
-    """Checked float X and y, column names (x0, x1, ... by default) and the
-    column-pivoted QR (q, r, perm) of X, so that X[:, perm] = q @ r.
-
-    Raises RankDeficient naming the columns pivoting leaves past the
-    numerical rank.
-    """
+def _checked(X, y, columns):
+    """Float X and y, checked for shape and finiteness, and column names (x0, x1, ... by default)."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or len(y) != X.shape[0]:
@@ -517,14 +523,17 @@ def _factorize(X, y, columns):
     n, k = X.shape
     if n <= k:
         raise NumericError(f"need more rows ({n}) than columns ({k})")
-    columns = tuple(columns) if columns else tuple(f"x{j}" for j in range(k))
-    q, r, perm = sla.qr(X, mode="economic", pivoting=True)
+    return X, y, tuple(columns) if columns else tuple(f"x{j}" for j in range(k))
+
+
+def _check_rank(X: np.ndarray, r: np.ndarray, perm: np.ndarray, columns) -> None:
+    """RankDeficient naming the columns that the column-pivoted QR X[:, perm] = q @ r
+    leaves past the numerical rank; only R's diagonal and perm are read."""
     diag = np.abs(np.diag(r))
     tol = max(X.shape) * np.finfo(float).eps * (diag[0] if len(diag) else 0.0)
     rank = int((diag > tol).sum())
-    if rank < k:
+    if rank < X.shape[1]:
         raise RankDeficient(tuple(columns[j] for j in sorted(perm[rank:])))
-    return X, y, columns, (q, r, perm)
 
 
 def _sandwich(X: np.ndarray, resid: np.ndarray, bread: np.ndarray, robust: str) -> np.ndarray:
@@ -539,11 +548,13 @@ def _sandwich(X: np.ndarray, resid: np.ndarray, bread: np.ndarray, robust: str) 
 def fit_ols(X: np.ndarray, y: np.ndarray, robust: str = "hc1", columns: Optional[Sequence[str]] = None) -> FitResult:
     """Least squares with HC0/HC1 sandwich errors and classical R².
 
-    One column-pivoted QR of X checks the rank and gives both beta and the
-    (X'X)^{-1} bread. Inference uses the t distribution on n - k residual
-    degrees of freedom.
+    One economic column-pivoted QR of X checks the rank (_check_rank) and
+    gives both beta and the (X'X)^{-1} bread. Inference uses the t
+    distribution on n - k residual degrees of freedom.
     """
-    X, y, columns, (q, r, perm) = _factorize(X, y, columns)
+    X, y, columns = _checked(X, y, columns)
+    q, r, perm = sla.qr(X, mode="economic", pivoting=True, check_finite=False)
+    _check_rank(X, r, perm, columns)
     n, k = X.shape
     beta = np.empty(k)
     beta[perm] = sla.solve_triangular(r, q.T @ y)
@@ -605,7 +616,11 @@ def _null_ll(family: str, y: np.ndarray, log_y_factorial: float) -> float:
 
 
 def _fit_glm(family: str, X: np.ndarray, y: np.ndarray, robust: str, columns) -> FitResult:
-    X, y, columns, _ = _factorize(X, y, columns)
+    """Newton/IRLS fit. Its rank check reads R from scipy's mode "raw" pivoted QR, which
+    forms no Q (mode "r" forms none either, but copies R out at X's full height)."""
+    X, y, columns = _checked(X, y, columns)
+    _, r, perm = sla.qr(X, mode="raw", pivoting=True, check_finite=False)
+    _check_rank(X, r, perm, columns)
     n, k = X.shape
     _check_glm_outcome(family, y)
     if family == FAMILY_LOGISTIC and y.min() == y.max():
@@ -728,15 +743,7 @@ def marginal_means(
         Xa = X.copy()
         Xa[:, j] = level
         eta = Xa @ fit.beta
-        if fit.family == FAMILY_OLS:
-            pred = eta
-            dmu = np.ones(len(eta))
-        elif fit.family == FAMILY_LOGISTIC:
-            pred = expit(eta)
-            dmu = pred * (1.0 - pred)
-        else:
-            pred = np.exp(eta)
-            dmu = pred
+        pred, dmu = (eta, np.ones(len(eta))) if fit.family == FAMILY_OLS else _glm_mu_w(fit.family, eta)
         m = float(pred.mean())
         grad = (Xa * dmu[:, None]).mean(axis=0)
         var = float(grad @ fit.cov @ grad)
@@ -840,20 +847,10 @@ def format_model_table(
         lines.append(row("", [c[1] for c in cells]))
     lines.append("-" * (label_w + col_w * len(fits)))
 
-    fe_columns = {}
-    for _, fit in fits:
-        if fit is None:
-            continue
-        for name in fit.columns:
-            if "=" in name:
-                fe_columns.setdefault(name.split("=", 1)[0], set())
+    fe_columns = {name.split("=", 1)[0] for f in fitted if f is not None for name in f.columns if "=" in name}
     for fe in sorted(fe_columns):
-        label = f"{fe.capitalize()} FE"
-        cells = []
-        for f in fitted:
-            has = f is not None and any(c.startswith(f"{fe}=") for c in f.columns)
-            cells.append("Yes" if has else "")
-        lines.append(row(label, cells))
+        has = [f is not None and any(c.startswith(f"{fe}=") for c in f.columns) for f in fitted]
+        lines.append(row(f"{fe.capitalize()} FE", ["Yes" if h else "" for h in has]))
 
     ols_cells = [f"{f.r_squared:.3f}" if f and f.family == FAMILY_OLS else "" for f in fitted]
     if any(ols_cells):

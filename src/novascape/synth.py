@@ -97,6 +97,24 @@ def synthetic_registry(dimension: int) -> FeatureRegistry:
     return FeatureRegistry(tuple(f"Mechanism {j:02d}" for j in range(dimension)))
 
 
+def _round2(x: np.ndarray) -> np.ndarray:
+    """round(v, 2) for each v of x, bit for bit, for |x| < 1e7: both divide the integer
+    nearest 100 * v by 100, correctly rounded. x * 100 is off by far less than 1e-6, so
+    rint finds that integer except within 1e-6 of a half, where Python's round takes over."""
+    scaled = x * 100
+    out = np.rint(scaled) / 100
+    near = np.flatnonzero(np.abs(scaled - np.floor(scaled) - 0.5) < 1e-6)
+    out[near] = [round(v, 2) for v in x[near].tolist()]
+    return out
+
+
+def _ranks(keys: np.ndarray) -> np.ndarray:
+    """keys.argsort(1).argsort(1), from one argsort and a scatter of its inverse permutation."""
+    ranks = np.empty(keys.shape, dtype=np.intp)
+    np.put_along_axis(ranks, keys.argsort(axis=1), np.arange(keys.shape[1]), axis=1)
+    return ranks
+
+
 def generate_corpus(cfg: SynthConfig) -> RecordSet:
     """Simulate one corpus; deterministic for a fixed config.
 
@@ -115,16 +133,17 @@ def generate_corpus(cfg: SynthConfig) -> RecordSet:
     rng_ctrl = np.random.default_rng(ctrl_seed)
     dim, n = cfg.dimension, cfg.games_per_year
 
-    ids, years, blocks, controls = [], [], [], []
+    ids, blocks, controls = [], [], []
+    suffixes = [f"{i:04d}" for i in range(n)]
     for year in range(cfg.year_start, cfg.year_end + 1):
-        # each control drawn into its CONTROLS column; complexity takes
-        # Python's round, as np.round can differ in the last ulp
+        # each control drawn into its CONTROLS column; complexity is rounded
+        # by _round2, which gives the bits of Python's round(x, 2)
         drawn = {"crowdfunded": rng_ctrl.random(n) < shares[year]}
         drawn["min_players"] = 1 + rng_ctrl.integers(0, 3, size=n)
         drawn["genre"] = np.array(GENRES, dtype=object)[rng_ctrl.integers(len(GENRES), size=n)]
         drawn["team_size"] = 1 + rng_ctrl.poisson(0.6, size=n)
         drawn["debut"] = rng_ctrl.random(n) < 0.35
-        drawn["complexity"] = np.array([round(x, 2) for x in rng_ctrl.uniform(1.0, 4.5, size=n).tolist()])
+        drawn["complexity"] = _round2(rng_ctrl.uniform(1.0, 4.5, size=n))
         drawn["playing_time"] = rng_ctrl.integers(0, 241, size=n).astype(float)
         drawn["max_players"] = drawn["min_players"] + rng_ctrl.integers(0, 5, size=n)
         drawn["min_age"] = np.array(MIN_AGES)[rng_ctrl.integers(len(MIN_AGES), size=n)]
@@ -149,12 +168,12 @@ def generate_corpus(cfg: SynthConfig) -> RecordSet:
             n_flips = rng_vec.poisson(np.minimum(mean_flips, POISSON_MEAN_MAX))
             # the n_flips lowest ranks of one row of uniform keys are distinct
             # bits; a count of dim or more flips them all
-            ranks = rng_vec.random((len(rows), dim)).argsort(axis=1).argsort(axis=1)
+            ranks = _ranks(rng_vec.random((len(rows), dim)))
             vectors[rows] = source ^ (ranks < n_flips[:, None])
         fresh = ~recombine
         vectors[fresh] = rng_vec.random((int(fresh.sum()), dim)) < cfg.base_mechanism_rate
         blocks.append(vectors)
-        ids.extend(f"syn-{year}-{i:04d}" for i in range(n))
-        years.extend([year] * n)
+        ids.extend(map(f"syn-{year}-".__add__, suffixes))
     columns = {name: np.concatenate([drawn[name] for drawn in controls]) for name in controls[0]}
+    years = np.repeat(np.arange(cfg.year_start, cfg.year_end + 1), n)
     return RecordSet(registry, ids, years, np.concatenate(blocks), columns)

@@ -260,6 +260,14 @@ class TestRecordSet:
         with pytest.raises(DuplicateId, match="'x'"):
             RecordSet(make_registry(2), ["x", "x"], [2010, 2011], [[1, 0], [0, 1]], self.columns(2))
 
+    @pytest.mark.parametrize("ids, first_repeat", [
+        (["a", "b", "b", "a"], "b"),  # "a" appears first but repeats last
+        (["a", "b", "a", "b"], "a"),  # a scan from the end would name "b"
+    ])
+    def test_first_repeated_id_is_named(self, ids, first_repeat):
+        with pytest.raises(DuplicateId, match=f"id '{first_repeat}'$"):
+            RecordSet(make_registry(1), ids, [2010] * 4, [[0]] * 4, self.columns(4))
+
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(DimensionError):
             RecordSet(make_registry(2), ["x"], [2010], [[1, 0, 1]], self.columns(1))

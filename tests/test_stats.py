@@ -361,6 +361,34 @@ class TestBuildDesign:
         spec = PipelineConfig.from_dict({"models": {"m": model}}).models["m"]
         assert spec.terms == (("crowdfunded", "identity"), ("playing_time", "log1p"))
 
+    @pytest.mark.parametrize("family, outcome", [("ols", "outcome"), ("logistic", "binary"),
+                                                 ("poisson", "counts")])
+    def test_numeric_and_object_fixed_effects_code_alike(self, family, outcome):
+        # np.unique codes the int64 year, a set and a dict the object one
+        data = demo_table(n=200, seed=4)
+        data["binary"][data["year"] == 2007] = 1.0  # a separated level for the logit
+        as_object = dict(data, year=data["year"].astype(object))
+        spec = ModelSpec(outcome, family, (("crowdfunded", "identity"),), ("year", "genre"))
+        numeric, objects = build_design(data, spec), build_design(as_object, spec)
+        assert np.array_equal(numeric.X.view(np.int64), objects.X.view(np.int64))
+        assert numeric.columns == objects.columns
+        assert numeric.separated == objects.separated
+        assert np.array_equal(numeric.rows_used, objects.rows_used)
+
+    @pytest.mark.parametrize("missing", [np.nan, None])
+    def test_missing_fixed_effect_value_is_an_incomplete_case(self, missing):
+        # NaN in a float column takes the np.unique path; None, with a NaN,
+        # in an object column the set path
+        if missing is None:
+            fe = np.array([1] * 20 + [2] * 17 + [None, np.nan, None], dtype=object)
+        else:
+            fe = np.array([1.0] * 20 + [2.0] * 17 + [np.nan] * 3)
+        data = dict(demo_table(n=40), fe=fe)
+        design = build_design(data, ModelSpec("outcome", "ols", (("crowdfunded", "identity"),), ("fe",)))
+        assert [c for c in design.columns if c.startswith("fe=")] == ["fe=2" if missing is None else "fe=2.0"]
+        assert design.rows_used.tolist() == list(range(37))
+        assert design.X[:, -1].tolist() == [0.0] * 20 + [1.0] * 17
+
     def test_join_builds_exactly_the_joined_columns(self):
         records = generate_corpus(SynthConfig(dimension=8, year_start=2006, year_end=2009,
                                               games_per_year=40, seed=3))
@@ -799,10 +827,10 @@ class TestOneFactorization:
     @pytest.mark.parametrize("outcome, family", MODELS)
     def test_each_fit_makes_one_pivoted_qr_and_no_lstsq(self, monkeypatch, outcome, family):
         real_qr = stats.sla.qr
-        pivoting = []
+        calls = []
 
         def counting_qr(*args, **kwargs):
-            pivoting.append(kwargs.get("pivoting", False))
+            calls.append((kwargs.get("mode", "full"), kwargs.get("pivoting", False)))
             return real_qr(*args, **kwargs)
 
         def no_lstsq(*args, **kwargs):
@@ -812,7 +840,8 @@ class TestOneFactorization:
         monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
         spec = ModelSpec(outcome, family, (("crowdfunded", "identity"), ("playing_time", "log1p")), ("year",))
         fit_model(build_design(demo_table(n=200), spec))
-        assert pivoting == [True]
+        # only OLS solves with Q; a GLM's rank check forms none
+        assert calls == [("economic" if family == "ols" else "raw", True)]
 
     @pytest.mark.parametrize("outcome, family", MODELS)
     def test_rank_deficient_fit_names_the_dependent_middle_column(self, outcome, family):

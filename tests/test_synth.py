@@ -1,16 +1,19 @@
 """Generator determinism, config validation, and effect direction."""
 
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from novascape.cli import PipelineConfig
-from novascape.corpus import FilterConfig, Record, apply_filters, write_records_csv
+from novascape.corpus import CONTROLS, FilterConfig, Record, apply_filters, write_records_csv
 from novascape.errors import ConfigError
 from novascape.metrics import score_corpus
-from novascape.synth import GENRES, SynthConfig, generate_corpus
+from novascape.synth import GENRES, SynthConfig, _ranks, _round2, generate_corpus
 
 
 def small_config(**over):
@@ -138,6 +141,53 @@ class TestGeneration:
         for a, b in zip(rs0, rs2):
             assert [getattr(a, n) for n in names] == [getattr(b, n) for n in names]
         assert not np.array_equal(rs0.matrix, rs2.matrix)
+
+
+def corpus_digest(rs) -> str:
+    """SHA-256 over ids, years, matrix and every CONTROLS column's dtype and values."""
+    h = hashlib.sha256()
+    h.update("\n".join(rs.ids).encode())
+    h.update(rs.years.tobytes())
+    h.update(rs.matrix.tobytes())
+    for name, _ in CONTROLS:
+        column = rs.columns[name]
+        h.update(f"{name}:{column.dtype.str}".encode())
+        h.update(repr(column.tolist()).encode() if column.dtype == object else column.tobytes())
+    return h.hexdigest()
+
+
+class TestExactness:
+    # generate_corpus(SynthConfig(novelty_boost=2.0, seed=0)) is the first
+    # boosted Monte-Carlo corpus (d=51, 500 games a year, 2006-2015); the
+    # digest was taken before complexity, the ids and the flip ranks were
+    # vectorised
+    MONTE_CARLO_DIGEST = "1c734c14f97581a8af2a665340bb9ca606e2fccf39b6d46e42c65c1a7b123b94"
+
+    def test_monte_carlo_corpus_bytes_are_pinned(self):
+        rs = generate_corpus(SynthConfig(novelty_boost=2.0, seed=0))
+        assert len(rs) == 5000 and rs.matrix.shape == (5000, 51)
+        assert corpus_digest(rs) == self.MONTE_CARLO_DIGEST
+
+    def test_round2_matches_python_round(self):
+        rng = np.random.default_rng(0)
+        halves = np.arange(100, 451) / 100 + 0.005  # 1.005, ..., 4.505 and their neighbours
+        near = np.concatenate([halves, np.nextafter(halves, 0), np.nextafter(halves, 9)])
+        x = np.concatenate([
+            rng.uniform(1.0, 4.5, size=1_000_000),
+            rng.uniform(-1e6, 1e6, size=10_000),
+            near,
+            [1.005, 2.675, 1.125, 3.335, 4.445, 0.125, 0.0, -0.005, 2.5],
+        ])
+        expected = np.array([round(v, 2) for v in x.tolist()])
+        assert np.array_equal(_round2(x).view(np.int64), expected.view(np.int64))
+
+    @given(rows=st.integers(0, 12), dim=st.integers(1, 60), values=st.integers(1, 100),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_scatter_ranks_equal_double_argsort(self, rows, dim, values, seed):
+        # keys take `values` distinct values, so that few values tie in most rows
+        keys = np.random.default_rng(seed).integers(values, size=(rows, dim)) / values
+        assert np.array_equal(_ranks(keys), keys.argsort(axis=1).argsort(axis=1))
 
 
 class TestRecombinationStructure:
