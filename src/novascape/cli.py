@@ -20,7 +20,6 @@ Exit codes: 0 success, 2 input error, 3 empty result, 4 numeric failure.
 
 import argparse
 import collections.abc
-import csv
 import dataclasses
 import json
 import logging
@@ -39,6 +38,7 @@ from .corpus import (
     canonical_registry,
     load_registry,
     parse_records,
+    write_csv_columns,
     write_records_csv,
     write_registry,
 )
@@ -382,11 +382,9 @@ def cmd_landscape(cfg: PipelineConfig, records: Optional[RecordSet] = None) -> i
 
 
 def _write_table(path: Path, rows: List[dict], columns: Sequence[str]) -> None:
-    """Write the rows as a CSV table with the given columns, atomically."""
-    with atomic_write(path) as tmp, open(tmp, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(columns), lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
+    """Write the rows as a CSV table with the given columns, atomically; a missing cell is empty."""
+    with atomic_write(path) as tmp:
+        write_csv_columns(tmp, columns, [[row.get(name) for row in rows] for name in columns])
 
 
 def _read_scores(cfg: PipelineConfig, records: RecordSet) -> ScoreTable:

@@ -3,7 +3,8 @@
 Products are described by fixed-width binary feature vectors ("mechanism
 vectors" for board games). The registry defines the vector dimensionality and
 the bit order; records are parsed from a flat CSV schema and filtered down to
-an analysis set with explicit, reported rules.
+an analysis set with explicit, reported rules. write_csv_columns writes every
+CSV table the package produces.
 """
 
 import csv
@@ -256,12 +257,16 @@ def _parse_bool(value: str, row: int, column: str) -> bool:
     raise ParseError(f"row {row}: column {column!r} must be 0 or 1, got {value!r}")
 
 
-def _format_number(x) -> str:
-    """Canonical cell text: integers bare, floats via round-trip repr."""
-    f = float(x)
-    if f.is_integer() and abs(f) < 1e15:
-        return str(int(f))
-    return repr(f)
+def _number_cells(values: np.ndarray) -> np.ndarray:
+    """Each number as what writes as its canonical cell text: bools as 0 and 1,
+    integers as they are, and floats as Python ints where whole and below 1e15
+    in magnitude, else as floats, which write as their round-trip repr."""
+    if values.dtype.kind != "f":
+        return values.astype(np.int64)
+    cells = values.astype(object)
+    whole = (values == np.trunc(values)) & (np.abs(values) < 1e15)
+    cells[whole] = values[whole].astype(np.int64).astype(object)
+    return cells
 
 
 # Column converters: a sequence of cells in, (values array, mask of the cells
@@ -329,14 +334,13 @@ def _column_check(cells, convert, parse, column: str, first_row: int) -> tuple:
     return values, (bad, lambda i: parse(cells[i], first_row + i, column))
 
 
-# per CONTROLS type: column dtype, CSV cell parser, CSV cell formatter, column converter
+# per CONTROLS type: column dtype, CSV cell parser, column converter
 _KINDS = {
-    bool: (bool, _parse_bool, int, _bool_column),
-    int: (np.int64, _parse_int, int, _int_column),
-    float: (np.float64, _parse_float, _format_number, _float_column),
-    str: (object, lambda value, row, column: value, str, _str_column),
-    Optional[str]: (object, lambda value, row, column: value or None, lambda value: value or "",
-                    _optional_str_column),
+    bool: (bool, _parse_bool, _bool_column),
+    int: (np.int64, _parse_int, _int_column),
+    float: (np.float64, _parse_float, _float_column),
+    str: (object, lambda value, row, column: value, _str_column),
+    Optional[str]: (object, lambda value, row, column: value or None, _optional_str_column),
 }
 
 
@@ -445,7 +449,7 @@ def _parse_block(rows: list, position: dict, registry: FeatureRegistry, first_ro
     checks.append(check)
     values = {}
     for name, kind in CONTROLS:
-        values[name], check = _column_check(column(name), _KINDS[kind][3], _KINDS[kind][1], name, first_row)
+        values[name], check = _column_check(column(name), _KINDS[kind][2], _KINDS[kind][1], name, first_row)
         checks.append(check)
     ids = column("id")
     complexity, min_age, lo, hi = (values[c] for c in ("complexity", "min_age", "min_players", "max_players"))
@@ -509,11 +513,49 @@ def write_records_csv(records: RecordSet, path) -> None:
     names = np.array(records.registry.names, dtype=object)[features].tolist()
     ends = np.searchsorted(rows, np.arange(1, len(records) + 1)).tolist()
     mechanisms = [MECHANISM_SEPARATOR.join(names[lo:hi]) for lo, hi in zip([0] + ends, ends)]
-    cells = [map(_KINDS[kind][2], records.columns[name].tolist()) for name, kind in CONTROLS]
+    controls = [column.tolist() if column.dtype == object else column for column in records.columns.values()]
+    write_csv_columns(path, ("id", "year", "mechanisms") + tuple(name for name, _ in CONTROLS),
+                      [records.ids, records.years, mechanisms, *controls])
+
+
+_QUOTED_CHARS = (",", '"', "\r", "\n")
+
+
+def _text_cells(cells) -> list:
+    """A text column's cells as written: None as an empty cell, and a cell
+    holding a comma, quote, CR or LF in quotes, its quotes doubled."""
+    try:
+        text = "".join(cells)
+    except TypeError:  # None or numbers among the text
+        cells = ["" if cell is None else str(cell) for cell in cells]
+        text = "".join(cells)
+    if not any(char in text for char in _QUOTED_CHARS):
+        return cells
+    return list(map(_quoted, cells))
+
+
+def _quoted(cell: str) -> str:
+    return '"' + cell.replace('"', '""') + '"' if any(char in cell for char in _QUOTED_CHARS) else cell
+
+
+def write_csv_columns(path, header, columns) -> None:
+    """Write a CSV table of two or more columns, given column by column.
+
+    A list or tuple column holds text, None for an empty cell: it is scanned
+    once, and only the cells that need quotes get them. A numpy array holds
+    numbers, written as _number_cells gives them. Any other iterable holds
+    cells that never need quotes, written as %-formatting writes them. The
+    bytes are csv.writer(lineterminator="\n")'s, except that a cell holding a
+    CR is quoted too, where Python 3.11's writer leaves it bare and so
+    unreadable.
+    """
+    assert len(header) == len(columns) > 1
+    line = ",".join(["%s"] * len(columns)) + "\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("id", "year", "mechanisms") + tuple(name for name, _ in CONTROLS))
-        writer.writerows(zip(records.ids, records.years.tolist(), mechanisms, *cells))
+        fh.write(line % tuple(_text_cells(list(header))))
+        cells = (_text_cells(c) if isinstance(c, (list, tuple))
+                 else _number_cells(c).tolist() if isinstance(c, np.ndarray) else c for c in columns)
+        fh.writelines(map(line.__mod__, zip(*cells)))
 
 
 def write_registry(registry: FeatureRegistry, path) -> None:

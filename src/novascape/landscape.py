@@ -9,24 +9,26 @@ A snapshot holds its plotted types only, and everything drawn or summarised
 from it (exports, SVG, share classes, centroids) reads those nodes.
 
 Type keys come from the corpus' packed uint64 words (corpus.pack_rows), so
-bit j of a key is feature j; each snapshot keys the corpus once. Edges come
-from single-bit-flip hash lookups (O(nodes * dimension)), never from
-all-pairs comparison. Layout is Kamada-Kawai (Kamada & Kawai 1989), over
+bit j of a key is feature j; each snapshot keys the corpus once, with one
+lexsort of the words, and makes Python integers of its plotted types only.
+Edges come from single-bit-flip hash lookups (O(nodes * dimension)), never
+from all-pairs comparison. Layout is Kamada-Kawai (Kamada & Kawai 1989), over
 breadth-first hop distances, on the final snapshot's main component with a
 seeded random start; earlier snapshots reuse those fixed positions so types
 do not move between frames. Its energy is NetworkX 3.6's _kamada_kawai_costfn,
-minimised and rescaled as NetworkX's kamada_kawai_layout does, bit for bit;
-scipy's sparse graphs and optimizer load only when `layout` runs.
+minimised and rescaled as NetworkX's kamada_kawai_layout does, bit for bit,
+with every (n, n) intermediate in buffers allocated once per layout; scipy's
+sparse graphs and optimizer load only when `layout` runs.
 """
 
-import csv
 import json
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .corpus import RecordSet, pack_rows
+from .corpus import RecordSet, pack_rows, write_csv_columns
 from .errors import EmptyGraph
 
 GROUP_CROWDFUNDED = "crowdfunded"
@@ -53,13 +55,26 @@ EXPORT_COLUMNS = ("id", "vector_bits", "count", "cf_count", "cf_share", "first_y
 
 def pack_vector(bits) -> int:
     """Pack a binary vector into an int key; bit j of the key is feature j."""
-    return int.from_bytes(pack_rows(np.asarray(bits, dtype=bool).reshape(1, -1)).tobytes(), "little")
+    return _keys(pack_rows(np.asarray(bits, dtype=bool).reshape(1, -1)))[0]
 
 
 def _type_keys(matrix: np.ndarray):
-    """(keys, types): the pack_vector key of each distinct row, and each row's index into keys."""
-    unique, types = np.unique(pack_rows(matrix), axis=0, return_inverse=True)
-    return [int.from_bytes(row.tobytes(), "little") for row in unique], types.reshape(-1)
+    """(words, types): the packed words of each distinct row, in ascending key
+    order, and each row's index into words; _keys turns words into keys."""
+    packed = pack_rows(matrix)
+    # the last word is the most significant and lexsort's primary key
+    order = np.lexsort(packed.T)
+    ordered = packed[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    types = np.empty(len(order), dtype=np.intp)
+    types[order] = np.cumsum(new) - 1
+    return ordered[new], types
+
+
+def _keys(words: np.ndarray) -> list:
+    """Each row of packed uint64 words as one int; bit j of the int is bit j of the row."""
+    return [int.from_bytes(row.tobytes(), "little") for row in words]
 
 
 def vector_bits(key: int, dimension: int) -> str:
@@ -118,24 +133,21 @@ def build_landscape(
     if len(records) == 0:
         raise EmptyGraph("no records")
     dim = records.registry.dimension
-    keys, types = _type_keys(records.matrix)
-    corpus_counts = np.bincount(types, minlength=len(keys))
+    words, types = _type_keys(records.matrix)
+    corpus_counts = np.bincount(types, minlength=len(words))
     in_snapshot = records.years <= up_to_year
     snapshot_types, years = types[in_snapshot], records.years[in_snapshot]
-    totals = np.bincount(snapshot_types, minlength=len(keys))
+    totals = np.bincount(snapshot_types, minlength=len(words))
     funded_types = snapshot_types[records.columns["crowdfunded"][in_snapshot]]
-    cf_counts = np.bincount(funded_types, minlength=len(keys))
-    first_years = np.full(len(keys), np.iinfo(np.int64).max)
+    cf_counts = np.bincount(funded_types, minlength=len(words))
+    first_years = np.full(len(words), np.iinfo(np.int64).max)
     np.minimum.at(first_years, snapshot_types, years)
-    plotted_types = np.flatnonzero((totals > 0) & (corpus_counts >= min_type_count)).tolist()
+    plotted = np.flatnonzero((totals > 0) & (corpus_counts >= min_type_count))
     nodes = {
-        keys[t]: TypeNode(
-            key=keys[t],
-            total_count=int(totals[t]),
-            crowdfunded_count=int(cf_counts[t]),
-            first_year=int(first_years[t]),
-        )
-        for t in sorted(plotted_types, key=keys.__getitem__)
+        key: TypeNode(key=key, total_count=total, crowdfunded_count=cf_count, first_year=first_year)
+        for key, total, cf_count, first_year in zip(
+            _keys(words[plotted]), totals[plotted].tolist(), cf_counts[plotted].tolist(),
+            first_years[plotted].tolist())
     }
     return LandscapeGraph(
         snapshot_year=up_to_year,
@@ -195,7 +207,8 @@ def layout(
     start = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(len(keys), 2))
     hops = shortest_path(adjacency, directed=False, unweighted=True, indices=main)[:, main]
     eye = np.eye(len(keys)) * 1e-3
-    pos = minimize(_kamada_kawai_energy, start.ravel(), args=(1 / (hops + eye), eye),
+    buffers = np.empty((6, len(keys), len(keys)))
+    pos = minimize(_kamada_kawai_energy, start.ravel(), args=(1 / (hops + eye), eye, buffers),
                    method="L-BFGS-B", jac=True).x.reshape(-1, 2)
     pos -= pos.mean(axis=0)
     pos *= 1 / np.abs(pos).max()
@@ -203,23 +216,34 @@ def layout(
     return dict(zip(keys, map(tuple, (pos + np.zeros(2)).tolist())))
 
 
-def _kamada_kawai_energy(pos_vec: np.ndarray, invdist: np.ndarray, eye: np.ndarray):
+def _kamada_kawai_energy(pos_vec: np.ndarray, invdist: np.ndarray, eye: np.ndarray, buffers: np.ndarray):
     """NetworkX 3.6's _kamada_kawai_costfn in two dimensions with mean weight 1e-3:
     the energy and its gradient; `eye` is the identity times 1e-3. Computed on
     planar (n, n) arrays, one per axis, bit for bit: dx[j, i] == -dx[i, j], so
     NetworkX's "ij,ij,ijk->ik" einsum is exactly minus its "->jk" one, and both
-    add in index order, as an axis-0 sum does (an axis-1 sum is pairwise)."""
+    add in index order, as an axis-0 sum does (an axis-1 sum is pairwise).
+
+    Every (n, n) intermediate is written into `buffers`, a float64 (6, n, n)
+    array the caller allocates once per minimisation, in NetworkX's operation
+    order; no value is carried from one call to the next.
+    """
     pos = pos_vec.reshape((-1, 2))
-    dx, dy = (pos[:, np.newaxis, k] - pos[np.newaxis, :, k] for k in (0, 1))
-    nodesep = np.sqrt(dx * dx + dy * dy)
-    inv_sep = 1 / (nodesep + eye)
-    offset = nodesep * invdist - 1.0
+    dx, dy, sep, inv_sep, offset, w = buffers
+    np.subtract(pos[:, np.newaxis, 0], pos[np.newaxis, :, 0], out=dx)
+    np.subtract(pos[:, np.newaxis, 1], pos[np.newaxis, :, 1], out=dy)
+    np.multiply(dx, dx, out=sep)
+    np.multiply(dy, dy, out=w)
+    np.sqrt(np.add(sep, w, out=sep), out=sep)
+    np.divide(1.0, np.add(sep, eye, out=inv_sep), out=inv_sep)
+    np.subtract(np.multiply(sep, invdist, out=offset), 1.0, out=offset)
     np.fill_diagonal(offset, 0)
-    w = invdist * offset
-    g = np.stack([(w * (d * inv_sep)).sum(axis=0) for d in (dx, dy)], axis=1)
+    np.multiply(invdist, offset, out=w)
+    # sep is spent: it holds each axis's w * (d * inv_sep) in turn
+    g = np.stack([np.multiply(w, np.multiply(d, inv_sep, out=sep), out=sep).sum(axis=0) for d in (dx, dy)],
+                 axis=1)
     # a parabolic term holding the mean position near the origin
     sumpos = np.sum(pos, axis=0)
-    cost = 0.5 * np.sum(offset**2) + 0.5 * 1e-3 * np.sum(sumpos**2)
+    cost = 0.5 * np.sum(np.multiply(offset, offset, out=sep)) + 0.5 * 1e-3 * np.sum(sumpos**2)
     return cost, (-(g + g) + 1e-3 * sumpos).ravel()
 
 
@@ -299,14 +323,14 @@ def export_graph(graph: LandscapeGraph, positions, fmt: str, path, seed: Optiona
     if fmt not in EXPORT_FORMATS or fmt == "svg":
         raise ValueError(f"export_graph cannot write format {fmt!r}")
     rows, edges = _export_rows(graph, positions)
+    if fmt == "csv":
+        # every cell is a number or a bit string, so none needs quotes
+        write_csv_columns(path, EXPORT_COLUMNS, [map(itemgetter(name), rows) for name in EXPORT_COLUMNS])
+        return
     meta = {"year": graph.snapshot_year, "dimension": graph.dimension}
     seeded = {} if seed is None else {"layout_seed": int(seed)}
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        if fmt == "csv":
-            writer = csv.DictWriter(fh, fieldnames=EXPORT_COLUMNS, lineterminator="\n")
-            writer.writeheader()
-            writer.writerows(rows)
-        elif fmt == "graphml":
+        if fmt == "graphml":
             fh.write(_graphml_text({**meta, **seeded}, rows, edges))
         else:
             json.dump({**meta, "nodes": rows, "edges": [list(e) for e in edges], **seeded}, fh, indent=2)

@@ -29,6 +29,7 @@ independent of scheduling.
 """
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
@@ -39,12 +40,13 @@ from .corpus import (
     RecordSet,
     _column_check,
     _float_column,
-    _format_number,
     _int_column,
+    _number_cells,
     _parse_float,
     _parse_int,
     _raise_first,
     pack_rows,
+    write_csv_columns,
 )
 from .errors import ParseError, SchemaError
 
@@ -102,20 +104,25 @@ class ScoreTable:
     `novelty_count` (int64) and `resonance` (float64, NaN where absent) share
     row order, and `novelty_binary` derives from novelty_count. `unscored`
     lists the sorted (record_id, span) pairs whose past window was empty.
-    `get` builds one InnovationScores view.
+    `get` builds one InnovationScores view. `id_ranks`, each row's id's rank
+    among the sorted distinct ids, orders the rows; it is taken from `ids`
+    when not given.
     """
 
-    def __init__(self, ids, spans, distinctiveness, novelty_count, resonance, unscored: Iterable = ()):
+    def __init__(self, ids, spans, distinctiveness, novelty_count, resonance, unscored: Iterable = (),
+                 id_ranks: Optional[np.ndarray] = None):
         ids = np.asarray(ids, dtype=object)
         spans = np.asarray(spans, dtype=np.int64)
-        order = np.lexsort((spans, ids))
+        id_ranks = _id_ranks(ids) if id_ranks is None else id_ranks
+        order = np.lexsort((spans, id_ranks))
         self.ids = ids[order]
         self.spans = spans[order]
+        id_ranks = id_ranks[order]
         self.distinctiveness = np.asarray(distinctiveness, dtype=np.float64)[order]
         self.novelty_count = np.asarray(novelty_count, dtype=np.int64)[order]
         self.resonance = np.asarray(resonance, dtype=np.float64)[order]
         self.unscored = tuple(sorted(unscored))
-        repeats = np.flatnonzero((self.ids[1:] == self.ids[:-1]) & (self.spans[1:] == self.spans[:-1]))
+        repeats = np.flatnonzero((id_ranks[1:] == id_ranks[:-1]) & (self.spans[1:] == self.spans[:-1]))
         if len(repeats):
             i = int(repeats[0])
             raise ValueError(f"duplicate score row {(self.ids[i], self.spans.item(i))}")
@@ -144,15 +151,22 @@ class ScoreTable:
     def write_csv(self, path) -> None:
         """Write one row per score; floats use round-trip repr, so no precision is lost."""
         has_res = ~np.isnan(self.resonance)
-        resonance = ["NA" if math.isnan(r) else _format_number(r) for r in self.resonance.tolist()]
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(SCORE_COLUMNS)
-            writer.writerows(zip(
-                self.ids.tolist(), self.spans.tolist(), map(_format_number, self.distinctiveness.tolist()),
-                self.novelty_count.tolist(), self.novelty_binary.astype(np.int64).tolist(), resonance,
-                has_res.astype(np.int64).tolist(),
-            ))
+        resonance = _number_cells(self.resonance)
+        resonance[~has_res] = "NA"
+        write_csv_columns(path, SCORE_COLUMNS, [self.ids.tolist(), self.spans, self.distinctiveness,
+                                                self.novelty_count, self.novelty_binary, iter(resonance.tolist()),
+                                                has_res])
+
+
+def _id_ranks(ids: np.ndarray) -> np.ndarray:
+    """Each id's rank among the distinct ids of the object array `ids`, in sorted order."""
+    order = np.argsort(ids, kind="stable")
+    ordered = ids[order]
+    new = np.ones(len(ids), dtype=bool)
+    new[1:] = ordered[1:] != ordered[:-1]
+    ranks = np.empty(len(ids), dtype=np.int64)
+    ranks[order] = np.cumsum(new) - 1
+    return ranks
 
 
 def read_scores_csv(path) -> ScoreTable:
@@ -272,7 +286,7 @@ def score_corpus(
             past_lo, past_hi = window_years(year, span, PAST)
             past = _window_profile(year_profiles, past_lo, past_hi, dimension)
             if past.n == 0:
-                unscored.extend((records.ids[i], span) for i in focal_rows)
+                unscored.append((focal_rows, span))
                 continue
             sums = _distance_sums(bits, past)
             mins = np.minimum.reduce([m for y, m in year_mins.items() if y >= past_lo])
@@ -284,4 +298,10 @@ def score_corpus(
                     res_vals = sums / past.n - _distance_sums(bits, future) / future.n
             blocks.append((focal_rows, np.full(len(focal_rows), span), sums / past.n, mins, res_vals))
     rows, span_col, dist, nov, res = (np.concatenate(c) for c in zip(*blocks)) if blocks else ([],) * 5
-    return ScoreTable(np.asarray(records.ids, dtype=object)[rows], span_col, dist, nov, res, unscored)
+    ids = np.asarray(records.ids, dtype=object)
+    # record ids are distinct, so each one's place in sorted order is its rank;
+    # the stable sort takes one pass over ids that are already in order
+    ranks = np.empty(len(ids), dtype=np.int64)
+    ranks[np.argsort(ids, kind="stable")] = np.arange(len(ids))
+    pairs = itertools.chain.from_iterable(zip(ids[r].tolist(), itertools.repeat(span)) for r, span in unscored)
+    return ScoreTable(ids[rows], span_col, dist, nov, res, pairs, id_ranks=ranks[rows])

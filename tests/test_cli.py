@@ -28,8 +28,8 @@ from novascape.cli import (
     main,
     recovery_seed,
 )
-from novascape.corpus import FilterConfig, Record
-from novascape.metrics import InnovationScores, score_corpus
+from novascape.corpus import FilterConfig, Record, load_registry, parse_records
+from novascape.metrics import InnovationScores, read_scores_csv, score_corpus
 from novascape.errors import ConfigError
 from novascape.stats import FAMILIES, JOINED_COLUMNS, JOINED_LABELS, ROBUST_VARIANTS, TRANSFORMS, ModelSpec
 from novascape.synth import SynthConfig, generate_corpus
@@ -562,6 +562,31 @@ class TestExitCodes:
         assert not (out / "models.csv").exists()
         assert main(["score", "--config", str(narrowed)]) == EXIT_OK
         assert main(["stats", "--config", str(narrowed)]) == EXIT_OK
+
+    def test_carriage_returns_in_quoted_cells_survive_the_caches(self, tmp_path):
+        # a CR inside a quoted id, genre or parent_id parses; the ingest and
+        # score caches must quote it again for score and stats to read them
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path, pipeline_payload(out))
+        assert main(["synth", "--config", str(cfg)]) == EXIT_OK
+        with open(out / "synth_corpus.csv", newline="", encoding="utf-8") as fh:
+            header, *rows = list(csv.reader(fh))
+        rid, genre, parent = (header.index(c) for c in ("id", "genre", "parent_id"))
+        for i, row in enumerate(rows):
+            row[rid] += "\r" if i % 3 == 0 else ""
+            row[genre] = "Card\rGames" if i % 2 else row[genre]
+            row[parent] = rows[0][rid] if i % 5 == 1 else row[parent]
+        corpus = tmp_path / "quoted.csv"
+        with open(corpus, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, quoting=csv.QUOTE_ALL, lineterminator="\n").writerows([header, *rows])
+        registry = str(out / "synth_registry.txt")
+        assert main(["ingest", "--config", str(cfg), "--corpus", str(corpus), "--registry", registry]) == EXIT_OK
+        assert main(["score", "--config", str(cfg)]) == EXIT_OK
+        assert main(["stats", "--config", str(cfg)]) == EXIT_OK
+        cached = parse_records(out / "corpus_filtered.csv", load_registry(registry))
+        assert any("\r" in i for i in cached.ids) and "Card\rGames" in cached.columns["genre"].tolist()
+        assert rows[0][rid] in cached.columns["parent_id"].tolist()
+        assert any("\r" in i for i in read_scores_csv(out / "scores.csv").ids.tolist())
 
     @pytest.mark.parametrize("column, cell, message", [
         ("distinctiveness", "x1.5", "row 2: column 'distinctiveness' is not a number: 'x1.5'"),

@@ -29,7 +29,9 @@ from novascape.corpus import (
     apply_filters,
     canonical_registry,
     load_registry,
+    _number_cells,
     parse_records,
+    write_csv_columns,
     write_records_csv,
     write_registry,
 )
@@ -494,6 +496,58 @@ def test_write_is_byte_deterministic(tmp_path):
     write_records_csv(rs, p1)
     write_records_csv(rs, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def _format_number(x) -> str:
+    """The cell text the corpus and score writers wrote number by number."""
+    f = float(x)
+    if f.is_integer() and abs(f) < 1e15:
+        return str(int(f))
+    return repr(f)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.floats(), st.integers(-2**53, 2**53).map(float),
+                          st.sampled_from([0.0, -0.0, 1e15, -1e15, 1e15 - 1, 999999999999999.9, 2.5e-8])),
+                max_size=20))
+def test_number_cells_write_as_the_per_number_formatter(values):
+    cells = _number_cells(np.array(values, dtype=np.float64)).tolist()
+    assert ["%s" % cell for cell in cells] == [_format_number(v) for v in values]
+
+
+TEXT = st.text(st.sampled_from([",", '"', "\r", "\n", ";", " ", "a", "Z", "0", "é", "游", "\u2028"]), max_size=6)
+CELLS = st.one_of(TEXT, st.just(""), st.integers(-10**20, 10**20), st.none())
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(2, 5).flatmap(lambda k: st.tuples(
+    st.lists(TEXT, min_size=k, max_size=k),
+    st.lists(st.lists(CELLS, min_size=k, max_size=k), max_size=8),
+    st.lists(st.booleans(), min_size=k, max_size=k))))
+def test_column_writer_matches_csv_writer(tmp_path, table):
+    header, rows, lazy = table
+    columns = [list(column) for column in zip(*rows)] or [[] for _ in header]
+    # a column of integers may come as a lazy iterable, as numeric columns do
+    columns = [iter(c) if is_lazy and all(type(v) is int for v in c) else c for c, is_lazy in zip(columns, lazy)]
+    path = tmp_path / "table.csv"
+    write_csv_columns(path, header, columns)
+    written = path.read_bytes()
+    with open(path, newline="", encoding="utf-8") as fh:
+        assert list(csv.reader(fh)) == [header] + [["" if v is None else str(v) for v in row] for row in rows]
+    if not any("\r" in str(v) for v in header + [v for row in rows for v in row]):
+        expected = io.StringIO(newline="")
+        csv.writer(expected, lineterminator="\n").writerows([header] + rows)
+        assert written == expected.getvalue().encode("utf-8")
+
+
+def test_cell_with_a_carriage_return_survives_the_corpus_writer(tmp_path):
+    rs = make_recordset([("a\rb", 2010, [1, 0]), ("c", 2011, [0, 1])], genre="Card\rGames", parent_id="x\ry")
+    path = tmp_path / "corpus.csv"
+    write_records_csv(rs, path)
+    back = parse_records(path, rs.registry)
+    assert back.ids == ("a\rb", "c")
+    assert back.columns["genre"].tolist() == ["Card\rGames"] * 2
+    assert back.columns["parent_id"].tolist() == ["x\ry"] * 2
 
 
 # The oracle's own copies of the row-by-row checks that the column parser

@@ -5,6 +5,7 @@ the library's bit-flip construction.
 """
 
 import csv
+import io
 import itertools
 import json
 import math
@@ -16,9 +17,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from novascape.corpus import pack_rows
 from novascape.errors import EmptyGraph
 from novascape.landscape import (
     _kamada_kawai_energy,
+    _keys,
+    _type_keys,
     CLASS_BASELINE,
     CLASS_CROWDFUNDED,
     CLASS_FORMER,
@@ -209,10 +213,25 @@ class TestLayout:
         eye = np.eye(n) * 1e-3
         invdist = 1 / (hops + hops.T + eye)
         pos_vec = rng.uniform(-1.0, 1.0, size=2 * n) * 10.0**log_scale
-        cost, grad = _kamada_kawai_energy(pos_vec, invdist, eye)
+        cost, grad = _kamada_kawai_energy(pos_vec, invdist, eye, np.empty((6, n, n)))
         want_cost, want_grad = _kamada_kawai_costfn(pos_vec, np, invdist, 1e-3, 2)
         assert cost == want_cost
         assert np.array_equal(grad, want_grad)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(2, 120), st.integers(0, 2**32 - 1))
+    def test_energy_buffers_carry_nothing_between_calls(self, n, seed):
+        # one buffer set at two positions, as the optimizer reuses it, against fresh buffers
+        rng = np.random.default_rng(seed)
+        hops = np.triu(rng.integers(1, 12, size=(n, n)), 1)
+        eye = np.eye(n) * 1e-3
+        invdist = 1 / (hops + hops.T + eye)
+        shared = np.full((6, n, n), np.nan)
+        for pos_vec in rng.uniform(-1.0, 1.0, size=(2, 2 * n)):
+            cost, grad = _kamada_kawai_energy(pos_vec, invdist, eye, shared)
+            want_cost, want_grad = _kamada_kawai_energy(pos_vec, invdist, eye, np.zeros((6, n, n)))
+            assert cost == want_cost
+            assert np.array_equal(grad, want_grad)
 
     def test_demo_sized_positions_equal_networkx_kamada_kawai(self):
         # the README demo's final snapshot: about 200 positioned types
@@ -375,6 +394,22 @@ class TestPerRecordReference:
             got = [c and (c.group, c.point) for c in centroids(g, positions)]
             assert got == reference_centroids(rs, positions, year)
 
+    @pytest.mark.parametrize("dim", [16, 64, 65, 130])
+    def test_type_keys_match_unique_rows(self, dim):
+        # few base types with one-bit mutations, so rows repeat and differ in every word
+        rng = np.random.default_rng(dim)
+        base = rng.integers(0, 2, size=(40, dim), dtype=np.uint8)
+        matrix = base[rng.integers(40, size=2000)]
+        flip = rng.random(len(matrix)) < 0.5
+        matrix[flip, rng.integers(dim, size=int(flip.sum()))] ^= 1
+        words, types = _type_keys(matrix)
+        keys = _keys(words)
+        unique, inverse = np.unique(pack_rows(matrix), axis=0, return_inverse=True)
+        oracle = [int.from_bytes(row.tobytes(), "little") for row in unique]
+        assert keys == sorted(oracle) and len(keys) > 40
+        assert [keys[t] for t in types.tolist()] == [oracle[t] for t in inverse.reshape(-1).tolist()]
+        assert [keys[t] for t in types.tolist()] == [pack_vector(row) for row in matrix]
+
 
 class TestShareClasses:
     def test_red_then_orange(self):
@@ -469,6 +504,26 @@ class TestExports:
             assert row["vector_bits"] == vector_bits(key, g.dimension)
             assert int(row["count"]) == g.nodes[key].total_count
             assert (float(row["x"]), float(row["y"])) == tuple(pos[key])
+
+    def test_csv_bytes_equal_dictwriter(self, tmp_path):
+        # the README demo's final snapshot, written as csv.DictWriter wrote it
+        rs = generate_corpus(SynthConfig(
+            dimension=16, year_start=2006, year_end=2015, games_per_year=500,
+            base_mechanism_rate=0.15, recombination_rate=0.6, base_mutation_bits=1.0,
+            novelty_boost=2.0, seed=7))
+        g = build_landscape(rs, 2011, min_type_count=4)
+        pos = layout(build_landscape(rs, 2015, min_type_count=4), seed=42)
+        ours = tmp_path / "ours.csv"
+        export_graph(g, pos, "csv", ours, seed=42)
+        theirs = io.StringIO(newline="")
+        writer = csv.DictWriter(theirs, fieldnames=EXPORT_COLUMNS, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(
+            {"id": key, "vector_bits": vector_bits(key, g.dimension), "count": node.total_count,
+             "cf_count": node.crowdfunded_count, "cf_share": node.cf_share, "first_year": node.first_year,
+             "x": pos[key][0], "y": pos[key][1]}
+            for key, node in g.nodes.items() if key in pos)
+        assert len(g.nodes) > 100 and ours.read_bytes() == theirs.getvalue().encode("utf-8")
 
     def test_graphml_element_counts(self, tmp_path):
         rs = make_recordset([("a", 2010, [1, 0]), ("b", 2011, [1, 1])])

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from novascape import metrics
+from novascape.corpus import RecordSet
 from novascape.errors import DimensionError, ParseError
 from novascape.metrics import (
     FUTURE,
@@ -263,6 +264,16 @@ class TestScoreCorpus:
         table = score_corpus(rs, spans=(2, 1))
         keys = list(zip(table.ids, table.spans.tolist()))
         assert keys == sorted(keys)
+
+    def test_rows_sorted_by_id_when_ids_run_against_the_years(self):
+        # "zzz" for a ... "ztt" for g: the later the year, the smaller the id
+        rs = self.demo_corpus()
+        rs = RecordSet(rs.registry, ("z" + chr(ord("z") - ord(rid) + ord("a")) * 2 for rid in rs.ids),
+                       rs.years, rs.matrix, rs.columns)
+        table = score_corpus(rs, spans=(2, 1))
+        keys = list(zip(table.ids, table.spans.tolist()))
+        assert keys == sorted(keys) and len(keys) == 10
+        assert table.unscored == (("zyy", 1), ("zyy", 2), ("zzz", 1), ("zzz", 2))
 
     def test_resonance_rows_are_strict_subset(self):
         rs = self.demo_corpus()
