@@ -17,12 +17,22 @@ breadth-first hop distances, on the final snapshot's main component with a
 seeded random start; earlier snapshots reuse those fixed positions so types
 do not move between frames. Its energy is NetworkX 3.6's _kamada_kawai_costfn,
 minimised and rescaled as NetworkX's kamada_kawai_layout does, bit for bit,
-with every (n, n) intermediate in buffers allocated once per layout; scipy's
-sparse graphs and optimizer load only when `layout` runs.
+with every (n, n) intermediate in buffers allocated once per layout. scipy's
+sparse graphs load only when `layout` runs. The minimiser is scipy's compiled
+L-BFGS-B routine (Byrd, Lu, Nocedal & Zhu 1995), `_lbfgsb.setulb`, loaded from
+its extension file and driven as scipy 1.17's minimize(method="L-BFGS-B")
+drives it: importing scipy.optimize for it would cost 0.12-0.18 s, mostly in
+solvers the layout never calls. A scipy whose setulb has another signature
+takes scipy.optimize.minimize instead.
 """
 
+import functools
 import json
+import os
+import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.util import module_from_spec, spec_from_loader
 from operator import itemgetter
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
@@ -186,11 +196,15 @@ def layout(
     its plotted nodes are a subset of the final ones. Plotted nodes outside
     the main component get no position and are left out of plots. A
     single-node component sits at the origin.
+
+    The energy is minimised by `_minimize_lbfgsb`, scipy's L-BFGS-B routine
+    called directly, without importing scipy.optimize; only when `_lbfgsb`
+    finds no such routine does scipy.optimize.minimize run, to the same
+    positions.
     """
     plotted = graph.plotted
     if not plotted:
         raise EmptyGraph("no plotted nodes")
-    from scipy.optimize import minimize
     from scipy.sparse import csr_array
     from scipy.sparse.csgraph import connected_components, shortest_path
 
@@ -208,12 +222,92 @@ def layout(
     hops = shortest_path(adjacency, directed=False, unweighted=True, indices=main)[:, main]
     eye = np.eye(len(keys)) * 1e-3
     buffers = np.empty((6, len(keys), len(keys)))
-    pos = minimize(_kamada_kawai_energy, start.ravel(), args=(1 / (hops + eye), eye, buffers),
-                   method="L-BFGS-B", jac=True).x.reshape(-1, 2)
+    args = (1 / (hops + eye), eye, buffers)
+    if _lbfgsb() is None:
+        from scipy.optimize import minimize
+
+        pos = minimize(_kamada_kawai_energy, start.ravel(), args=args, method="L-BFGS-B", jac=True).x
+    else:
+        pos = _minimize_lbfgsb(_kamada_kawai_energy, start.ravel(), args)[0]
+    pos = pos.reshape(-1, 2)
     pos -= pos.mean(axis=0)
     pos *= 1 / np.abs(pos).max()
     # NetworkX's added zero centre turns any -0.0 into 0.0
     return dict(zip(keys, map(tuple, (pos + np.zeros(2)).tolist())))
+
+
+# scipy 1.17's C setulb; the f2py wrapper of older versions takes other arguments
+_SETULB_SIGNATURE = "setulb(m,x,l,u,nbd,f,g,factr,pgtol,wa,iwa,task,lsave,isave,dsave,maxls,ln_task)"
+
+
+@functools.cache
+def _lbfgsb():
+    """scipy's compiled L-BFGS-B module, loaded from its extension file without
+    running scipy/optimize/__init__.py, or None when that file is missing or
+    its setulb does not have the signature _minimize_lbfgsb drives."""
+    import scipy
+
+    name = "scipy.optimize._lbfgsb"
+    module = sys.modules.get(name)
+    if module is None:
+        stem = os.path.join(os.path.dirname(scipy.__file__), "optimize", "_lbfgsb")
+        path = next((stem + s for s in EXTENSION_SUFFIXES if os.path.isfile(stem + s)), None)
+        if path is None:
+            return None
+        loader = ExtensionFileLoader(name, path)
+        module = module_from_spec(spec_from_loader(name, loader))
+        loader.exec_module(module)
+        # its single-phase initialisation adds it to sys.modules, under a package never imported
+        sys.modules.pop(name, None)
+    return module if getattr(getattr(module, "setulb", None), "__doc__", None) == _SETULB_SIGNATURE else None
+
+
+def _minimize_lbfgsb(fun, x0: np.ndarray, args: tuple):
+    """(x, iterations, evaluations) of scipy 1.17's _minimize_lbfgsb on a float64
+    vector x0 with no bounds, fun returning (value, gradient) as with jac=True,
+    and minimize's default options; the same setulb calls in the same order, so
+    x is bit-equal to minimize(fun, x0, args, method="L-BFGS-B", jac=True).x.
+    Like scipy's ScalarFunction it evaluates fun at x0 first, then only where x
+    has moved since the last evaluation, always on a copy of x."""
+    setulb = _lbfgsb().setulb
+    m, maxls, maxiter, maxfun = 10, 20, 15000, 15000
+    factr = 2.2204460492503131e-09 / np.finfo(float).eps
+    pgtol = 1e-5
+    x = np.array(x0, dtype=np.float64).ravel()
+    n = x.size
+    evaluated = x.copy()
+    value_grad = fun(evaluated.copy(), *args)
+    nfev = 1
+    nbd = np.zeros(n, np.int32)
+    lower = np.zeros(n)
+    upper = np.zeros(n)
+    f = np.array(0.0)
+    g = np.zeros(n)
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, np.int32)
+    task = np.zeros(2, np.int32)
+    ln_task = np.zeros(2, np.int32)
+    lsave = np.zeros(4, np.int32)
+    isave = np.zeros(44, np.int32)
+    dsave = np.zeros(29)
+    nit = 0
+    while True:
+        g = g.astype(np.float64)
+        setulb(m, x, lower, upper, nbd, f, g, factr, pgtol, wa, iwa, task, lsave, isave, dsave, maxls, ln_task)
+        if task[0] == 3:  # evaluate at x
+            if not np.array_equal(x, evaluated):
+                evaluated = x.copy()
+                value_grad = fun(evaluated.copy(), *args)
+                nfev += 1
+            f, g = value_grad
+        elif task[0] == 1:  # a new iteration
+            nit += 1
+            if nit >= maxiter:
+                task[:] = 5, 504
+            elif nfev > maxfun:
+                task[:] = 5, 502
+        else:
+            return x, nit, nfev
 
 
 def _kamada_kawai_energy(pos_vec: np.ndarray, invdist: np.ndarray, eye: np.ndarray, buffers: np.ndarray):

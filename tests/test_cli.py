@@ -762,8 +762,9 @@ class TestConsoleEntry:
 
     def test_pipeline_never_imports_scipy_stats(self, tmp_path):
         """A fresh interpreter runs a Monte-Carlo seed and a whole report
-        without loading scipy.stats or networkx, and the seed alone loads
-        none of the layout's scipy modules; this process cannot tell,
+        without loading scipy.stats, scipy.optimize or networkx (the layout
+        calls scipy's compiled L-BFGS-B routine directly), and the seed alone
+        loads none of the layout's scipy modules; this process cannot tell,
         because the test oracles import them."""
         out = tmp_path / "run"
         cfg = write_config(tmp_path, {
@@ -780,7 +781,8 @@ class TestConsoleEntry:
             "loaded = [m for m in layout_only if m in sys.modules]\n"
             "assert not loaded, f'a Monte-Carlo seed imported {loaded}'\n"
             f"assert main(['report', '--config', {str(cfg)!r}]) == 0\n"
-            "assert 'scipy.optimize' in sys.modules  # the layout ran\n"
+            "assert 'scipy.sparse.csgraph' in sys.modules  # the layout ran\n"
+            "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize was imported'\n"
             "assert 'scipy.stats' not in sys.modules, 'scipy.stats was imported'\n"
             "assert 'networkx' not in sys.modules, 'networkx was imported'\n"
         )
@@ -789,6 +791,7 @@ class TestConsoleEntry:
                               env={**os.environ, "PYTHONPATH": str(src)})
         assert proc.returncode == 0, proc.stderr[-2000:]
         assert (out / "models.csv").exists()
+        assert list(out.glob("landscape_*.json"))
         # networkx is the tests' oracle only: no package source names it
         naming = [p.name for p in (src / "novascape").rglob("*.py") if "networkx" in p.read_text("utf-8")]
         assert not naming, naming

@@ -9,19 +9,25 @@ import io
 import itertools
 import json
 import math
+import sys
 
 import networkx as nx
 import numpy as np
 from networkx.drawing.layout import _kamada_kawai_costfn
 import pytest
+from scipy.optimize import minimize, rosen, rosen_der
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from novascape.corpus import pack_rows
 from novascape.errors import EmptyGraph
+from novascape import landscape
 from novascape.landscape import (
+    _SETULB_SIGNATURE,
     _kamada_kawai_energy,
     _keys,
+    _lbfgsb,
+    _minimize_lbfgsb,
     _type_keys,
     CLASS_BASELINE,
     CLASS_CROWDFUNDED,
@@ -234,12 +240,7 @@ class TestLayout:
             assert np.array_equal(grad, want_grad)
 
     def test_demo_sized_positions_equal_networkx_kamada_kawai(self):
-        # the README demo's final snapshot: about 200 positioned types
-        rs = generate_corpus(SynthConfig(
-            dimension=16, year_start=2006, year_end=2015, games_per_year=500,
-            base_mechanism_rate=0.15, recombination_rate=0.6, base_mutation_bits=1.0,
-            novelty_boost=2.0, seed=7))
-        graph = build_landscape(rs, 2015, min_type_count=4)
+        graph = demo_final_snapshot()
         g = nx.Graph()
         g.add_nodes_from(graph.plotted)
         g.add_edges_from(graph.edges)
@@ -270,6 +271,73 @@ class TestLayout:
         pos = layout(final, seed=2)
         assert pack_vector([0, 0, 1]) not in pos
         assert len(pos) == 3
+
+
+def demo_final_snapshot():
+    """The README demo's final snapshot: about 200 positioned types."""
+    rs = generate_corpus(SynthConfig(
+        dimension=16, year_start=2006, year_end=2015, games_per_year=500,
+        base_mechanism_rate=0.15, recombination_rate=0.6, base_mutation_bits=1.0,
+        novelty_boost=2.0, seed=7))
+    return build_landscape(rs, 2015, min_type_count=4)
+
+
+def rosenbrock(x):
+    return rosen(x), rosen_der(x)
+
+
+class TestDirectLbfgsb:
+    """_minimize_lbfgsb against scipy.optimize.minimize(method="L-BFGS-B", jac=True):
+    the same x bit for bit, after as many iterations and evaluations."""
+
+    def assert_same_as_scipy(self, fun, x0, args=()):
+        x, nit, nfev = _minimize_lbfgsb(fun, x0, args)
+        want = minimize(fun, x0, args=args, method="L-BFGS-B", jac=True)
+        assert x.tobytes() == want.x.tobytes()
+        assert (nit, nfev) == (want.nit, want.nfev)
+        return nit
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 60), st.integers(0, 2**32 - 1))
+    def test_kamada_kawai_problems(self, n, seed):
+        rng = np.random.default_rng(seed)
+        hops = np.triu(rng.integers(1, 12, size=(n, n)), 1)
+        eye = np.eye(n) * 1e-3
+        args = (1 / (hops + hops.T + eye), eye, np.empty((6, n, n)))
+        self.assert_same_as_scipy(_kamada_kawai_energy, rng.uniform(-1.0, 1.0, size=2 * n), args)
+
+    @pytest.mark.parametrize("x0", [(-1.2, 1.0), (0.0, 0.0), (2.0, -1.5), (-3.0, 4.0), (1.0, 1.0)])
+    def test_rosenbrock(self, x0):
+        nit = self.assert_same_as_scipy(rosenbrock, np.array(x0))
+        assert nit > 10 or x0 == (1.0, 1.0)
+
+    def test_installed_scipy_takes_the_direct_route(self, monkeypatch):
+        # a scipy whose setulb changed would quietly bring back the scipy.optimize import
+        assert _lbfgsb() is not None
+        assert _lbfgsb().setulb.__doc__ == _SETULB_SIGNATURE
+        # from the extension file, as in a process that never imported scipy.optimize
+        monkeypatch.delitem(sys.modules, "scipy.optimize._lbfgsb", raising=False)
+        assert _lbfgsb.__wrapped__().setulb.__doc__ == _SETULB_SIGNATURE
+        assert "scipy.optimize._lbfgsb" not in sys.modules
+
+    def test_no_direct_route_without_the_routine(self, monkeypatch):
+        monkeypatch.setattr(landscape, "_SETULB_SIGNATURE", "setulb(m,x,l,u,nbd,f,g,factr,pgtol,wa,iwa,task)")
+        assert _lbfgsb.__wrapped__() is None
+        monkeypatch.undo()
+        monkeypatch.delitem(sys.modules, "scipy.optimize._lbfgsb", raising=False)
+        monkeypatch.setattr(landscape, "EXTENSION_SUFFIXES", [".missing"])
+        assert _lbfgsb.__wrapped__() is None
+
+    def test_fallback_gives_the_same_positions(self, monkeypatch):
+        graph = demo_final_snapshot()
+        direct = layout(graph, seed=42)
+
+        def unreachable(*args):
+            raise AssertionError("the direct route ran")
+
+        monkeypatch.setattr(landscape, "_lbfgsb", lambda: None)
+        monkeypatch.setattr(landscape, "_minimize_lbfgsb", unreachable)
+        assert layout(graph, seed=42) == direct
 
 
 class TestCentroids:
