@@ -20,6 +20,7 @@ Exit codes: 0 success, 2 input error, 3 empty result, 4 numeric failure.
 
 import argparse
 import collections.abc
+import csv
 import dataclasses
 import json
 import logging
@@ -53,6 +54,9 @@ from .errors import (
     RegistryError,
 )
 from .landscape import (
+    DEFAULT_CF_SHARE_THRESHOLD,
+    DEFAULT_LAYOUT_SEED,
+    DEFAULT_MIN_TYPE_COUNT,
     EXPORT_FORMATS,
     build_landscape,
     centroids,
@@ -61,7 +65,7 @@ from .landscape import (
     layout,
     render_svg,
 )
-from .metrics import SPAN_PRESETS, ScoreTable, read_scores_csv, score_corpus
+from .metrics import DEFAULT_SPAN, SPAN_PRESETS, ScoreTable, read_scores_csv, score_corpus
 from .stats import (
     COUNT_NOVELTY_MODEL,
     JOINED_COLUMNS,
@@ -176,9 +180,9 @@ class LandscapeConfig:
     """Which snapshots are drawn, which types they plot, and the layout seed."""
 
     snapshot_years: Tuple[int, ...] = ()
-    min_type_count: int = 6
-    cf_share_threshold: float = 0.5
-    seed: int = 42
+    min_type_count: int = DEFAULT_MIN_TYPE_COUNT
+    cf_share_threshold: float = DEFAULT_CF_SHARE_THRESHOLD
+    seed: int = DEFAULT_LAYOUT_SEED
 
     def __post_init__(self):
         if len(set(self.snapshot_years)) < len(self.snapshot_years):
@@ -199,7 +203,7 @@ class PipelineConfig:
     registry_path: Optional[str] = None
     out_dir: str = "out"
     spans: Tuple[int, ...] = SPAN_PRESETS
-    stats_span: int = 2
+    stats_span: int = DEFAULT_SPAN
     last_complete_year: Optional[int] = None
     filters: FilterConfig = field(default_factory=FilterConfig)
     landscape: LandscapeConfig = field(default_factory=LandscapeConfig)
@@ -602,7 +606,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         result = COMMANDS[args.command](cfg)
         # synth, ingest and score return their records or scores for report to chain
         return result if isinstance(result, int) else EXIT_OK
-    except (ParseError, RegistryError, ConfigError, FileNotFoundError) as exc:
+    except (ParseError, RegistryError, ConfigError, OSError, UnicodeDecodeError, csv.Error) as exc:
         log.error("%s", exc)
         return EXIT_INPUT
     except (EmptyGraph, EmptySample) as exc:

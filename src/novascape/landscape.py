@@ -61,6 +61,9 @@ DEFAULT_LAYOUT_SEED = 42
 # every landscape file format the CLI writes: svg by render_svg, the rest by export_graph
 EXPORT_FORMATS = ("csv", "json", "graphml", "svg")
 EXPORT_COLUMNS = ("id", "vector_bits", "count", "cf_count", "cf_share", "first_year", "x", "y")
+# render_svg's square side in pixels, and its node radius per sqrt(type count)
+SVG_SIZE = 720
+SVG_BASE_RADIUS = 3.0
 
 
 def pack_vector(bits) -> int:
@@ -474,12 +477,11 @@ def render_svg(
     positions: Mapping[int, Tuple[float, float]],
     path,
     classes: Mapping[int, str],
-    size: int = 720,
-    base_radius: float = 3.0,
 ) -> None:
-    """Plot the positioned subgraph: radius grows with sqrt(count), fill by
-    share class (crowdfunded red, formerly orange, baseline grey); `classes`
-    is the snapshot's entry of classify_snapshots."""
+    """Plot the positioned subgraph on a SVG_SIZE-pixel square: radius is
+    SVG_BASE_RADIUS * sqrt(count), fill by share class (crowdfunded red,
+    formerly orange, baseline grey); `classes` is the snapshot's entry of
+    classify_snapshots."""
     rows, edges = _export_rows(graph, positions)
     keys = [row["id"] for row in rows]
     pad = 0.08
@@ -490,13 +492,13 @@ def render_svg(
     span = max(hi_x - lo_x, hi_y - lo_y, 1e-9)
 
     def to_px(p):
-        x = (p[0] - lo_x) / span * (1 - 2 * pad) * size + pad * size
-        y = (1 - (p[1] - lo_y) / span * (1 - 2 * pad)) * size - pad * size
+        x = (p[0] - lo_x) / span * (1 - 2 * pad) * SVG_SIZE + pad * SVG_SIZE
+        y = (1 - (p[1] - lo_y) / span * (1 - 2 * pad)) * SVG_SIZE - pad * SVG_SIZE
         return x, y
 
     lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_SIZE}" height="{SVG_SIZE}" '
+        f'viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">',
         f'  <title>type landscape, year {graph.snapshot_year}</title>',
     ]
     for u, v in edges:
@@ -508,7 +510,7 @@ def render_svg(
         )
     for k in keys:
         x, y = to_px(positions[k])
-        r = base_radius * np.sqrt(graph.nodes[k].total_count)
+        r = SVG_BASE_RADIUS * np.sqrt(graph.nodes[k].total_count)
         fill = CLASS_FILL.get(classes.get(k, CLASS_BASELINE), CLASS_FILL[CLASS_BASELINE])
         lines.append(f'  <circle cx="{x:.3f}" cy="{y:.3f}" r="{r:.3f}" fill="{fill}" fill-opacity="0.85"/>')
     lines.append("</svg>")

@@ -12,11 +12,11 @@ of whole calendar years:
 Same-year records are never part of a window. score_corpus is the one way
 to score, and it runs on one exact kernel:
 
-* distinctiveness and resonance come from window feature counts
-  (FeatureProfile): a window's Hamming sum is an int64 dot product with its
-  counts, divided once, so the cost is O(n*d) and no pairwise distance is
-  formed. Each comparison year is counted once and those counts are summed
-  per window;
+* distinctiveness and resonance come from window feature counts: a
+  window's Hamming sum is an int64 dot product with its per-feature counts,
+  divided once, so the cost is O(n*d) and no pairwise distance is formed.
+  Each comparison year is counted once and those counts are summed per
+  window;
 * novelty packs vectors into ceil(d/64) uint64 words and takes the minimum
   XOR popcount over blocks of NOVELTY_BLOCK_ROWS focal rows, so its memory is
   bounded by block x window rows, not by focal x window.
@@ -32,7 +32,7 @@ import csv
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -58,27 +58,6 @@ DEFAULT_SPAN = 2
 
 # focal rows per XOR-popcount block of the novelty scan
 NOVELTY_BLOCK_ROWS = 256
-
-
-@dataclass(frozen=True)
-class FeatureProfile:
-    """Per-feature occurrence counts over one window; the route of every mean distance.
-
-    The mean Hamming distance from a vector g to n window vectors expands to
-    sum_j (g_j ? n - c_j : c_j) / n where c_j counts window records with
-    feature j set, i.e. (c.sum() + g.(n - 2c)) / n. The numerator is taken in
-    int64 and equals the brute-force pairwise sum exactly. score_corpus
-    computes every mean this way, from one profile per year summed per window.
-    """
-
-    n: int
-    counts: np.ndarray
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("n must be >= 0")
-        if self.n and (self.counts.min() < 0 or self.counts.max() > self.n):
-            raise ValueError("feature counts must lie in [0, n]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,9 +173,6 @@ def read_scores_csv(path) -> ScoreTable:
         _raise_first([check])
         return values
 
-    def parse_resonance(value, row_no, column):
-        return math.nan if value == "NA" else _parse_float(value, row_no, column)
-
     def resonance_column(values):
         na = np.array([value == "NA" for value in values], dtype=bool)
         out, bad = _float_column(["nan" if value == "NA" else value for value in values])
@@ -207,7 +183,7 @@ def read_scores_csv(path) -> ScoreTable:
         return ScoreTable(cells["id"], parsed("span", _int_column, _parse_int),
                           parsed("distinctiveness", _float_column, _parse_float),
                           parsed("novelty_count", _int_column, _parse_int),
-                          parsed("resonance", resonance_column, parse_resonance))
+                          parsed("resonance", resonance_column, _parse_float))
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
@@ -220,18 +196,21 @@ def window_years(focal_year: int, span: int, direction: str):
     raise ValueError(f"direction must be {PAST!r} or {FUTURE!r}")
 
 
-def _window_profile(year_profiles: Mapping[int, FeatureProfile], year_lo: int, year_hi: int,
-                    dimension: int) -> FeatureProfile:
-    """Profile of [year_lo, year_hi] as the sum of the single-year profiles it covers."""
+def _window_profile(year_profiles: Mapping[int, Tuple[int, np.ndarray]], year_lo: int, year_hi: int,
+                    dimension: int) -> Tuple[int, np.ndarray]:
+    """(n, counts) of [year_lo, year_hi]: the sum of the (n, counts) pairs of the years it covers."""
     parts = [p for y, p in year_profiles.items() if year_lo <= y <= year_hi]
-    counts = sum((p.counts for p in parts), np.zeros(dimension, dtype=np.int64))
-    return FeatureProfile(n=sum(p.n for p in parts), counts=counts)
+    return sum(n for n, _ in parts), sum((c for _, c in parts), np.zeros(dimension, dtype=np.int64))
 
 
-def _distance_sums(bits: np.ndarray, profile: FeatureProfile) -> np.ndarray:
-    """Exact int64 sum of Hamming distances from each row of `bits` (k, d) to the window."""
-    counts = profile.counts
-    return int(counts.sum()) + bits @ (profile.n - 2 * counts)
+def _distance_sums(bits: np.ndarray, n: int, counts: np.ndarray) -> np.ndarray:
+    """Exact int64 sum of Hamming distances from each row of `bits` (k, d) to a window.
+
+    The window holds n vectors and counts[j] of them have feature j set. A row
+    g's distance sum is sum_j (g_j ? n - c_j : c_j) = c.sum() + g.(n - 2c),
+    taken in int64, so it equals the brute-force pairwise sum exactly.
+    """
+    return int(counts.sum()) + bits @ (n - 2 * counts)
 
 
 def _min_distances(focal: np.ndarray, window: np.ndarray, dimension: int) -> np.ndarray:
@@ -267,7 +246,7 @@ def score_corpus(
     """
     dimension = records.registry.dimension
     max_span = max(spans, default=0)
-    year_profiles = {y: FeatureProfile(len(rows), records.matrix[rows].sum(axis=0, dtype=np.int64))
+    year_profiles = {y: (len(rows), records.matrix[rows].sum(axis=0, dtype=np.int64))
                      for y, rows in records.year_rows.items()}
     packed = pack_rows(records.matrix)
     # one (rows, span, distinctiveness, novelty_count, resonance) block per scored (year, span)
@@ -284,19 +263,20 @@ def score_corpus(
         }
         for span in spans:
             past_lo, past_hi = window_years(year, span, PAST)
-            past = _window_profile(year_profiles, past_lo, past_hi, dimension)
-            if past.n == 0:
+            past_n, past_counts = _window_profile(year_profiles, past_lo, past_hi, dimension)
+            if past_n == 0:
                 unscored.append((focal_rows, span))
                 continue
-            sums = _distance_sums(bits, past)
+            sums = _distance_sums(bits, past_n, past_counts)
             mins = np.minimum.reduce([m for y, m in year_mins.items() if y >= past_lo])
 
             res_vals = np.full(len(focal_rows), np.nan)
             if last_complete_year is not None and year + span <= last_complete_year:
-                future = _window_profile(year_profiles, *window_years(year, span, FUTURE), dimension)
-                if future.n:
-                    res_vals = sums / past.n - _distance_sums(bits, future) / future.n
-            blocks.append((focal_rows, np.full(len(focal_rows), span), sums / past.n, mins, res_vals))
+                future_n, future_counts = _window_profile(year_profiles, *window_years(year, span, FUTURE),
+                                                          dimension)
+                if future_n:
+                    res_vals = sums / past_n - _distance_sums(bits, future_n, future_counts) / future_n
+            blocks.append((focal_rows, np.full(len(focal_rows), span), sums / past_n, mins, res_vals))
     rows, span_col, dist, nov, res = (np.concatenate(c) for c in zip(*blocks)) if blocks else ([],) * 5
     ids = np.asarray(records.ids, dtype=object)
     # record ids are distinct, so each one's place in sorted order is its rank;

@@ -179,10 +179,6 @@ def _midranks(pooled: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse], counts
 
 
-def _u_statistic(ranks: np.ndarray, n1: int) -> float:
-    return float(ranks[:n1].sum()) - n1 * (n1 + 1) / 2.0
-
-
 def _exact_two_sided_p(ranks: np.ndarray, n1: int, u_obs: float) -> float:
     """Enumerate all group assignments of the pooled ranks."""
     n = len(ranks)
@@ -205,7 +201,7 @@ def mann_whitney_u(x, y, exact_limit: int = 12) -> GroupTestResult:
     n1, n2 = len(x), len(y)
     n = n1 + n2
     ranks, tie_counts = _midranks(np.concatenate([x, y]))
-    u = _u_statistic(ranks, n1)
+    u = float(ranks[:n1].sum()) - n1 * (n1 + 1) / 2.0
     auc = u / (n1 * n2)
     means = (float(x.mean()), float(y.mean()))
 
@@ -227,26 +223,16 @@ def mann_whitney_u(x, y, exact_limit: int = 12) -> GroupTestResult:
     return GroupTestResult(u, p, auc, means, (n1, n2))
 
 
-def auc_effect(x, y) -> float:
-    """P(X > Y) + 0.5 P(X = Y) for random members of each sample."""
-    x, y = _samples(x, y)
-    return _u_statistic(_midranks(np.concatenate([x, y]))[0], len(x)) / (len(x) * len(y))
+def group_test_battery(data: Mapping[str, np.ndarray]) -> List[Tuple[str, Optional[GroupTestResult]]]:
+    """Mann-Whitney comparisons of each BATTERY_FEATURES column between the two groups.
 
-
-def group_test_battery(
-    data: Mapping[str, np.ndarray],
-    group_column: str = "crowdfunded",
-    features: Sequence[Tuple[str, str]] = BATTERY_FEATURES,
-) -> List[Tuple[str, Optional[GroupTestResult]]]:
-    """Mann-Whitney comparisons of each feature between the two groups.
-
-    Group 1 is group_column == 1 (crowdfunded), so auc > 0.5 means that group
-    ranks higher. NaNs (absent resonance) are dropped per feature; a feature
-    left with an empty group gets None instead of a result.
+    Group 1 is crowdfunded == 1, so auc > 0.5 means that group ranks higher.
+    NaNs (absent resonance) are dropped per feature; a feature left with an
+    empty group gets None instead of a result.
     """
-    mask1 = data[group_column] == 1
+    mask1 = data["crowdfunded"] == 1
     out = []
-    for column, label in features:
+    for column, label in BATTERY_FEATURES:
         values = data[column]
         ok = np.isfinite(values)
         x = values[ok & mask1]
@@ -817,18 +803,17 @@ def _fmt_cell(fit: Optional[FitResult], term: str) -> Tuple[str, str]:
 def format_model_table(
     fits: Sequence[Tuple[str, Optional[FitResult]]],
     reference: Optional[Mapping[str, float]] = None,
-    term_labels: Sequence[Tuple[str, str]] = TERM_LABELS,
 ) -> str:
     """Fixed-width text table in the three-column journal layout.
 
-    One column per (title, fit); coefficient rows in term_labels order with
+    One column per (title, fit); coefficient rows in TERM_LABELS order with
     significance stars, standard errors parenthesized underneath, fixed
     effects compressed to Yes markers, R² labeled by family, and any
     supplied reference values printed as a comparison footer (display only).
     """
     titles = [t for t, _ in fits]
     fitted = [f for _, f in fits]
-    label_w = max(len("McFadden's Pseudo R-Squared"), max(len(lbl) for _, lbl in term_labels)) + 2
+    label_w = max(len("McFadden's Pseudo R-Squared"), max(len(lbl) for _, lbl in TERM_LABELS)) + 2
     col_w = max(16, max(len(t) for t in titles) + 2)
 
     def row(label, cells):
@@ -839,7 +824,7 @@ def format_model_table(
     fam_names = {FAMILY_OLS: "OLS", FAMILY_LOGISTIC: "Logistic", FAMILY_POISSON: "Poisson"}
     lines.append(row("", [fam_names.get(f.family, "") if f else "" for f in fitted]))
     lines.append("-" * (label_w + col_w * len(fits)))
-    for term, label in term_labels:
+    for term, label in TERM_LABELS:
         cells = [_fmt_cell(f, term) for f in fitted]
         if all(c == ("", "") for c in cells):
             continue

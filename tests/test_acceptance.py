@@ -23,7 +23,6 @@ from novascape.metrics import score_corpus
 from novascape.stats import (
     _glm_ll,
     _glm_mu_w,
-    auc_effect,
     fit_logistic,
     fit_ols,
     fit_poisson,
@@ -292,7 +291,7 @@ class TestStatisticsFidelity:
         for _ in range(50):
             x = rng.integers(0, 5, size=rng.integers(2, 20)).astype(float)
             y = rng.integers(0, 5, size=rng.integers(2, 20)).astype(float)
-            auc_ok &= abs(auc_effect(x, y) + auc_effect(y, x) - 1.0) <= 1e-12
+            auc_ok &= abs(mann_whitney_u(x, y).auc + mann_whitney_u(y, x).auc - 1.0) <= 1e-12
 
         # OLS against exact normal equations on an integer fixture
         X = np.array([[1, x, x * x % 5] for x in range(9)], dtype=float)

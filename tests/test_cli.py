@@ -466,6 +466,31 @@ class TestExitCodes:
         assert code == EXIT_INPUT
         assert "row 2" in caplog.text and "Delta" in caplog.text
 
+    @pytest.mark.parametrize("command", ["ingest", "report"])
+    @pytest.mark.parametrize("spoiled, damage", [
+        ("config", "directory"), ("corpus", "directory"), ("config", "undecodable"),
+        ("corpus", "undecodable"), ("registry", "undecodable"), ("corpus", "oversized-field"),
+    ])
+    def test_unreadable_input_file_is_exit_2(self, tmp_path, caplog, command, spoiled, damage):
+        header = ("id,year,mechanisms,crowdfunded,genre,team_size,debut,complexity,playing_time,"
+                  "min_players,max_players,min_age,is_expansion,is_adult,num_ratings,parent_id\n")
+        paths = {name: tmp_path / name for name in ("config", "corpus", "registry")}
+        paths["registry"].write_text("Alpha\nBeta\n")
+        paths["corpus"].write_text(header + "g1,2010,Alpha,0,family,1,0,2.0,60,2,4,8,0,0,50,\n")
+        write_config(tmp_path, {"out_dir": str(tmp_path / "o")}, name="config")
+        target = paths[spoiled]
+        target.unlink()
+        if damage == "directory":
+            target.mkdir()
+        elif damage == "undecodable":
+            target.write_bytes(b"\xff\xfe")
+        else:
+            target.write_text(header + "x" * (csv.field_size_limit() + 1) + "\n")
+        code = main([command, "--config", str(paths["config"]), "--corpus", str(paths["corpus"]),
+                     "--registry", str(paths["registry"])])
+        assert code == EXIT_INPUT
+        assert caplog.records[-1].levelname == "ERROR"
+
     def test_report_with_no_record_kept_is_exit_3(self, tmp_path, caplog):
         payload = {**pipeline_payload(tmp_path / "run"), "filters": {"year_min": 3000}}
         assert main(["report", "--config", str(write_config(tmp_path, payload))]) == EXIT_EMPTY

@@ -32,7 +32,6 @@ from novascape.stats import (
     Design,
     FitResult,
     ModelSpec,
-    auc_effect,
     build_design,
     describe,
     fit_logistic,
@@ -62,7 +61,7 @@ class TestMannWhitney:
         res = mann_whitney_u([1, 2, 3], [4, 5, 6])
         assert res.u_statistic == 0.0
         assert res.auc == 0.0
-        assert auc_effect([4, 5, 6], [1, 2, 3]) == 1.0
+        assert mann_whitney_u([4, 5, 6], [1, 2, 3]).auc == 1.0
 
     def test_identical_constant_samples(self):
         res = mann_whitney_u([5, 5, 5], [5, 5, 5])
@@ -77,18 +76,18 @@ class TestMannWhitney:
         assert res.p_value == pytest.approx(4 / 6, abs=1e-12)
 
     def test_single_vs_three(self):
-        assert auc_effect([10], [1, 2, 3]) == 1.0
+        assert mann_whitney_u([10], [1, 2, 3]).auc == 1.0
 
     def test_empty_sample_raises(self):
         with pytest.raises(EmptySample):
             mann_whitney_u([], [1, 2])
         with pytest.raises(EmptySample):
-            auc_effect([1], [])
+            mann_whitney_u([1], []).auc
 
     def test_non_finite_sample_raises(self):
-        for fn in (mann_whitney_u, auc_effect):
+        for x, y in (([1.0, float("nan")], [2.0]), ([2.0], [1.0, float("nan")])):
             with pytest.raises(NumericError):
-                fn([1.0, float("nan")], [2.0])
+                mann_whitney_u(x, y).auc
 
     def test_group_means_and_n(self):
         res = mann_whitney_u([1, 3], [2, 4, 6])
@@ -128,7 +127,7 @@ class TestMannWhitney:
         st.lists(st.floats(-5, 5, allow_nan=False), min_size=1, max_size=12),
     )
     def test_auc_antisymmetry(self, x, y):
-        assert abs(auc_effect(x, y) + auc_effect(y, x) - 1.0) < 1e-12
+        assert abs(mann_whitney_u(x, y).auc + mann_whitney_u(y, x).auc - 1.0) < 1e-12
 
     @settings(max_examples=60, deadline=None)
     @given(
