@@ -264,7 +264,7 @@ class PipelineConfig:
 
 
 def resolve_config(args: argparse.Namespace) -> PipelineConfig:
-    cfg = PipelineConfig.from_json(args.config) if args.config else PipelineConfig()
+    cfg = _read_input(PipelineConfig.from_json, args.config) if args.config else PipelineConfig()
     overrides: dict = {}
     if args.spans:
         try:
@@ -296,7 +296,16 @@ def _load_cache(cfg: PipelineConfig) -> RecordSet:
             f"no ingested corpus under {cfg.out_dir!r} (expected {CORPUS_CACHE} "
             f"and {REGISTRY_CACHE}); run the ingest subcommand first"
         )
-    return parse_records(corpus, load_registry(registry))
+    return _read_input(parse_records, corpus, _read_input(load_registry, registry))
+
+
+def _read_input(read, path, *args):
+    """read(path, *args), with a decoding or csv error naming the file, as
+    every other input error does: their own messages name no file."""
+    try:
+        return read(path, *args)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def _final_year(records: RecordSet) -> int:
@@ -319,8 +328,8 @@ def cmd_ingest(cfg: PipelineConfig, records: Optional[RecordSet] = None) -> Reco
     if records is None:
         if not cfg.corpus_path:
             raise ConfigError("ingest needs corpus_path (config key or --corpus)")
-        registry = load_registry(cfg.registry_path) if cfg.registry_path else canonical_registry()
-        records = parse_records(cfg.corpus_path, registry)
+        registry = _read_input(load_registry, cfg.registry_path) if cfg.registry_path else canonical_registry()
+        records = _read_input(parse_records, cfg.corpus_path, registry)
     kept, report = apply_filters(records, cfg.filters)
     out = Path(cfg.out_dir)
     with atomic_write(out / CORPUS_CACHE) as tmp:
@@ -401,7 +410,7 @@ def _read_scores(cfg: PipelineConfig, records: RecordSet) -> ScoreTable:
     path = Path(cfg.out_dir) / SCORES_FILE
     if not path.exists():
         raise ConfigError(f"{path} missing; run the score subcommand first")
-    table = read_scores_csv(path)
+    table = _read_input(read_scores_csv, path)
     years = set(records.year_rows)
     expected = {
         rid for rid, year in zip(records.ids, records.years.tolist())
@@ -606,7 +615,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         result = COMMANDS[args.command](cfg)
         # synth, ingest and score return their records or scores for report to chain
         return result if isinstance(result, int) else EXIT_OK
-    except (ParseError, RegistryError, ConfigError, OSError, UnicodeDecodeError, csv.Error) as exc:
+    except (ParseError, RegistryError, ConfigError, OSError) as exc:
         log.error("%s", exc)
         return EXIT_INPUT
     except (EmptyGraph, EmptySample) as exc:

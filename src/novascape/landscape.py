@@ -17,27 +17,25 @@ breadth-first hop distances, on the final snapshot's main component with a
 seeded random start; earlier snapshots reuse those fixed positions so types
 do not move between frames. Its energy is NetworkX 3.6's _kamada_kawai_costfn,
 minimised and rescaled as NetworkX's kamada_kawai_layout does, bit for bit,
-with every (n, n) intermediate in buffers allocated once per layout. scipy's
-sparse graphs load only when `layout` runs. The minimiser is scipy's compiled
-L-BFGS-B routine (Byrd, Lu, Nocedal & Zhu 1995), `_lbfgsb.setulb`, loaded from
-its extension file and driven as scipy 1.17's minimize(method="L-BFGS-B")
-drives it: importing scipy.optimize for it would cost 0.12-0.18 s, mostly in
-solvers the layout never calls. A scipy whose setulb has another signature
-takes scipy.optimize.minimize instead.
+with every (n, n) intermediate in buffers allocated once per layout. The
+components come from the edge list, and the main component's hop distances
+from numpy, all breadth-first searches at once. The minimiser is scipy's compiled L-BFGS-B
+routine (Byrd, Lu, Nocedal & Zhu 1995), `_lbfgsb.setulb`, loaded from its
+extension file by `_compiled.routines` and driven as scipy 1.17's
+minimize(method="L-BFGS-B") drives it: importing scipy.optimize for it would
+cost 0.12-0.18 s, mostly in solvers the layout never calls. A scipy whose
+setulb has another signature takes scipy.optimize.minimize instead.
 """
 
 import functools
 import json
-import os
-import sys
 from dataclasses import dataclass
-from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
-from importlib.util import module_from_spec, spec_from_loader
 from operator import itemgetter
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ._compiled import routines
 from .corpus import RecordSet, pack_rows, write_csv_columns
 from .errors import EmptyGraph
 
@@ -208,21 +206,13 @@ def layout(
     plotted = graph.plotted
     if not plotted:
         raise EmptyGraph("no plotted nodes")
-    from scipy.sparse import csr_array
-    from scipy.sparse.csgraph import connected_components, shortest_path
-
-    n = len(plotted)
     index = {k: i for i, k in enumerate(plotted)}
     u, v = np.array([index[k] for edge in graph.edges for k in edge], dtype=np.intp).reshape(-1, 2).T
-    adjacency = csr_array((np.ones(len(u)), (u, v)), shape=(n, n))
-    # labels are numbered in order of each component's lowest index, so its smallest key
-    labels = connected_components(adjacency, directed=False)[1]
-    main = np.flatnonzero(labels == np.bincount(labels).argmax())
+    main, hops = _main_component(len(plotted), u, v)
     keys = [plotted[i] for i in main.tolist()]
     if len(keys) == 1:
         return {keys[0]: (0.0, 0.0)}
     start = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(len(keys), 2))
-    hops = shortest_path(adjacency, directed=False, unweighted=True, indices=main)[:, main]
     eye = np.eye(len(keys)) * 1e-3
     buffers = np.empty((6, len(keys), len(keys)))
     args = (1 / (hops + eye), eye, buffers)
@@ -239,30 +229,75 @@ def layout(
     return dict(zip(keys, map(tuple, (pos + np.zeros(2)).tolist())))
 
 
+def _main_component(n: int, u: np.ndarray, v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(main, hops): the ascending indices of the largest connected component of n
+    nodes joined by the edges (u[i], v[i]), and the hop counts between them.
+
+    As with scipy's connected_components, of equal components the one with the
+    lowest index wins, which in a snapshot is the one with the smallest key.
+    Components come from the edge list, since most plotted types of a sparse
+    snapshot are isolated (2,142 nodes and 125 edges in report-large's); only
+    the main component's hops take (m, m) matrices.
+    """
+    # each node's component by its lowest index: every pass lowers a node's label
+    # to its neighbours' and to its label's own, until no label moves
+    lowest = np.arange(n)
+    while True:
+        lower = lowest.copy()
+        np.minimum.at(lower, u, lowest[v])
+        np.minimum.at(lower, v, lowest[u])
+        lower = lower[lower]
+        if np.array_equal(lower, lowest):
+            break
+        lowest = lower
+    # bincount's argmax is the first largest
+    in_main = lowest == np.bincount(lowest).argmax()
+    within = in_main[u]
+    local = np.cumsum(in_main) - 1
+    return np.flatnonzero(in_main), _hops(int(in_main.sum()), local[u[within]], local[v[within]])
+
+
+def _hops(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Breadth-first hop counts between every two of n nodes joined by the
+    undirected edges (u[i], v[i]), as float64; inf between components.
+
+    Every search expands at once: frontier[x, j] marks node x as first reached
+    from node j at the last hop, and x is reached from j at the next hop when
+    frontier[y, j] holds for a neighbour y, one logical_or.reduceat over the
+    rows of each node's neighbours. That is O(edges * n) per hop and calls no
+    BLAS: a (206, 206) float64 product took 12-16 ms under OpenBLAS's default
+    two threads on a 2-CPU host.
+    """
+    # each node's neighbours as one run of `neighbours`, the runs in node order
+    ends, neighbours = np.concatenate([u, v]), np.concatenate([v, u])
+    order = np.argsort(ends)
+    linked, starts = np.unique(ends[order], return_index=True)
+    neighbours = neighbours[order]
+    hops = np.full((n, n), np.inf)
+    np.fill_diagonal(hops, 0.0)
+    frontier = np.eye(n, dtype=bool)
+    # no shortest path has more than n - 1 hops
+    for hop in range(1, n):
+        reached = np.zeros((n, n), dtype=bool)
+        reached[linked] = np.logical_or.reduceat(frontier[neighbours], starts, axis=0)
+        reached &= np.isinf(hops)
+        if not reached.any():
+            break
+        hops[reached] = hop
+        frontier = reached
+    return hops
+
+
 # scipy 1.17's C setulb; the f2py wrapper of older versions takes other arguments
 _SETULB_SIGNATURE = "setulb(m,x,l,u,nbd,f,g,factr,pgtol,wa,iwa,task,lsave,isave,dsave,maxls,ln_task)"
 
 
 @functools.cache
 def _lbfgsb():
-    """scipy's compiled L-BFGS-B module, loaded from its extension file without
-    running scipy/optimize/__init__.py, or None when that file is missing or
+    """scipy's compiled L-BFGS-B routine, `.setulb`, loaded without running
+    scipy/optimize/__init__.py, or None when its extension file is missing or
     its setulb does not have the signature _minimize_lbfgsb drives."""
-    import scipy
-
-    name = "scipy.optimize._lbfgsb"
-    module = sys.modules.get(name)
-    if module is None:
-        stem = os.path.join(os.path.dirname(scipy.__file__), "optimize", "_lbfgsb")
-        path = next((stem + s for s in EXTENSION_SUFFIXES if os.path.isfile(stem + s)), None)
-        if path is None:
-            return None
-        loader = ExtensionFileLoader(name, path)
-        module = module_from_spec(spec_from_loader(name, loader))
-        loader.exec_module(module)
-        # its single-phase initialisation adds it to sys.modules, under a package never imported
-        sys.modules.pop(name, None)
-    return module if getattr(getattr(module, "setulb", None), "__doc__", None) == _SETULB_SIGNATURE else None
+    return routines("optimize/_lbfgsb", (_SETULB_SIGNATURE,))
 
 
 def _minimize_lbfgsb(fun, x0: np.ndarray, args: tuple):

@@ -5,22 +5,27 @@ analysis: Mann-Whitney U (midranks, tie-corrected normal approximation,
 exact enumeration for tiny samples), OLS and logistic/Poisson maximum
 likelihood with heteroskedasticity-robust sandwich covariance, average
 adjusted predictions with delta-method intervals, and a fixed-format text
-table for the three-model comparison. scipy supplies only the QR
-decomposition (scipy.linalg) and special functions (scipy.special): normal
-and Student t tails and quantiles come straight from the ndtr, ndtri, stdtr
-and stdtrit kernels, so none of scipy's distribution classes is loaded.
+table for the three-model comparison.
+
+scipy supplies compiled routines only, loaded by `_compiled.routines` without
+importing scipy.linalg or scipy.special: LAPACK's dgeqp3, dorgqr and dtrtrs,
+called as scipy 1.17's linalg.qr and solve_triangular call them, so every
+factor and solution is bit-equal to theirs, and the very expit, gammaln, ndtr,
+ndtri, stdtr and stdtrit ufuncs scipy.special exports; normal and Student t
+tails and quantiles come straight from those, so none of scipy's distribution
+classes is loaded. A scipy whose routines have other signatures takes
+scipy.linalg or scipy.special instead, to the same bytes.
 """
 
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy import linalg as sla
-from scipy.special import expit, gammaln, ndtr, ndtri, stdtr, stdtrit
 
+from ._compiled import routines
 from .corpus import CONTROLS, RecordSet
 from .errors import (
     EmptySample,
@@ -90,6 +95,34 @@ DESCRIBE_VARIABLES = (
     ("is_adult", "Is Adult/Mature"),
     ("num_ratings", "Num. of Ratings"),
 )
+
+# the LAPACK routines as _pivoted_qr and _solve_upper call them
+_LAPACK_SIGNATURES = (
+    "qr,jpvt,tau,work,info = dgeqp3(a,[lwork,overwrite_a])",
+    "q,work,info = dorgqr(a,tau,[lwork,overwrite_a])",
+    "x,info = dtrtrs(a,b,[lower,trans,unitdiag,lda,overwrite_b])",
+)
+# the special-function ufuncs, with their inputs as numpy names them
+_SPECIAL_SIGNATURES = ("expit(x)", "gammaln(x)", "ndtr(x)", "ndtri(x)", "stdtr(x1, x2)", "stdtrit(x1, x2)")
+
+
+@cache
+def _lapack():
+    """dgeqp3, dorgqr and dtrtrs from scipy's LAPACK extension, or None."""
+    return routines("linalg/_flapack", _LAPACK_SIGNATURES)
+
+
+def _special_functions() -> tuple:
+    """The _SPECIAL_SIGNATURES ufuncs from scipy's special/_ufuncs extension, the
+    very objects scipy.special exports, or from scipy.special when they are not
+    all there as ufuncs of those names and inputs."""
+    special = routines("special/_ufuncs", _SPECIAL_SIGNATURES)
+    if special is None:
+        import scipy.special as special
+    return tuple(getattr(special, signature.partition("(")[0]) for signature in _SPECIAL_SIGNATURES)
+
+
+expit, gammaln, ndtr, ndtri, stdtr, stdtrit = _special_functions()
 
 # published estimates for the crowdfunded coefficient on the 2017 BGG corpus
 # (2-year windows); shown next to user results for orientation, never asserted
@@ -531,6 +564,52 @@ def _sandwich(X: np.ndarray, resid: np.ndarray, bread: np.ndarray, robust: str) 
     return cov
 
 
+def _lapack_call(routine, *args, **kwargs):
+    """routine's outputs less work and info, as scipy 1.17's linalg._decomp_qr.safecall
+    returns them: the work size comes from a workspace query first."""
+    lwork = routine(*args, lwork=-1, **kwargs)[-2][0].real.astype(np.int_)
+    *out, _, info = routine(*args, lwork=lwork, **kwargs)
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal LAPACK routine")
+    return out
+
+
+def _pivoted_qr(X: np.ndarray, with_q: bool):
+    """(q, r, perm) with X[:, perm] == q @ r, bit-equal to scipy 1.17's
+    linalg.qr(X, mode="economic", pivoting=True) for a float64 X with more rows
+    than columns; q is None unless with_q, as from its mode "raw", which forms none."""
+    lapack = _lapack()
+    if lapack is None:
+        from scipy import linalg
+
+        q, r, perm = linalg.qr(X, mode="economic" if with_q else "raw", pivoting=True, check_finite=False)
+        return q if with_q else None, r, perm
+    qr, jpvt, tau = _lapack_call(lapack.dgeqp3, X, overwrite_a=False)
+    r = np.triu(qr[:X.shape[1]])
+    q = _lapack_call(lapack.dorgqr, qr, tau, overwrite_a=1)[0] if with_q else None
+    return q, r, jpvt - 1
+
+
+def _solve_upper(r: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """scipy 1.17's linalg.solve_triangular(r, b) for an upper triangular r, bit for
+    bit: dtrtrs on r, or, when r is not Fortran-ordered, on r.T as lower triangular
+    and transposed, since dtrtrs reads Fortran order."""
+    lapack = _lapack()
+    if lapack is None:
+        from scipy import linalg
+
+        return linalg.solve_triangular(r, b)
+    if not (np.isfinite(r).all() and np.isfinite(b).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    if r.flags.f_contiguous:
+        x, info = lapack.dtrtrs(r, b, overwrite_b=False, lower=False, trans=0, unitdiag=False)
+    else:
+        x, info = lapack.dtrtrs(r.T, b, overwrite_b=False, lower=True, trans=True, unitdiag=False)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+    return x
+
+
 def fit_ols(X: np.ndarray, y: np.ndarray, robust: str = "hc1", columns: Optional[Sequence[str]] = None) -> FitResult:
     """Least squares with HC0/HC1 sandwich errors and classical R².
 
@@ -539,12 +618,12 @@ def fit_ols(X: np.ndarray, y: np.ndarray, robust: str = "hc1", columns: Optional
     distribution on n - k residual degrees of freedom.
     """
     X, y, columns = _checked(X, y, columns)
-    q, r, perm = sla.qr(X, mode="economic", pivoting=True, check_finite=False)
+    q, r, perm = _pivoted_qr(X, with_q=True)
     _check_rank(X, r, perm, columns)
     n, k = X.shape
     beta = np.empty(k)
-    beta[perm] = sla.solve_triangular(r, q.T @ y)
-    rinv = sla.solve_triangular(r, np.eye(k))
+    beta[perm] = _solve_upper(r, q.T @ y)
+    rinv = _solve_upper(r, np.eye(k))
     bread = np.empty((k, k))
     bread[np.ix_(perm, perm)] = rinv @ rinv.T  # (X'X)^{-1}
     resid = y - X @ beta
@@ -602,10 +681,9 @@ def _null_ll(family: str, y: np.ndarray, log_y_factorial: float) -> float:
 
 
 def _fit_glm(family: str, X: np.ndarray, y: np.ndarray, robust: str, columns) -> FitResult:
-    """Newton/IRLS fit. Its rank check reads R from scipy's mode "raw" pivoted QR, which
-    forms no Q (mode "r" forms none either, but copies R out at X's full height)."""
+    """Newton/IRLS fit. Its rank check reads R from a pivoted QR that forms no Q."""
     X, y, columns = _checked(X, y, columns)
-    _, r, perm = sla.qr(X, mode="raw", pivoting=True, check_finite=False)
+    _, r, perm = _pivoted_qr(X, with_q=False)
     _check_rank(X, r, perm, columns)
     n, k = X.shape
     _check_glm_outcome(family, y)

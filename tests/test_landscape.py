@@ -10,23 +10,28 @@ import itertools
 import json
 import math
 import sys
+import tracemalloc
 
 import networkx as nx
 import numpy as np
 from networkx.drawing.layout import _kamada_kawai_costfn
 import pytest
 from scipy.optimize import minimize, rosen, rosen_der
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import connected_components, shortest_path
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from novascape.corpus import pack_rows
 from novascape.errors import EmptyGraph
-from novascape import landscape
+from novascape import _compiled, landscape
 from novascape.landscape import (
     _SETULB_SIGNATURE,
+    _hops,
     _kamada_kawai_energy,
     _keys,
     _lbfgsb,
+    _main_component,
     _minimize_lbfgsb,
     _type_keys,
     CLASS_BASELINE,
@@ -273,6 +278,81 @@ class TestLayout:
         assert len(pos) == 3
 
 
+@st.composite
+def edge_lists(draw):
+    """(n, u, v): up to 30 nodes and the edges (u[i], v[i]) between them; isolated
+    nodes, repeated edges and equal-sized components all occur."""
+    n = draw(st.integers(1, 30))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1]),
+                          max_size=2 * n))
+    u, v = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    return n, u, v
+
+
+def csgraph_main_component(n, u, v):
+    """The main component and its hops as scipy's sparse graph routines give them."""
+    adjacency = csr_array((np.ones(len(u)), (u, v)), shape=(n, n))
+    labels = connected_components(adjacency, directed=False)[1]
+    main = np.flatnonzero(labels == np.bincount(labels).argmax())
+    return main, shortest_path(adjacency, directed=False, unweighted=True, indices=main)[:, main]
+
+
+class TestHops:
+    """Hop counts and the main component from numpy against networkx and scipy's csgraph."""
+
+    def assert_oracles_agree(self, n, u, v):
+        g = nx.Graph()
+        g.add_nodes_from(range(n))
+        g.add_edges_from(zip(u.tolist(), v.tolist()))
+        want = np.full((n, n), np.inf)
+        for i, lengths in nx.shortest_path_length(g):
+            for j, length in lengths.items():
+                want[i, j] = length
+        hops = _hops(n, u, v)
+        assert hops.dtype == np.float64 and hops.tobytes() == want.tobytes()
+        main, main_hops = _main_component(n, u, v)
+        # the largest component; of equal ones, the one holding the lowest index
+        assert main.tolist() == sorted(max(nx.connected_components(g), key=lambda c: (len(c), -min(c))))
+        want_main, want_hops = csgraph_main_component(n, u, v)
+        assert main.tolist() == want_main.tolist() and main_hops.tobytes() == want_hops.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(edge_lists())
+    def test_random_graphs(self, graph):
+        self.assert_oracles_agree(*graph)
+
+    @pytest.mark.parametrize("n, edges", [
+        (1, []),
+        (4, []),  # isolated nodes only: the first is the main component
+        (7, [(5, 6), (1, 2), (3, 4)]),  # three equal pairs and an isolate
+        (9, [(6, 7), (7, 8), (0, 4), (4, 2), (1, 3), (3, 5)]),  # equal paths, lowest indices interleaved
+        (6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]),  # two equal triangles
+        (5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)]),  # one cycle with a chord
+    ])
+    def test_small_graphs(self, n, edges):
+        u, v = np.array(edges, dtype=np.intp).reshape(-1, 2).T
+        self.assert_oracles_agree(n, u, v)
+
+    def test_sparse_snapshot_takes_no_dense_matrix_of_all_nodes(self):
+        # report-large's snapshots plot about 2,000 types joined by about 120 edges
+        n = 4000
+        u, v = np.array([[10, 11], [11, 12], [3000, 3001], [7, 3999]], dtype=np.intp).T
+        tracemalloc.start()
+        try:
+            main, hops = _main_component(n, u, v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert main.tolist() == [10, 11, 12] and hops.tolist() == [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+        assert peak < 1_000_000  # one (n, n) float64 matrix would take 128 MB
+
+    def test_demo_sized_snapshot(self):
+        graph = demo_final_snapshot()
+        index = {k: i for i, k in enumerate(graph.plotted)}
+        u, v = np.array([index[k] for edge in graph.edges for k in edge], dtype=np.intp).reshape(-1, 2).T
+        self.assert_oracles_agree(len(index), u, v)
+
+
 def demo_final_snapshot():
     """The README demo's final snapshot: about 200 positioned types."""
     rs = generate_corpus(SynthConfig(
@@ -325,7 +405,7 @@ class TestDirectLbfgsb:
         assert _lbfgsb.__wrapped__() is None
         monkeypatch.undo()
         monkeypatch.delitem(sys.modules, "scipy.optimize._lbfgsb", raising=False)
-        monkeypatch.setattr(landscape, "EXTENSION_SUFFIXES", [".missing"])
+        monkeypatch.setattr(_compiled, "EXTENSION_SUFFIXES", [".missing"])
         assert _lbfgsb.__wrapped__() is None
 
     def test_fallback_gives_the_same_positions(self, monkeypatch):

@@ -1,4 +1,5 @@
-"""The bare package: `import novascape` loads no submodule, and the library path loads no scipy."""
+"""The bare package: `import novascape` loads no submodule, the library path loads
+no scipy, and the CLI and stats load none of the scipy packages they bypass."""
 
 import os
 import subprocess
@@ -29,6 +30,19 @@ def test_library_path_loads_no_scipy_and_no_pipeline_module():
     assert {"novascape.synth", "novascape.corpus", "novascape.metrics"} <= loaded
     unwanted = {"novascape.cli", "novascape.landscape", "novascape.stats"}
     assert not loaded & unwanted and not [m for m in loaded if m == "scipy" or m.startswith("scipy.")]
+
+
+# loaded by importing scipy.linalg, scipy.special, scipy.optimize or scipy.sparse,
+# whose compiled routines the package loads from their files or does without
+COLD_START_UNWANTED = ("scipy._lib._array_api", "scipy.linalg", "scipy.special", "scipy.sparse",
+                       "scipy.optimize", "numpy.f2py")
+
+
+@pytest.mark.parametrize("module", ["novascape.cli", "novascape.stats"])
+def test_cold_start_loads_no_scipy_package_it_bypasses(module):
+    loaded = loaded_after(f"import {module}")
+    assert module in loaded
+    assert not [m for m in COLD_START_UNWANTED if m in loaded]
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")

@@ -11,9 +11,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import linalg as sla
+from scipy import special
 from scipy import stats as sstats
 
-from novascape import stats
+from novascape import _compiled, stats
 from novascape.cli import PipelineConfig
 from novascape.corpus import FilterConfig, apply_filters
 from novascape.errors import (
@@ -474,7 +476,7 @@ class TestOls:
         xs = [0, 1000, 2000, 3000]
         ys = [1, 3, 2, 5]
         X = np.column_stack([np.ones(4), np.array(xs, dtype=float)])
-        assert stats.sla.qr(X, mode="economic", pivoting=True)[2].tolist() == [1, 0]
+        assert stats._pivoted_qr(X, with_q=False)[2].tolist() == [1, 0]
         fit = fit_ols(X, np.array(ys, dtype=float), robust="hc0", columns=("const", "x"))
         b0, b1 = self.fraction_ols_oracle(xs, ys)
         assert fit.coefficients["const"] == pytest.approx(float(b0), rel=1e-10)
@@ -825,22 +827,22 @@ class TestOneFactorization:
 
     @pytest.mark.parametrize("outcome, family", MODELS)
     def test_each_fit_makes_one_pivoted_qr_and_no_lstsq(self, monkeypatch, outcome, family):
-        real_qr = stats.sla.qr
+        real_qr = stats._pivoted_qr
         calls = []
 
-        def counting_qr(*args, **kwargs):
-            calls.append((kwargs.get("mode", "full"), kwargs.get("pivoting", False)))
-            return real_qr(*args, **kwargs)
+        def counting_qr(X, with_q):
+            calls.append(with_q)
+            return real_qr(X, with_q)
 
         def no_lstsq(*args, **kwargs):
             raise AssertionError("np.linalg.lstsq called")
 
-        monkeypatch.setattr(stats.sla, "qr", counting_qr)
+        monkeypatch.setattr(stats, "_pivoted_qr", counting_qr)
         monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
         spec = ModelSpec(outcome, family, (("crowdfunded", "identity"), ("playing_time", "log1p")), ("year",))
         fit_model(build_design(demo_table(n=200), spec))
         # only OLS solves with Q; a GLM's rank check forms none
-        assert calls == [("economic" if family == "ols" else "raw", True)]
+        assert calls == [family == "ols"]
 
     @pytest.mark.parametrize("outcome, family", MODELS)
     def test_rank_deficient_fit_names_the_dependent_middle_column(self, outcome, family):
@@ -851,6 +853,108 @@ class TestOneFactorization:
         with pytest.raises(RankDeficient) as exc:
             fit_model(design)
         assert exc.value.columns == ["half_time"]
+
+
+@st.composite
+def designs(draw):
+    """(X, y): a float64 design with more rows than columns, full rank or with
+    columns that are zero, repeated, rescaled or sums of others, and an outcome."""
+    k = draw(st.integers(1, 8))
+    n = draw(st.integers(k + 1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.standard_normal((n, k)) * 10.0 ** rng.uniform(-3, 3, size=k)
+    for j in draw(st.lists(st.integers(0, k - 1), max_size=3, unique=True)):
+        kind = draw(st.sampled_from(["zero", "repeat", "scaled", "sum"]))
+        others = [i for i in range(k) if i != j] or [j]
+        if kind == "zero":
+            X[:, j] = 0.0
+        elif kind == "repeat":
+            X[:, j] = X[:, others[0]]
+        elif kind == "scaled":
+            X[:, j] = -2.5 * X[:, others[-1]]
+        else:
+            X[:, j] = X[:, others].sum(axis=1)
+    return X, rng.standard_normal(n)
+
+
+def outcome(call):
+    """call()'s bytes, or the type of the error it raises."""
+    try:
+        return call().tobytes()
+    except Exception as exc:
+        return type(exc)
+
+
+class TestCompiledRoutines:
+    """The LAPACK and special-function routines the package loads from scipy's
+    extension files against scipy.linalg and scipy.special, and the public
+    modules it falls back to, to the same bytes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(designs())
+    def test_pivoted_qr_and_solves_equal_scipy_linalg(self, design):
+        X, y = design
+        q, r, perm = stats._pivoted_qr(X, with_q=True)
+        want_q, want_r, want_perm = sla.qr(X, mode="economic", pivoting=True, check_finite=False)
+        assert (q.tobytes(), r.tobytes(), perm.tobytes()) == (want_q.tobytes(), want_r.tobytes(), want_perm.tobytes())
+        assert (r.flags.f_contiguous, perm.dtype) == (want_r.flags.f_contiguous, want_perm.dtype)
+        none, raw_r, raw_perm = stats._pivoted_qr(X, with_q=False)
+        _, want_raw_r, want_raw_perm = sla.qr(X, mode="raw", pivoting=True, check_finite=False)
+        assert none is None and (raw_r.tobytes(), raw_perm.tobytes()) == (want_raw_r.tobytes(), want_raw_perm.tobytes())
+        # both of dtrtrs's storage orders, for the two right-hand sides fit_ols solves
+        for a in (r, np.ascontiguousarray(r)):
+            for b in (q.T @ y, np.eye(X.shape[1])):
+                assert outcome(lambda: stats._solve_upper(a, b)) == outcome(lambda: sla.solve_triangular(a, b))
+
+    def test_solve_upper_rejects_what_solve_triangular_rejects(self):
+        r = np.triu(np.arange(1.0, 10.0).reshape(3, 3))
+        for b in (np.array([1.0, np.nan, 0.0]), np.array([np.inf, 1.0, 0.0])):
+            with pytest.raises(ValueError):
+                stats._solve_upper(r, b)
+        r[1, 1] = 0.0
+        with pytest.raises(np.linalg.LinAlgError, match="diagonal 1"):
+            stats._solve_upper(r, np.ones(3))
+
+    @pytest.mark.parametrize("name", ["expit", "gammaln", "ndtr", "ndtri"])
+    def test_one_argument_special_functions_equal_scipy_special(self, name):
+        grid = np.concatenate([[-np.inf, np.inf, np.nan, 0.0, -0.0, 1.0, -1.0, 0.5, 1e-300, -1e-300, 1e308],
+                               np.linspace(-40.0, 40.0, 1001), np.linspace(0.0, 1.0, 1001)])
+        mine, theirs = getattr(stats, name), getattr(special, name)
+        assert mine is theirs
+        assert mine(grid).tobytes() == theirs(grid).tobytes()
+
+    @pytest.mark.parametrize("name", ["stdtr", "stdtrit"])
+    def test_student_t_functions_equal_scipy_special(self, name):
+        df = np.array([-1.0, 0.0, 0.5, 1.0, 2.0, 7.0, 383.0, 1e6, 1e300, np.inf, np.nan])[:, None]
+        x = np.concatenate([[-np.inf, np.inf, np.nan, 0.0, -0.0, 0.975, 1.0], np.linspace(-40.0, 40.0, 1001),
+                            np.linspace(0.0, 1.0, 1001)])
+        mine, theirs = getattr(stats, name), getattr(special, name)
+        assert mine is theirs
+        assert mine(df, x).tobytes() == theirs(df, x).tobytes()
+
+    def test_scipy_objects_pass_the_signature_check(self):
+        for expected in stats._SPECIAL_SIGNATURES:
+            assert _compiled.signature(getattr(special, expected.partition("(")[0])) == expected
+        for expected in stats._LAPACK_SIGNATURES:
+            assert _compiled.signature(getattr(sla.lapack, expected.partition("(")[0].rpartition(" ")[2])) == expected
+
+    def test_special_fallback_is_scipy_special(self, monkeypatch):
+        monkeypatch.setattr(stats, "routines", lambda relpath, signatures: None)
+        assert stats._special_functions() == tuple(
+            getattr(special, name) for name in ("expit", "gammaln", "ndtr", "ndtri", "stdtr", "stdtrit"))
+
+    @pytest.mark.parametrize("outcome, family", TestOneFactorization.MODELS)
+    def test_lapack_fallback_gives_the_same_fit(self, monkeypatch, outcome, family):
+        spec = ModelSpec(outcome, family, (("crowdfunded", "identity"), ("playing_time", "log1p")), ("year",))
+        design = build_design(demo_table(n=200), spec)
+
+        def fit_bytes():
+            fit = fit_model(design)
+            return fit.beta.tobytes(), fit.cov.tobytes(), fit.log_likelihood, fit.r_squared, fit.n_iter
+
+        direct = fit_bytes()
+        monkeypatch.setattr(stats, "_lapack", lambda: None)
+        assert fit_bytes() == direct
 
 
 # ---------------------------------------------------------------------------
