@@ -1,0 +1,67 @@
+"""Time `score_corpus` on synthetic corpora of growing size, one fresh process per size.
+
+Each size is a synthetic corpus (d=51, 2006-2015, a tenth of the records per
+year, novelty boost 2.0, seed 0) scored with spans 1, 2 and 5 and resonance
+up to 2015. Generation is not timed. Each size prints one JSON line:
+
+  records      corpus size
+  pairs        (focal, comparison) record pairs the novelty scan compares:
+               each record against every record of the 5 years before its own
+  wall_s       score_corpus wall time
+  pairs_per_s  pairs / wall_s
+  max_rss_mb   the process's peak resident set (ru_maxrss)
+
+BLAS runs on one thread unless the environment sets the thread count, as in
+the tests and the benchmark. The package is imported from this checkout's src/.
+
+Usage:
+    python3 scripts/scale_probe.py [--sizes 20000 80000 200000]
+"""
+
+import argparse
+import json
+import os
+import resource
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+SPANS = (1, 2, 5)
+YEARS = (2006, 2015)
+
+
+def probe(records: int) -> dict:
+    sys.path.insert(0, str(SRC))
+    from novascape.metrics import score_corpus
+    from novascape.synth import SynthConfig, generate_corpus
+
+    per_year = records // (YEARS[1] - YEARS[0] + 1)
+    corpus = generate_corpus(SynthConfig(dimension=51, year_start=YEARS[0], year_end=YEARS[1],
+                                         games_per_year=per_year, novelty_boost=2.0, seed=0))
+    sizes = {year: len(rows) for year, rows in corpus.year_rows.items()}
+    pairs = sum(n * sizes.get(y, 0) for year, n in sizes.items() for y in range(year - max(SPANS), year))
+    start = time.perf_counter()
+    score_corpus(corpus, SPANS, last_complete_year=YEARS[1])
+    wall = time.perf_counter() - start
+    return {"records": len(corpus), "pairs": pairs, "wall_s": round(wall, 4), "pairs_per_s": round(pairs / wall),
+            "max_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--sizes", type=int, nargs="+", default=[20000, 80000, 200000])
+    parser.add_argument("--one", type=int, help=argparse.SUPPRESS)  # a single size, in this process
+    args = parser.parse_args(argv)
+    if args.one is not None:
+        print(json.dumps(probe(args.one)), flush=True)
+        return 0
+    env = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1", **os.environ}
+    for size in args.sizes:
+        subprocess.run([sys.executable, __file__, "--one", str(size)], env=env, check=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

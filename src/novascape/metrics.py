@@ -17,9 +17,16 @@ to score, and it runs on one exact kernel:
   divided once, so the cost is O(n*d) and no pairwise distance is formed.
   Each comparison year is counted once and those counts are summed per
   window;
-* novelty packs vectors into ceil(d/64) uint64 words and takes the minimum
-  XOR popcount over blocks of NOVELTY_BLOCK_ROWS focal rows, so its memory is
-  bounded by block x window rows, not by focal x window.
+* novelty writes each 0/1 vector as a float32 sign row 2b - 1. Two sign
+  rows at Hamming distance h have dot product d - 2h, so a record's minimum
+  distance to a comparison year is (d - its largest dot product) / 2. The
+  dot products run through float32 BLAS, one block of at most
+  NOVELTY_BLOCK_ROWS focal x NOVELTY_TILE_ROWS window rows at a time, so the
+  memory they take is a fixed number of bytes, not focal x window. Every
+  partial sum is an integer of magnitude <= d, so the products are exact
+  for any d below 2**24, whatever the summation order or BLAS thread count.
+  Comparison years are scanned newest first for all spans at once, and a
+  record already at distance 0 skips the older ones.
 
 The scores come back as a ScoreTable of columns, one array per score, built
 from one block of arrays per (focal year, span); no object is made per row.
@@ -45,7 +52,6 @@ from .corpus import (
     _parse_float,
     _parse_int,
     _raise_first,
-    pack_rows,
     write_csv_columns,
 )
 from .errors import ParseError, SchemaError
@@ -56,8 +62,10 @@ FUTURE = "future"
 SPAN_PRESETS = (1, 2, 5)
 DEFAULT_SPAN = 2
 
-# focal rows per XOR-popcount block of the novelty scan
+# focal rows and window rows of one float32 product block of the novelty
+# scan: 256 x 2048 x 4 bytes = 2 MiB, small enough to stay in a core's cache
 NOVELTY_BLOCK_ROWS = 256
+NOVELTY_TILE_ROWS = 2048
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,23 +221,60 @@ def _distance_sums(bits: np.ndarray, n: int, counts: np.ndarray) -> np.ndarray:
     return int(counts.sum()) + bits @ (n - 2 * counts)
 
 
-def _min_distances(focal: np.ndarray, window: np.ndarray, dimension: int) -> np.ndarray:
-    """Minimum Hamming distance from each packed focal row to the (non-empty) packed window.
+def _sign_rows(bits: np.ndarray) -> np.ndarray:
+    """0/1 rows (k, d) as float32 rows of 2b - 1, the operands of the novelty scan."""
+    signs = np.multiply(bits, np.float32(2), dtype=np.float32)
+    signs -= 1
+    return signs
 
-    Works through NOVELTY_BLOCK_ROWS focal rows at a time and sums the
-    per-word popcounts into the smallest unsigned type that holds
-    `dimension`; temporaries take about 10 bytes per (block row, window row).
+
+def _min_distances(focal: np.ndarray, window: np.ndarray) -> np.ndarray:
+    """Minimum Hamming distance from each focal sign row to the (non-empty) window of sign rows.
+
+    Rows at Hamming distance h have dot product d - 2h, so the nearest window
+    row is the one with the largest product. The products are taken in
+    blocks of NOVELTY_BLOCK_ROWS focal x NOVELTY_TILE_ROWS window rows, written
+    into one reused float32 buffer, and each block's row maxima fold into a
+    running maximum.
     """
-    acc = np.min_scalar_type(dimension)
-    columns = [np.ascontiguousarray(window[:, w]) for w in range(window.shape[1])]
-    out = np.empty(len(focal), dtype=np.int64)
+    best = np.empty(len(focal), dtype=np.float32)
+    buffer = np.empty(min(len(focal), NOVELTY_BLOCK_ROWS) * min(len(window), NOVELTY_TILE_ROWS),
+                      dtype=np.float32)
     for lo in range(0, len(focal), NOVELTY_BLOCK_ROWS):
         block = focal[lo : lo + NOVELTY_BLOCK_ROWS]
-        dist = np.bitwise_count(block[:, :1] ^ columns[0]).astype(acc, copy=False)
-        for w in range(1, len(columns)):
-            dist += np.bitwise_count(block[:, w : w + 1] ^ columns[w])
-        out[lo : lo + len(block)] = dist.min(axis=1)
-    return out
+        top = best[lo : lo + len(block)]
+        for w_lo in range(0, len(window), NOVELTY_TILE_ROWS):
+            tile = window[w_lo : w_lo + NOVELTY_TILE_ROWS]
+            dots = np.matmul(block, tile.T, out=buffer[: len(block) * len(tile)].reshape(len(block), len(tile)))
+            if w_lo:
+                np.maximum(top, dots.max(axis=1), out=top)
+            else:
+                dots.max(axis=1, out=top)
+    return (focal.shape[1] - best.astype(np.int64)) // 2
+
+
+def _year_minima(records: RecordSet, max_span: int):
+    """(year, focal rows, {y: minimum distance to the years y .. year - 1}) for each year, in year order.
+
+    A window's minimum is the minimum over its years, so each focal year
+    scans its comparison years within max_span once for all spans, newest
+    first, keeping the running minimum. A row already at distance 0 cannot
+    get closer, so older years are scanned only for the rows still above 0.
+    Each year becomes sign rows once, and only the years a later focal year
+    still compares against are kept.
+    """
+    signs = {}
+    for year, focal_rows in sorted(records.year_rows.items()):
+        signs = {y: s for y, s in signs.items() if y >= year - max_span}
+        focal = signs[year] = _sign_rows(records.matrix[focal_rows])
+        mins = np.full(len(focal_rows), focal.shape[1] + 1)
+        running = {}
+        for y in sorted((y for y in signs if y < year), reverse=True):
+            mins = mins.copy()
+            open_rows = np.flatnonzero(mins)
+            mins[open_rows] = np.minimum(mins[open_rows], _min_distances(focal[open_rows], signs[y]))
+            running[y] = mins
+        yield year, focal_rows, running
 
 
 def score_corpus(
@@ -248,19 +293,11 @@ def score_corpus(
     max_span = max(spans, default=0)
     year_profiles = {y: (len(rows), records.matrix[rows].sum(axis=0, dtype=np.int64))
                      for y, rows in records.year_rows.items()}
-    packed = pack_rows(records.matrix)
     # one (rows, span, distinctiveness, novelty_count, resonance) block per scored (year, span)
     blocks = []
     unscored = []
-    for year, focal_rows in sorted(records.year_rows.items()):
-        bits, focal = records.matrix[focal_rows], packed[focal_rows]
-        # a window's minimum is the minimum over its years, so each
-        # (focal year, comparison year) block is scanned once for all spans
-        year_mins = {
-            y: _min_distances(focal, packed[comp_rows], dimension)
-            for y, comp_rows in records.year_rows.items()
-            if year - max_span <= y < year
-        }
+    for year, focal_rows, running in _year_minima(records, max_span):
+        bits = records.matrix[focal_rows]
         for span in spans:
             past_lo, past_hi = window_years(year, span, PAST)
             past_n, past_counts = _window_profile(year_profiles, past_lo, past_hi, dimension)
@@ -268,7 +305,7 @@ def score_corpus(
                 unscored.append((focal_rows, span))
                 continue
             sums = _distance_sums(bits, past_n, past_counts)
-            mins = np.minimum.reduce([m for y, m in year_mins.items() if y >= past_lo])
+            mins = [m for y, m in running.items() if y >= past_lo][-1]
 
             res_vals = np.full(len(focal_rows), np.nan)
             if last_complete_year is not None and year + span <= last_complete_year:

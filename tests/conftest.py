@@ -10,7 +10,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
-from novascape.corpus import CONTROLS, FeatureRegistry, Record, RecordSet  # noqa: E402
+from novascape.corpus import CONTROLS, FeatureRegistry, Record, RecordSet, pack_rows  # noqa: E402
 from novascape.errors import DimensionError  # noqa: E402
 
 
@@ -81,6 +81,28 @@ def cross_hamming(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     pb = B.sum(axis=1, dtype=np.int64)
     cross = np.rint(A.astype(np.float64) @ B.T.astype(np.float64)).astype(np.int64)
     return pa[:, None] + pb[None, :] - 2 * cross
+
+
+def xor_min_distances(focal: np.ndarray, window: np.ndarray) -> np.ndarray:
+    """Minimum Hamming distance from each 0/1 row of `focal` (m, d) to the rows of `window` (k, d).
+
+    The XOR-popcount scan the package used before its float32 product: rows
+    are packed into uint64 words, and 256 focal rows at a time sum their
+    per-word popcounts into the smallest unsigned type that holds d. No
+    floating point is involved, so it checks the product kernel from outside.
+    """
+    dimension = focal.shape[1]
+    focal, window = pack_rows(focal), pack_rows(window)
+    acc = np.min_scalar_type(dimension)
+    columns = [np.ascontiguousarray(window[:, w]) for w in range(window.shape[1])]
+    out = np.empty(len(focal), dtype=np.int64)
+    for lo in range(0, len(focal), 256):
+        block = focal[lo : lo + 256]
+        dist = np.bitwise_count(block[:, :1] ^ columns[0]).astype(acc, copy=False)
+        for w in range(1, len(columns)):
+            dist += np.bitwise_count(block[:, w : w + 1] ^ columns[w])
+        out[lo : lo + len(block)] = dist.min(axis=1)
+    return out
 
 
 @pytest.fixture

@@ -5,6 +5,7 @@ packed into Python ints and distances taken with int.bit_count on the XOR,
 with exact Fraction means.
 """
 
+import itertools
 import re
 import tracemalloc
 from fractions import Fraction
@@ -27,7 +28,7 @@ from novascape.metrics import (
     window_years,
 )
 
-from conftest import cross_hamming, hamming, make_recordset
+from conftest import cross_hamming, hamming, make_recordset, xor_min_distances
 
 
 def pack(bits) -> int:
@@ -296,9 +297,11 @@ class TestScoreCorpus:
 class TestPackedKernel:
     @pytest.mark.parametrize("dim", [1, 63, 64, 65, 130, 300])
     def test_score_corpus_matches_oracles_across_word_boundaries(self, dim, monkeypatch):
-        # 3-row blocks leave the 7-row year a partial last block; 2015 rows
-        # differ from 2014 rows in ~90% of features, so at d=300 distances pass 255
+        # 3-row blocks and 2-row window tiles leave the 7- and 5-row years partial
+        # last ones; 2015 rows differ from 2014 rows in ~90% of features, so at
+        # d=300 distances pass 255
         monkeypatch.setattr(metrics, "NOVELTY_BLOCK_ROWS", 3)
+        monkeypatch.setattr(metrics, "NOVELTY_TILE_ROWS", 2)
         rng = np.random.default_rng(dim)
         rows = [
             (f"r{year}_{k}", year, (rng.random(dim) < p).astype(int).tolist())
@@ -338,8 +341,66 @@ class TestPackedKernel:
         finally:
             tracemalloc.stop()
         assert len(table) == 2 * 3000
-        # one 3000 x 3000 focal x window int64 distance matrix alone is 72 MB
-        assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+        # one 3000 x 3000 focal x window int64 distance matrix alone is 72 MB;
+        # the scan's 256 x 2048 float32 block is 2 MiB and the whole call peaked
+        # at 4.0 MiB
+        assert peak < 6 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+DEFAULT_BLOCK = (metrics.NOVELTY_BLOCK_ROWS, metrics.NOVELTY_TILE_ROWS)
+
+
+def drawn_years(draw, dimension, sizes):
+    """One 0/1 matrix per size, each at a drawn density, so distances span 0 to d."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    densities = [draw(st.sampled_from((0.0, 0.05, 0.5, 0.95, 1.0))) for _ in sizes]
+    return [(rng.random((n, dimension)) < p).astype(np.uint8) for n, p in zip(sizes, densities)]
+
+
+class TestProductKernel:
+    """The float32 product scan against the XOR-popcount scan it replaced."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_minima_equal_the_xor_popcount_oracle(self, data):
+        dimension = data.draw(st.sampled_from((1, 16, 51, 63, 64, 65, 300)), label="d")
+        # 2-6 years, gaps allowed, of 1-9 rows: 1- and 3-row blocks and tiles end on
+        # and off every size; each focal year sees 1-5 comparison years
+        years = sorted(data.draw(st.sets(st.integers(2010, 2017), min_size=2, max_size=6), label="years"))
+        sizes = data.draw(st.lists(st.integers(1, 9), min_size=len(years), max_size=len(years)), label="sizes")
+        max_span = data.draw(st.integers(1, 5), label="max_span")
+        by_year = dict(zip(years, drawn_years(data.draw, dimension, sizes)))
+        rs = make_recordset([(f"r{year}_{k}", year, bits.tolist())
+                             for year, matrix in by_year.items() for k, bits in enumerate(matrix)])
+        per_year = {(year, y): xor_min_distances(by_year[year], by_year[y])
+                    for year in years for y in years if year - max_span <= y < year}
+        # _year_minima gives the minimum over the comparison years y .. year - 1
+        running = {(year, y): np.min([m for (f, c), m in per_year.items() if f == year and c >= y], axis=0)
+                   for year, y in per_year}
+        signs = {year: metrics._sign_rows(matrix) for year, matrix in by_year.items()}
+        for block, tile in itertools.product((1, 3, DEFAULT_BLOCK[0]), (1, 3, DEFAULT_BLOCK[1])):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(metrics, "NOVELTY_BLOCK_ROWS", block)
+                mp.setattr(metrics, "NOVELTY_TILE_ROWS", tile)
+                got = {(year, y): metrics._min_distances(signs[year], signs[y]) for year, y in per_year}
+                got_running = {(year, y): mins for year, _, minima in metrics._year_minima(rs, max_span)
+                               for y, mins in minima.items()}
+            for pair, mins in per_year.items():
+                assert np.array_equal(got[pair], mins), (block, tile, pair)
+            assert got_running.keys() == running.keys(), (block, tile)
+            for pair, mins in running.items():
+                assert np.array_equal(got_running[pair], mins), (block, tile, pair)
+
+    @pytest.mark.parametrize("focal_rows, window_rows", [(255, 2047), (256, 2048), (257, 2049), (513, 4097)])
+    def test_default_block_boundaries(self, focal_rows, window_rows):
+        # sparse focal rows against dense window rows put d=300 distances past 255
+        rng = np.random.default_rng(focal_rows)
+        focal = (rng.random((focal_rows, 300)) < rng.choice([0.02, 0.5], (focal_rows, 1))).astype(np.uint8)
+        window = (rng.random((window_rows, 300)) < 0.98).astype(np.uint8)
+        want = xor_min_distances(focal, window)
+        got = metrics._min_distances(metrics._sign_rows(focal), metrics._sign_rows(window))
+        assert np.array_equal(got, want)
+        assert want.min() < 200 < 255 < want.max()
 
 
 class TestScoreTableCsv:
