@@ -366,16 +366,12 @@ def cmd_landscape(cfg: PipelineConfig, records: Optional[RecordSet] = None) -> i
     if late:
         raise ConfigError(f"snapshot years {late} come after the corpus's final year {final_year}")
     years = tuple(sorted(settings.snapshot_years)) or (final_year,)
-    graphs = [
-        build_landscape(records, up_to_year=y, min_type_count=settings.min_type_count,
-                        cf_share_threshold=settings.cf_share_threshold)
-        for y in years
-    ]
+    graphs = [build_landscape(records, up_to_year=y, min_type_count=settings.min_type_count) for y in years]
     log.info("landscape layout seed: %d", settings.seed)
     # one layout of the final snapshot; exports, SVGs and centroids keep only
     # the positions of each snapshot's plotted nodes
     positions = layout(graphs[-1], seed=settings.seed)
-    classes = classify_snapshots(graphs)
+    classes = classify_snapshots(graphs, settings.cf_share_threshold)
     out = Path(cfg.out_dir)
 
     rows = []
@@ -524,16 +520,18 @@ def cmd_report(cfg: PipelineConfig) -> int:
     """Full pipeline in one command; stages pass records and scores in memory.
 
     Each stage still writes its files, so the output directory matches a
-    stepwise run of the subcommands byte for byte.
+    stepwise run of the subcommands byte for byte. pipeline_config.json is
+    written first, so a run that fails in a stage still leaves its config.
     """
-    corpus = None
-    if cfg.synth is not None and cfg.corpus_path is None:
-        # ingest takes the corpus in memory: parsing the files just written
+    synthesise = cfg.synth is not None and cfg.corpus_path is None
+    if synthesise:
+        # ingest takes the corpus in memory: parsing the files synth writes
         # gives the same columns, and the written config names those files
-        corpus = cmd_synth(cfg)
         cfg = replace(cfg, corpus_path=str(Path(cfg.out_dir) / "synth_corpus.csv"),
                       registry_path=str(Path(cfg.out_dir) / "synth_registry.txt"))
-    records = cmd_ingest(cfg, corpus)
+    with atomic_write(Path(cfg.out_dir) / "pipeline_config.json") as tmp:
+        tmp.write_text(json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    records = cmd_ingest(cfg, cmd_synth(cfg) if synthesise else None)
     table = cmd_score(cfg, records)
     try:
         code = cmd_landscape(cfg, records)
@@ -541,11 +539,7 @@ def cmd_report(cfg: PipelineConfig) -> int:
         # stats reads no landscape output, so its files are still written
         log.error("empty result: %s", exc)
         code = EXIT_EMPTY
-    code = cmd_stats(cfg, records, table) or code
-    with atomic_write(Path(cfg.out_dir) / "pipeline_config.json") as tmp:
-        tmp.write_text(json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n",
-                       encoding="utf-8")
-    return code
+    return cmd_stats(cfg, records, table) or code
 
 
 # the model presets the effect-recovery Monte Carlo fits

@@ -117,7 +117,6 @@ class LandscapeGraph:
     dimension: int
     nodes: Dict[int, TypeNode]
     edges: Tuple[Tuple[int, int], ...]
-    cf_share_threshold: float
 
     def __post_init__(self):
         for u, v in self.edges:
@@ -133,7 +132,6 @@ def build_landscape(
     records: RecordSet,
     up_to_year: int,
     min_type_count: int = DEFAULT_MIN_TYPE_COUNT,
-    cf_share_threshold: float = DEFAULT_CF_SHARE_THRESHOLD,
 ) -> LandscapeGraph:
     """Cumulative landscape of the records published up to up_to_year: its plotted types.
 
@@ -165,7 +163,6 @@ def build_landscape(
         dimension=dim,
         nodes=nodes,
         edges=flip_edges(tuple(nodes), dim),
-        cf_share_threshold=cf_share_threshold,
     )
 
 
@@ -415,18 +412,19 @@ def centroids(
 
 def classify_snapshots(
     graphs: Sequence[LandscapeGraph],
+    cf_share_threshold: float,
 ) -> Dict[int, Dict[int, str]]:
     """Share class per node per snapshot, with history.
 
     A node is "crowdfunded" while its cumulative crowdfunded share is at or
-    above its snapshot's cf_share_threshold, "formerly_crowdfunded" once it was above in an
+    above cf_share_threshold, "formerly_crowdfunded" once it was in an
     earlier snapshot but is not now, and "baseline" otherwise.
     """
     out: Dict[int, Dict[int, str]] = {}
     ever_hot: set = set()
     for graph in sorted(graphs, key=lambda g: g.snapshot_year):
         classes = {
-            key: CLASS_CROWDFUNDED if node.cf_share >= graph.cf_share_threshold
+            key: CLASS_CROWDFUNDED if node.cf_share >= cf_share_threshold
             else CLASS_FORMER if key in ever_hot else CLASS_BASELINE
             for key, node in graph.nodes.items()
         }

@@ -56,9 +56,6 @@ from .corpus import (
 )
 from .errors import ParseError, SchemaError
 
-PAST = "past"
-FUTURE = "future"
-
 SPAN_PRESETS = (1, 2, 5)
 DEFAULT_SPAN = 2
 
@@ -196,14 +193,6 @@ def read_scores_csv(path) -> ScoreTable:
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def window_years(focal_year: int, span: int, direction: str):
-    if direction == PAST:
-        return focal_year - span, focal_year - 1
-    if direction == FUTURE:
-        return focal_year + 1, focal_year + span
-    raise ValueError(f"direction must be {PAST!r} or {FUTURE!r}")
-
-
 def _window_profile(year_profiles: Mapping[int, Tuple[int, np.ndarray]], year_lo: int, year_hi: int,
                     dimension: int) -> Tuple[int, np.ndarray]:
     """(n, counts) of [year_lo, year_hi]: the sum of the (n, counts) pairs of the years it covers."""
@@ -299,18 +288,16 @@ def score_corpus(
     for year, focal_rows, running in _year_minima(records, max_span):
         bits = records.matrix[focal_rows]
         for span in spans:
-            past_lo, past_hi = window_years(year, span, PAST)
-            past_n, past_counts = _window_profile(year_profiles, past_lo, past_hi, dimension)
+            past_n, past_counts = _window_profile(year_profiles, year - span, year - 1, dimension)
             if past_n == 0:
                 unscored.append((focal_rows, span))
                 continue
             sums = _distance_sums(bits, past_n, past_counts)
-            mins = [m for y, m in running.items() if y >= past_lo][-1]
+            mins = [m for y, m in running.items() if y >= year - span][-1]
 
             res_vals = np.full(len(focal_rows), np.nan)
             if last_complete_year is not None and year + span <= last_complete_year:
-                future_n, future_counts = _window_profile(year_profiles, *window_years(year, span, FUTURE),
-                                                          dimension)
+                future_n, future_counts = _window_profile(year_profiles, year + 1, year + span, dimension)
                 if future_n:
                     res_vals = sums / past_n - _distance_sums(bits, future_n, future_counts) / future_n
             blocks.append((focal_rows, np.full(len(focal_rows), span), sums / past_n, mins, res_vals))

@@ -2,10 +2,10 @@
 
 Everything here is deterministic and hand-rolled where the numbers carry the
 analysis: Mann-Whitney U (midranks, tie-corrected normal approximation,
-exact enumeration for tiny samples), OLS and logistic/Poisson maximum
-likelihood with heteroskedasticity-robust sandwich covariance, average
-adjusted predictions with delta-method intervals, and a fixed-format text
-table for the three-model comparison.
+exact enumeration for tiny samples), one fitter (fit_arrays) for OLS and
+logistic and Poisson maximum likelihood with heteroskedasticity-robust
+sandwich covariance, average adjusted predictions with delta-method
+intervals, and a fixed-format text table for the three-model comparison.
 
 scipy supplies compiled routines only, loaded by `_compiled.routines` without
 importing scipy.linalg or scipy.special: LAPACK's dgeqp3, dorgqr and dtrtrs,
@@ -610,56 +610,57 @@ def _solve_upper(r: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def fit_ols(X: np.ndarray, y: np.ndarray, robust: str = "hc1", columns: Optional[Sequence[str]] = None) -> FitResult:
-    """Least squares with HC0/HC1 sandwich errors and classical R².
+def fit_arrays(family: str, X, y, robust: str = "hc1", columns: Optional[Sequence[str]] = None) -> FitResult:
+    """Least squares (FAMILY_OLS) or logistic or Poisson maximum likelihood, with
+    HC0/HC1 sandwich errors.
 
-    One economic column-pivoted QR of X checks the rank (_check_rank) and
-    gives both beta and the (X'X)^{-1} bread. Inference uses the t
-    distribution on n - k residual degrees of freedom.
+    One economic column-pivoted QR of X checks the rank (_check_rank) before
+    anything reads y. For OLS it also gives beta and the (X'X)^{-1} bread
+    (_ols), with classical R² and t inference on n - k residual degrees of
+    freedom; for a GLM it forms no Q, and _newton fits, with McFadden R² and
+    normal inference.
     """
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
     X, y, columns = _checked(X, y, columns)
-    q, r, perm = _pivoted_qr(X, with_q=True)
+    q, r, perm = _pivoted_qr(X, with_q=family == FAMILY_OLS)
     _check_rank(X, r, perm, columns)
+    n_iter, max_score = 0, 0.0
+    if family == FAMILY_OLS:
+        beta, resid, bread, r2, ll = _ols(X, y, q, r, perm)
+    else:
+        beta, resid, bread, r2, ll, n_iter, max_score = _newton(family, X, y)
+    n, k = X.shape
+    return FitResult(family=family, columns=columns, beta=beta, cov=_sandwich(X, resid, bread, robust),
+                     r_squared=r2, n_obs=n, log_likelihood=ll, robust=robust, df_resid=n - k,
+                     n_iter=n_iter, max_score=max_score)
+
+
+def fit_model(design: Design) -> FitResult:
+    return fit_arrays(design.spec.family, design.X, design.y, design.spec.robust_se, design.columns)
+
+
+def _ols(X: np.ndarray, y: np.ndarray, q: np.ndarray, r: np.ndarray, perm: np.ndarray):
+    """(beta, residuals, (X'X)^{-1}, R², Gaussian log-likelihood) from X[:, perm] == q @ r."""
     n, k = X.shape
     beta = np.empty(k)
     beta[perm] = _solve_upper(r, q.T @ y)
     rinv = _solve_upper(r, np.eye(k))
     bread = np.empty((k, k))
-    bread[np.ix_(perm, perm)] = rinv @ rinv.T  # (X'X)^{-1}
+    bread[np.ix_(perm, perm)] = rinv @ rinv.T
     resid = y - X @ beta
-    cov = _sandwich(X, resid, bread, robust)
-
     sse = float(resid @ resid)
     sst = float(((y - y.mean()) ** 2).sum())
-    r2 = 1.0 - sse / sst if sst > 0 else 0.0
     sigma2 = sse / n
     ll = -0.5 * n * (math.log(2 * math.pi * sigma2) + 1.0) if sigma2 > 0 else math.inf
-    return FitResult(
-        family=FAMILY_OLS,
-        columns=columns,
-        beta=beta,
-        cov=cov,
-        r_squared=r2,
-        n_obs=n,
-        log_likelihood=ll,
-        robust=robust,
-        df_resid=n - k,
-    )
+    return beta, resid, bread, 1.0 - sse / sst if sst > 0 else 0.0, ll
 
 
-def _log_y_factorial(family: str, y: np.ndarray) -> float:
-    """sum(log y!), the Poisson log-likelihood's constant term; 0 for logistic."""
-    return float(gammaln(y + 1.0).sum()) if family == FAMILY_POISSON else 0.0
-
-
-def _glm_ll(family: str, eta: np.ndarray, y: np.ndarray, log_y_factorial: Optional[float] = None) -> float:
-    """Log-likelihood at eta; a Poisson fit passes its _log_y_factorial once
-    instead of summing it on every call. An overflowing exp(eta) gives -inf
-    or nan, without a warning."""
+def _glm_ll(family: str, eta: np.ndarray, y: np.ndarray, log_y_factorial: float) -> float:
+    """Log-likelihood at eta, less log_y_factorial (sum(log y!) for Poisson, 0 for
+    logistic). An overflowing exp(eta) gives -inf or nan, without a warning."""
     if family == FAMILY_LOGISTIC:
         return float((y * eta - np.logaddexp(0.0, eta)).sum())
-    if log_y_factorial is None:
-        log_y_factorial = _log_y_factorial(family, y)
     with np.errstate(over="ignore", invalid="ignore"):
         return float((y * eta - np.exp(eta)).sum()) - log_y_factorial
 
@@ -680,21 +681,23 @@ def _null_ll(family: str, y: np.ndarray, log_y_factorial: float) -> float:
     return float((y * math.log(lam) - lam).sum()) - log_y_factorial
 
 
-def _fit_glm(family: str, X: np.ndarray, y: np.ndarray, robust: str, columns) -> FitResult:
-    """Newton/IRLS fit. Its rank check reads R from a pivoted QR that forms no Q."""
-    X, y, columns = _checked(X, y, columns)
-    _, r, perm = _pivoted_qr(X, with_q=False)
-    _check_rank(X, r, perm, columns)
-    n, k = X.shape
+def _newton(family: str, X: np.ndarray, y: np.ndarray):
+    """(beta, residuals y - mu, inverse information, McFadden R², log-likelihood,
+    Newton steps, max |score|) of a logistic or Poisson fit by Newton/IRLS.
+
+    The outcome is checked first: NumericError unless it is 0/1 or counts,
+    SeparationError if it is constant (logistic) or all zero (Poisson).
+    """
     _check_glm_outcome(family, y)
     if family == FAMILY_LOGISTIC and y.min() == y.max():
         raise SeparationError("outcome is constant")
     if family == FAMILY_POISSON and y.max() == 0:
         raise SeparationError("outcome is all zeros")
 
-    log_y_factorial = _log_y_factorial(family, y)
-    beta = np.zeros(k)
-    eta = np.zeros(n)
+    # the Poisson log-likelihood's constant sum(log y!), summed once
+    log_y_factorial = float(gammaln(y + 1.0).sum()) if family == FAMILY_POISSON else 0.0
+    beta = np.zeros(X.shape[1])
+    eta = np.zeros(len(y))
     ll = _glm_ll(family, eta, y, log_y_factorial)
     for it in range(1, MAX_IRLS_ITER + 1):
         mu, w = _glm_mu_w(family, eta)
@@ -737,40 +740,9 @@ def _fit_glm(family: str, X: np.ndarray, y: np.ndarray, robust: str, columns) ->
     mu, w = _glm_mu_w(family, eta)
     max_score = float(np.abs(X.T @ (y - mu)).max())
     bread = np.linalg.inv((X * np.maximum(w, 1e-12)[:, None]).T @ X)
-    cov = _sandwich(X, y - mu, bread, robust)
     ll0 = _null_ll(family, y, log_y_factorial)
     pseudo_r2 = 1.0 - ll / ll0 if ll0 != 0 else 0.0
-    return FitResult(
-        family=family,
-        columns=columns,
-        beta=beta,
-        cov=cov,
-        r_squared=pseudo_r2,
-        n_obs=n,
-        log_likelihood=ll,
-        robust=robust,
-        df_resid=n - k,
-        n_iter=it,
-        max_score=max_score,
-    )
-
-
-def fit_logistic(X, y, robust: str = "hc1", columns=None) -> FitResult:
-    """Logistic MLE by Newton/IRLS with sandwich errors and McFadden R²."""
-    return _fit_glm(FAMILY_LOGISTIC, X, y, robust, columns)
-
-
-def fit_poisson(X, y, robust: str = "hc1", columns=None) -> FitResult:
-    """Log-link Poisson MLE; same iteration and error contract as logistic."""
-    return _fit_glm(FAMILY_POISSON, X, y, robust, columns)
-
-
-def fit_model(design: Design) -> FitResult:
-    if design.spec.family == FAMILY_OLS:
-        return fit_ols(design.X, design.y, design.spec.robust_se, design.columns)
-    if design.spec.family == FAMILY_LOGISTIC:
-        return fit_logistic(design.X, design.y, design.spec.robust_se, design.columns)
-    return fit_poisson(design.X, design.y, design.spec.robust_se, design.columns)
+    return beta, y - mu, bread, pseudo_r2, ll, it, max_score
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,7 @@ from novascape.metrics import score_corpus
 from novascape.stats import (
     _glm_ll,
     _glm_mu_w,
-    fit_logistic,
-    fit_ols,
-    fit_poisson,
+    fit_arrays,
     mann_whitney_u,
 )
 from novascape.synth import SynthConfig, generate_corpus
@@ -299,7 +297,7 @@ class TestStatisticsFidelity:
         beta_exact = fraction_solve(
             (X.T @ X).astype(int).tolist(), (X.T @ y_ols).astype(int).tolist()
         )
-        fit = fit_ols(X, y_ols)
+        fit = fit_arrays("ols", X, y_ols)
         ols_ok = all(
             abs(fit.beta[j] - float(beta_exact[j])) <= 1e-10 for j in range(3)
         )
@@ -314,7 +312,7 @@ class TestStatisticsFidelity:
             return float(np.sum(y_log * eta - np.logaddexp(0.0, eta)))
 
         ga, gb = grid_mle(ll_logistic)
-        fl = fit_logistic(Xg, y_log)
+        fl = fit_arrays("logistic", Xg, y_log)
         glm_ok = abs(fl.beta[0] - ga) <= 1e-4 and abs(fl.beta[1] - gb) <= 1e-4
 
         y_poi = np.array([0, 1, 0, 2, 1, 3, 2, 4, 6, 5], dtype=float)
@@ -324,7 +322,7 @@ class TestStatisticsFidelity:
             return float(np.sum(y_poi * eta - np.exp(eta)))
 
         pa, pb = grid_mle(ll_poisson, lo=(-5.0, -5.0), hi=(5.0, 5.0))
-        fp = fit_poisson(Xg, y_poi)
+        fp = fit_arrays("poisson", Xg, y_poi)
         glm_ok &= abs(fp.beta[0] - pa) <= 1e-4 and abs(fp.beta[1] - pb) <= 1e-4
 
         # analytic score vs central finite differences, away from the optimum
@@ -338,8 +336,8 @@ class TestStatisticsFidelity:
                 e = np.zeros(2)
                 e[j] = h
                 fd = (
-                    _glm_ll(family, Xg @ (beta + e), y_vec)
-                    - _glm_ll(family, Xg @ (beta - e), y_vec)
+                    _glm_ll(family, Xg @ (beta + e), y_vec, 0.0)
+                    - _glm_ll(family, Xg @ (beta - e), y_vec, 0.0)
                 ) / (2 * h)
                 grad_ok &= abs(fd - analytic[j]) <= 1e-4 * max(1.0, abs(analytic[j]))
 

@@ -9,11 +9,13 @@ import os
 import stat
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from typing import Union, get_args, get_origin
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from novascape import cli, landscape, stats
@@ -821,3 +823,122 @@ class TestConsoleEntry:
         # networkx is the tests' oracle only: no package source names it
         naming = [p.name for p in (src / "novascape").rglob("*.py") if "networkx" in p.read_text("utf-8")]
         assert not naming, naming
+
+
+def edged(edges, values):
+    """`values`, or one of the `edges` an eighth of the time."""
+    return st.sampled_from([False] * 7 + [True]).flatmap(lambda edge: st.sampled_from(edges) if edge else values)
+
+
+# leaf values of drawn report configs by field name, edges included: 0 and 1,
+# years before, inside and after the corpora (2005-2009), and paths that exist
+# or do not; "@TMP" is the run's directory and "@DATA" holds a parsed corpus
+YEARS = st.integers(2003, 2011)
+UNIT = edged([0.0, 1.0], st.floats(0.0, 1.0))
+NUMERIC_COLUMNS = [c for c in JOINED_COLUMNS if c not in JOINED_LABELS]
+LEAVES = {
+    "corpus_path": edged(["@TMP/missing.csv"], st.just("@DATA/corpus.csv")),
+    "registry_path": edged(["@TMP/missing.txt"], st.just("@DATA/registry.txt")),
+    "out_dir": st.just("@TMP/out"),
+    "spans": edged([0], st.integers(1, 3)), "stats_span": st.integers(1, 2),
+    "last_complete_year": YEARS, "snapshot_years": YEARS, "year_min": YEARS, "year_max": YEARS,
+    "min_mechanisms": st.integers(0, 3), "min_ratings": st.integers(0, 40),
+    "min_type_count": edged([0], st.integers(1, 4)), "cf_share_threshold": UNIT,
+    "seed": edged([-1, 0], st.integers(0, 2**63 - 1)),
+    "formats": st.sampled_from(landscape.EXPORT_FORMATS),
+    "outcome": st.sampled_from(NUMERIC_COLUMNS), "family": st.sampled_from(FAMILIES),
+    "terms": st.sampled_from(NUMERIC_COLUMNS), "terms[0]": st.sampled_from(NUMERIC_COLUMNS),
+    "terms[1]": st.sampled_from(TRANSFORMS), "fixed_effects": st.sampled_from(JOINED_COLUMNS),
+    "robust_se": st.sampled_from(ROBUST_VARIANTS),
+    "dimension": edged([0, 1], st.integers(4, 12)),
+    "year_start": st.integers(2005, 2007), "year_end": edged([2004], st.integers(2007, 2009)),
+    "games_per_year": edged([0, 1], st.integers(30, 150)), "crowdfunded_share_by_year": UNIT,
+    "base_mechanism_rate": UNIT, "recombination_rate": UNIT,
+    "base_mutation_bits": st.floats(0.0, 4.0), "novelty_boost": st.floats(0.0, 4.0),
+}
+KEYS = {"crowdfunded_share_by_year": st.integers(2005, 2009), "models": st.text(max_size=3)}
+# always set: where the run writes, its input (a corpus or a synth section, each
+# possibly null) and a synth section small enough to run often
+REQUIRED = {"out_dir", "corpus_path", "registry_path", "synth", "dimension", "year_start", "year_end",
+            "games_per_year"}
+
+
+def json_configs(kind, name=""):
+    """JSON values of config type `kind`, shaped as `_read` walks it: an object
+    per dataclass, whose defaulted fields may be left out, a list without
+    repeats per tuple and an object per mapping, each possibly empty; leaves
+    come from LEAVES."""
+    origin, args = get_origin(kind), get_args(kind)
+    if origin is Union:
+        return st.one_of([json_configs(option, name) for option in args])
+    if dataclasses.is_dataclass(kind):
+        fields = {f.name: json_configs(f.type, f.name) for f in dataclasses.fields(kind)}
+        required = {f.name for f in dataclasses.fields(kind) if f.name in REQUIRED
+                    or f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING}
+        return st.fixed_dictionaries({k: s for k, s in fields.items() if k in required},
+                                     optional={k: s for k, s in fields.items() if k not in required})
+    if origin is tuple and args[-1] is Ellipsis:
+        return st.lists(json_configs(args[0], name), max_size=3, unique_by=json.dumps)
+    if origin is tuple:
+        return st.tuples(*(LEAVES.get(f"{name}[{i}]", LEAVES[name]) for i in range(len(args)))).map(list)
+    if origin is collections.abc.Mapping:
+        return st.dictionaries(KEYS[name].map(str), json_configs(args[1], name), max_size=3)
+    if kind is type(None):
+        return st.none()
+    return st.booleans() if kind is bool else LEAVES[name]
+
+
+def stage_files(out: Path, cfg: PipelineConfig) -> set:
+    """The files of every report stage that had data, read from what ingest and score left in `out`."""
+    names = {"corpus_filtered.csv", "registry.txt", "filter_report.json", "pipeline_config.json"}
+    if cfg.synth is not None and cfg.corpus_path is None:
+        names |= {"synth_corpus.csv", "synth_registry.txt"}
+    kept = parse_records(out / "corpus_filtered.csv", load_registry(out / "registry.txt"))
+    if not len(kept):
+        return names
+    names.add("scores.csv")
+    years = sorted(cfg.landscape.snapshot_years) or [int(kept.years.max())]
+    types, counts = np.unique(kept.matrix, axis=0, return_counts=True)
+    frequent = {row.tobytes() for row in types[counts >= cfg.landscape.min_type_count]}
+    if frequent & {row.tobytes() for row in kept.matrix[kept.years <= years[-1]]}:
+        names |= {f"landscape_{y}.{fmt}" for y in years for fmt in cfg.formats} | {"centroids.csv"}
+    if (read_scores_csv(out / "scores.csv").spans == cfg.stats_span).any():
+        names |= {"descriptives.csv", "group_tests.csv", "models.csv", "models.txt",
+                  "model_diagnostics.csv", "marginal_means.csv"}
+    return names
+
+
+@pytest.fixture(scope="module")
+def parsed_corpus(tmp_path_factory):
+    """A written corpus (2005-2009, d=8) and its registry, for configs that name corpus_path."""
+    data = tmp_path_factory.mktemp("data")
+    out = data / "synth"
+    payload = {"out_dir": str(out), "synth": {"dimension": 8, "year_start": 2005, "year_end": 2009,
+                                              "games_per_year": 60, "seed": 3}}
+    assert main(["synth", "--config", str(write_config(data, payload))]) == EXIT_OK
+    os.replace(out / "synth_corpus.csv", data / "corpus.csv")
+    os.replace(out / "synth_registry.txt", data / "registry.txt")
+    return data
+
+
+class TestDrawnReports:
+    @settings(max_examples=300, deadline=None)
+    @given(payload=json_configs(PipelineConfig))
+    # no corpus and no synth section: ingest fails after the config has loaded
+    @example(payload={"out_dir": "@TMP/out", "corpus_path": None, "registry_path": None, "synth": None})
+    def test_report_exits_with_a_code_and_writes_every_stage_with_data(self, parsed_corpus, payload):
+        with tempfile.TemporaryDirectory() as tmp:
+            text = json.dumps(payload).replace("@TMP", tmp).replace("@DATA", str(parsed_corpus))
+            path = Path(tmp) / "run.json"
+            path.write_text(text)
+            code = main(["report", "--config", str(path)])
+            assert code in (EXIT_OK, EXIT_INPUT, EXIT_EMPTY, EXIT_NUMERIC)
+            try:
+                cfg = PipelineConfig.from_json(path)
+            except ConfigError:
+                assert code == EXIT_INPUT and not Path(tmp, "out").exists()
+                return
+            out = Path(cfg.out_dir)
+            assert (out / "pipeline_config.json").exists()
+            if code != EXIT_INPUT:
+                assert stage_files(out, cfg) <= {p.name for p in out.iterdir()}

@@ -205,7 +205,7 @@ class TestLayout:
         graph = LandscapeGraph(
             snapshot_year=2010, dimension=dimension,
             nodes={k: TypeNode(key=k, total_count=1, crowdfunded_count=0, first_year=2010) for k in keys},
-            edges=flip_edges(keys, dimension), cf_share_threshold=0.5,
+            edges=flip_edges(keys, dimension),
         )
         g = nx.Graph()
         g.add_nodes_from(keys)
@@ -570,7 +570,7 @@ class TestShareClasses:
         rs = recordset_of(recs, reg)
         early = build_landscape(rs, 2010, min_type_count=1)
         late = build_landscape(rs, 2015, min_type_count=1)
-        classes = classify_snapshots([early, late])
+        classes = classify_snapshots([early, late], 0.5)
         key = pack_vector([1, 1])
         assert classes[2010][key] == CLASS_CROWDFUNDED  # share 1.0
         assert classes[2015][key] == CLASS_FORMER  # share 1/3 now, hot before
@@ -578,8 +578,17 @@ class TestShareClasses:
     def test_never_hot_is_baseline(self):
         rs = make_recordset([("a", 2010, [1, 1])], crowdfunded=False)
         g = build_landscape(rs, 2010, min_type_count=1)
-        classes = classify_snapshots([g])
+        classes = classify_snapshots([g], 0.5)
         assert classes[2010][pack_vector([1, 1])] == CLASS_BASELINE
+
+    def test_threshold_decides_the_class(self):
+        reg = make_registry(2)
+        recs = [make_record(rid, 2010, [1, 1], reg, crowdfunded=rid == "a") for rid in "abc"]
+        graphs = [build_landscape(recordset_of(recs, reg), 2010, min_type_count=1)]
+        key = pack_vector([1, 1])
+        assert graphs[0].nodes[key].cf_share == pytest.approx(1 / 3)
+        assert classify_snapshots(graphs, 0.3)[2010][key] == CLASS_CROWDFUNDED
+        assert classify_snapshots(graphs, 0.5)[2010][key] == CLASS_BASELINE
 
 
 class TestExports:
@@ -709,7 +718,7 @@ class TestSvg:
         g = build_landscape(rs, 2012, min_type_count=1)
         pos = layout(g, seed=6)
         path = tmp_path / "land.svg"
-        render_svg(g, pos, path, classify_snapshots([g])[2012])
+        render_svg(g, pos, path, classify_snapshots([g], 0.5)[2012])
         text = path.read_text(encoding="utf-8")
         assert text.count("<circle ") == len(pos)
         assert text.count("<line ") == len(g.edges)
@@ -720,7 +729,7 @@ class TestSvg:
         g = build_landscape(rs, 2010, min_type_count=1)
         pos = {pack_vector([1, 1]): (0.0, 0.0)}
         path = tmp_path / "one.svg"
-        render_svg(g, pos, path, classify_snapshots([g])[2010])
+        render_svg(g, pos, path, classify_snapshots([g], 0.5)[2010])
         assert "#d62728" in path.read_text(encoding="utf-8")
 
     def test_deterministic(self, tmp_path):
@@ -728,7 +737,7 @@ class TestSvg:
         g = build_landscape(rs, 2011, min_type_count=1)
         pos = layout(g, seed=6)
         p1, p2 = tmp_path / "a.svg", tmp_path / "b.svg"
-        classes = classify_snapshots([g])[2011]
+        classes = classify_snapshots([g], 0.5)[2011]
         render_svg(g, pos, p1, classes)
         render_svg(g, pos, p2, classes)
         assert p1.read_bytes() == p2.read_bytes()

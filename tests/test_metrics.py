@@ -19,13 +19,10 @@ from novascape import metrics
 from novascape.corpus import RecordSet
 from novascape.errors import DimensionError, ParseError
 from novascape.metrics import (
-    FUTURE,
-    PAST,
     SCORE_COLUMNS,
     ScoreTable,
     read_scores_csv,
     score_corpus,
-    window_years,
 )
 
 from conftest import cross_hamming, hamming, make_recordset, xor_min_distances
@@ -101,10 +98,20 @@ class TestCrossHamming:
 
 
 class TestWindows:
-    def test_past_and_future_year_ranges(self):
-        assert window_years(2015, 2, PAST) == (2013, 2014)
-        assert window_years(2015, 2, FUTURE) == (2016, 2017)
-        assert window_years(2015, 5, PAST) == (2010, 2014)
+    def test_span_2_windows_are_the_two_years_before_and_after(self):
+        # the 2015 record's past window is 2013-2014 and its future window 2016-2017;
+        # each added record repeats its vector, so it moves any score whose window holds it
+        base = [("f", 2015, [1, 1, 0, 0]), ("p", 2014, [1, 0, 0, 0]), ("q", 2016, [1, 1, 1, 0])]
+
+        def scores(*years):
+            rs = make_recordset(base + [(f"x{year}", year, [1, 1, 0, 0]) for year in years])
+            row = score_corpus(rs, spans=(2,), last_complete_year=2017).get("f", 2)
+            return row.distinctiveness, row.novelty_count, row.resonance
+
+        alone = scores()
+        assert scores(2012, 2018) == alone
+        assert scores(2013)[0] != alone[0]
+        assert scores(2017)[2] != alone[2]
 
     def test_same_year_excluded(self):
         rs = make_recordset(

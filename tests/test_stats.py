@@ -36,10 +36,8 @@ from novascape.stats import (
     ModelSpec,
     build_design,
     describe,
-    fit_logistic,
+    fit_arrays,
     fit_model,
-    fit_ols,
-    fit_poisson,
     fit_rows,
     format_model_table,
     group_test_battery,
@@ -403,7 +401,7 @@ class TestBuildDesign:
 class TestOls:
     def test_exact_line(self):
         X = np.column_stack([np.ones(3), [0.0, 1.0, 2.0]])
-        fit = fit_ols(X, np.array([0.0, 1.0, 2.0]), columns=("const", "x"))
+        fit = fit_arrays("ols", X, np.array([0.0, 1.0, 2.0]), columns=("const", "x"))
         assert fit.coefficients["x"] == pytest.approx(1.0, abs=1e-12)
         assert fit.coefficients["const"] == pytest.approx(0.0, abs=1e-12)
         assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
@@ -426,7 +424,7 @@ class TestOls:
         b0, b1 = self.fraction_ols_oracle(xs, ys)
         assert (b0, b1) == (Fraction(11, 10), Fraction(11, 10))  # hand-derived
         X = np.column_stack([np.ones(4), np.array(xs, dtype=float)])
-        fit = fit_ols(X, np.array(ys, dtype=float), columns=("const", "x"))
+        fit = fit_arrays("ols", X, np.array(ys, dtype=float), columns=("const", "x"))
         assert fit.coefficients["const"] == pytest.approx(float(b0), abs=1e-10)
         assert fit.coefficients["x"] == pytest.approx(float(b1), abs=1e-10)
 
@@ -450,7 +448,7 @@ class TestOls:
         prod = [[sum(bread[i][k] * meat[k][j] for k in range(2)) for j in range(2)] for i in range(2)]
         cov = [[sum(prod[i][k] * bread[k][j] for k in range(2)) for j in range(2)] for i in range(2)]
         X = np.column_stack([np.ones(4), np.array(xs, dtype=float)])
-        fit = fit_ols(X, np.array(ys, dtype=float), robust="hc0", columns=("const", "x"))
+        fit = fit_arrays("ols", X, np.array(ys, dtype=float), robust="hc0", columns=("const", "x"))
         assert fit.robust_se["const"] == pytest.approx(math.sqrt(float(cov[0][0])), rel=1e-10)
         assert fit.robust_se["x"] == pytest.approx(math.sqrt(float(cov[1][1])), rel=1e-10)
 
@@ -477,7 +475,7 @@ class TestOls:
         ys = [1, 3, 2, 5]
         X = np.column_stack([np.ones(4), np.array(xs, dtype=float)])
         assert stats._pivoted_qr(X, with_q=False)[2].tolist() == [1, 0]
-        fit = fit_ols(X, np.array(ys, dtype=float), robust="hc0", columns=("const", "x"))
+        fit = fit_arrays("ols", X, np.array(ys, dtype=float), robust="hc0", columns=("const", "x"))
         b0, b1 = self.fraction_ols_oracle(xs, ys)
         assert fit.coefficients["const"] == pytest.approx(float(b0), rel=1e-10)
         assert fit.coefficients["x"] == pytest.approx(float(b1), rel=1e-10)
@@ -489,8 +487,8 @@ class TestOls:
         rng = np.random.default_rng(3)
         X = np.column_stack([np.ones(30), rng.normal(size=30)])
         y = rng.normal(size=30)
-        hc0 = fit_ols(X, y, robust="hc0")
-        hc1 = fit_ols(X, y, robust="hc1")
+        hc0 = fit_arrays("ols", X, y, robust="hc0")
+        hc1 = fit_arrays("ols", X, y, robust="hc1")
         n, k = 30, 2
         for name in hc0.columns:
             assert hc1.robust_se[name] ** 2 == pytest.approx(
@@ -502,7 +500,7 @@ class TestOls:
         rng = np.random.default_rng(9)
         X = np.column_stack([np.ones(50), rng.normal(size=(50, 3))])
         y = rng.normal(size=50)
-        fit = fit_ols(X, y)
+        fit = fit_arrays("ols", X, y)
         resid = y - X @ fit.beta
         assert np.abs(X.T @ resid).max() / max(np.abs(y).max(), 1) < 1e-8
 
@@ -512,8 +510,8 @@ class TestOls:
         X1 = np.column_stack([np.ones(40), x])
         X2 = np.column_stack([np.ones(40), 3.0 * x])
         y = 1 + 0.5 * x + rng.normal(size=40)
-        f1 = fit_ols(X1, y, columns=("const", "x"))
-        f2 = fit_ols(X2, y, columns=("const", "x"))
+        f1 = fit_arrays("ols", X1, y, columns=("const", "x"))
+        f2 = fit_arrays("ols", X2, y, columns=("const", "x"))
         assert f2.coefficients["x"] == pytest.approx(f1.coefficients["x"] / 3.0, rel=1e-10)
         assert f2.z_or_t["x"] == pytest.approx(f1.z_or_t["x"], abs=1e-8)
         assert f2.p_values["x"] == pytest.approx(f1.p_values["x"], abs=1e-8)
@@ -521,14 +519,14 @@ class TestOls:
     def test_rank_deficient_raises_with_columns(self):
         X = np.column_stack([np.ones(10), np.arange(10.0), 2 * np.arange(10.0)])
         with pytest.raises(RankDeficient):
-            fit_ols(X, np.arange(10.0), columns=("const", "a", "b"))
+            fit_arrays("ols", X, np.arange(10.0), columns=("const", "a", "b"))
 
     def test_nonfinite_raises(self):
         X = np.column_stack([np.ones(5), np.arange(5.0)])
         y = np.arange(5.0)
         y[2] = np.nan
         with pytest.raises(NumericError):
-            fit_ols(X, y)
+            fit_arrays("ols", X, y)
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +561,7 @@ class TestLogistic:
         n = 400
         X = np.column_stack([np.ones(n), rng.normal(size=n)])
         y = rng.integers(0, 2, n).astype(float)
-        fit = fit_logistic(X, y, columns=("const", "x"))
+        fit = fit_arrays("logistic", X, y, columns=("const", "x"))
         assert abs(fit.coefficients["x"]) < 0.25
         assert 0.0 <= fit.r_squared < 0.02
         assert fit.converged
@@ -580,14 +578,14 @@ class TestLogistic:
             return total
 
         b0, b1 = grid_mle_oracle(ll)
-        fit = fit_logistic(X, y, columns=("const", "x"))
+        fit = fit_arrays("logistic", X, y, columns=("const", "x"))
         assert fit.coefficients["const"] == pytest.approx(b0, abs=1e-4)
         assert fit.coefficients["x"] == pytest.approx(b1, abs=1e-4)
         assert fit.converged
 
     def test_score_at_optimum_near_zero(self):
         X, y, _ = self.fixture()
-        fit = fit_logistic(X, y)
+        fit = fit_arrays("logistic", X, y)
         mu = 1.0 / (1.0 + np.exp(-(X @ fit.beta)))
         assert np.abs(X.T @ (y - mu)).max() < 1e-6
 
@@ -621,7 +619,7 @@ class TestLogistic:
         y = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
         X = np.column_stack([np.ones(6), x])
         with pytest.raises(SeparationError):
-            fit_logistic(X, y)
+            fit_arrays("logistic", X, y)
 
     def test_wide_margin_separable_data_stops_at_finite_coefficients(self):
         # with unit margins the score tolerance is met near |beta| ~ 20,
@@ -629,18 +627,18 @@ class TestLogistic:
         x = np.array([-2.0, -1.0, 1.0, 2.0])
         y = np.array([0.0, 0.0, 1.0, 1.0])
         X = np.column_stack([np.ones(4), x])
-        fit = fit_logistic(X, y, columns=("const", "x"))
+        fit = fit_arrays("logistic", X, y, columns=("const", "x"))
         assert fit.converged
         assert abs(fit.coefficients["x"]) < 30
 
     def test_constant_outcome_raises(self):
         X = np.column_stack([np.ones(6), np.arange(6.0)])
         with pytest.raises(SeparationError):
-            fit_logistic(X, np.ones(6))
+            fit_arrays("logistic", X, np.ones(6))
 
     def test_mcfadden_bounds(self):
         X, y, _ = self.fixture()
-        fit = fit_logistic(X, y)
+        fit = fit_arrays("logistic", X, y)
         assert 0.0 <= fit.r_squared < 1.0
 
 
@@ -648,7 +646,7 @@ class TestPoisson:
     def test_constant_outcome_gives_log_intercept(self):
         X = np.ones((20, 1))
         y = np.full(20, 7.0)
-        fit = fit_poisson(X, y, columns=("const",))
+        fit = fit_arrays("poisson", X, y, columns=("const",))
         assert fit.coefficients["const"] == pytest.approx(math.log(7.0), abs=1e-8)
 
     def test_matches_grid_oracle(self):
@@ -664,7 +662,7 @@ class TestPoisson:
             return total
 
         b0, b1 = grid_mle_oracle(ll)
-        fit = fit_poisson(X, y, columns=("const", "x"))
+        fit = fit_arrays("poisson", X, y, columns=("const", "x"))
         assert fit.coefficients["const"] == pytest.approx(b0, abs=1e-4)
         assert fit.coefficients["x"] == pytest.approx(b1, abs=1e-4)
 
@@ -692,14 +690,14 @@ class TestPoisson:
     def test_negative_counts_rejected(self):
         X = np.ones((4, 1))
         with pytest.raises(NumericError):
-            fit_poisson(X, np.array([1.0, -1.0, 2.0, 0.0]))
+            fit_arrays("poisson", X, np.array([1.0, -1.0, 2.0, 0.0]))
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(31)
         x = rng.normal(size=60)
         y = rng.poisson(np.exp(0.3 + 0.4 * x)).astype(float)
-        f1 = fit_poisson(np.column_stack([np.ones(60), x]), y, columns=("const", "x"))
-        f2 = fit_poisson(np.column_stack([np.ones(60), 2.0 * x]), y, columns=("const", "x"))
+        f1 = fit_arrays("poisson", np.column_stack([np.ones(60), x]), y, columns=("const", "x"))
+        f2 = fit_arrays("poisson", np.column_stack([np.ones(60), 2.0 * x]), y, columns=("const", "x"))
         assert f2.coefficients["x"] == pytest.approx(f1.coefficients["x"] / 2.0, rel=1e-6)
         assert f2.z_or_t["x"] == pytest.approx(f1.z_or_t["x"], abs=1e-8)
 
@@ -785,7 +783,7 @@ class TestStepHalving:
     def test_large_mean_poisson_recovers_by_step_halving(self):
         # the undamped first step from zero puts the constant near 1000, where exp overflows
         X, y, group = self.large_mean()
-        fit = fit_poisson(X, y, columns=("const", "group"))
+        fit = fit_arrays("poisson", X, y, columns=("const", "group"))
         # with one binary regressor the MLE is the log of each group's mean
         mean0, mean1 = y[group == 0].mean(), y[group == 1].mean()
         assert fit.coefficients["const"] == pytest.approx(math.log(mean0), abs=1e-8)
@@ -797,29 +795,22 @@ class TestStepHalving:
         X, y, _ = self.large_mean()
         monkeypatch.setattr(stats, "MAX_STEP_HALVINGS", 0)
         with pytest.raises(NumericError, match="halvings") as exc:
-            fit_poisson(X, y)
+            fit_arrays("poisson", X, y)
         assert not isinstance(exc.value, SeparationError)
-
-    def test_log_likelihood_with_and_without_the_precomputed_constant(self):
-        X, y, _ = self.large_mean()
-        eta = X @ np.array([6.9, 0.4])
-        constant = stats._log_y_factorial("poisson", y)
-        assert stats._glm_ll("poisson", eta, y, constant) == pytest.approx(stats._glm_ll("poisson", eta, y),
-                                                                          rel=1e-12)
 
 
 class TestIterationCap:
-    @pytest.mark.parametrize("fit, y", [
-        (fit_logistic, [0, 0, 0, 1, 0, 1, 0, 1, 1, 1]),
-        (fit_poisson, [0, 1, 0, 2, 1, 3, 2, 4, 3, 5]),
+    @pytest.mark.parametrize("family, y", [
+        ("logistic", [0, 0, 0, 1, 0, 1, 0, 1, 1, 1]),
+        ("poisson", [0, 1, 0, 2, 1, 3, 2, 4, 3, 5]),
     ])
-    def test_fit_that_reaches_the_cap_raises(self, monkeypatch, fit, y):
+    def test_fit_that_reaches_the_cap_raises(self, monkeypatch, family, y):
         X = np.column_stack([np.ones(10), np.linspace(-2.0, 2.5, 10)])
         y = np.array(y, dtype=float)
-        assert fit(X, y).converged
+        assert fit_arrays(family, X, y).converged
         monkeypatch.setattr(stats, "MAX_IRLS_ITER", 1)
         with pytest.raises(NumericError, match="did not converge"):
-            fit(X, y)
+            fit_arrays(family, X, y)
 
 
 class TestOneFactorization:
@@ -853,6 +844,11 @@ class TestOneFactorization:
         with pytest.raises(RankDeficient) as exc:
             fit_model(design)
         assert exc.value.columns == ["half_time"]
+
+    def test_unknown_family_is_rejected_before_any_fit(self):
+        # without the check, any family but "ols" and "logistic" would fit a Poisson model
+        with pytest.raises(ValueError, match="unknown family 'logit'"):
+            fit_arrays("logit", np.column_stack([np.ones(4), np.arange(4.0)]), np.array([0.0, 1.0, 0.0, 1.0]))
 
 
 @st.composite
@@ -901,7 +897,7 @@ class TestCompiledRoutines:
         none, raw_r, raw_perm = stats._pivoted_qr(X, with_q=False)
         _, want_raw_r, want_raw_perm = sla.qr(X, mode="raw", pivoting=True, check_finite=False)
         assert none is None and (raw_r.tobytes(), raw_perm.tobytes()) == (want_raw_r.tobytes(), want_raw_perm.tobytes())
-        # both of dtrtrs's storage orders, for the two right-hand sides fit_ols solves
+        # both of dtrtrs's storage orders, for the two right-hand sides an OLS fit solves
         for a in (r, np.ascontiguousarray(r)):
             for b in (q.T @ y, np.eye(X.shape[1])):
                 assert outcome(lambda: stats._solve_upper(a, b)) == outcome(lambda: sla.solve_triangular(a, b))
@@ -967,7 +963,7 @@ class TestMarginalMeans:
         focal = rng.integers(0, 2, n).astype(float)
         X = np.column_stack([np.ones(n), focal])
         y = rng.normal(size=n)  # focal truly unrelated
-        fit = fit_ols(X, y, columns=("const", "focal"))
+        fit = fit_arrays("ols", X, y, columns=("const", "focal"))
         # force the focal coefficient to exactly zero
         fit.beta[1] = 0.0
         m0, m1 = marginal_means(fit, X, "focal")
@@ -979,7 +975,7 @@ class TestMarginalMeans:
         focal = rng.integers(0, 2, n).astype(float)
         X = np.column_stack([np.ones(n), focal])
         y = 1.0 + 2.5 * focal + rng.normal(size=n)
-        fit = fit_ols(X, y, columns=("const", "focal"))
+        fit = fit_arrays("ols", X, y, columns=("const", "focal"))
         m0, m1 = marginal_means(fit, X, "focal")
         assert m1.estimate - m0.estimate == pytest.approx(fit.coefficients["focal"], rel=1e-10)
 
@@ -990,7 +986,7 @@ class TestMarginalMeans:
         focal = rng.integers(0, 2, n).astype(float)
         X = np.column_stack([np.ones(n), focal, x])
         y = rng.integers(0, 2, n).astype(float)
-        fit = fit_logistic(X, y, columns=("const", "focal", "x"))
+        fit = fit_arrays("logistic", X, y, columns=("const", "focal", "x"))
         m0, m1 = marginal_means(fit, X, "focal")
         for level, got in ((0.0, m0), (1.0, m1)):
             preds = []
@@ -1002,7 +998,7 @@ class TestMarginalMeans:
 
     def test_unknown_focal(self):
         X = np.column_stack([np.ones(10), np.arange(10.0)])
-        fit = fit_ols(X, np.arange(10.0) + 0.01 * np.random.default_rng(1).normal(size=10))
+        fit = fit_arrays("ols", X, np.arange(10.0) + 0.01 * np.random.default_rng(1).normal(size=10))
         with pytest.raises(UnknownTerm):
             marginal_means(fit, X, "nope")
 
