@@ -62,6 +62,7 @@ from .landscape import (
     centroids,
     classify_snapshots,
     export_graph,
+    export_rows,
     layout,
     render_svg,
 )
@@ -376,13 +377,14 @@ def cmd_landscape(cfg: PipelineConfig, records: Optional[RecordSet] = None) -> i
 
     rows = []
     for g in graphs:
+        exported = export_rows(g, positions)
         for fmt in cfg.formats:
             path = out / f"landscape_{g.snapshot_year}.{fmt}"
             with atomic_write(path) as tmp:
                 if fmt == "svg":
-                    render_svg(g, positions, tmp, classes=classes[g.snapshot_year])
+                    render_svg(g, exported, tmp, classes=classes[g.snapshot_year])
                 else:
-                    export_graph(g, positions, fmt, tmp, seed=settings.seed)
+                    export_graph(g, exported, fmt, tmp, seed=settings.seed)
         rows += [{"year": c.year, "group": c.group, "x": f"{c.point[0]:.6f}", "y": f"{c.point[1]:.6f}"}
                  for c in centroids(g, positions) if c is not None]
     _write_table(out / "centroids.csv", rows, ["year", "group", "x", "y"])
@@ -618,7 +620,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (NumericError, RankDeficient) as exc:
         log.error("numeric failure: %s", exc)
         return EXIT_NUMERIC
-
-
-if __name__ == "__main__":
-    sys.exit(main())

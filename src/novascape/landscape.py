@@ -31,7 +31,7 @@ import functools
 import json
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -89,7 +89,8 @@ def _keys(words: np.ndarray) -> list:
 
 
 def vector_bits(key: int, dimension: int) -> str:
-    return "".join(str((key >> j) & 1) for j in range(dimension))
+    """The key's bits as a string, feature 0 first."""
+    return format(key, f"0{dimension}b")[::-1]
 
 
 @dataclass(frozen=True)
@@ -258,30 +259,38 @@ def _hops(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Breadth-first hop counts between every two of n nodes joined by the
     undirected edges (u[i], v[i]), as float64; inf between components.
 
-    Every search expands at once: frontier[x, j] marks node x as first reached
-    from node j at the last hop, and x is reached from j at the next hop when
-    frontier[y, j] holds for a neighbour y, one logical_or.reduceat over the
-    rows of each node's neighbours. That is O(edges * n) per hop and calls no
-    BLAS: a (206, 206) float64 product took 12-16 ms under OpenBLAS's default
-    two threads on a 2-CPU host.
+    Every search expands at once. The frontier is the (source, node) pairs
+    first reached at the last hop; each expands over its node's run of
+    neighbours, pairs already reached are dropped, and repeated pairs are
+    kept once through an owner index per pair. So each pair is expanded once,
+    O(n * edges) in all, however long the longest path; no BLAS is called:
+    a (206, 206) float64 product took 12-16 ms under OpenBLAS's default two
+    threads on a 2-CPU host.
     """
     # each node's neighbours as one run of `neighbours`, the runs in node order
     ends, neighbours = np.concatenate([u, v]), np.concatenate([v, u])
-    order = np.argsort(ends)
-    linked, starts = np.unique(ends[order], return_index=True)
-    neighbours = neighbours[order]
+    neighbours = neighbours[np.argsort(ends)]
+    degree = np.bincount(ends, minlength=n)
+    starts = np.cumsum(degree) - degree
     hops = np.full((n, n), np.inf)
     np.fill_diagonal(hops, 0.0)
-    frontier = np.eye(n, dtype=bool)
-    # no shortest path has more than n - 1 hops
+    flat_hops = hops.reshape(-1)
+    # owner[p] is the frontier position that last claimed pair p = source * n + node
+    owner = np.empty(n * n, dtype=np.intp)
+    source = node = np.arange(n)
     for hop in range(1, n):
-        reached = np.zeros((n, n), dtype=bool)
-        reached[linked] = np.logical_or.reduceat(frontier[neighbours], starts, axis=0)
-        reached &= np.isinf(hops)
-        if not reached.any():
+        runs = degree[node]
+        offsets = np.cumsum(runs) - runs
+        at = np.arange(runs.sum()) + np.repeat(starts[node] - offsets, runs)
+        pairs = np.repeat(source * n, runs) + neighbours[at]
+        pairs = pairs[np.isinf(flat_hops[pairs])]
+        claim = np.arange(len(pairs))
+        owner[pairs] = claim
+        pairs = pairs[owner[pairs] == claim]
+        if not len(pairs):
             break
-        hops[reached] = hop
-        frontier = reached
+        flat_hops[pairs] = hop
+        source, node = np.divmod(pairs, n)
     return hops
 
 
@@ -433,17 +442,24 @@ def classify_snapshots(
     return out
 
 
-def _export_rows(graph: LandscapeGraph, positions: Mapping[int, Tuple[float, float]]):
-    """(EXPORT_COLUMNS row per positioned node, edges between positioned nodes), in key order."""
-    rows = [dict(zip(EXPORT_COLUMNS, (k, vector_bits(k, graph.dimension), node.total_count,
-                                      node.crowdfunded_count, node.cf_share, node.first_year,
-                                      float(positions[k][0]), float(positions[k][1]))))
-            for k, node in graph.nodes.items() if k in positions]
-    return rows, tuple((u, v) for u, v in graph.edges if u in positions and v in positions)
+class ExportRows(NamedTuple):
+    """What every landscape file of one snapshot shows, built once for all formats."""
+
+    nodes: List[dict]  # one EXPORT_COLUMNS row per positioned node, in key order
+    edges: Tuple[Tuple[int, int], ...]  # the edges between positioned nodes
 
 
-def export_graph(graph: LandscapeGraph, positions, fmt: str, path, seed: Optional[int] = None) -> None:
-    """Write the plotted (positioned) subgraph with node attributes.
+def export_rows(graph: LandscapeGraph, positions: Mapping[int, Tuple[float, float]]) -> ExportRows:
+    """The export rows of the graph's positioned nodes and edges."""
+    nodes = [dict(zip(EXPORT_COLUMNS, (k, vector_bits(k, graph.dimension), node.total_count,
+                                       node.crowdfunded_count, node.cf_share, node.first_year,
+                                       float(positions[k][0]), float(positions[k][1]))))
+             for k, node in graph.nodes.items() if k in positions]
+    return ExportRows(nodes, tuple((u, v) for u, v in graph.edges if u in positions and v in positions))
+
+
+def export_graph(graph: LandscapeGraph, rows: ExportRows, fmt: str, path, seed: Optional[int] = None) -> None:
+    """Write the snapshot's export rows (see export_rows) with the graph's year and dimension.
 
     Formats: graphml, json, and csv (one row per node, no edges); svg is
     drawn by render_svg. Node attributes are count, cf_count, cf_share,
@@ -452,19 +468,20 @@ def export_graph(graph: LandscapeGraph, positions, fmt: str, path, seed: Optiona
     """
     if fmt not in EXPORT_FORMATS or fmt == "svg":
         raise ValueError(f"export_graph cannot write format {fmt!r}")
-    rows, edges = _export_rows(graph, positions)
     if fmt == "csv":
         # every cell is a number or a bit string, so none needs quotes
-        write_csv_columns(path, EXPORT_COLUMNS, [map(itemgetter(name), rows) for name in EXPORT_COLUMNS])
+        write_csv_columns(path, EXPORT_COLUMNS, [map(itemgetter(name), rows.nodes) for name in EXPORT_COLUMNS])
         return
     meta = {"year": graph.snapshot_year, "dimension": graph.dimension}
     seeded = {} if seed is None else {"layout_seed": int(seed)}
+    if fmt == "graphml":
+        text = _graphml_text({**meta, **seeded}, rows.nodes, rows.edges)
+    else:
+        # one string, one write: json.dump would write each of its small pieces
+        text = json.dumps({**meta, "nodes": rows.nodes, "edges": [list(e) for e in rows.edges], **seeded},
+                          indent=2) + "\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        if fmt == "graphml":
-            fh.write(_graphml_text({**meta, **seeded}, rows, edges))
-        else:
-            json.dump({**meta, "nodes": rows, "edges": [list(e) for e in edges], **seeded}, fh, indent=2)
-            fh.write("\n")
+        fh.write(text)
 
 
 _GRAPHML_TYPES = {int: "long", float: "double", str: "string"}
@@ -507,19 +524,18 @@ def _graphml_text(meta: dict, rows, edges) -> str:
 
 def render_svg(
     graph: LandscapeGraph,
-    positions: Mapping[int, Tuple[float, float]],
+    rows: ExportRows,
     path,
     classes: Mapping[int, str],
 ) -> None:
-    """Plot the positioned subgraph on a SVG_SIZE-pixel square: radius is
-    SVG_BASE_RADIUS * sqrt(count), fill by share class (crowdfunded red,
-    formerly orange, baseline grey); `classes` is the snapshot's entry of
-    classify_snapshots."""
-    rows, edges = _export_rows(graph, positions)
-    keys = [row["id"] for row in rows]
+    """Plot the snapshot's export rows (see export_rows) on a SVG_SIZE-pixel
+    square: radius is SVG_BASE_RADIUS * sqrt(count), fill by share class
+    (crowdfunded red, formerly orange, baseline grey); `classes` is the
+    snapshot's entry of classify_snapshots."""
+    positions = {row["id"]: (row["x"], row["y"]) for row in rows.nodes}
     pad = 0.08
-    xs = [positions[k][0] for k in keys]
-    ys = [positions[k][1] for k in keys]
+    xs = [x for x, _ in positions.values()]
+    ys = [y for _, y in positions.values()]
     lo_x, hi_x = min(xs, default=0.0), max(xs, default=0.0)
     lo_y, hi_y = min(ys, default=0.0), max(ys, default=0.0)
     span = max(hi_x - lo_x, hi_y - lo_y, 1e-9)
@@ -534,17 +550,17 @@ def render_svg(
         f'viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">',
         f'  <title>type landscape, year {graph.snapshot_year}</title>',
     ]
-    for u, v in edges:
+    for u, v in rows.edges:
         ux, uy = to_px(positions[u])
         vx, vy = to_px(positions[v])
         lines.append(
             f'  <line x1="{ux:.3f}" y1="{uy:.3f}" x2="{vx:.3f}" y2="{vy:.3f}" '
             f'stroke="#cccccc" stroke-width="0.6"/>'
         )
-    for k in keys:
-        x, y = to_px(positions[k])
-        r = SVG_BASE_RADIUS * np.sqrt(graph.nodes[k].total_count)
-        fill = CLASS_FILL.get(classes.get(k, CLASS_BASELINE), CLASS_FILL[CLASS_BASELINE])
+    for row in rows.nodes:
+        x, y = to_px(positions[row["id"]])
+        r = SVG_BASE_RADIUS * np.sqrt(row["count"])
+        fill = CLASS_FILL.get(classes.get(row["id"], CLASS_BASELINE), CLASS_FILL[CLASS_BASELINE])
         lines.append(f'  <circle cx="{x:.3f}" cy="{y:.3f}" r="{r:.3f}" fill="{fill}" fill-opacity="0.85"/>')
     lines.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:

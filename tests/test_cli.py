@@ -4,8 +4,11 @@ import collections.abc
 import copy
 import csv
 import dataclasses
+import gc
 import json
+import logging
 import os
+import shutil
 import stat
 import subprocess
 import sys
@@ -33,6 +36,7 @@ from novascape.cli import (
 from novascape.corpus import FilterConfig, Record, load_registry, parse_records
 from novascape.metrics import InnovationScores, read_scores_csv, score_corpus
 from novascape.errors import ConfigError
+from novascape.landscape import EXPORT_FORMATS
 from novascape.stats import FAMILIES, JOINED_COLUMNS, JOINED_LABELS, ROBUST_VARIANTS, TRANSFORMS, ModelSpec
 from novascape.synth import SynthConfig, generate_corpus
 
@@ -722,6 +726,29 @@ class TestInMemoryReport:
         # only the plotted types of each snapshot become nodes
         assert calls.count("TypeNode") == sum(len(g.plotted) for g in graphs)
 
+    def test_report_builds_export_rows_once_per_snapshot(self, tmp_path, monkeypatch):
+        built, written = [], []
+
+        def building(graph, positions):
+            built.append(landscape.export_rows(graph, positions))
+            return built[-1]
+
+        def writing(fn):
+            def wrapper(graph, rows, *args, **kwargs):
+                written.append(rows)
+                return fn(graph, rows, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cli, "export_rows", building)
+        for name in ("export_graph", "render_svg"):
+            monkeypatch.setattr(cli, name, writing(getattr(cli, name)))
+        payload = {**pipeline_payload(tmp_path / "run"), "formats": list(EXPORT_FORMATS)}
+        assert main(["report", "--config", str(write_config(tmp_path, payload))]) == EXIT_OK
+        # two snapshots, each written in every format from its one set of rows
+        assert len(built) == 2
+        assert len(written) == 2 * len(EXPORT_FORMATS)
+        assert all(rows is built[i // len(EXPORT_FORMATS)] for i, rows in enumerate(written))
+
     def test_library_path_builds_no_record_view(self, tmp_path, monkeypatch):
         built = []
 
@@ -773,20 +800,57 @@ class TestAtomicWrite:
         assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 
+def entry_env() -> dict:
+    """The environment of a `python -m novascape` child that imports this novascape, installed or not."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+
 class TestConsoleEntry:
     def test_python_dash_m_invocation(self, tmp_path):
         out = tmp_path / "run"
         cfg = write_config(tmp_path, pipeline_payload(out))
-        # the child imports the same novascape, installed or not
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
         proc = subprocess.run(
             [sys.executable, "-m", "novascape", "synth", "--config", str(cfg)],
-            capture_output=True, text=True, env=env,
+            capture_output=True, text=True, env=entry_env(),
         )
         assert proc.returncode == EXIT_OK, proc.stderr
         assert (out / "synth_corpus.csv").exists()
         assert "seed" in proc.stderr
+
+    @pytest.mark.parametrize("change, code", [
+        ({}, EXIT_OK),
+        ({"spans": []}, EXIT_INPUT),
+        # no type is implemented a million times, so the landscape plots none
+        ({"landscape": {"snapshot_years": [2011], "min_type_count": 10**6}}, EXIT_EMPTY),
+    ])
+    def test_python_dash_m_report_ends_as_main_does(self, tmp_path, caplog, change, code):
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path, {**pipeline_payload(out), **change})
+        command = ["report", "--config", str(cfg)]
+        proc = subprocess.run([sys.executable, "-m", "novascape", *command],
+                              capture_output=True, text=True, env=entry_env())
+        written = snapshot(out) if out.exists() else {}
+        shutil.rmtree(out, ignore_errors=True)
+        caplog.set_level(logging.INFO)
+        assert main(command) == code == proc.returncode, proc.stderr[-2000:]
+        assert (snapshot(out) if out.exists() else {}) == written
+        assert bool(written) == (code != EXIT_INPUT)
+        # the last log line is flushed before the process ends
+        last = caplog.records[-1]
+        assert proc.stderr.splitlines()[-1] == f"{last.levelname} novascape: {last.getMessage()}"
+
+    def test_run_freezes_the_heap_and_exits_with_the_code_of_main(self, tmp_path, monkeypatch):
+        from novascape.__main__ import run
+
+        monkeypatch.setattr(sys, "argv", ["novascape", "report", "--config", str(tmp_path / "missing.json")])
+        try:
+            with pytest.raises(SystemExit) as exited:
+                run()
+            assert exited.value.code == EXIT_INPUT
+            assert gc.get_freeze_count() > 0
+        finally:
+            gc.unfreeze()
 
     def test_pipeline_never_imports_scipy_stats(self, tmp_path):
         """A fresh interpreter runs a Monte-Carlo seed and a whole report

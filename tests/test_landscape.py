@@ -10,6 +10,7 @@ import itertools
 import json
 import math
 import sys
+import time
 import tracemalloc
 
 import networkx as nx
@@ -46,6 +47,7 @@ from novascape.landscape import (
     centroids,
     classify_snapshots,
     export_graph,
+    export_rows,
     flip_edges,
     layout,
     pack_vector,
@@ -353,6 +355,22 @@ class TestHops:
         self.assert_oracles_agree(len(index), u, v)
 
 
+class TestHopsOnLongPaths:
+    def test_thousand_node_path_matches_networkx(self):
+        # the frontier holds each (source, node) pair once, so the 999 hops of a
+        # path take well under a second; a pass over all n * n pairs per hop took 11.9 s
+        n = 1000
+        u = np.arange(n - 1, dtype=np.intp)
+        start = time.perf_counter()
+        hops = _hops(n, u, u + 1)
+        elapsed = time.perf_counter() - start
+        want = np.full((n, n), np.inf)
+        for i, lengths in nx.shortest_path_length(nx.path_graph(n)):
+            want[i, list(lengths)] = list(lengths.values())
+        assert hops.tobytes() == want.tobytes()
+        assert elapsed < 5.0
+
+
 def demo_final_snapshot():
     """The README demo's final snapshot: about 200 positioned types."""
     rs = generate_corpus(SynthConfig(
@@ -604,7 +622,7 @@ class TestExports:
     def test_round_trip(self, fmt, tmp_path):
         g, pos = self.demo()
         path = tmp_path / f"land.{fmt}"
-        export_graph(g, pos, fmt, path, seed=4)
+        export_graph(g, export_rows(g, pos), fmt, path, seed=4)
         if fmt == "graphml":
             back = nx.read_graphml(path)
             meta = back.graph
@@ -632,7 +650,7 @@ class TestExports:
         pos = layout(g, seed=5) if positioned else {}
         assert 0 < len(pos) < len(g.plotted) or not positioned
         ours, theirs = tmp_path / "ours.graphml", tmp_path / "theirs.graphml"
-        export_graph(g, pos, "graphml", ours, seed=seed)
+        export_graph(g, export_rows(g, pos), "graphml", ours, seed=seed)
         # the networkx writer export_graph used before writing its own text
         oracle = nx.Graph()
         oracle.graph.update(year=g.snapshot_year, dimension=g.dimension)
@@ -650,7 +668,7 @@ class TestExports:
     def test_csv_node_table_is_written_but_not_imported(self, tmp_path):
         g, pos = self.demo()
         path = tmp_path / "land.csv"
-        export_graph(g, pos, "csv", path, seed=4)
+        export_graph(g, export_rows(g, pos), "csv", path, seed=4)
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
             assert tuple(reader.fieldnames) == EXPORT_COLUMNS
@@ -671,7 +689,7 @@ class TestExports:
         g = build_landscape(rs, 2011, min_type_count=4)
         pos = layout(build_landscape(rs, 2015, min_type_count=4), seed=42)
         ours = tmp_path / "ours.csv"
-        export_graph(g, pos, "csv", ours, seed=42)
+        export_graph(g, export_rows(g, pos), "csv", ours, seed=42)
         theirs = io.StringIO(newline="")
         writer = csv.DictWriter(theirs, fieldnames=EXPORT_COLUMNS, lineterminator="\n")
         writer.writeheader()
@@ -682,12 +700,24 @@ class TestExports:
             for key, node in g.nodes.items() if key in pos)
         assert len(g.nodes) > 100 and ours.read_bytes() == theirs.getvalue().encode("utf-8")
 
+    def test_json_bytes_equal_json_dump(self, tmp_path):
+        # the README demo's final snapshot, written as json.dump wrote it piece by piece
+        g = demo_final_snapshot()
+        rows = export_rows(g, layout(g, seed=42))
+        ours, theirs = tmp_path / "ours.json", tmp_path / "theirs.json"
+        export_graph(g, rows, "json", ours, seed=42)
+        with open(theirs, "w", newline="", encoding="utf-8") as fh:
+            json.dump({"year": g.snapshot_year, "dimension": g.dimension, "nodes": rows.nodes,
+                       "edges": [list(e) for e in rows.edges], "layout_seed": 42}, fh, indent=2)
+            fh.write("\n")
+        assert len(rows.nodes) > 100 and rows.edges and ours.read_bytes() == theirs.read_bytes()
+
     def test_graphml_element_counts(self, tmp_path):
         rs = make_recordset([("a", 2010, [1, 0]), ("b", 2011, [1, 1])])
         g = build_landscape(rs, 2011, min_type_count=1)
         pos = layout(g, seed=1)
         path = tmp_path / "two.graphml"
-        export_graph(g, pos, "graphml", path)
+        export_graph(g, export_rows(g, pos), "graphml", path)
         text = path.read_text(encoding="utf-8")
         assert text.count("<node ") == 2
         assert text.count("<edge ") == 1
@@ -697,7 +727,7 @@ class TestExports:
         rs = make_recordset([("a", 2010, [1, 1])])
         g = build_landscape(rs, 2010, min_type_count=99)
         path = tmp_path / "empty.json"
-        export_graph(g, {}, "json", path)
+        export_graph(g, export_rows(g, {}), "json", path)
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
         assert payload["nodes"] == []
@@ -706,8 +736,8 @@ class TestExports:
     def test_export_deterministic(self, tmp_path):
         g, pos = self.demo()
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-        export_graph(g, pos, "json", p1, seed=4)
-        export_graph(g, pos, "json", p2, seed=4)
+        export_graph(g, export_rows(g, pos), "json", p1, seed=4)
+        export_graph(g, export_rows(g, pos), "json", p2, seed=4)
         assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -718,7 +748,7 @@ class TestSvg:
         g = build_landscape(rs, 2012, min_type_count=1)
         pos = layout(g, seed=6)
         path = tmp_path / "land.svg"
-        render_svg(g, pos, path, classify_snapshots([g], 0.5)[2012])
+        render_svg(g, export_rows(g, pos), path, classify_snapshots([g], 0.5)[2012])
         text = path.read_text(encoding="utf-8")
         assert text.count("<circle ") == len(pos)
         assert text.count("<line ") == len(g.edges)
@@ -729,7 +759,7 @@ class TestSvg:
         g = build_landscape(rs, 2010, min_type_count=1)
         pos = {pack_vector([1, 1]): (0.0, 0.0)}
         path = tmp_path / "one.svg"
-        render_svg(g, pos, path, classify_snapshots([g], 0.5)[2010])
+        render_svg(g, export_rows(g, pos), path, classify_snapshots([g], 0.5)[2010])
         assert "#d62728" in path.read_text(encoding="utf-8")
 
     def test_deterministic(self, tmp_path):
@@ -738,6 +768,6 @@ class TestSvg:
         pos = layout(g, seed=6)
         p1, p2 = tmp_path / "a.svg", tmp_path / "b.svg"
         classes = classify_snapshots([g], 0.5)[2011]
-        render_svg(g, pos, p1, classes)
-        render_svg(g, pos, p2, classes)
+        render_svg(g, export_rows(g, pos), p1, classes)
+        render_svg(g, export_rows(g, pos), p2, classes)
         assert p1.read_bytes() == p2.read_bytes()
