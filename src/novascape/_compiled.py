@@ -4,15 +4,15 @@ Importing scipy.linalg, scipy.special or scipy.optimize runs the package's
 __init__.py, and each loads scipy's array-API layer, which brings in
 numpy.f2py, email, socket and unittest: about 0.25 s of a cold start that
 calls none of them. `routines` loads just the extension module a caller's
-routines live in and checks each routine's signature; a caller that gets
-None imports the public module instead.
+routines live in, running no scipy __init__.py, and checks each routine's
+signature; a caller that gets None imports the public module instead.
 """
 
 import os
 import sys
 import types
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
-from importlib.util import module_from_spec, spec_from_loader
+from importlib.util import find_spec, module_from_spec, spec_from_loader
 from typing import Optional, Sequence
 
 import numpy as np
@@ -23,27 +23,30 @@ def extension(relpath: str) -> Optional[types.ModuleType]:
     the one in sys.modules, else loaded from its file; None when there is no such
     file or it fails to load.
 
-    A package not yet imported stands in as a stub whose __path__ is its directory,
-    so the sibling extensions the module imports load without the package's
-    __init__.py. Every sys.modules entry the load adds is removed again: a later
+    scipy, scipy._lib and the module's package, where not yet imported, stand in as
+    stubs whose __path__ is their directory (scipy's is found with find_spec), so no
+    scipy __init__.py runs. Every sys.modules entry the load adds is removed again: a later
     `import scipy.<package>` runs as usual, and finds the same routine objects.
     """
-    import scipy
-
     package, _, stem = relpath.rpartition("/")
     name = "scipy." + relpath.replace("/", ".")
     if name in sys.modules:
         return sys.modules[name]
-    directory = os.path.join(os.path.dirname(scipy.__file__), *package.split("/"))
+    scipy = find_spec("scipy")
+    if scipy is None or not scipy.submodule_search_locations:
+        return None
+    root = scipy.submodule_search_locations[0]
+    directory = os.path.join(root, *package.split("/"))
     path = next((p for p in (os.path.join(directory, stem + s) for s in EXTENSION_SUFFIXES) if os.path.isfile(p)),
                 None)
     if path is None:
         return None
     before = set(sys.modules)
-    parent = name.rpartition(".")[0]
-    if parent not in sys.modules:
-        sys.modules[parent] = stub = types.ModuleType(parent)
-        stub.__path__ = [directory]
+    for stubbed, location in (("scipy", root), ("scipy._lib", os.path.join(root, "_lib")),
+                              (name.rpartition(".")[0], directory)):
+        if stubbed not in sys.modules:
+            sys.modules[stubbed] = stub = types.ModuleType(stubbed)
+            stub.__path__ = [location]
     try:
         loader = ExtensionFileLoader(name, path)
         module = module_from_spec(spec_from_loader(name, loader))

@@ -453,44 +453,40 @@ def cmd_stats(
     ]
     _write_table(out / "group_tests.csv", test_rows, test_columns)
 
-    fits, designs = [], {}
-    for name, spec in cfg.models.items():
-        try:
-            designs[name] = build_design(data, spec)
-            fits.append((name, fit_model(designs[name])))
-        except NovascapeError as exc:
-            fits.append((name, None))
-            log.error("model %s failed: %s", name, exc)
-    fitted = [(name, fit) for name, fit in fits if fit is not None]
-    failures = len(fits) - len(fitted)
-
     fit_columns = ("coef", "se", "z", "p")
-    model_rows = [{"model": name, "term": row["term"], **{k: f"{row[k]:.6g}" for k in fit_columns}}
-                  for name, fit in fitted for row in fit_rows(fit)]
-    _write_table(out / "models.csv", model_rows, ["model", "term", *fit_columns])
-    with atomic_write(out / "models.txt") as tmp:
-        tmp.write_text(format_model_table(fits, reference=REFERENCE_CROWDFUNDED), encoding="utf-8")
-
     # OLS is solved directly, so its n_iter and max_score are 0
     diagnostic_columns = ("model", "family", "n_obs", "incomplete_dropped", "separated_levels",
                           "separated_rows", "n_iter", "max_score", "log_likelihood")
-    diagnostic_rows = []
-    for name, fit in fitted:
-        separated = designs[name].separated
-        separated_rows = sum(rows for _, _, rows in separated)
-        incomplete = len(data[cfg.models[name].outcome]) - len(designs[name].rows_used) - separated_rows
+    mm_columns = ("estimate", "se", "ci_low", "ci_high")
+    fits, model_rows, diagnostic_rows, mm_rows = [], [], [], []
+    for name, spec in cfg.models.items():
+        design = None  # rows are made right after each fit, so one design is alive at a time
+        try:
+            design = build_design(data, spec)
+            fit = fit_model(design)
+        except NovascapeError as exc:
+            fits.append((name, None))
+            log.error("model %s failed: %s", name, exc)
+            continue
+        fits.append((name, fit))
+        model_rows += [{"model": name, "term": row["term"], **{k: f"{row[k]:.6g}" for k in fit_columns}}
+                       for row in fit_rows(fit)]
+        separated_rows = sum(rows for _, _, rows in design.separated)
+        incomplete = len(data[spec.outcome]) - len(design.rows_used) - separated_rows
         diagnostic_rows.append(dict(zip(diagnostic_columns, (
             name, fit.family, fit.n_obs, incomplete,
-            "; ".join(f"{fe}={level} ({rows} rows)" for fe, level, rows in separated),
+            "; ".join(f"{fe}={level} ({rows} rows)" for fe, level, rows in design.separated),
             separated_rows, fit.n_iter, f"{fit.max_score:.3g}", f"{fit.log_likelihood:.6f}"))))
-    _write_table(out / "model_diagnostics.csv", diagnostic_rows, diagnostic_columns)
+        if "crowdfunded" in fit.columns:
+            mm_rows += [{"model": name, "crowdfunded": int(mm.level),
+                         **{k: f"{getattr(mm, k):.6f}" for k in mm_columns}}
+                        for mm in marginal_means(fit, design.X, "crowdfunded", (0.0, 1.0))]
+    failures = sum(fit is None for _, fit in fits)
 
-    mm_columns = ("estimate", "se", "ci_low", "ci_high")
-    mm_rows = [
-        {"model": name, "crowdfunded": int(mm.level), **{k: f"{getattr(mm, k):.6f}" for k in mm_columns}}
-        for name, fit in fitted if "crowdfunded" in fit.columns
-        for mm in marginal_means(fit, designs[name].X, "crowdfunded", (0.0, 1.0))
-    ]
+    _write_table(out / "models.csv", model_rows, ["model", "term", *fit_columns])
+    with atomic_write(out / "models.txt") as tmp:
+        tmp.write_text(format_model_table(fits, reference=REFERENCE_CROWDFUNDED), encoding="utf-8")
+    _write_table(out / "model_diagnostics.csv", diagnostic_rows, diagnostic_columns)
     _write_table(out / "marginal_means.csv", mm_rows, ["model", "crowdfunded", *mm_columns])
 
     if untested or failures:

@@ -8,23 +8,23 @@ snapshots future-aware by construction, matching how the figures are built.
 A snapshot holds its plotted types only, and everything drawn or summarised
 from it (exports, SVG, share classes, centroids) reads those nodes.
 
-Type keys come from the corpus' packed uint64 words (corpus.pack_rows), so
-bit j of a key is feature j; each snapshot keys the corpus once, with one
-lexsort of the words, and makes Python integers of its plotted types only.
-Edges come from single-bit-flip hash lookups (O(nodes * dimension)), never
-from all-pairs comparison. Layout is Kamada-Kawai (Kamada & Kawai 1989), over
-breadth-first hop distances, on the final snapshot's main component with a
-seeded random start; earlier snapshots reuse those fixed positions so types
-do not move between frames. Its energy is NetworkX 3.6's _kamada_kawai_costfn,
-minimised and rescaled as NetworkX's kamada_kawai_layout does, bit for bit,
-with every (n, n) intermediate in buffers allocated once per layout. The
-components come from the edge list, and the main component's hop distances
-from numpy, all breadth-first searches at once. The minimiser is scipy's compiled L-BFGS-B
+Type keys come from the corpus' packed uint64 words (corpus.pack_rows), so bit j
+of a key is feature j; each snapshot keys the corpus once, with one lexsort of
+the words, and makes Python integers of its plotted types only. Edges come from
+single-bit flips of the plotted words, found by array lookups (flip_edges),
+never from all-pairs comparison. Layout is Kamada-Kawai (Kamada & Kawai 1989),
+over breadth-first hop distances, on the final snapshot's main component with a
+seeded random start; earlier snapshots reuse those fixed positions so types do
+not move between frames. Its energy is NetworkX 3.6's _kamada_kawai_costfn,
+minimised and rescaled as NetworkX's kamada_kawai_layout does, bit for bit, with
+every (n, n) intermediate in buffers allocated once per layout. The components
+come from the edge list, and the main component's hop distances from numpy, all
+breadth-first searches at once. The minimiser is scipy's compiled L-BFGS-B
 routine (Byrd, Lu, Nocedal & Zhu 1995), `_lbfgsb.setulb`, loaded from its
 extension file by `_compiled.routines` and driven as scipy 1.17's
 minimize(method="L-BFGS-B") drives it: importing scipy.optimize for it would
-cost 0.12-0.18 s, mostly in solvers the layout never calls. A scipy whose
-setulb has another signature takes scipy.optimize.minimize instead.
+cost 0.12-0.18 s, mostly in solvers the layout never calls. A scipy whose setulb
+has another signature takes scipy.optimize.minimize instead.
 """
 
 import functools
@@ -72,20 +72,28 @@ def pack_vector(bits) -> int:
 def _type_keys(matrix: np.ndarray):
     """(words, types): the packed words of each distinct row, in ascending key
     order, and each row's index into words; _keys turns words into keys."""
-    packed = pack_rows(matrix)
+    return _distinct(pack_rows(matrix))
+
+
+def _distinct(packed: np.ndarray):
+    """(rows, index): the distinct rows of packed uint64 words (k, w), in
+    ascending key order, and each row's index into them."""
     # the last word is the most significant and lexsort's primary key
     order = np.lexsort(packed.T)
     ordered = packed[order]
     new = np.ones(len(order), dtype=bool)
     new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    types = np.empty(len(order), dtype=np.intp)
-    types[order] = np.cumsum(new) - 1
-    return ordered[new], types
+    index = np.empty(len(order), dtype=np.intp)
+    index[order] = np.cumsum(new) - 1
+    return ordered[new], index
 
 
 def _keys(words: np.ndarray) -> list:
     """Each row of packed uint64 words as one int; bit j of the int is bit j of the row."""
-    return [int.from_bytes(row.tobytes(), "little") for row in words]
+    keys = words[:, -1].tolist()
+    for w in range(words.shape[1] - 2, -1, -1):
+        keys = [key << 64 | low for key, low in zip(keys, words[:, w].tolist())]
+    return keys
 
 
 def vector_bits(key: int, dimension: int) -> str:
@@ -153,34 +161,50 @@ def build_landscape(
     first_years = np.full(len(words), np.iinfo(np.int64).max)
     np.minimum.at(first_years, snapshot_types, years)
     plotted = np.flatnonzero((totals > 0) & (corpus_counts >= min_type_count))
+    words = words[plotted]
     nodes = {
-        key: TypeNode(key=key, total_count=total, crowdfunded_count=cf_count, first_year=first_year)
+        key: TypeNode(key, total, cf_count, first_year)
         for key, total, cf_count, first_year in zip(
-            _keys(words[plotted]), totals[plotted].tolist(), cf_counts[plotted].tolist(),
+            _keys(words), totals[plotted].tolist(), cf_counts[plotted].tolist(),
             first_years[plotted].tolist())
     }
     return LandscapeGraph(
         snapshot_year=up_to_year,
         dimension=dim,
         nodes=nodes,
-        edges=flip_edges(tuple(nodes), dim),
+        edges=flip_edges(words, dim),
     )
 
 
-def flip_edges(keys: Sequence[int], dimension: int) -> Tuple[Tuple[int, int], ...]:
-    """All Hamming-1 pairs among keys via single-bit-flip lookups.
+def flip_edges(words: np.ndarray, dimension: int) -> Tuple[Tuple[int, int], ...]:
+    """All Hamming-1 pairs, as sorted (smaller, larger) int key pairs, among the distinct
+    rows of packed words (k, ceil(dimension / 64)) in ascending key order (_type_keys).
 
-    O(len(keys) * dimension) hash probes; each pair found once by emitting
-    only when the flipped key is larger.
+    Per word, each row's word is XORed with all its bits at once; only clear bits are
+    flipped, so a pair is found once, from its smaller row. A flip whose Fibonacci hash
+    no row's word has (in about 16 slots per row) is no row's; the rows the other flips
+    make are sorted in with the rows, and each that lands on a row is an edge.
     """
-    key_set = set(keys)
-    edges = []
-    for key in keys:
-        for j in range(dimension):
-            other = key ^ (1 << j)
-            if other > key and other in key_set:
-                edges.append((key, other))
-    return tuple(sorted(edges))
+    k, n_words = words.shape
+    bits = max(k, 1).bit_length() + 4
+    phi, shift = np.uint64(0x9E3779B97F4A7C15), np.uint64(64 - bits)
+    found = []
+    for w in range(n_words):
+        column = words[:, w : w + 1]
+        seen = np.zeros(1 << bits, dtype=bool)
+        seen[column * phi >> shift] = True
+        flipped = column ^ (np.uint64(1) << np.arange(min(64, dimension - 64 * w), dtype=np.uint64))
+        kept = seen[(flipped * phi >> shift).view(np.int64)] & (flipped > column)
+        rows, bit = np.divmod(np.flatnonzero(kept), flipped.shape[1])
+        made = words[rows]
+        made[:, w] = flipped[rows, bit]
+        index = _distinct(np.concatenate((words, made)))[1]
+        row_of = np.full(k + len(rows), -1)
+        row_of[index[:k]] = np.arange(k)
+        partner = row_of[index[k:]]
+        found.append(np.column_stack((rows[partner >= 0], partner[partner >= 0])))
+    keys = _keys(words)
+    return tuple(sorted((keys[u], keys[v]) for u, v in np.concatenate(found).tolist()))
 
 
 def layout(

@@ -211,14 +211,14 @@ def _distance_sums(bits: np.ndarray, n: int, counts: np.ndarray) -> np.ndarray:
 
 
 def _sign_rows(bits: np.ndarray) -> np.ndarray:
-    """0/1 rows (k, d) as float32 rows of 2b - 1, the operands of the novelty scan."""
+    """A 0/1 array as float32 2b - 1 of the same layout, the operands of the novelty scan."""
     signs = np.multiply(bits, np.float32(2), dtype=np.float32)
     signs -= 1
     return signs
 
 
-def _min_distances(focal: np.ndarray, window: np.ndarray) -> np.ndarray:
-    """Minimum Hamming distance from each focal sign row to the (non-empty) window of sign rows.
+def _min_distances(focal: np.ndarray, window_t: np.ndarray) -> np.ndarray:
+    """Minimum Hamming distance from each focal sign row to the (non-empty) window of sign rows, transposed (d, n).
 
     Rows at Hamming distance h have dot product d - 2h, so the nearest window
     row is the one with the largest product. The products are taken in
@@ -227,14 +227,13 @@ def _min_distances(focal: np.ndarray, window: np.ndarray) -> np.ndarray:
     running maximum.
     """
     best = np.empty(len(focal), dtype=np.float32)
-    buffer = np.empty(min(len(focal), NOVELTY_BLOCK_ROWS) * min(len(window), NOVELTY_TILE_ROWS),
-                      dtype=np.float32)
+    buffer = np.empty(min(len(focal), NOVELTY_BLOCK_ROWS) * min(window_t.shape[1], NOVELTY_TILE_ROWS), np.float32)
     for lo in range(0, len(focal), NOVELTY_BLOCK_ROWS):
         block = focal[lo : lo + NOVELTY_BLOCK_ROWS]
         top = best[lo : lo + len(block)]
-        for w_lo in range(0, len(window), NOVELTY_TILE_ROWS):
-            tile = window[w_lo : w_lo + NOVELTY_TILE_ROWS]
-            dots = np.matmul(block, tile.T, out=buffer[: len(block) * len(tile)].reshape(len(block), len(tile)))
+        for w_lo in range(0, window_t.shape[1], NOVELTY_TILE_ROWS):
+            tile = window_t[:, w_lo : w_lo + NOVELTY_TILE_ROWS]
+            dots = np.matmul(block, tile, out=buffer[: len(block) * tile.shape[1]].reshape(len(block), -1))
             if w_lo:
                 np.maximum(top, dots.max(axis=1), out=top)
             else:
@@ -249,13 +248,14 @@ def _year_minima(records: RecordSet, max_span: int):
     scans its comparison years within max_span once for all spans, newest
     first, keeping the running minimum. A row already at distance 0 cannot
     get closer, so older years are scanned only for the rows still above 0.
-    Each year becomes sign rows once, and only the years a later focal year
-    still compares against are kept.
+    Each year's sign rows are made once, as the contiguous (d, n) operand of
+    later years' scans; only the years a later focal year compares against are kept.
     """
     signs = {}
     for year, focal_rows in sorted(records.year_rows.items()):
         signs = {y: s for y, s in signs.items() if y >= year - max_span}
-        focal = signs[year] = _sign_rows(records.matrix[focal_rows])
+        signs[year] = _sign_rows(np.ascontiguousarray(records.matrix[focal_rows].T))
+        focal = signs[year].T
         mins = np.full(len(focal_rows), focal.shape[1] + 1)
         running = {}
         for y in sorted((y for y in signs if y < year), reverse=True):

@@ -555,8 +555,8 @@ def _check_rank(X: np.ndarray, r: np.ndarray, perm: np.ndarray, columns) -> None
         raise RankDeficient(tuple(columns[j] for j in sorted(perm[rank:])))
 
 
-def _sandwich(X: np.ndarray, resid: np.ndarray, bread: np.ndarray, robust: str) -> np.ndarray:
-    meat = (X * (resid**2)[:, None]).T @ X
+def _sandwich(X: np.ndarray, resid: np.ndarray, bread: np.ndarray, robust: str, work: np.ndarray) -> np.ndarray:
+    meat = np.multiply(X, (resid**2)[:, None], out=work).T @ X
     cov = bread @ meat @ bread
     if robust == "hc1":
         n, k = X.shape
@@ -628,10 +628,12 @@ def fit_arrays(family: str, X, y, robust: str = "hc1", columns: Optional[Sequenc
     n_iter, max_score = 0, 0.0
     if family == FAMILY_OLS:
         beta, resid, bread, r2, ll = _ols(X, y, q, r, perm)
-    else:
-        beta, resid, bread, r2, ll, n_iter, max_score = _newton(family, X, y)
+    del q  # freed before the n x k buffer of the weighted products is made
+    work = np.empty_like(X)
+    if family != FAMILY_OLS:
+        beta, resid, bread, r2, ll, n_iter, max_score = _newton(family, X, y, work)
     n, k = X.shape
-    return FitResult(family=family, columns=columns, beta=beta, cov=_sandwich(X, resid, bread, robust),
+    return FitResult(family=family, columns=columns, beta=beta, cov=_sandwich(X, resid, bread, robust, work),
                      r_squared=r2, n_obs=n, log_likelihood=ll, robust=robust, df_resid=n - k,
                      n_iter=n_iter, max_score=max_score)
 
@@ -681,9 +683,10 @@ def _null_ll(family: str, y: np.ndarray, log_y_factorial: float) -> float:
     return float((y * math.log(lam) - lam).sum()) - log_y_factorial
 
 
-def _newton(family: str, X: np.ndarray, y: np.ndarray):
+def _newton(family: str, X: np.ndarray, y: np.ndarray, work: np.ndarray):
     """(beta, residuals y - mu, inverse information, McFadden R², log-likelihood,
-    Newton steps, max |score|) of a logistic or Poisson fit by Newton/IRLS.
+    Newton steps, max |score|) of a logistic or Poisson fit by Newton/IRLS,
+    with each weighted X written into the n x k `work`.
 
     The outcome is checked first: NumericError unless it is 0/1 or counts,
     SeparationError if it is constant (logistic) or all zero (Poisson).
@@ -705,7 +708,7 @@ def _newton(family: str, X: np.ndarray, y: np.ndarray):
         max_score = float(np.abs(score).max())
         if max_score < SCORE_TOL:
             break
-        a = (X * np.maximum(w, 1e-12)[:, None]).T @ X
+        a = np.multiply(X, np.maximum(w, 1e-12)[:, None], out=work).T @ X
         try:
             step = np.linalg.solve(a, score)
         except np.linalg.LinAlgError as exc:
@@ -739,7 +742,7 @@ def _newton(family: str, X: np.ndarray, y: np.ndarray):
     # one evaluation at the final beta gives the reported score and the bread
     mu, w = _glm_mu_w(family, eta)
     max_score = float(np.abs(X.T @ (y - mu)).max())
-    bread = np.linalg.inv((X * np.maximum(w, 1e-12)[:, None]).T @ X)
+    bread = np.linalg.inv(np.multiply(X, np.maximum(w, 1e-12)[:, None], out=work).T @ X)
     ll0 = _null_ll(family, y, log_y_factorial)
     pseudo_r2 = 1.0 - ll / ll0 if ll0 != 0 else 0.0
     return beta, y - mu, bread, pseudo_r2, ll, it, max_score
@@ -775,13 +778,14 @@ def marginal_means(
     j = fit.columns.index(focal)
     crit = stdtrit(fit.df_resid, 0.975) if fit.family == FAMILY_OLS else ndtri(0.975)
     out = []
+    Xa = np.empty_like(X)  # each level's X, then its derivative-weighted X
     for level in levels:
-        Xa = X.copy()
+        np.copyto(Xa, X)
         Xa[:, j] = level
         eta = Xa @ fit.beta
         pred, dmu = (eta, np.ones(len(eta))) if fit.family == FAMILY_OLS else _glm_mu_w(fit.family, eta)
         m = float(pred.mean())
-        grad = (Xa * dmu[:, None]).mean(axis=0)
+        grad = np.multiply(Xa, dmu[:, None], out=Xa).mean(axis=0)
         var = float(grad @ fit.cov @ grad)
         se = math.sqrt(max(var, 0.0))
         lo, hi = m - crit * se, m + crit * se
@@ -797,7 +801,7 @@ def describe(
     variables: Sequence[Tuple[str, str]] = DESCRIBE_VARIABLES,
 ) -> List[dict]:
     """Count/mean/std/min/quartiles/max per variable; NaNs dropped per
-    variable, std on the n-1 denominator, percentiles linearly interpolated."""
+    variable, std on the n-1 denominator, quartiles np.percentile's (_quartiles)."""
     rows = []
     for column, label in variables:
         if column not in data:
@@ -808,7 +812,7 @@ def describe(
         if n == 0:
             rows.append({"variable": label, "count": 0})
             continue
-        q25, q50, q75 = np.percentile(values, (25, 50, 75))
+        q25, q50, q75 = _quartiles(values)
         rows.append(
             {
                 "variable": label,
@@ -823,6 +827,19 @@ def describe(
             }
         )
     return rows
+
+
+def _quartiles(values: np.ndarray) -> np.ndarray:
+    """np.percentile(values, (25, 50, 75)) of finite floats, bit for bit, without its
+    np.unique, which imports numpy.ma: numpy 2's linear rule at index q * (n - 1),
+    from one partition at the same order statistics, and its _lerp's t >= 0.5 branch."""
+    n = len(values)
+    index = (n - 1) * np.array([0.25, 0.5, 0.75])
+    lower = np.where(index >= n - 1, -1, np.floor(index)).astype(np.intp)
+    upper = np.where(index >= n - 1, -1, lower + 1)
+    ordered = np.partition(values, sorted({0, -1, *lower.tolist(), *upper.tolist()}))
+    a, b, t = ordered[lower], ordered[upper], index - lower
+    return np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t)
 
 
 # ---------------------------------------------------------------------------

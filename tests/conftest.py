@@ -1,4 +1,4 @@
-"""Shared builders for compact in-memory corpora, and the Hamming oracles the tests share."""
+"""Shared builders for compact in-memory corpora, and the Hamming and edge oracles the tests share."""
 
 import os
 
@@ -103,6 +103,27 @@ def xor_min_distances(focal: np.ndarray, window: np.ndarray) -> np.ndarray:
             dist += np.bitwise_count(block[:, w : w + 1] ^ columns[w])
         out[lo : lo + len(block)] = dist.min(axis=1)
     return out
+
+
+def key_words(keys, dimension: int) -> np.ndarray:
+    """Int keys in ascending order as (k, ceil(dimension / 64)) uint64 words,
+    the layout landscape._type_keys gives a snapshot's types in."""
+    n_words = -(-dimension // 64)
+    return np.array([[key >> (64 * w) & (2**64 - 1) for w in range(n_words)] for key in sorted(keys)],
+                    dtype=np.uint64).reshape(len(keys), n_words)
+
+
+def flip_edges_loop(keys, dimension: int) -> tuple:
+    """Sorted Hamming-1 pairs (u, v), u < v, among int keys, from a set probe per
+    key and bit: the loop landscape.flip_edges's array lookups are checked against."""
+    key_set = set(keys)
+    edges = []
+    for key in keys:
+        for j in range(dimension):
+            other = key ^ (1 << j)
+            if other > key and other in key_set:
+                edges.append((key, other))
+    return tuple(sorted(edges))
 
 
 @pytest.fixture

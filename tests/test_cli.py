@@ -13,6 +13,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 from typing import Union, get_args, get_origin
 
@@ -749,6 +750,25 @@ class TestInMemoryReport:
         assert len(written) == 2 * len(EXPORT_FORMATS)
         assert all(rows is built[i // len(EXPORT_FORMATS)] for i, rows in enumerate(written))
 
+    def test_stats_holds_one_design_at_a_time(self, tmp_path):
+        # 12 years of fixed effects make the designs the largest arrays stats makes
+        records = generate_corpus(SynthConfig(dimension=12, year_start=2000, year_end=2011,
+                                              games_per_year=800, seed=5))
+        table = score_corpus(records, spans=(2,), last_complete_year=2011)
+        cfg = PipelineConfig(out_dir=str(tmp_path), spans=(2,), stats_span=2, last_complete_year=2011)
+        data = stats.join_scores(records, table, span=2)
+        largest = max(stats.build_design(data, spec).X.nbytes for spec in cfg.models.values())
+        joined = sum(column.nbytes for column in data.values())
+        del data
+        tracemalloc.start()
+        try:
+            assert cli.cmd_stats(cfg, records, table) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the joined table, one design, and one n x k buffer of the fit or the marginal means
+        assert peak < 3 * largest + joined, (peak, largest, joined)
+
     def test_library_path_builds_no_record_view(self, tmp_path, monkeypatch):
         built = []
 
@@ -857,8 +877,10 @@ class TestConsoleEntry:
         without loading scipy.stats, networkx or any scipy package whose
         compiled routines the package loads directly (scipy.linalg,
         scipy.special, scipy.optimize) or replaced (scipy.sparse), nor the
-        array-API layer they bring; this process cannot tell, because the
-        test oracles import them. The landscape files show that the layout ran."""
+        array-API layer they bring, nor scipy itself or scipy._lib, whose
+        __init__.py those loads skip, nor numpy.ma, which np.percentile
+        imports; this process cannot tell, because the test oracles import
+        them. The landscape files show that the layout ran."""
         out = tmp_path / "run"
         cfg = write_config(tmp_path, {
             "out_dir": str(out),
@@ -869,8 +891,8 @@ class TestConsoleEntry:
             "import sys\n"
             "import novascape\n"
             "from novascape.cli import main, recovery_seed\n"
-            "unwanted = ('networkx', 'scipy.stats', 'scipy.linalg', 'scipy.special', 'scipy.optimize',\n"
-            "            'scipy.sparse', 'scipy._lib._array_api', 'numpy.f2py')\n"
+            "unwanted = ('networkx', 'scipy', 'scipy._lib', 'scipy.stats', 'scipy.linalg', 'scipy.special',\n"
+            "            'scipy.optimize', 'scipy.sparse', 'scipy._lib._array_api', 'numpy.f2py', 'numpy.ma')\n"
             "recovery_seed(0, 2.0)\n"
             "loaded = [m for m in unwanted if m in sys.modules]\n"
             "assert not loaded, f'a Monte-Carlo seed imported {loaded}'\n"

@@ -50,6 +50,27 @@ def test_fresh_interpreter_loads_leave_sys_modules_as_found():
     assert proc.returncode == 0, proc.stderr[-2000:]
 
 
+def test_cold_loads_run_no_scipy_init_file():
+    # scipy not imported at all: the top-level package and scipy._lib are stubbed too,
+    # so no scipy __init__.py is opened, and the stubs are gone after the loads
+    child = (
+        "import sys\n"
+        "opened = []\n"
+        "sys.addaudithook(lambda event, args: opened.append(str(args[0])) if event == 'open' else None)\n"
+        "from novascape._compiled import extension\n"
+        "before = set(sys.modules)\n"
+        f"assert all(extension(relpath) for relpath in {[relpath for relpath, _, _ in LOADED]!r})\n"
+        "assert set(sys.modules) == before, sorted(set(sys.modules) ^ before)\n"
+        "scipy_files = [path for path in opened if 'scipy' in path]\n"
+        "assert scipy_files and not [path for path in scipy_files if '__init__' in path], scipy_files\n"
+        "import novascape.stats, scipy.special\n"
+        "assert novascape.stats.stdtrit is scipy.special.stdtrit\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
 def test_imported_module_is_reused():
     assert extension("linalg/_flapack") is sys.modules["scipy.linalg._flapack"]
 

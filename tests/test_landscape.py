@@ -5,6 +5,7 @@ the library's bit-flip construction.
 """
 
 import csv
+import functools
 import io
 import itertools
 import json
@@ -20,7 +21,7 @@ import pytest
 from scipy.optimize import minimize, rosen, rosen_der
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components, shortest_path
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from novascape.corpus import pack_rows
@@ -55,7 +56,7 @@ from novascape.landscape import (
     vector_bits,
 )
 
-from conftest import make_record, make_recordset, make_registry, recordset_of
+from conftest import flip_edges_loop, key_words, make_record, make_recordset, make_registry, recordset_of
 from novascape.synth import SynthConfig, generate_corpus
 
 
@@ -66,6 +67,19 @@ def oracle_edges(keys):
         if (a ^ b).bit_count() == 1:
             out.add((min(a, b), max(a, b)))
     return out
+
+
+@st.composite
+def flip_key_sets(draw):
+    """(d, keys): up to 40 distinct keys of d bits, each a drawn centre with up
+    to two bits flipped, so that flips find one another; bits 0, 63, 64 and 127
+    are drawn often, so keys differ in a word's lowest and top bits."""
+    dimension = draw(st.sampled_from((1, 16, 51, 63, 64, 65, 130)))
+    centres = draw(st.lists(st.integers(0, 2**dimension - 1), min_size=1, max_size=3))
+    bit = st.one_of(st.sampled_from([b for b in (0, 63, 64, 127) if b < dimension]), st.integers(0, dimension - 1))
+    key = st.builds(lambda centre, bits: functools.reduce(lambda k, b: k ^ 1 << b, bits, centre),
+                    st.sampled_from(centres), st.lists(bit, max_size=2))
+    return dimension, draw(st.sets(key, max_size=40))
 
 
 class TestPacking:
@@ -144,7 +158,20 @@ class TestEdges:
     @settings(max_examples=80, deadline=None)
     @given(st.sets(st.integers(0, 2**10 - 1), min_size=0, max_size=60))
     def test_flip_edges_matches_all_pairs_oracle(self, keys):
-        assert set(flip_edges(sorted(keys), 10)) == oracle_edges(keys)
+        assert set(flip_edges(key_words(keys, 10), 10)) == oracle_edges(keys)
+
+    @settings(max_examples=300, deadline=None)
+    @given(flip_key_sets())
+    @example((1, set()))
+    @example((64, {0}))
+    @example((130, {0}))
+    @example((65, {0, 1 << 63, 1 << 64, 1 << 63 | 1 << 64}))
+    @example((130, {2**130 - 1, 2**130 - 1 ^ 1 << 127, 2**130 - 1 ^ 1 << 63}))
+    def test_flip_edges_equal_the_flip_loop(self, case):
+        dimension, keys = case
+        edges = flip_edges(key_words(keys, dimension), dimension)
+        assert edges == flip_edges_loop(sorted(keys), dimension)
+        assert all(type(key) is int for edge in edges for key in edge)
 
     def test_edges_restricted_to_plotted(self):
         rs = make_recordset(
@@ -207,7 +234,7 @@ class TestLayout:
         graph = LandscapeGraph(
             snapshot_year=2010, dimension=dimension,
             nodes={k: TypeNode(key=k, total_count=1, crowdfunded_count=0, first_year=2010) for k in keys},
-            edges=flip_edges(keys, dimension),
+            edges=flip_edges(key_words(keys, dimension), dimension),
         )
         g = nx.Graph()
         g.add_nodes_from(keys)

@@ -389,7 +389,7 @@ class TestProductKernel:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(metrics, "NOVELTY_BLOCK_ROWS", block)
                 mp.setattr(metrics, "NOVELTY_TILE_ROWS", tile)
-                got = {(year, y): metrics._min_distances(signs[year], signs[y]) for year, y in per_year}
+                got = {(year, y): metrics._min_distances(signs[year], signs[y].T.copy()) for year, y in per_year}
                 got_running = {(year, y): mins for year, _, minima in metrics._year_minima(rs, max_span)
                                for y, mins in minima.items()}
             for pair, mins in per_year.items():
@@ -405,7 +405,7 @@ class TestProductKernel:
         focal = (rng.random((focal_rows, 300)) < rng.choice([0.02, 0.5], (focal_rows, 1))).astype(np.uint8)
         window = (rng.random((window_rows, 300)) < 0.98).astype(np.uint8)
         want = xor_min_distances(focal, window)
-        got = metrics._min_distances(metrics._sign_rows(focal), metrics._sign_rows(window))
+        got = metrics._min_distances(metrics._sign_rows(focal), metrics._sign_rows(window).T.copy())
         assert np.array_equal(got, want)
         assert want.min() < 200 < 255 < want.max()
 

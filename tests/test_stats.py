@@ -1024,6 +1024,18 @@ class TestDescribe:
         assert row["count"] == 2
         assert row["mean"] == 2.0
 
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from((0.0, -0.0, 1.0, -1.0, 1e-300, -1e-300, 1e300, -1e300)),
+                              st.floats(-1e300, 1e300)), min_size=1, max_size=200))
+    def test_quartiles_equal_numpy_percentile_bit_for_bit(self, values):
+        # ties, signed zeros and magnitudes from 1e-300 to 1e300 drawn often; describe's
+        # std would overflow at 1e300, so its quartile routine is called directly
+        values = np.array(values)
+        before = values.copy()
+        assert stats._quartiles(values).tobytes() == np.percentile(values, (25, 50, 75)).tobytes()
+        # describe's mean and std read the values in their order afterwards
+        assert values.tobytes() == before.tobytes()
+
 
 class TestFormatting:
     def fitted_columns(self):
