@@ -8,7 +8,8 @@ Two arms over many seeds:
     coefficients in the distinctiveness OLS estimates the false-positive rate,
     which should sit near alpha.
 
-Seeds run in parallel, one worker process per CPU.
+Seeds run in parallel, one worker process per CPU, each on one BLAS thread
+unless the environment sets the thread variables.
 
 Usage:
     python3 scripts/effect_recovery.py --seeds 100 --null-seeds 200
@@ -16,12 +17,19 @@ Usage:
 
 import argparse
 import multiprocessing
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
-from novascape.cli import RECOVERY_MODELS, recovery_seed
+# one BLAS thread before numpy loads, in this process and in every spawn worker
+# (which imports this module again): a seed's fits are too small to gain from
+# a second thread, and the workers already fill the CPUs
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+from novascape.cli import RECOVERY_MODELS, recovery_seed  # noqa: E402
 
 
 def parse_args(argv=None):
@@ -68,7 +76,8 @@ def run(argv=None) -> int:
           f"{false_pos}/{args.null_seeds} = {fpr:.3f}")
     print(f"elapsed {time.time() - t0:.1f}s")
 
-    ok = recovered >= 0.95 * args.seeds and 0.02 <= fpr <= 0.08
+    # the false-positive criterion holds only when null seeds ran
+    ok = recovered >= 0.95 * args.seeds and (not args.null_seeds or 0.02 <= fpr <= 0.08)
     return 0 if ok else 1
 
 

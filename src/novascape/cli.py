@@ -367,7 +367,7 @@ def cmd_landscape(cfg: PipelineConfig, records: Optional[RecordSet] = None) -> i
     if late:
         raise ConfigError(f"snapshot years {late} come after the corpus's final year {final_year}")
     years = tuple(sorted(settings.snapshot_years)) or (final_year,)
-    graphs = [build_landscape(records, up_to_year=y, min_type_count=settings.min_type_count) for y in years]
+    graphs = build_landscape(records, years, settings.min_type_count)
     log.info("landscape layout seed: %d", settings.seed)
     # one layout of the final snapshot; exports, SVGs and centroids keep only
     # the positions of each snapshot's plotted nodes
@@ -480,7 +480,7 @@ def cmd_stats(
         if "crowdfunded" in fit.columns:
             mm_rows += [{"model": name, "crowdfunded": int(mm.level),
                          **{k: f"{getattr(mm, k):.6f}" for k in mm_columns}}
-                        for mm in marginal_means(fit, design.X, "crowdfunded", (0.0, 1.0))]
+                        for mm in marginal_means(fit, design.X, "crowdfunded")]
     failures = sum(fit is None for _, fit in fits)
 
     _write_table(out / "models.csv", model_rows, ["model", "term", *fit_columns])

@@ -5,21 +5,23 @@ exactly one feature. Snapshots are cumulative: the landscape at year Y covers
 every record published up to Y. Only types implemented by at least
 min_type_count records in the whole corpus are plotted; this makes early
 snapshots future-aware by construction, matching how the figures are built.
-A snapshot holds its plotted types only, and everything drawn or summarised
-from it (exports, SVG, share classes, centroids) reads those nodes.
+A snapshot holds its plotted types only, as columns in ascending key order,
+and everything drawn or summarised from it (exports, SVG, share classes,
+centroids) reads those columns.
 
 Type keys come from the corpus' packed uint64 words (corpus.pack_rows), so bit j
-of a key is feature j; each snapshot keys the corpus once, with one lexsort of
-the words, and makes Python integers of its plotted types only. Edges come from
-single-bit flips of the plotted words, found by array lookups (flip_edges),
-never from all-pairs comparison. Layout is Kamada-Kawai (Kamada & Kawai 1989),
-over breadth-first hop distances, on the final snapshot's main component with a
-seeded random start; earlier snapshots reuse those fixed positions so types do
-not move between frames. Its energy is NetworkX 3.6's _kamada_kawai_costfn,
-minimised and rescaled as NetworkX's kamada_kawai_layout does, bit for bit, with
-every (n, n) intermediate in buffers allocated once per layout. The components
-come from the edge list, and the main component's hop distances from numpy, all
-breadth-first searches at once. The minimiser is scipy's compiled L-BFGS-B
+of a key is feature j; a report keys and counts the corpus once, with one lexsort
+of the words, and makes Python integers of each snapshot's plotted types only.
+Edges are index pairs into a snapshot's columns, found by array lookups over
+single-bit flips of the plotted words (flip_edges), never by all-pairs
+comparison. Layout is Kamada-Kawai (Kamada & Kawai 1989), over breadth-first hop
+distances, on the final snapshot's main component with a seeded random start;
+earlier snapshots reuse those fixed positions so types do not move between
+frames. Its energy is NetworkX 3.6's _kamada_kawai_costfn, minimised and
+rescaled as NetworkX's kamada_kawai_layout does, bit for bit, with every (n, n)
+intermediate in buffers allocated once per layout. The components come from the
+edge list, and the main component's hop distances from numpy, all breadth-first
+searches at once. The minimiser is scipy's compiled L-BFGS-B
 routine (Byrd, Lu, Nocedal & Zhu 1995), `_lbfgsb.setulb`, loaded from its
 extension file by `_compiled.routines` and driven as scipy 1.17's
 minimize(method="L-BFGS-B") drives it: importing scipy.optimize for it would
@@ -64,11 +66,6 @@ SVG_SIZE = 720
 SVG_BASE_RADIUS = 3.0
 
 
-def pack_vector(bits) -> int:
-    """Pack a binary vector into an int key; bit j of the key is feature j."""
-    return _keys(pack_rows(np.asarray(bits, dtype=bool).reshape(1, -1)))[0]
-
-
 def _type_keys(matrix: np.ndarray):
     """(words, types): the packed words of each distinct row, in ascending key
     order, and each row's index into words; _keys turns words into keys."""
@@ -101,84 +98,69 @@ def vector_bits(key: int, dimension: int) -> str:
     return format(key, f"0{dimension}b")[::-1]
 
 
-@dataclass(frozen=True)
-class TypeNode:
-    key: int
-    total_count: int
-    crowdfunded_count: int
-    first_year: int
-
-    def __post_init__(self):
-        assert self.total_count >= 1
-        assert 0 <= self.crowdfunded_count <= self.total_count
-
-    @property
-    def cf_share(self) -> float:
-        return self.crowdfunded_count / self.total_count
-
-
-@dataclass
+@dataclass(eq=False)
 class LandscapeGraph:
-    """One cumulative snapshot: the plotted types up to snapshot_year (whole-corpus
-    count filter), keyed and ordered by type key, and their distance-1 edges."""
+    """One cumulative snapshot as columns in ascending key order: the plotted types
+    up to snapshot_year (whole-corpus count filter), their cumulative counts and
+    first years, and their distance-1 edges as an ascending (m, 2) array of
+    (smaller, larger) index pairs into the columns."""
 
     snapshot_year: int
     dimension: int
-    nodes: Dict[int, TypeNode]
-    edges: Tuple[Tuple[int, int], ...]
+    keys: Tuple[int, ...]
+    total_count: np.ndarray
+    crowdfunded_count: np.ndarray
+    first_year: np.ndarray
+    edges: np.ndarray
 
     def __post_init__(self):
-        for u, v in self.edges:
-            assert u < v and u in self.nodes and v in self.nodes
-            assert ((u ^ v).bit_count()) == 1
+        assert len(self.keys) == len(self.total_count) == len(self.crowdfunded_count) == len(self.first_year)
+        assert (self.total_count >= 1).all()
+        assert ((0 <= self.crowdfunded_count) & (self.crowdfunded_count <= self.total_count)).all()
+        for u, v in self.edges.tolist():
+            assert 0 <= u < v < len(self.keys) and (self.keys[u] ^ self.keys[v]).bit_count() == 1
 
     @property
-    def plotted(self) -> Tuple[int, ...]:
-        return tuple(self.nodes)
+    def cf_share(self) -> np.ndarray:
+        return self.crowdfunded_count / self.total_count
 
 
 def build_landscape(
     records: RecordSet,
-    up_to_year: int,
+    years: Sequence[int],
     min_type_count: int = DEFAULT_MIN_TYPE_COUNT,
-) -> LandscapeGraph:
-    """Cumulative landscape of the records published up to up_to_year: its plotted types.
+) -> List[LandscapeGraph]:
+    """One cumulative landscape per snapshot year, in the order given: the plotted
+    types of the records published up to that year.
 
     Node counts are cumulative to the snapshot year, but the plotted filter
     uses implementation counts over the whole corpus, so the plotted node set
-    can only grow across snapshots.
+    can only grow across snapshots. The corpus is keyed and counted once for
+    every snapshot; a type's first year in a snapshot that holds it is its
+    first year in the corpus.
     """
     if len(records) == 0:
         raise EmptyGraph("no records")
     dim = records.registry.dimension
     words, types = _type_keys(records.matrix)
-    corpus_counts = np.bincount(types, minlength=len(words))
-    in_snapshot = records.years <= up_to_year
-    snapshot_types, years = types[in_snapshot], records.years[in_snapshot]
-    totals = np.bincount(snapshot_types, minlength=len(words))
-    funded_types = snapshot_types[records.columns["crowdfunded"][in_snapshot]]
-    cf_counts = np.bincount(funded_types, minlength=len(words))
     first_years = np.full(len(words), np.iinfo(np.int64).max)
-    np.minimum.at(first_years, snapshot_types, years)
-    plotted = np.flatnonzero((totals > 0) & (corpus_counts >= min_type_count))
-    words = words[plotted]
-    nodes = {
-        key: TypeNode(key, total, cf_count, first_year)
-        for key, total, cf_count, first_year in zip(
-            _keys(words), totals[plotted].tolist(), cf_counts[plotted].tolist(),
-            first_years[plotted].tolist())
-    }
-    return LandscapeGraph(
-        snapshot_year=up_to_year,
-        dimension=dim,
-        nodes=nodes,
-        edges=flip_edges(words, dim),
-    )
+    np.minimum.at(first_years, types, records.years)
+    common = np.bincount(types, minlength=len(words)) >= min_type_count
+    graphs = []
+    for year in years:
+        in_snapshot = records.years <= year
+        plotted = np.flatnonzero(common & (first_years <= year))
+        totals, cf_counts = (np.bincount(types[rows], minlength=len(words))[plotted]
+                             for rows in (in_snapshot, in_snapshot & records.columns["crowdfunded"]))
+        graphs.append(LandscapeGraph(year, dim, tuple(_keys(words[plotted])), totals, cf_counts,
+                                     first_years[plotted], flip_edges(words[plotted], dim)))
+    return graphs
 
 
-def flip_edges(words: np.ndarray, dimension: int) -> Tuple[Tuple[int, int], ...]:
-    """All Hamming-1 pairs, as sorted (smaller, larger) int key pairs, among the distinct
-    rows of packed words (k, ceil(dimension / 64)) in ascending key order (_type_keys).
+def flip_edges(words: np.ndarray, dimension: int) -> np.ndarray:
+    """All Hamming-1 pairs among the distinct rows of packed words (k, ceil(dimension / 64))
+    in ascending key order (_type_keys), as an ascending (m, 2) array of (smaller, larger)
+    row indices.
 
     Per word, each row's word is XORed with all its bits at once; only clear bits are
     flipped, so a pair is found once, from its smaller row. A flip whose Fibonacci hash
@@ -203,8 +185,8 @@ def flip_edges(words: np.ndarray, dimension: int) -> Tuple[Tuple[int, int], ...]
         row_of[index[:k]] = np.arange(k)
         partner = row_of[index[k:]]
         found.append(np.column_stack((rows[partner >= 0], partner[partner >= 0])))
-    keys = _keys(words)
-    return tuple(sorted((keys[u], keys[v]) for u, v in np.concatenate(found).tolist()))
+    edges = np.concatenate(found)
+    return edges[np.lexsort((edges[:, 1], edges[:, 0]))]
 
 
 def layout(
@@ -225,13 +207,10 @@ def layout(
     finds no such routine does scipy.optimize.minimize run, to the same
     positions.
     """
-    plotted = graph.plotted
-    if not plotted:
+    if not graph.keys:
         raise EmptyGraph("no plotted nodes")
-    index = {k: i for i, k in enumerate(plotted)}
-    u, v = np.array([index[k] for edge in graph.edges for k in edge], dtype=np.intp).reshape(-1, 2).T
-    main, hops = _main_component(len(plotted), u, v)
-    keys = [plotted[i] for i in main.tolist()]
+    main, hops = _main_component(len(graph.keys), *graph.edges.T)
+    keys = [graph.keys[i] for i in main.tolist()]
     if len(keys) == 1:
         return {keys[0]: (0.0, 0.0)}
     start = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(len(keys), 2))
@@ -428,11 +407,11 @@ def centroids(
     Weight is the group's cumulative game count at each positioned type. A
     group with no games on positioned types has no centroid.
     """
-    positioned = [node for key, node in graph.nodes.items() if key in positions]
+    at = [i for i, key in enumerate(graph.keys) if key in positions]
     out = []
-    for group, weight in ((GROUP_CROWDFUNDED, lambda n: n.crowdfunded_count),
-                          (GROUP_TRADITIONAL, lambda n: n.total_count - n.crowdfunded_count)):
-        per_node = [(node.key, weight(node)) for node in positioned if weight(node)]
+    for group, weights in ((GROUP_CROWDFUNDED, graph.crowdfunded_count),
+                           (GROUP_TRADITIONAL, graph.total_count - graph.crowdfunded_count)):
+        per_node = [(graph.keys[i], w) for i, w in zip(at, weights[at].tolist()) if w]
         total = sum(w for _, w in per_node)
         if total == 0:
             out.append(None)
@@ -457,9 +436,8 @@ def classify_snapshots(
     ever_hot: set = set()
     for graph in sorted(graphs, key=lambda g: g.snapshot_year):
         classes = {
-            key: CLASS_CROWDFUNDED if node.cf_share >= cf_share_threshold
-            else CLASS_FORMER if key in ever_hot else CLASS_BASELINE
-            for key, node in graph.nodes.items()
+            key: CLASS_CROWDFUNDED if hot else CLASS_FORMER if key in ever_hot else CLASS_BASELINE
+            for key, hot in zip(graph.keys, (graph.cf_share >= cf_share_threshold).tolist())
         }
         out[graph.snapshot_year] = classes
         ever_hot.update(k for k, c in classes.items() if c == CLASS_CROWDFUNDED)
@@ -475,20 +453,23 @@ class ExportRows(NamedTuple):
 
 def export_rows(graph: LandscapeGraph, positions: Mapping[int, Tuple[float, float]]) -> ExportRows:
     """The export rows of the graph's positioned nodes and edges."""
-    nodes = [dict(zip(EXPORT_COLUMNS, (k, vector_bits(k, graph.dimension), node.total_count,
-                                       node.crowdfunded_count, node.cf_share, node.first_year,
-                                       float(positions[k][0]), float(positions[k][1]))))
-             for k, node in graph.nodes.items() if k in positions]
-    return ExportRows(nodes, tuple((u, v) for u, v in graph.edges if u in positions and v in positions))
+    keys, shown = graph.keys, np.array([key in positions for key in graph.keys], dtype=bool)
+    at = np.flatnonzero(shown)
+    columns = (graph.total_count, graph.crowdfunded_count, graph.cf_share, graph.first_year)
+    nodes = [dict(zip(EXPORT_COLUMNS, (keys[i], vector_bits(keys[i], graph.dimension), *row,
+                                       *map(float, positions[keys[i]]))))
+             for i, row in zip(at.tolist(), zip(*(column[at].tolist() for column in columns)))]
+    edges = graph.edges[shown[graph.edges].all(axis=1)].tolist()
+    return ExportRows(nodes, tuple((keys[u], keys[v]) for u, v in edges))
 
 
-def export_graph(graph: LandscapeGraph, rows: ExportRows, fmt: str, path, seed: Optional[int] = None) -> None:
+def export_graph(graph: LandscapeGraph, rows: ExportRows, fmt: str, path, seed: int) -> None:
     """Write the snapshot's export rows (see export_rows) with the graph's year and dimension.
 
     Formats: graphml, json, and csv (one row per node, no edges); svg is
     drawn by render_svg. Node attributes are count, cf_count, cf_share,
     first_year, x, y (plus the bit string, so files are self-describing);
-    graphml and json record the layout seed when given.
+    graphml and json record the layout seed.
     """
     if fmt not in EXPORT_FORMATS or fmt == "svg":
         raise ValueError(f"export_graph cannot write format {fmt!r}")
@@ -497,13 +478,12 @@ def export_graph(graph: LandscapeGraph, rows: ExportRows, fmt: str, path, seed: 
         write_csv_columns(path, EXPORT_COLUMNS, [map(itemgetter(name), rows.nodes) for name in EXPORT_COLUMNS])
         return
     meta = {"year": graph.snapshot_year, "dimension": graph.dimension}
-    seeded = {} if seed is None else {"layout_seed": int(seed)}
     if fmt == "graphml":
-        text = _graphml_text({**meta, **seeded}, rows.nodes, rows.edges)
+        text = _graphml_text({**meta, "layout_seed": int(seed)}, rows.nodes, rows.edges)
     else:
         # one string, one write: json.dump would write each of its small pieces
-        text = json.dumps({**meta, "nodes": rows.nodes, "edges": [list(e) for e in rows.edges], **seeded},
-                          indent=2) + "\n"
+        text = json.dumps({**meta, "nodes": rows.nodes, "edges": [list(e) for e in rows.edges],
+                           "layout_seed": int(seed)}, indent=2) + "\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(text)
 

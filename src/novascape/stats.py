@@ -764,9 +764,8 @@ def marginal_means(
     fit: FitResult,
     X: np.ndarray,
     focal: str,
-    levels: Sequence[float] = (0.0, 1.0),
 ) -> Tuple[MarginalMean, ...]:
-    """Average adjusted prediction at each focal level, with delta-method
+    """Average adjusted prediction at focal levels 0 and 1, with delta-method
     95% intervals from the robust covariance.
 
     Every observation's focal column is forced to the level and predictions
@@ -779,7 +778,7 @@ def marginal_means(
     crit = stdtrit(fit.df_resid, 0.975) if fit.family == FAMILY_OLS else ndtri(0.975)
     out = []
     Xa = np.empty_like(X)  # each level's X, then its derivative-weighted X
-    for level in levels:
+    for level in (0.0, 1.0):
         np.copyto(Xa, X)
         Xa[:, j] = level
         eta = Xa @ fit.beta

@@ -12,6 +12,7 @@ import pytest  # noqa: E402
 
 from novascape.corpus import CONTROLS, FeatureRegistry, Record, RecordSet, pack_rows  # noqa: E402
 from novascape.errors import DimensionError  # noqa: E402
+from novascape.landscape import _keys  # noqa: E402
 
 
 def make_registry(dimension: int) -> FeatureRegistry:
@@ -111,6 +112,11 @@ def key_words(keys, dimension: int) -> np.ndarray:
     n_words = -(-dimension // 64)
     return np.array([[key >> (64 * w) & (2**64 - 1) for w in range(n_words)] for key in sorted(keys)],
                     dtype=np.uint64).reshape(len(keys), n_words)
+
+
+def key_of(bits) -> int:
+    """The landscape's int key of one binary vector: bit j of the key is feature j."""
+    return _keys(pack_rows(np.asarray(bits, dtype=bool).reshape(1, -1)))[0]
 
 
 def flip_edges_loop(keys, dimension: int) -> tuple:

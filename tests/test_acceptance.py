@@ -190,6 +190,8 @@ class TestLandscapeEdges:
         t0 = time.perf_counter()
         edges = flip_edges(words, 51)
         build_time = time.perf_counter() - t0
+        # index pairs into the ascending keys, as int key pairs
+        edges = [(key_list[u], key_list[v]) for u, v in edges.tolist()]
 
         matrix = ((keys[:, None] >> np.arange(51)[None, :]) & 1).astype(np.uint8)
         oracle = set()

@@ -1,4 +1,4 @@
-"""The README demo writes the bytes recorded in tests/data/artifact_digests.json."""
+"""The README demo and report-large write the bytes recorded in tests/data/artifact_digests.json."""
 
 import hashlib
 import importlib.util
@@ -32,6 +32,14 @@ def test_demo_artifacts_match_the_manifest():
     digests = load_script()
     manifest = load_manifest_for_this_host(digests)
     actual = {f"demo-{seed}": digests.demo_digests(seed) for seed in digests.DEMO_SEEDS}
+    assert digests.differences(manifest["runs"], actual) == []
+
+
+def test_large_artifacts_match_the_manifest():
+    # report-large's d=51 corpus and its three snapshots, as `--check --large` runs them
+    digests = load_script()
+    manifest = load_manifest_for_this_host(digests)
+    actual = {f"large-{seed}": digests.large_digests(seed) for seed in digests.LARGE_SEEDS}
     assert digests.differences(manifest["runs"], actual) == []
 
 

@@ -700,32 +700,34 @@ class TestInMemoryReport:
                          ("parse_records", "synth_corpus.csv")]
         assert [name for name, _ in calls].count("layout") == 1
 
-    def test_report_keys_the_corpus_once_per_snapshot(self, tmp_path, monkeypatch):
-        calls, graphs = [], []
+    def test_report_keys_the_corpus_once_per_report(self, tmp_path, monkeypatch):
+        calls, built = [], []
 
-        def counting(name, fn):
-            def wrapper(*args, **kwargs):
-                calls.append(name)
-                return fn(*args, **kwargs)
+        def counting(name):
+            fn = getattr(landscape, name)
+
+            def wrapper(rows):
+                calls.append((name, len(rows)))
+                return fn(rows)
             return wrapper
 
         def keeping(fn):
             def wrapper(*args, **kwargs):
-                graphs.append(fn(*args, **kwargs))
-                return graphs[-1]
+                built.append(fn(*args, **kwargs))
+                return built[-1]
             return wrapper
 
-        monkeypatch.setattr(landscape, "_type_keys", counting("_type_keys", landscape._type_keys))
-        monkeypatch.setattr(landscape.TypeNode, "__post_init__",
-                            counting("TypeNode", landscape.TypeNode.__post_init__))
+        monkeypatch.setattr(landscape, "_type_keys", counting("_type_keys"))
+        monkeypatch.setattr(landscape, "_keys", counting("_keys"))
         monkeypatch.setattr(cli, "build_landscape", keeping(cli.build_landscape))
         payload = pipeline_payload(tmp_path / "run")
         payload["landscape"]["snapshot_years"] = [2008, 2009, 2011]
         assert main(["report", "--config", str(write_config(tmp_path, payload))]) == EXIT_OK
-        assert len(graphs) == 3
-        assert calls.count("_type_keys") == 3
-        # only the plotted types of each snapshot become nodes
-        assert calls.count("TypeNode") == sum(len(g.plotted) for g in graphs)
+        (graphs,) = built
+        assert [g.snapshot_year for g in graphs] == [2008, 2009, 2011]
+        assert [name for name, _ in calls].count("_type_keys") == 1
+        # only the plotted types of each snapshot become Python ints
+        assert sum(rows for name, rows in calls if name == "_keys") == sum(len(g.keys) for g in graphs) > 0
 
     def test_report_builds_export_rows_once_per_snapshot(self, tmp_path, monkeypatch):
         built, written = [], []
@@ -781,7 +783,6 @@ class TestInMemoryReport:
         monkeypatch.setattr(Record, "__init__", counting("Record", Record.__init__))
         monkeypatch.setattr(InnovationScores, "__init__",
                             counting("InnovationScores", InnovationScores.__init__))
-        monkeypatch.setattr(landscape, "pack_vector", counting("pack_vector", landscape.pack_vector))
         recovery_seed(0, 2.0)
         cfg = write_config(tmp_path, pipeline_payload(tmp_path / "run"))
         assert main(["report", "--config", str(cfg)]) == EXIT_OK

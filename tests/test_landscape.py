@@ -43,7 +43,6 @@ from novascape.landscape import (
     GROUP_CROWDFUNDED,
     GROUP_TRADITIONAL,
     LandscapeGraph,
-    TypeNode,
     build_landscape,
     centroids,
     classify_snapshots,
@@ -51,13 +50,31 @@ from novascape.landscape import (
     export_rows,
     flip_edges,
     layout,
-    pack_vector,
     render_svg,
     vector_bits,
 )
 
-from conftest import flip_edges_loop, key_words, make_record, make_recordset, make_registry, recordset_of
+from conftest import (flip_edges_loop, key_of, key_words, make_record, make_recordset, make_registry,
+                      recordset_of)
 from novascape.synth import SynthConfig, generate_corpus
+
+
+def snapshot(records, year, min_type_count):
+    """The graph of one snapshot year."""
+    (graph,) = build_landscape(records, [year], min_type_count)
+    return graph
+
+
+def key_pairs(edges, keys) -> tuple:
+    """Index pairs as int key pairs, through the keys in ascending order."""
+    keys = sorted(keys)
+    return tuple((keys[u], keys[v]) for u, v in edges.tolist())
+
+
+def columns_of(graph) -> dict:
+    """{key: (total_count, crowdfunded_count, first_year)} of the graph's types."""
+    return dict(zip(graph.keys, zip(graph.total_count.tolist(), graph.crowdfunded_count.tolist(),
+                                    graph.first_year.tolist())))
 
 
 def oracle_edges(keys):
@@ -85,55 +102,52 @@ def flip_key_sets(draw):
 class TestPacking:
     def test_round_trip(self):
         bits = [1, 0, 1, 1, 0]
-        key = pack_vector(bits)
+        key = key_of(bits)
         assert vector_bits(key, 5) == "10110"
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=51))
     def test_pack_unpack_identity(self, bits):
-        assert vector_bits(pack_vector(bits), len(bits)) == "".join(map(str, bits))
+        assert vector_bits(key_of(bits), len(bits)) == "".join(map(str, bits))
 
 
 class TestBuild:
     def test_two_nodes_no_edge(self):
         rs = make_recordset([("a", 2010, [1, 1, 0]), ("b", 2011, [1, 1, 0]), ("c", 2011, [0, 1, 1])])
-        g = build_landscape(rs, 2011, min_type_count=1)
-        assert len(g.nodes) == 2
-        counts = sorted(n.total_count for n in g.nodes.values())
-        assert counts == [1, 2]
-        assert g.edges == ()
+        g = snapshot(rs, 2011, 1)
+        assert len(g.keys) == 2
+        assert sorted(g.total_count.tolist()) == [1, 2]
+        assert g.edges.shape == (0, 2)
 
     def test_distance_one_pair_gets_edge(self):
         rs = make_recordset([("a", 2010, [1, 0]), ("b", 2011, [1, 1])])
-        g = build_landscape(rs, 2011, min_type_count=1)
+        g = snapshot(rs, 2011, 1)
         assert len(g.edges) == 1
 
     def test_counts_are_cumulative_to_snapshot(self):
         rs = make_recordset(
             [("a", 2010, [1, 1]), ("b", 2012, [1, 1]), ("c", 2014, [1, 1])]
         )
-        g = build_landscape(rs, 2012, min_type_count=1)
-        node = g.nodes[pack_vector([1, 1])]
-        assert node.total_count == 2
-        assert node.first_year == 2010
+        g = snapshot(rs, 2012, 1)
+        assert columns_of(g)[key_of([1, 1])] == (2, 0, 2010)
 
     def test_plotted_filter_uses_whole_corpus_counts(self):
         # one record by 2010 but six overall: plotted even in the early snapshot
         rows = [("e", 2010, [1, 1])] + [(f"l{i}", 2015, [1, 1]) for i in range(5)]
         rows += [("solo", 2010, [1, 0])]
         rs = make_recordset(rows)
-        g = build_landscape(rs, 2010, min_type_count=6)
-        assert g.plotted == (pack_vector([1, 1]),)
-        assert g.nodes[pack_vector([1, 1])].total_count == 1
+        g = snapshot(rs, 2010, 6)
+        assert g.keys == (key_of([1, 1]),)
+        assert g.total_count.tolist() == [1]
 
     def test_cf_counts_and_share(self):
         rs = make_recordset(
             [("a", 2010, [1, 1]), ("b", 2011, [1, 1])], crowdfunded=True
         )
-        g = build_landscape(rs, 2011, min_type_count=1)
-        node = g.nodes[pack_vector([1, 1])]
-        assert node.crowdfunded_count == 2
-        assert node.cf_share == 1.0
+        g = snapshot(rs, 2011, 1)
+        assert g.keys == (key_of([1, 1]),)
+        assert g.crowdfunded_count.tolist() == [2]
+        assert g.cf_share.tolist() == [1.0]
 
     def test_snapshot_monotonicity(self):
         rng = np.random.default_rng(7)
@@ -143,22 +157,21 @@ class TestBuild:
         ]
         rs = make_recordset(rows)
         years = [2008, 2012, 2017]
-        graphs = [build_landscape(rs, y, min_type_count=2) for y in years]
+        graphs = build_landscape(rs, years, min_type_count=2)
         for early, late in zip(graphs, graphs[1:]):
-            assert set(early.nodes) <= set(late.nodes)
-            assert set(early.plotted) <= set(late.plotted)
-            for key, node in early.nodes.items():
-                assert node.total_count <= late.nodes[key].total_count
+            assert set(early.keys) <= set(late.keys)
+            late_counts = columns_of(late)
+            for key, (total, _, _) in columns_of(early).items():
+                assert total <= late_counts[key][0]
         for g in graphs:
-            for node in g.nodes.values():
-                assert 0.0 <= node.cf_share <= 1.0
+            assert ((0.0 <= g.cf_share) & (g.cf_share <= 1.0)).all()
 
 
 class TestEdges:
     @settings(max_examples=80, deadline=None)
     @given(st.sets(st.integers(0, 2**10 - 1), min_size=0, max_size=60))
     def test_flip_edges_matches_all_pairs_oracle(self, keys):
-        assert set(flip_edges(key_words(keys, 10), 10)) == oracle_edges(keys)
+        assert set(key_pairs(flip_edges(key_words(keys, 10), 10), keys)) == oracle_edges(keys)
 
     @settings(max_examples=300, deadline=None)
     @given(flip_key_sets())
@@ -170,16 +183,17 @@ class TestEdges:
     def test_flip_edges_equal_the_flip_loop(self, case):
         dimension, keys = case
         edges = flip_edges(key_words(keys, dimension), dimension)
-        assert edges == flip_edges_loop(sorted(keys), dimension)
-        assert all(type(key) is int for edge in edges for key in edge)
+        # the index pairs in ascending order are the loop's sorted key pairs
+        assert key_pairs(edges, keys) == flip_edges_loop(sorted(keys), dimension)
+        assert edges.shape == (len(edges), 2) and edges.dtype.kind == "i"
 
     def test_edges_restricted_to_plotted(self):
         rs = make_recordset(
             [("a", 2010, [1, 0]), ("b", 2010, [1, 1]), ("c", 2010, [1, 1])]
         )
-        g = build_landscape(rs, 2010, min_type_count=2)
-        assert g.plotted == (pack_vector([1, 1]),)
-        assert g.edges == ()
+        g = snapshot(rs, 2010, 2)
+        assert g.keys == (key_of([1, 1]),)
+        assert g.edges.shape == (0, 2)
 
 
 class TestLayout:
@@ -192,31 +206,31 @@ class TestLayout:
 
     def test_deterministic(self):
         rs = self.path_graph_corpus()
-        g = build_landscape(rs, 2010, min_type_count=1)
+        g = snapshot(rs, 2010, 1)
         assert layout(g, seed=11) == layout(g, seed=11)
 
     def test_seed_changes_positions(self):
         rs = self.path_graph_corpus()
-        g = build_landscape(rs, 2010, min_type_count=1)
+        g = snapshot(rs, 2010, 1)
         assert layout(g, seed=11) != layout(g, seed=12)
 
     def test_path_spacing_within_20_percent(self):
         rs = self.path_graph_corpus()
-        g = build_landscape(rs, 2010, min_type_count=1)
+        g = snapshot(rs, 2010, 1)
         pos = layout(g, seed=3)
-        a, b, c = (pos[pack_vector(v)] for v in ([1, 0, 0], [1, 1, 0], [1, 1, 1]))
+        a, b, c = (pos[key_of(v)] for v in ([1, 0, 0], [1, 1, 0], [1, 1, 1]))
         ab = math.dist(a, b)
         bc = math.dist(b, c)
         assert abs(ab - bc) / max(ab, bc) < 0.2
 
     def test_single_node_at_origin(self):
         rs = make_recordset([("a", 2010, [1, 1])])
-        g = build_landscape(rs, 2010, min_type_count=1)
-        assert layout(g, seed=5) == {pack_vector([1, 1]): (0.0, 0.0)}
+        g = snapshot(rs, 2010, 1)
+        assert layout(g, seed=5) == {key_of([1, 1]): (0.0, 0.0)}
 
     def test_empty_plotted_raises(self):
         rs = make_recordset([("a", 2010, [1, 1])])
-        g = build_landscape(rs, 2010, min_type_count=99)
+        g = snapshot(rs, 2010, 99)
         with pytest.raises(EmptyGraph):
             layout(g, seed=5)
 
@@ -232,13 +246,13 @@ class TestLayout:
         keys = sorted(set(keys))
         assume(len(keys) > 1)
         graph = LandscapeGraph(
-            snapshot_year=2010, dimension=dimension,
-            nodes={k: TypeNode(key=k, total_count=1, crowdfunded_count=0, first_year=2010) for k in keys},
-            edges=flip_edges(key_words(keys, dimension), dimension),
+            snapshot_year=2010, dimension=dimension, keys=tuple(keys),
+            total_count=np.ones(len(keys), dtype=np.int64), crowdfunded_count=np.zeros(len(keys), dtype=np.int64),
+            first_year=np.full(len(keys), 2010), edges=flip_edges(key_words(keys, dimension), dimension),
         )
         g = nx.Graph()
         g.add_nodes_from(keys)
-        g.add_edges_from(graph.edges)
+        g.add_edges_from(key_pairs(graph.edges, keys))
         rng = np.random.default_rng(seed)
         start = {k: rng.uniform(-1.0, 1.0, size=2) for k in keys}
         raw = nx.kamada_kawai_layout(g, dist=dict(nx.shortest_path_length(g)), pos=start)
@@ -276,8 +290,8 @@ class TestLayout:
     def test_demo_sized_positions_equal_networkx_kamada_kawai(self):
         graph = demo_final_snapshot()
         g = nx.Graph()
-        g.add_nodes_from(graph.plotted)
-        g.add_edges_from(graph.edges)
+        g.add_nodes_from(graph.keys)
+        g.add_edges_from(key_pairs(graph.edges, graph.keys))
         main = sorted(max(nx.connected_components(g), key=len))
         assert len(main) > 150
         start = dict(zip(main, np.random.default_rng(42).uniform(-1.0, 1.0, size=(len(main), 2))))
@@ -289,21 +303,21 @@ class TestLayout:
         # {1, 9} and {4, 6} are two edges apart; 1 is the smallest key
         pairs = [[1, 0, 0, 0], [1, 0, 0, 1], [0, 0, 1, 0], [0, 1, 1, 0]]
         rs = make_recordset([(f"g{i}", 2010, bits) for i, bits in enumerate(pairs)])
-        pos = layout(build_landscape(rs, 2010, min_type_count=1), seed=3)
-        assert set(pos) == {pack_vector(pairs[0]), pack_vector(pairs[1])}
+        pos = layout(snapshot(rs, 2010, 1), seed=3)
+        assert set(pos) == {key_of(pairs[0]), key_of(pairs[1])}
         # one more node makes {4, 6} the largest component
         rs = make_recordset([(f"g{i}", 2010, bits) for i, bits in enumerate(pairs + [[0, 1, 1, 1]])])
-        pos = layout(build_landscape(rs, 2010, min_type_count=1), seed=3)
-        assert set(pos) == {pack_vector(bits) for bits in pairs[2:] + [[0, 1, 1, 1]]}
+        pos = layout(snapshot(rs, 2010, 1), seed=3)
+        assert set(pos) == {key_of(bits) for bits in pairs[2:] + [[0, 1, 1, 1]]}
 
     def test_nodes_outside_final_main_component_unpositioned(self):
         # main component of the final graph is the 3-node path; the isolate is excluded
         rows = [(f"p{i}", 2016, bits) for i, bits in enumerate(([1, 0, 0], [1, 1, 0], [1, 1, 1]))]
         rows.append(("iso", 2016, [0, 0, 1]))
         rs = make_recordset(rows)
-        final = build_landscape(rs, 2016, min_type_count=1)
+        final = snapshot(rs, 2016, 1)
         pos = layout(final, seed=2)
-        assert pack_vector([0, 0, 1]) not in pos
+        assert key_of([0, 0, 1]) not in pos
         assert len(pos) == 3
 
 
@@ -377,9 +391,8 @@ class TestHops:
 
     def test_demo_sized_snapshot(self):
         graph = demo_final_snapshot()
-        index = {k: i for i, k in enumerate(graph.plotted)}
-        u, v = np.array([index[k] for edge in graph.edges for k in edge], dtype=np.intp).reshape(-1, 2).T
-        self.assert_oracles_agree(len(index), u, v)
+        u, v = graph.edges.T
+        self.assert_oracles_agree(len(graph.keys), u, v)
 
 
 class TestHopsOnLongPaths:
@@ -404,7 +417,7 @@ def demo_final_snapshot():
         dimension=16, year_start=2006, year_end=2015, games_per_year=500,
         base_mechanism_rate=0.15, recombination_rate=0.6, base_mutation_bits=1.0,
         novelty_boost=2.0, seed=7))
-    return build_landscape(rs, 2015, min_type_count=4)
+    return snapshot(rs, 2015, 4)
 
 
 def rosenbrock(x):
@@ -478,8 +491,8 @@ class TestCentroids:
 
     def test_weighted_mean_by_hand(self):
         rs = self.positioned_corpus()
-        g = build_landscape(rs, 2011, min_type_count=1)
-        positions = {pack_vector([1, 0]): (0.0, 0.0), pack_vector([0, 1]): (3.0, 0.0), pack_vector([1, 1]): (-1.0, 0.0)}
+        g = snapshot(rs, 2011, 1)
+        positions = {key_of([1, 0]): (0.0, 0.0), key_of([0, 1]): (3.0, 0.0), key_of([1, 1]): (-1.0, 0.0)}
         cf, trad = centroids(g, positions)
         assert cf.point == pytest.approx((1.0, 0.0))  # (2*0 + 1*3)/3
         assert trad.point == pytest.approx((-1.0, 0.0))
@@ -488,15 +501,15 @@ class TestCentroids:
 
     def test_cumulative_year_cut(self):
         rs = self.positioned_corpus()
-        g = build_landscape(rs, 2010, min_type_count=1)
-        positions = {pack_vector([1, 0]): (0.0, 0.0), pack_vector([0, 1]): (3.0, 0.0), pack_vector([1, 1]): (-1.0, 0.0)}
+        g = snapshot(rs, 2010, 1)
+        positions = {key_of([1, 0]): (0.0, 0.0), key_of([0, 1]): (3.0, 0.0), key_of([1, 1]): (-1.0, 0.0)}
         cf, _ = centroids(g, positions)
         assert cf.point == pytest.approx((0.0, 0.0))  # 2011 record not yet counted
 
     def test_absent_group(self):
         rs = make_recordset([("a", 2010, [1, 1])])  # traditional only
-        g = build_landscape(rs, 2010, min_type_count=1)
-        positions = {pack_vector([1, 1]): (0.5, 0.5)}
+        g = snapshot(rs, 2010, 1)
+        positions = {key_of([1, 1]): (0.5, 0.5)}
         cf, trad = centroids(g, positions)
         assert cf is None
         assert trad.point == (0.5, 0.5)
@@ -506,7 +519,7 @@ class TestCentroids:
         for i in range(40):
             rows.append((f"g{i}", 2010, rng.integers(0, 2, size=4).tolist()))
         rs = make_recordset(rows)
-        g = build_landscape(rs, 2010, min_type_count=1)
+        g = snapshot(rs, 2010, 1)
         pos = layout(g, seed=1)
         cf, trad = centroids(g, pos)
         pts = np.array(list(pos.values()))
@@ -560,7 +573,40 @@ def reference_centroids(records, positions, year):
     return out
 
 
+@st.composite
+def snapshot_corpora(draw):
+    """(records, years, min_type_count): up to 40 records of 2008-2012 over at most
+    five types of d bits, each a drawn centre with up to two bits flipped so that
+    edges occur, and up to four snapshot years from before the first record to
+    after the last."""
+    dimension = draw(st.sampled_from((1, 16, 64, 65)))
+    centre = draw(st.integers(0, 2**dimension - 1))
+    flips = st.lists(st.integers(0, dimension - 1), max_size=2)
+    keys = draw(st.lists(flips.map(lambda bits: functools.reduce(lambda k, b: k ^ 1 << b, bits, centre)),
+                         min_size=1, max_size=5))
+    vectors = [[key >> j & 1 for j in range(dimension)] for key in keys]
+    rows = draw(st.lists(st.tuples(st.integers(2008, 2012), st.sampled_from(vectors), st.booleans()),
+                         min_size=1, max_size=40))
+    registry = make_registry(dimension)
+    records = recordset_of([make_record(f"r{i}", year, bits, registry, crowdfunded=funded)
+                            for i, (year, bits, funded) in enumerate(rows)], registry)
+    return records, draw(st.lists(st.integers(2005, 2014), max_size=4)), draw(st.integers(1, 4))
+
+
 class TestPerRecordReference:
+    @settings(max_examples=100, deadline=None)
+    @given(snapshot_corpora())
+    @example((make_recordset([("a", 2010, [1, 0]), ("b", 2011, [1, 1])]), [2009, 2011, 2010], 1))
+    def test_each_snapshot_of_one_call_equals_its_own_counts(self, case):
+        records, years, min_type_count = case
+        graphs = build_landscape(records, years, min_type_count)
+        assert [g.snapshot_year for g in graphs] == years
+        for year, g in zip(years, graphs):
+            nodes, plotted = reference_landscape(records, year, min_type_count)
+            assert g.keys == plotted
+            assert columns_of(g) == {k: nodes[k] for k in plotted}
+            assert key_pairs(g.edges, g.keys) == flip_edges_loop(plotted, records.registry.dimension)
+
     @pytest.mark.parametrize("dim", [16, 64, 65, 130])
     def test_packed_keys_match_per_record_loop(self, dim):
         # a dozen base types with one-bit mutations, so types repeat across
@@ -576,13 +622,11 @@ class TestPerRecordReference:
             records.append(make_record(f"r{i}", 2010 + int(rng.integers(5)), bits, registry,
                                        crowdfunded=bool(rng.random() < 0.3)))
         rs = recordset_of(records, registry)
-        assert all(pack_vector(bits) == loop_pack(bits) for bits in rs.matrix)
-        for year in (2011, 2014):
-            g = build_landscape(rs, year, min_type_count=3)
+        assert all(key_of(bits) == loop_pack(bits) for bits in rs.matrix)
+        for year, g in zip((2011, 2014), build_landscape(rs, (2011, 2014), min_type_count=3)):
             nodes, plotted = reference_landscape(rs, year, 3)
-            assert {k: (n.total_count, n.crowdfunded_count, n.first_year)
-                    for k, n in g.nodes.items()} == {k: nodes[k] for k in plotted}
-            assert g.plotted == plotted and len(plotted) > 1
+            assert columns_of(g) == {k: nodes[k] for k in plotted}
+            assert g.keys == plotted and len(plotted) > 1
             positions = {k: (float(i), float(i % 7) / 3) for i, k in enumerate(plotted) if i % 4}
             got = [c and (c.group, c.point) for c in centroids(g, positions)]
             assert got == reference_centroids(rs, positions, year)
@@ -601,7 +645,7 @@ class TestPerRecordReference:
         oracle = [int.from_bytes(row.tobytes(), "little") for row in unique]
         assert keys == sorted(oracle) and len(keys) > 40
         assert [keys[t] for t in types.tolist()] == [oracle[t] for t in inverse.reshape(-1).tolist()]
-        assert [keys[t] for t in types.tolist()] == [pack_vector(row) for row in matrix]
+        assert [keys[t] for t in types.tolist()] == [key_of(row) for row in matrix]
 
 
 class TestShareClasses:
@@ -613,25 +657,25 @@ class TestShareClasses:
             make_record("c", 2015, [1, 1], reg, crowdfunded=False),
         ]
         rs = recordset_of(recs, reg)
-        early = build_landscape(rs, 2010, min_type_count=1)
-        late = build_landscape(rs, 2015, min_type_count=1)
+        early = snapshot(rs, 2010, 1)
+        late = snapshot(rs, 2015, 1)
         classes = classify_snapshots([early, late], 0.5)
-        key = pack_vector([1, 1])
+        key = key_of([1, 1])
         assert classes[2010][key] == CLASS_CROWDFUNDED  # share 1.0
         assert classes[2015][key] == CLASS_FORMER  # share 1/3 now, hot before
 
     def test_never_hot_is_baseline(self):
         rs = make_recordset([("a", 2010, [1, 1])], crowdfunded=False)
-        g = build_landscape(rs, 2010, min_type_count=1)
+        g = snapshot(rs, 2010, 1)
         classes = classify_snapshots([g], 0.5)
-        assert classes[2010][pack_vector([1, 1])] == CLASS_BASELINE
+        assert classes[2010][key_of([1, 1])] == CLASS_BASELINE
 
     def test_threshold_decides_the_class(self):
         reg = make_registry(2)
         recs = [make_record(rid, 2010, [1, 1], reg, crowdfunded=rid == "a") for rid in "abc"]
-        graphs = [build_landscape(recordset_of(recs, reg), 2010, min_type_count=1)]
-        key = pack_vector([1, 1])
-        assert graphs[0].nodes[key].cf_share == pytest.approx(1 / 3)
+        graphs = [snapshot(recordset_of(recs, reg), 2010, 1)]
+        key = key_of([1, 1])
+        assert graphs[0].keys == (key,) and graphs[0].cf_share[0] == pytest.approx(1 / 3)
         assert classify_snapshots(graphs, 0.3)[2010][key] == CLASS_CROWDFUNDED
         assert classify_snapshots(graphs, 0.5)[2010][key] == CLASS_BASELINE
 
@@ -641,7 +685,7 @@ class TestExports:
         rows = [("a", 2010, [1, 0, 0]), ("b", 2011, [1, 1, 0]), ("c", 2012, [1, 1, 1]),
                 ("d", 2012, [1, 1, 0])]
         rs = make_recordset(rows)
-        g = build_landscape(rs, 2012, min_type_count=1)
+        g = snapshot(rs, 2012, 1)
         pos = layout(g, seed=4)
         return g, pos
 
@@ -662,33 +706,30 @@ class TestExports:
             edges = {tuple(edge) for edge in meta["edges"]}
         assert (meta["year"], meta["dimension"], meta["layout_seed"]) == (g.snapshot_year, g.dimension, 4)
         assert set(nodes) == set(pos)
-        assert edges == {(u, v) for u, v in g.edges if u in pos and v in pos}
+        assert edges == {(u, v) for u, v in key_pairs(g.edges, g.keys) if u in pos and v in pos}
         for key, row in nodes.items():
-            orig = g.nodes[key]
-            assert row["count"] == orig.total_count
-            assert row["cf_count"] == orig.crowdfunded_count
-            assert row["first_year"] == orig.first_year
+            assert (row["count"], row["cf_count"], row["first_year"]) == columns_of(g)[key]
             assert (row["x"], row["y"]) == pytest.approx(pos[key], rel=1e-9)
 
-    @pytest.mark.parametrize("seed, positioned", [(4, True), (None, True), (4, False)])
+    @pytest.mark.parametrize("seed, positioned", [(4, True), (0, True), (4, False)])
     def test_graphml_bytes_equal_networkx_writer(self, seed, positioned, tmp_path, rng):
         rows = [(f"g{i}", 2010 + i % 3, rng.integers(0, 2, size=7).tolist()) for i in range(30)]
-        g = build_landscape(make_recordset(rows), 2011, min_type_count=1)
+        g = snapshot(make_recordset(rows), 2011, 1)
         pos = layout(g, seed=5) if positioned else {}
-        assert 0 < len(pos) < len(g.plotted) or not positioned
+        assert 0 < len(pos) < len(g.keys) or not positioned
         ours, theirs = tmp_path / "ours.graphml", tmp_path / "theirs.graphml"
         export_graph(g, export_rows(g, pos), "graphml", ours, seed=seed)
         # the networkx writer export_graph used before writing its own text
         oracle = nx.Graph()
-        oracle.graph.update(year=g.snapshot_year, dimension=g.dimension)
-        if seed is not None:
-            oracle.graph["layout_seed"] = seed
-        for key in (k for k in g.plotted if k in pos):
-            node = g.nodes[key]
-            oracle.add_node(str(key), vector_bits=vector_bits(key, g.dimension), count=node.total_count,
-                            cf_count=node.crowdfunded_count, cf_share=node.cf_share,
-                            first_year=node.first_year, x=pos[key][0], y=pos[key][1])
-        oracle.add_edges_from((str(u), str(v)) for u, v in g.edges if u in pos and v in pos)
+        oracle.graph.update(year=g.snapshot_year, dimension=g.dimension, layout_seed=seed)
+        for key, total, cf_count, cf_share, first_year in zip(
+                g.keys, g.total_count.tolist(), g.crowdfunded_count.tolist(), g.cf_share.tolist(),
+                g.first_year.tolist()):
+            if key in pos:
+                oracle.add_node(str(key), vector_bits=vector_bits(key, g.dimension), count=total,
+                                cf_count=cf_count, cf_share=cf_share, first_year=first_year,
+                                x=pos[key][0], y=pos[key][1])
+        oracle.add_edges_from((str(u), str(v)) for u, v in key_pairs(g.edges, g.keys) if u in pos and v in pos)
         nx.write_graphml(oracle, theirs)
         assert ours.read_bytes() == theirs.read_bytes()
 
@@ -704,7 +745,7 @@ class TestExports:
         for row in rows:
             key = int(row["id"])
             assert row["vector_bits"] == vector_bits(key, g.dimension)
-            assert int(row["count"]) == g.nodes[key].total_count
+            assert int(row["count"]) == columns_of(g)[key][0]
             assert (float(row["x"]), float(row["y"])) == tuple(pos[key])
 
     def test_csv_bytes_equal_dictwriter(self, tmp_path):
@@ -713,19 +754,18 @@ class TestExports:
             dimension=16, year_start=2006, year_end=2015, games_per_year=500,
             base_mechanism_rate=0.15, recombination_rate=0.6, base_mutation_bits=1.0,
             novelty_boost=2.0, seed=7))
-        g = build_landscape(rs, 2011, min_type_count=4)
-        pos = layout(build_landscape(rs, 2015, min_type_count=4), seed=42)
+        g, final = build_landscape(rs, [2011, 2015], min_type_count=4)
+        pos = layout(final, seed=42)
         ours = tmp_path / "ours.csv"
         export_graph(g, export_rows(g, pos), "csv", ours, seed=42)
         theirs = io.StringIO(newline="")
         writer = csv.DictWriter(theirs, fieldnames=EXPORT_COLUMNS, lineterminator="\n")
         writer.writeheader()
         writer.writerows(
-            {"id": key, "vector_bits": vector_bits(key, g.dimension), "count": node.total_count,
-             "cf_count": node.crowdfunded_count, "cf_share": node.cf_share, "first_year": node.first_year,
-             "x": pos[key][0], "y": pos[key][1]}
-            for key, node in g.nodes.items() if key in pos)
-        assert len(g.nodes) > 100 and ours.read_bytes() == theirs.getvalue().encode("utf-8")
+            {"id": key, "vector_bits": vector_bits(key, g.dimension), "count": total, "cf_count": cf_count,
+             "cf_share": cf_count / total, "first_year": first_year, "x": pos[key][0], "y": pos[key][1]}
+            for key, (total, cf_count, first_year) in columns_of(g).items() if key in pos)
+        assert len(g.keys) > 100 and ours.read_bytes() == theirs.getvalue().encode("utf-8")
 
     def test_json_bytes_equal_json_dump(self, tmp_path):
         # the README demo's final snapshot, written as json.dump wrote it piece by piece
@@ -741,10 +781,10 @@ class TestExports:
 
     def test_graphml_element_counts(self, tmp_path):
         rs = make_recordset([("a", 2010, [1, 0]), ("b", 2011, [1, 1])])
-        g = build_landscape(rs, 2011, min_type_count=1)
+        g = snapshot(rs, 2011, 1)
         pos = layout(g, seed=1)
         path = tmp_path / "two.graphml"
-        export_graph(g, export_rows(g, pos), "graphml", path)
+        export_graph(g, export_rows(g, pos), "graphml", path, seed=1)
         text = path.read_text(encoding="utf-8")
         assert text.count("<node ") == 2
         assert text.count("<edge ") == 1
@@ -752,9 +792,9 @@ class TestExports:
 
     def test_empty_graph_exports_zero_nodes(self, tmp_path):
         rs = make_recordset([("a", 2010, [1, 1])])
-        g = build_landscape(rs, 2010, min_type_count=99)
+        g = snapshot(rs, 2010, 99)
         path = tmp_path / "empty.json"
-        export_graph(g, export_rows(g, {}), "json", path)
+        export_graph(g, export_rows(g, {}), "json", path, seed=5)
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
         assert payload["nodes"] == []
@@ -772,7 +812,7 @@ class TestSvg:
     def test_renders_all_positioned_nodes(self, tmp_path):
         rows = [("a", 2010, [1, 0]), ("b", 2011, [1, 1]), ("c", 2012, [0, 1])]
         rs = make_recordset(rows)
-        g = build_landscape(rs, 2012, min_type_count=1)
+        g = snapshot(rs, 2012, 1)
         pos = layout(g, seed=6)
         path = tmp_path / "land.svg"
         render_svg(g, export_rows(g, pos), path, classify_snapshots([g], 0.5)[2012])
@@ -783,15 +823,15 @@ class TestSvg:
 
     def test_fill_follows_classes(self, tmp_path):
         rs = make_recordset([("a", 2010, [1, 1])], crowdfunded=True)
-        g = build_landscape(rs, 2010, min_type_count=1)
-        pos = {pack_vector([1, 1]): (0.0, 0.0)}
+        g = snapshot(rs, 2010, 1)
+        pos = {key_of([1, 1]): (0.0, 0.0)}
         path = tmp_path / "one.svg"
         render_svg(g, export_rows(g, pos), path, classify_snapshots([g], 0.5)[2010])
         assert "#d62728" in path.read_text(encoding="utf-8")
 
     def test_deterministic(self, tmp_path):
         rs = make_recordset([("a", 2010, [1, 0]), ("b", 2011, [1, 1])])
-        g = build_landscape(rs, 2011, min_type_count=1)
+        g = snapshot(rs, 2011, 1)
         pos = layout(g, seed=6)
         p1, p2 = tmp_path / "a.svg", tmp_path / "b.svg"
         classes = classify_snapshots([g], 0.5)[2011]
