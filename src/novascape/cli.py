@@ -8,8 +8,9 @@ typical flow over a synthetic corpus:
 
 `report` parses its input at most once (a corpus it synthesises goes to
 ingest in memory) and hands records and scores from stage to stage in
-memory; the standalone subcommands read what the previous one left in the
-output directory. Both routes write the same bytes.
+memory. The stages read no file: the subcommand table (COMMANDS) alone reads
+the caches the previous subcommand left in the output directory. Both routes
+write the same bytes.
 
 All randomness flows from seeds in the config (logged at run time). Outputs
 are written atomically (temp file + rename) and contain no timestamps, so a
@@ -77,7 +78,6 @@ from .stats import (
     build_design,
     describe,
     fit_model,
-    fit_rows,
     format_model_table,
     group_test_battery,
     join_scores,
@@ -289,7 +289,16 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
     return replace(cfg, **overrides) if overrides else cfg
 
 
+def _read_corpus(cfg: PipelineConfig) -> RecordSet:
+    """The corpus at corpus_path, parsed against registry_path (default: the canonical registry)."""
+    if not cfg.corpus_path:
+        raise ConfigError("ingest needs corpus_path (config key or --corpus)")
+    registry = _read_input(load_registry, cfg.registry_path) if cfg.registry_path else canonical_registry()
+    return _read_input(parse_records, cfg.corpus_path, registry)
+
+
 def _load_cache(cfg: PipelineConfig) -> RecordSet:
+    """The records the ingest subcommand cached in the output directory."""
     corpus = Path(cfg.out_dir) / CORPUS_CACHE
     registry = Path(cfg.out_dir) / REGISTRY_CACHE
     if not corpus.exists() or not registry.exists():
@@ -300,12 +309,39 @@ def _load_cache(cfg: PipelineConfig) -> RecordSet:
     return _read_input(parse_records, corpus, _read_input(load_registry, registry))
 
 
+def _load_scored_cache(cfg: PipelineConfig) -> Tuple[RecordSet, ScoreTable]:
+    """The ingest cache and the scores.csv that was scored from it.
+
+    Every scored id must be a cached record, and the ids scored for
+    stats_span must be exactly the cached records with a non-empty past
+    window; a table left over from an earlier ingest fails one or the other.
+    """
+    records = _load_cache(cfg)
+    path = Path(cfg.out_dir) / SCORES_FILE
+    if not path.exists():
+        raise ConfigError(f"{path} missing; run the score subcommand first")
+    table = _read_input(read_scores_csv, path)
+    years = set(records.year_rows)
+    expected = {
+        rid for rid, year in zip(records.ids, records.years.tolist())
+        if any(year - k in years for k in range(1, cfg.stats_span + 1))
+    }
+    scored = set(table.ids[table.spans == cfg.stats_span].tolist())
+    if scored != expected or not set(table.ids.tolist()) <= set(records.ids):
+        raise ConfigError(
+            f"{path} was not scored from the ingested corpus in {cfg.out_dir!r}; re-run score"
+        )
+    return records, table
+
+
 def _read_input(read, path, *args):
-    """read(path, *args), with a decoding or csv error naming the file, as
-    every other input error does: their own messages name no file."""
+    """read(path, *args), with every input error naming the file: decoding and csv
+    errors, and the library's row, cell and registry errors, name none."""
     try:
         return read(path, *args)
-    except (UnicodeDecodeError, csv.Error) as exc:
+    except (UnicodeDecodeError, csv.Error, ParseError, RegistryError) as exc:
+        if str(exc).startswith(f"{path}: "):
+            raise
         raise ParseError(f"{path}: {exc}") from exc
 
 
@@ -324,13 +360,8 @@ def _last_complete_year(cfg: PipelineConfig, records: RecordSet) -> int:
     return inferred
 
 
-def cmd_ingest(cfg: PipelineConfig, records: Optional[RecordSet] = None) -> RecordSet:
-    """Filter `records` (default: the parsed corpus_path), write the caches, return the kept records."""
-    if records is None:
-        if not cfg.corpus_path:
-            raise ConfigError("ingest needs corpus_path (config key or --corpus)")
-        registry = _read_input(load_registry, cfg.registry_path) if cfg.registry_path else canonical_registry()
-        records = _read_input(parse_records, cfg.corpus_path, registry)
+def cmd_ingest(cfg: PipelineConfig, records: RecordSet) -> RecordSet:
+    """Filter `records`, write the caches, return the kept records."""
     kept, report = apply_filters(records, cfg.filters)
     out = Path(cfg.out_dir)
     with atomic_write(out / CORPUS_CACHE) as tmp:
@@ -343,9 +374,8 @@ def cmd_ingest(cfg: PipelineConfig, records: Optional[RecordSet] = None) -> Reco
     return kept
 
 
-def cmd_score(cfg: PipelineConfig, records: Optional[RecordSet] = None) -> ScoreTable:
-    """Score `records` (default: the ingest cache), write scores.csv, return the table."""
-    records = _load_cache(cfg) if records is None else records
+def cmd_score(cfg: PipelineConfig, records: RecordSet) -> ScoreTable:
+    """Score `records`, write scores.csv, return the table."""
     last_year = _last_complete_year(cfg, records)
     table = score_corpus(records, spans=cfg.spans, last_complete_year=last_year)
     with atomic_write(Path(cfg.out_dir) / SCORES_FILE) as tmp:
@@ -359,8 +389,7 @@ def cmd_score(cfg: PipelineConfig, records: Optional[RecordSet] = None) -> Score
     return table
 
 
-def cmd_landscape(cfg: PipelineConfig, records: Optional[RecordSet] = None) -> int:
-    records = _load_cache(cfg) if records is None else records
+def cmd_landscape(cfg: PipelineConfig, records: RecordSet) -> int:
     settings = cfg.landscape
     final_year = _final_year(records)
     late = [y for y in settings.snapshot_years if y > final_year]
@@ -385,8 +414,8 @@ def cmd_landscape(cfg: PipelineConfig, records: Optional[RecordSet] = None) -> i
                     render_svg(g, exported, tmp, classes=classes[g.snapshot_year])
                 else:
                     export_graph(g, exported, fmt, tmp, seed=settings.seed)
-        rows += [{"year": c.year, "group": c.group, "x": f"{c.point[0]:.6f}", "y": f"{c.point[1]:.6f}"}
-                 for c in centroids(g, positions) if c is not None]
+        rows += [{"year": g.snapshot_year, "group": group, "x": f"{x:.6f}", "y": f"{y:.6f}"}
+                 for group, (x, y) in filter(None, centroids(exported))]
     _write_table(out / "centroids.csv", rows, ["year", "group", "x", "y"])
     log.info("wrote %d snapshots (%s) and %d centroid rows", len(graphs), years, len(rows))
     return EXIT_OK
@@ -398,40 +427,8 @@ def _write_table(path: Path, rows: List[dict], columns: Sequence[str]) -> None:
         write_csv_columns(tmp, columns, [[row.get(name) for row in rows] for name in columns])
 
 
-def _read_scores(cfg: PipelineConfig, records: RecordSet) -> ScoreTable:
-    """Read scores.csv and check that it was scored from the ingest cache `records`.
-
-    Every scored id must be a cached record, and the ids scored for
-    stats_span must be exactly the cached records with a non-empty past
-    window; a table left over from an earlier ingest fails one or the other.
-    """
-    path = Path(cfg.out_dir) / SCORES_FILE
-    if not path.exists():
-        raise ConfigError(f"{path} missing; run the score subcommand first")
-    table = _read_input(read_scores_csv, path)
-    years = set(records.year_rows)
-    expected = {
-        rid for rid, year in zip(records.ids, records.years.tolist())
-        if any(year - k in years for k in range(1, cfg.stats_span + 1))
-    }
-    scored = set(table.ids[table.spans == cfg.stats_span].tolist())
-    if scored != expected or not set(table.ids.tolist()) <= set(records.ids):
-        raise ConfigError(
-            f"{path} was not scored from the ingested corpus in {cfg.out_dir!r}; re-run score"
-        )
-    return table
-
-
-def cmd_stats(
-    cfg: PipelineConfig,
-    records: Optional[RecordSet] = None,
-    table: Optional[ScoreTable] = None,
-) -> int:
-    """Descriptives, group tests and models; inputs default to the ingest and score caches."""
-    records = _load_cache(cfg) if records is None else records
-    table = _read_scores(cfg, records) if table is None else table
-    if not (table.spans == cfg.stats_span).any():
-        raise EmptySample(f"no score rows for span {cfg.stats_span}")
+def cmd_stats(cfg: PipelineConfig, records: RecordSet, table: ScoreTable) -> int:
+    """Descriptives, group tests and models of `records` joined with their scores."""
     data = join_scores(records, table, span=cfg.stats_span)
     out = Path(cfg.out_dir)
 
@@ -453,7 +450,7 @@ def cmd_stats(
     ]
     _write_table(out / "group_tests.csv", test_rows, test_columns)
 
-    fit_columns = ("coef", "se", "z", "p")
+    model_columns = ("model", "term", "coef", "se", "z", "p")
     # OLS is solved directly, so its n_iter and max_score are 0
     diagnostic_columns = ("model", "family", "n_obs", "incomplete_dropped", "separated_levels",
                           "separated_rows", "n_iter", "max_score", "log_likelihood")
@@ -469,8 +466,9 @@ def cmd_stats(
             log.error("model %s failed: %s", name, exc)
             continue
         fits.append((name, fit))
-        model_rows += [{"model": name, "term": row["term"], **{k: f"{row[k]:.6g}" for k in fit_columns}}
-                       for row in fit_rows(fit)]
+        estimates = (fit.coefficients, fit.robust_se, fit.z_or_t, fit.p_values)
+        model_rows += [dict(zip(model_columns, (name, term, *(f"{v[term]:.6g}" for v in estimates))))
+                       for term in fit.columns]
         separated_rows = sum(rows for _, _, rows in design.separated)
         incomplete = len(data[spec.outcome]) - len(design.rows_used) - separated_rows
         diagnostic_rows.append(dict(zip(diagnostic_columns, (
@@ -483,7 +481,7 @@ def cmd_stats(
                         for mm in marginal_means(fit, design.X, "crowdfunded")]
     failures = sum(fit is None for _, fit in fits)
 
-    _write_table(out / "models.csv", model_rows, ["model", "term", *fit_columns])
+    _write_table(out / "models.csv", model_rows, model_columns)
     with atomic_write(out / "models.txt") as tmp:
         tmp.write_text(format_model_table(fits, reference=REFERENCE_CROWDFUNDED), encoding="utf-8")
     _write_table(out / "model_diagnostics.csv", diagnostic_rows, diagnostic_columns)
@@ -529,7 +527,7 @@ def cmd_report(cfg: PipelineConfig) -> int:
                       registry_path=str(Path(cfg.out_dir) / "synth_registry.txt"))
     with atomic_write(Path(cfg.out_dir) / "pipeline_config.json") as tmp:
         tmp.write_text(json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    records = cmd_ingest(cfg, cmd_synth(cfg) if synthesise else None)
+    records = cmd_ingest(cfg, cmd_synth(cfg) if synthesise else _read_corpus(cfg))
     table = cmd_score(cfg, records)
     try:
         code = cmd_landscape(cfg, records)
@@ -560,11 +558,13 @@ def recovery_seed(seed: int, boost: float, games_per_year: int = 500, years: int
             for name, fit in fits.items()}
 
 
+# the only readers of the caches; each stage is looked up by name when called,
+# so a wrapper put on novascape.cli's name runs here too
 COMMANDS = {
-    "ingest": cmd_ingest,
-    "score": cmd_score,
-    "landscape": cmd_landscape,
-    "stats": cmd_stats,
+    "ingest": lambda cfg: cmd_ingest(cfg, _read_corpus(cfg)),
+    "score": lambda cfg: cmd_score(cfg, _load_cache(cfg)),
+    "landscape": lambda cfg: cmd_landscape(cfg, _load_cache(cfg)),
+    "stats": lambda cfg: cmd_stats(cfg, *_load_scored_cache(cfg)),
     "synth": cmd_synth,
     "report": cmd_report,
 }

@@ -19,6 +19,7 @@ from typing import Iterator, Mapping, Optional
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DimensionError,
     DuplicateFeature,
     DuplicateId,
@@ -210,8 +211,9 @@ class FilterConfig:
     year_max: Optional[int] = None
 
     def __post_init__(self):
-        if self.min_mechanisms < 0 or self.min_ratings < 0:
-            raise ValueError("thresholds must be >= 0")
+        for name in ("min_mechanisms", "min_ratings"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass

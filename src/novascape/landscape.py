@@ -388,40 +388,6 @@ def _kamada_kawai_energy(pos_vec: np.ndarray, invdist: np.ndarray, eye: np.ndarr
     return cost, (-(g + g) + 1e-3 * sumpos).ravel()
 
 
-@dataclass(frozen=True)
-class Centroid:
-    group: str
-    point: Tuple[float, float]
-    year: int
-
-    def __post_init__(self):
-        assert np.isfinite(self.point).all()
-
-
-def centroids(
-    graph: LandscapeGraph,
-    positions: Mapping[int, Tuple[float, float]],
-) -> Tuple[Optional[Centroid], Optional[Centroid]]:
-    """(crowdfunded, traditional) centroids of the snapshot's positioned types.
-
-    Weight is the group's cumulative game count at each positioned type. A
-    group with no games on positioned types has no centroid.
-    """
-    at = [i for i, key in enumerate(graph.keys) if key in positions]
-    out = []
-    for group, weights in ((GROUP_CROWDFUNDED, graph.crowdfunded_count),
-                           (GROUP_TRADITIONAL, graph.total_count - graph.crowdfunded_count)):
-        per_node = [(graph.keys[i], w) for i, w in zip(at, weights[at].tolist()) if w]
-        total = sum(w for _, w in per_node)
-        if total == 0:
-            out.append(None)
-            continue
-        x = sum(positions[k][0] * w for k, w in per_node) / total
-        y = sum(positions[k][1] * w for k, w in per_node) / total
-        out.append(Centroid(group=group, point=(x, y), year=graph.snapshot_year))
-    return tuple(out)
-
-
 def classify_snapshots(
     graphs: Sequence[LandscapeGraph],
     cf_share_threshold: float,
@@ -461,6 +427,26 @@ def export_rows(graph: LandscapeGraph, positions: Mapping[int, Tuple[float, floa
              for i, row in zip(at.tolist(), zip(*(column[at].tolist() for column in columns)))]
     edges = graph.edges[shown[graph.edges].all(axis=1)].tolist()
     return ExportRows(nodes, tuple((keys[u], keys[v]) for u, v in edges))
+
+
+def centroids(rows: ExportRows) -> Tuple[Optional[Tuple[str, Tuple[float, float]]], ...]:
+    """(crowdfunded, traditional) centroids, each (group, (x, y)), from a snapshot's export rows.
+
+    Weight is the group's cumulative game count at each positioned type. A
+    group with no games on positioned types has no centroid (None).
+    """
+    out = []
+    for group, weights in ((GROUP_CROWDFUNDED, [node["cf_count"] for node in rows.nodes]),
+                           (GROUP_TRADITIONAL, [node["count"] - node["cf_count"] for node in rows.nodes])):
+        per_node = [(node["x"], node["y"], w) for node, w in zip(rows.nodes, weights) if w]
+        total = sum(w for _, _, w in per_node)
+        if total == 0:
+            out.append(None)
+            continue
+        point = (sum(x * w for x, _, w in per_node) / total, sum(y * w for _, y, w in per_node) / total)
+        assert np.isfinite(point).all()
+        out.append((group, point))
+    return tuple(out)
 
 
 def export_graph(graph: LandscapeGraph, rows: ExportRows, fmt: str, path, seed: int) -> None:

@@ -844,20 +844,6 @@ def _quartiles(values: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # output formatting
 
-def fit_rows(fit: FitResult) -> List[dict]:
-    """Per-term rows (term, coef, se, z, p) for CSV emission."""
-    return [
-        {
-            "term": name,
-            "coef": fit.coefficients[name],
-            "se": fit.robust_se[name],
-            "z": fit.z_or_t[name],
-            "p": fit.p_values[name],
-        }
-        for name in fit.columns
-    ]
-
-
 def _fmt_cell(fit: Optional[FitResult], term: str) -> Tuple[str, str]:
     if fit is None or term not in fit.coefficients:
         return "", ""

@@ -43,6 +43,23 @@ def test_large_artifacts_match_the_manifest():
     assert digests.differences(manifest["runs"], actual) == []
 
 
+def test_large_stepwise_route_matches_the_manifest(tmp_path):
+    # ingest, score, landscape and stats one by one, each reading the caches the
+    # one before it wrote, give report's bytes; only report writes pipeline_config.json
+    digests = load_script()
+    manifest = load_manifest_for_this_host(digests)
+    from bench.inputs import write_large_inputs
+
+    config, _ = write_large_inputs(1, tmp_path)
+    out = tmp_path / "out"
+    for command in ("ingest", "score", "landscape", "stats"):
+        assert digests.cli_main([command, "--config", str(config), "--out", str(out)]) == 0
+    actual = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    expected = {name: digest for name, digest in manifest["runs"]["large-1"].items()
+                if name != "pipeline_config.json"}
+    assert digests.differences({"large-1": expected}, {"large-1": actual}) == []
+
+
 def test_demo_models_do_not_depend_on_the_blas_thread_count(tmp_path):
     # the manifest was taken on one BLAS thread; the fits must not depend on it
     manifest = load_manifest_for_this_host(load_script())

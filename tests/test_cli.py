@@ -75,6 +75,21 @@ def snapshot(out_dir: Path) -> dict:
     return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir()) if p.is_file()}
 
 
+def set_cell(path: Path, row: int, column: str, value: str) -> None:
+    """Rewrite one cell of a CSV file; row 1 is the first row after the header."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    rows[row][rows[0].index(column)] = value
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
+def synth_and_ingest(cfg: Path, out: Path) -> None:
+    assert main(["synth", "--config", str(cfg)]) == EXIT_OK
+    assert main(["ingest", "--config", str(cfg), "--corpus", str(out / "synth_corpus.csv"),
+                 "--registry", str(out / "synth_registry.txt")]) == EXIT_OK
+
+
 # a valid config with every section, every list non-empty and the share as a map,
 # so that every field path below exists in it
 FULL_PAYLOAD = {
@@ -262,6 +277,24 @@ class TestReport:
         assert int(rows["Resonance"]["incomplete_dropped"]) == sum(r["resonance_available"] == "0" for r in joined)
         assert rows["Novelty"]["family"] == "logistic" and 0 < int(rows["Novelty"]["n_iter"]) <= 8
         assert rows["Distinctiveness"]["separated_levels"] == "" and rows["Distinctiveness"]["n_iter"] == "0"
+
+    def test_model_rows_are_the_fitted_columns_in_order(self, tmp_path):
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path, pipeline_payload(out))
+        assert main(["report", "--config", str(cfg)]) == EXIT_OK
+        with open(out / "models.csv", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == ["model", "term", "coef", "se", "z", "p"]
+        records = parse_records(out / "corpus_filtered.csv", load_registry(out / "registry.txt"))
+        data = stats.join_scores(records, read_scores_csv(out / "scores.csv"), span=2)
+        expected = []
+        for name, spec in PipelineConfig().models.items():
+            fit = stats.fit_model(stats.build_design(data, spec))
+            assert fit.columns[0] == "const"
+            estimates = (fit.coefficients, fit.robust_se, fit.z_or_t, fit.p_values)
+            expected += [[name, term, *(f"{values[term]:.6g}" for values in estimates)] for term in fit.columns]
+        # one row per fitted column of each model, in the fit's column order
+        assert rows == expected
 
     def test_centroid_rows_are_group_by_year(self, tmp_path):
         out = tmp_path / "run"
@@ -646,6 +679,37 @@ class TestExitCodes:
         assert message in caplog.text
         assert not (out / "models.csv").exists()
 
+    @pytest.mark.parametrize("case", ["scores-cell", "cache-row", "registry-name"])
+    def test_input_error_names_its_file(self, tmp_path, caplog, case):
+        # the library's messages name no file; the logged error does
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path, pipeline_payload(out))
+        if case == "registry-name":
+            spoiled, message, command = tmp_path / "reg.txt", "duplicate feature name 'A'", "ingest"
+            spoiled.write_text("A\nB\nA\n")
+            (tmp_path / "corpus.csv").write_text("id,year\n")
+            extra = ["--corpus", str(tmp_path / "corpus.csv"), "--registry", str(spoiled)]
+        else:
+            synth_and_ingest(cfg, out)
+            extra = []
+            if case == "scores-cell":
+                assert main(["score", "--config", str(cfg)]) == EXIT_OK
+                spoiled, command = out / "scores.csv", "stats"
+                set_cell(spoiled, 1, "distinctiveness", "x1.5")
+                message = "row 2: column 'distinctiveness' is not a number: 'x1.5'"
+            else:
+                spoiled, command = out / "corpus_filtered.csv", "score"
+                set_cell(spoiled, 3, "complexity", "9.0")
+                message = "row 4: complexity 9.0 outside [0, 5]"
+        assert main([command, "--config", str(cfg), *extra]) == EXIT_INPUT
+        assert caplog.records[-1].getMessage() == f"{spoiled}: {message}"
+
+    @pytest.mark.parametrize("key", ["min_mechanisms", "min_ratings"])
+    def test_negative_filter_threshold_names_its_key(self, tmp_path, caplog, key):
+        cfg = write_config(tmp_path, {**pipeline_payload(tmp_path / "o"), "filters": {key: -1}})
+        assert main(["synth", "--config", str(cfg)]) == EXIT_INPUT
+        assert caplog.records[-1].getMessage() == f"{key} must be >= 0, got -1"
+
     def test_unconverged_glm_is_exit_4_and_not_written(self, tmp_path, monkeypatch):
         monkeypatch.setattr(stats, "MAX_IRLS_ITER", 1)
         out = tmp_path / "run"
@@ -699,6 +763,35 @@ class TestInMemoryReport:
         assert reads == [("load_registry", "synth_registry.txt"),
                          ("parse_records", "synth_corpus.csv")]
         assert [name for name, _ in calls].count("layout") == 1
+
+    def test_only_the_subcommands_read_the_caches(self, tmp_path, monkeypatch):
+        reads = []
+
+        def recording(name, fn):
+            def wrapper(path, *args):
+                reads.append((name, Path(path).name))
+                return fn(path, *args)
+            return wrapper
+
+        for name in ("parse_records", "read_scores_csv"):
+            monkeypatch.setattr(cli, name, recording(name, getattr(cli, name)))
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path, pipeline_payload(out))
+        synth_and_ingest(cfg, out)
+        for command in ("score", "landscape", "stats"):
+            reads.clear()
+            assert main([command, "--config", str(cfg)]) == EXIT_OK
+            scores = [("read_scores_csv", "scores.csv")] if command == "stats" else []
+            assert reads == [("parse_records", "corpus_filtered.csv"), *scores], command
+
+        def unreachable(cfg):
+            raise AssertionError("report read a cache")
+
+        monkeypatch.setattr(cli, "_load_cache", unreachable)
+        monkeypatch.setattr(cli, "_load_scored_cache", unreachable)
+        reads.clear()
+        assert main(["report", "--config", str(cfg)]) == EXIT_OK
+        assert reads == []
 
     def test_report_keys_the_corpus_once_per_report(self, tmp_path, monkeypatch):
         calls, built = [], []

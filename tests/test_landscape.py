@@ -493,26 +493,26 @@ class TestCentroids:
         rs = self.positioned_corpus()
         g = snapshot(rs, 2011, 1)
         positions = {key_of([1, 0]): (0.0, 0.0), key_of([0, 1]): (3.0, 0.0), key_of([1, 1]): (-1.0, 0.0)}
-        cf, trad = centroids(g, positions)
-        assert cf.point == pytest.approx((1.0, 0.0))  # (2*0 + 1*3)/3
-        assert trad.point == pytest.approx((-1.0, 0.0))
-        assert cf.group == GROUP_CROWDFUNDED
-        assert trad.group == GROUP_TRADITIONAL
+        (cf_group, cf), (trad_group, trad) = centroids(export_rows(g, positions))
+        assert cf == pytest.approx((1.0, 0.0))  # (2*0 + 1*3)/3
+        assert trad == pytest.approx((-1.0, 0.0))
+        assert cf_group == GROUP_CROWDFUNDED
+        assert trad_group == GROUP_TRADITIONAL
 
     def test_cumulative_year_cut(self):
         rs = self.positioned_corpus()
         g = snapshot(rs, 2010, 1)
         positions = {key_of([1, 0]): (0.0, 0.0), key_of([0, 1]): (3.0, 0.0), key_of([1, 1]): (-1.0, 0.0)}
-        cf, _ = centroids(g, positions)
-        assert cf.point == pytest.approx((0.0, 0.0))  # 2011 record not yet counted
+        (_, cf), _ = centroids(export_rows(g, positions))
+        assert cf == pytest.approx((0.0, 0.0))  # 2011 record not yet counted
 
     def test_absent_group(self):
         rs = make_recordset([("a", 2010, [1, 1])])  # traditional only
         g = snapshot(rs, 2010, 1)
         positions = {key_of([1, 1]): (0.5, 0.5)}
-        cf, trad = centroids(g, positions)
+        cf, trad = centroids(export_rows(g, positions))
         assert cf is None
-        assert trad.point == (0.5, 0.5)
+        assert trad == (GROUP_TRADITIONAL, (0.5, 0.5))
 
     def test_centroid_inside_bounding_box(self, rng):
         rows = []
@@ -521,13 +521,10 @@ class TestCentroids:
         rs = make_recordset(rows)
         g = snapshot(rs, 2010, 1)
         pos = layout(g, seed=1)
-        cf, trad = centroids(g, pos)
         pts = np.array(list(pos.values()))
-        for c in (cf, trad):
-            if c is None:
-                continue
-            assert pts[:, 0].min() - 1e-9 <= c.point[0] <= pts[:, 0].max() + 1e-9
-            assert pts[:, 1].min() - 1e-9 <= c.point[1] <= pts[:, 1].max() + 1e-9
+        for _, (x, y) in filter(None, centroids(export_rows(g, pos))):
+            assert pts[:, 0].min() - 1e-9 <= x <= pts[:, 0].max() + 1e-9
+            assert pts[:, 1].min() - 1e-9 <= y <= pts[:, 1].max() + 1e-9
 
 
 def loop_pack(bits) -> int:
@@ -628,8 +625,7 @@ class TestPerRecordReference:
             assert columns_of(g) == {k: nodes[k] for k in plotted}
             assert g.keys == plotted and len(plotted) > 1
             positions = {k: (float(i), float(i % 7) / 3) for i, k in enumerate(plotted) if i % 4}
-            got = [c and (c.group, c.point) for c in centroids(g, positions)]
-            assert got == reference_centroids(rs, positions, year)
+            assert list(centroids(export_rows(g, positions))) == reference_centroids(rs, positions, year)
 
     @pytest.mark.parametrize("dim", [16, 64, 65, 130])
     def test_type_keys_match_unique_rows(self, dim):

@@ -38,7 +38,6 @@ from novascape.stats import (
     describe,
     fit_arrays,
     fit_model,
-    fit_rows,
     format_model_table,
     group_test_battery,
     join_scores,
@@ -1081,10 +1080,3 @@ class TestFormatting:
         assert "McFadden's Pseudo R-Squared" in text
         assert "0.235" in text and "0.412" in text and "0.014" in text
         assert "Observations" in text
-
-    def test_fit_rows_csv_shape(self):
-        fits = self.fitted_columns()
-        rows = fit_rows(fits[0][1])
-        assert rows[0]["term"] == "const"
-        assert set(rows[0]) == {"term", "coef", "se", "z", "p"}
-        assert len(rows) == len(fits[0][1].columns)
