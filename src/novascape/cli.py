@@ -31,7 +31,7 @@ import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import List, Mapping, Optional, Sequence, Tuple, Union, get_args, get_origin
+from typing import Mapping, Optional, Sequence, Tuple, Union, get_args, get_origin
 
 from .corpus import (
     FilterConfig,
@@ -70,9 +70,9 @@ from .landscape import (
 from .metrics import DEFAULT_SPAN, SPAN_PRESETS, ScoreTable, read_scores_csv, score_corpus
 from .stats import (
     COUNT_NOVELTY_MODEL,
+    DESCRIBE_COLUMNS,
     JOINED_COLUMNS,
     JOINED_LABELS,
-    REFERENCE_CROWDFUNDED,
     STANDARD_MODELS,
     ModelSpec,
     build_design,
@@ -99,6 +99,15 @@ MODEL_PRESETS = dict(STANDARD_MODELS + (COUNT_NOVELTY_MODEL,))
 CORPUS_CACHE = "corpus_filtered.csv"
 REGISTRY_CACHE = "registry.txt"
 SCORES_FILE = "scores.csv"
+
+# the headers of the stats tables but descriptives.csv (stats.DESCRIBE_COLUMNS)
+GROUP_TEST_COLUMNS = ("feature", "n_crowdfunded", "n_traditional", "mean_crowdfunded", "mean_traditional",
+                      "u_statistic", "auc", "p_value", "exact")
+MODEL_COLUMNS = ("model", "term", "coef", "se", "z", "p")
+# OLS is solved directly, so its n_iter and max_score are 0
+DIAGNOSTIC_COLUMNS = ("model", "family", "n_obs", "incomplete_dropped", "separated_levels",
+                      "separated_rows", "n_iter", "max_score", "log_likelihood")
+MARGINAL_MEAN_COLUMNS = ("model", "crowdfunded", "estimate", "se", "ci_low", "ci_high")
 
 
 @contextmanager
@@ -163,8 +172,11 @@ def _read(kind, value, name: str):
         if unknown:
             raise ConfigError(f"unknown keys {unknown} in {name or 'the config'}; "
                               f"a key must be one of {sorted(fields)}")
-        return kind(**{key: _read(fields[key], item, f"{name}.{key}" if name else key)
-                       for key, item in value.items()})
+        values = {key: _read(fields[key], item, f"{name}.{key}" if name else key) for key, item in value.items()}
+        try:
+            return kind(**values)
+        except (TypeError, ValueError) as exc:  # a missing field, or a check that names no key
+            raise ConfigError(f"{name}: {exc}") from exc
     if origin is tuple:
         if args[-1] is not Ellipsis and len(value) != len(args):
             raise ConfigError(f"{name} must be a list of {len(args)}, got {value!r}")
@@ -172,8 +184,15 @@ def _read(kind, value, name: str):
         return tuple(_read(k, item, f"{name}[{i}]") for i, (k, item) in enumerate(zip(kinds, value)))
     if origin is collections.abc.Mapping:
         # JSON object keys are strings; an int key is parsed from one
-        return {args[0](key): _read(args[1], item, f"{name}.{key}") for key, item in value.items()}
+        return {_read_key(args[0], key, name): _read(args[1], item, f"{name}.{key}") for key, item in value.items()}
     return float(value) if kind is float else value
+
+
+def _read_key(kind, key: str, name: str):
+    try:
+        return kind(key)
+    except ValueError:
+        raise ConfigError(f"{name} key {key!r} must be {_json_form(kind)[1]}") from None
 
 
 @dataclass(frozen=True)
@@ -240,10 +259,7 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "PipelineConfig":
-        try:
-            return _read(cls, payload, "")
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad config value: {exc}") from exc
+        return _read(cls, payload, "")
 
     @classmethod
     def from_json(cls, path) -> "PipelineConfig":
@@ -321,11 +337,10 @@ def _load_scored_cache(cfg: PipelineConfig) -> Tuple[RecordSet, ScoreTable]:
     if not path.exists():
         raise ConfigError(f"{path} missing; run the score subcommand first")
     table = _read_input(read_scores_csv, path)
-    years = set(records.year_rows)
-    expected = {
-        rid for rid, year in zip(records.ids, records.years.tolist())
-        if any(year - k in years for k in range(1, cfg.stats_span + 1))
-    }
+    # a year has a past window when the nearest earlier corpus year is within stats_span
+    years = sorted(records.year_rows)
+    windowed = {year for earlier, year in zip(years, years[1:]) if earlier >= year - cfg.stats_span}
+    expected = {rid for rid, year in zip(records.ids, records.years.tolist()) if year in windowed}
     scored = set(table.ids[table.spans == cfg.stats_span].tolist())
     if scored != expected or not set(table.ids.tolist()) <= set(records.ids):
         raise ConfigError(
@@ -414,17 +429,17 @@ def cmd_landscape(cfg: PipelineConfig, records: RecordSet) -> int:
                     render_svg(g, exported, tmp, classes=classes[g.snapshot_year])
                 else:
                     export_graph(g, exported, fmt, tmp, seed=settings.seed)
-        rows += [{"year": g.snapshot_year, "group": group, "x": f"{x:.6f}", "y": f"{y:.6f}"}
+        rows += [(g.snapshot_year, group, f"{x:.6f}", f"{y:.6f}")
                  for group, (x, y) in filter(None, centroids(exported))]
-    _write_table(out / "centroids.csv", rows, ["year", "group", "x", "y"])
+    _write_table(out / "centroids.csv", ("year", "group", "x", "y"), rows)
     log.info("wrote %d snapshots (%s) and %d centroid rows", len(graphs), years, len(rows))
     return EXIT_OK
 
 
-def _write_table(path: Path, rows: List[dict], columns: Sequence[str]) -> None:
-    """Write the rows as a CSV table with the given columns, atomically; a missing cell is empty."""
+def _write_table(path: Path, header: Sequence[str], rows: Sequence[tuple]) -> None:
+    """Write the tuple rows under `header` as a CSV table, atomically; a None cell is empty."""
     with atomic_write(path) as tmp:
-        write_csv_columns(tmp, columns, [[row.get(name) for row in rows] for name in columns])
+        write_csv_columns(tmp, header, list(zip(*rows)) or [()] * len(header))
 
 
 def cmd_stats(cfg: PipelineConfig, records: RecordSet, table: ScoreTable) -> int:
@@ -432,29 +447,18 @@ def cmd_stats(cfg: PipelineConfig, records: RecordSet, table: ScoreTable) -> int
     data = join_scores(records, table, span=cfg.stats_span)
     out = Path(cfg.out_dir)
 
-    desc = describe(data)
-    _write_table(out / "descriptives.csv", desc, list(desc[0]))
+    _write_table(out / "descriptives.csv", DESCRIBE_COLUMNS, describe(data))
 
     # a failed group test or model is reported and left out; the others are still written
     battery = group_test_battery(data)
     untested = [label for label, res in battery if res is None]
     for label in untested:
         log.error("group test %s failed: a group has no values", label)
-    test_columns = ("feature", "n_crowdfunded", "n_traditional", "mean_crowdfunded", "mean_traditional",
-                    "u_statistic", "auc", "p_value", "exact")
-    test_rows = [
-        dict(zip(test_columns, (
-            label, *res.n, *(f"{m:.6f}" for m in res.group_means), f"{res.u_statistic:.1f}",
-            f"{res.auc:.6f}", f"{res.p_value:.6g}", int(res.exact))))
-        for label, res in battery if res is not None
-    ]
-    _write_table(out / "group_tests.csv", test_rows, test_columns)
+    test_rows = [(label, *res.n, *(f"{m:.6f}" for m in res.group_means), f"{res.u_statistic:.1f}",
+                  f"{res.auc:.6f}", f"{res.p_value:.6g}", int(res.exact))
+                 for label, res in battery if res is not None]
+    _write_table(out / "group_tests.csv", GROUP_TEST_COLUMNS, test_rows)
 
-    model_columns = ("model", "term", "coef", "se", "z", "p")
-    # OLS is solved directly, so its n_iter and max_score are 0
-    diagnostic_columns = ("model", "family", "n_obs", "incomplete_dropped", "separated_levels",
-                          "separated_rows", "n_iter", "max_score", "log_likelihood")
-    mm_columns = ("estimate", "se", "ci_low", "ci_high")
     fits, model_rows, diagnostic_rows, mm_rows = [], [], [], []
     for name, spec in cfg.models.items():
         design = None  # rows are made right after each fit, so one design is alive at a time
@@ -467,25 +471,23 @@ def cmd_stats(cfg: PipelineConfig, records: RecordSet, table: ScoreTable) -> int
             continue
         fits.append((name, fit))
         estimates = (fit.coefficients, fit.robust_se, fit.z_or_t, fit.p_values)
-        model_rows += [dict(zip(model_columns, (name, term, *(f"{v[term]:.6g}" for v in estimates))))
-                       for term in fit.columns]
+        model_rows += [(name, term, *(f"{v[term]:.6g}" for v in estimates)) for term in fit.columns]
         separated_rows = sum(rows for _, _, rows in design.separated)
         incomplete = len(data[spec.outcome]) - len(design.rows_used) - separated_rows
-        diagnostic_rows.append(dict(zip(diagnostic_columns, (
+        diagnostic_rows.append((
             name, fit.family, fit.n_obs, incomplete,
             "; ".join(f"{fe}={level} ({rows} rows)" for fe, level, rows in design.separated),
-            separated_rows, fit.n_iter, f"{fit.max_score:.3g}", f"{fit.log_likelihood:.6f}"))))
+            separated_rows, fit.n_iter, f"{fit.max_score:.3g}", f"{fit.log_likelihood:.6f}"))
         if "crowdfunded" in fit.columns:
-            mm_rows += [{"model": name, "crowdfunded": int(mm.level),
-                         **{k: f"{getattr(mm, k):.6f}" for k in mm_columns}}
+            mm_rows += [(name, int(mm.level), *(f"{v:.6f}" for v in (mm.estimate, mm.se, mm.ci_low, mm.ci_high)))
                         for mm in marginal_means(fit, design.X, "crowdfunded")]
     failures = sum(fit is None for _, fit in fits)
 
-    _write_table(out / "models.csv", model_rows, model_columns)
+    _write_table(out / "models.csv", MODEL_COLUMNS, model_rows)
     with atomic_write(out / "models.txt") as tmp:
-        tmp.write_text(format_model_table(fits, reference=REFERENCE_CROWDFUNDED), encoding="utf-8")
-    _write_table(out / "model_diagnostics.csv", diagnostic_rows, diagnostic_columns)
-    _write_table(out / "marginal_means.csv", mm_rows, ["model", "crowdfunded", *mm_columns])
+        tmp.write_text(format_model_table(fits), encoding="utf-8")
+    _write_table(out / "model_diagnostics.csv", DIAGNOSTIC_COLUMNS, diagnostic_rows)
+    _write_table(out / "marginal_means.csv", MARGINAL_MEAN_COLUMNS, mm_rows)
 
     if untested or failures:
         log.error("%d of %d group tests and %d of %d models failed; remaining tables were still written",

@@ -5,7 +5,8 @@ analysis: Mann-Whitney U (midranks, tie-corrected normal approximation,
 exact enumeration for tiny samples), one fitter (fit_arrays) for OLS and
 logistic and Poisson maximum likelihood with heteroskedasticity-robust
 sandwich covariance, average adjusted predictions with delta-method
-intervals, and a fixed-format text table for the three-model comparison.
+intervals, and a fixed-format text table of the fitted models, a row per
+term. Descriptives, group tests and model rows take their labels from LABELS.
 
 scipy supplies compiled routines only, loaded by `_compiled.routines` without
 importing scipy.linalg or scipy.special: LAPACK's dgeqp3, dorgqr and dtrtrs,
@@ -50,51 +51,32 @@ SCORE_TOL = 1e-8
 LL_REL_TOL = 1e-10
 SEPARATION_BOUND = 30.0
 
-# display labels for the standard model terms, in table order
-TERM_LABELS = (
-    ("crowdfunded", "Is Crowdfunded"),
-    ("team_size", "Team Size"),
-    ("debut", "Debut"),
-    ("complexity", "Avg. Complexity Rating"),
-    ("playing_time", "Playing Time (Log Mins)"),
-    ("min_players", "Min. # of Players"),
-    ("max_players", "Max. # of Players"),
-    ("min_age", "Min. Age"),
-    ("is_expansion", "Is Expansion"),
-    ("is_adult", "Is Adult/Mature"),
-    ("const", "Constant"),
-)
+# display labels of the joined numeric columns but year, in descriptives order
+LABELS = {
+    "distinctiveness": "Distinctiveness",
+    "novelty_count": "Novelty (Count)",
+    "novelty_binary": "Novelty (Binary)",
+    "resonance": "Resonance",
+    "crowdfunded": "Is Crowdfunded",
+    "team_size": "Team Size",
+    "debut": "Debut",
+    "complexity": "Avg. Complexity Rating",
+    "playing_time": "Playing Time (Mins)",
+    "min_players": "Min. # of Players",
+    "max_players": "Max. # of Players",
+    "min_age": "Min. Age",
+    "is_expansion": "Is Expansion",
+    "is_adult": "Is Adult/Mature",
+    "num_ratings": "Num. of Ratings",
+}
+# model table labels: playing time enters the standard models as log1p
+TERM_LABELS = {**LABELS, "playing_time": "Playing Time (Log Mins)", "const": "Constant"}
 
 # two-group comparison battery of corpus features
-BATTERY_FEATURES = (
-    ("distinctiveness", "Distinctiveness"),
-    ("novelty_count", "Novelty (Count)"),
-    ("novelty_binary", "Novelty (Binary)"),
-    ("resonance", "Resonance"),
-    ("is_expansion", "Is Expansion"),
-    ("complexity", "Avg. Complexity Rating"),
-    ("is_adult", "Is Adult/Mature"),
-    ("team_size", "Team Size"),
-    ("debut", "Debut"),
-)
+BATTERY_FEATURES = ("distinctiveness", "novelty_count", "novelty_binary", "resonance", "is_expansion",
+                    "complexity", "is_adult", "team_size", "debut")
 
-DESCRIBE_VARIABLES = (
-    ("distinctiveness", "Distinctiveness"),
-    ("novelty_count", "Novelty (Count)"),
-    ("novelty_binary", "Novelty (Binary)"),
-    ("resonance", "Resonance"),
-    ("crowdfunded", "Is Crowdfunded"),
-    ("team_size", "Team Size"),
-    ("debut", "Debut"),
-    ("complexity", "Avg. Complexity Rating"),
-    ("playing_time", "Playing Time (Mins)"),
-    ("min_players", "Min. # of Players"),
-    ("max_players", "Max. # of Players"),
-    ("min_age", "Min. Age"),
-    ("is_expansion", "Is Expansion"),
-    ("is_adult", "Is Adult/Mature"),
-    ("num_ratings", "Num. of Ratings"),
-)
+DESCRIBE_COLUMNS = ("variable", "count", "mean", "std", "min", "p25", "p50", "p75", "max")
 
 # the LAPACK routines as _pivoted_qr and _solve_upper call them
 _LAPACK_SIGNATURES = (
@@ -265,12 +247,12 @@ def group_test_battery(data: Mapping[str, np.ndarray]) -> List[Tuple[str, Option
     """
     mask1 = data["crowdfunded"] == 1
     out = []
-    for column, label in BATTERY_FEATURES:
+    for column in BATTERY_FEATURES:
         values = data[column]
         ok = np.isfinite(values)
         x = values[ok & mask1]
         y = values[ok & ~mask1]
-        out.append((label, mann_whitney_u(x, y) if len(x) and len(y) else None))
+        out.append((LABELS[column], mann_whitney_u(x, y) if len(x) and len(y) else None))
     return out
 
 
@@ -310,11 +292,9 @@ class ModelSpec:
 
 
 # the three headline models plus the count-novelty check
-STANDARD_TERMS = tuple(
-    (c, "log1p" if c == "playing_time" else "identity")
-    for c, _ in TERM_LABELS
-    if c != "const"
-)
+STANDARD_TERMS = tuple((c, "log1p" if c == "playing_time" else "identity") for c in (
+    "crowdfunded", "team_size", "debut", "complexity", "playing_time", "min_players", "max_players", "min_age",
+    "is_expansion", "is_adult"))
 STANDARD_FE = ("year", "genre")
 
 STANDARD_MODELS = (
@@ -795,36 +775,23 @@ def marginal_means(
 # ---------------------------------------------------------------------------
 # descriptives
 
-def describe(
-    data: Mapping[str, np.ndarray],
-    variables: Sequence[Tuple[str, str]] = DESCRIBE_VARIABLES,
-) -> List[dict]:
-    """Count/mean/std/min/quartiles/max per variable; NaNs dropped per
-    variable, std on the n-1 denominator, quartiles np.percentile's (_quartiles)."""
+def describe(data: Mapping[str, np.ndarray]) -> List[tuple]:
+    """One DESCRIBE_COLUMNS row per LABELS column in data: count/mean/std/min/quartiles/max,
+    NaNs dropped, std on the n-1 denominator, quartiles np.percentile's (_quartiles);
+    a column with no finite value has only its count, 0."""
     rows = []
-    for column, label in variables:
+    for column, label in LABELS.items():
         if column not in data:
             continue
         values = np.asarray(data[column], dtype=float)
         values = values[np.isfinite(values)]
         n = len(values)
         if n == 0:
-            rows.append({"variable": label, "count": 0})
+            rows.append((label, 0) + (None,) * 7)
             continue
-        q25, q50, q75 = _quartiles(values)
-        rows.append(
-            {
-                "variable": label,
-                "count": n,
-                "mean": float(values.mean()),
-                "std": float(values.std(ddof=1)) if n > 1 else 0.0,
-                "min": float(values.min()),
-                "p25": float(q25),
-                "p50": float(q50),
-                "p75": float(q75),
-                "max": float(values.max()),
-            }
-        )
+        std = float(values.std(ddof=1)) if n > 1 else 0.0
+        rows.append((label, n, float(values.mean()), std, float(values.min()),
+                     *map(float, _quartiles(values)), float(values.max())))
     return rows
 
 
@@ -852,20 +819,23 @@ def _fmt_cell(fit: Optional[FitResult], term: str) -> Tuple[str, str]:
     return f"{coef:.3f}{stars}", f"({fit.robust_se[term]:.3f})"
 
 
-def format_model_table(
-    fits: Sequence[Tuple[str, Optional[FitResult]]],
-    reference: Optional[Mapping[str, float]] = None,
-) -> str:
+def format_model_table(fits: Sequence[Tuple[str, Optional[FitResult]]]) -> str:
     """Fixed-width text table in the three-column journal layout.
 
-    One column per (title, fit); coefficient rows in TERM_LABELS order with
-    significance stars, standard errors parenthesized underneath, fixed
-    effects compressed to Yes markers, R² labeled by family, and any
-    supplied reference values printed as a comparison footer (display only).
+    One column per (title, fit); a coefficient row per fitted term that is no
+    fixed-effect dummy, in order of first use across the fits with the
+    constant last, labelled from TERM_LABELS or else by column name, with
+    significance stars and standard errors parenthesized underneath; fixed
+    effects compressed to Yes markers, R² labeled by family, and the
+    REFERENCE_CROWDFUNDED values of the titles that have one printed as a
+    comparison footer (display only).
     """
     titles = [t for t, _ in fits]
     fitted = [f for _, f in fits]
-    label_w = max(len("McFadden's Pseudo R-Squared"), max(len(lbl) for _, lbl in TERM_LABELS)) + 2
+    terms = sorted(dict.fromkeys(c for f in fitted if f is not None for c in f.columns if "=" not in c),
+                   key="const".__eq__)
+    labels = [TERM_LABELS.get(term, term) for term in terms]
+    label_w = max(map(len, ["McFadden's Pseudo R-Squared", *labels])) + 2
     col_w = max(16, max(len(t) for t in titles) + 2)
 
     def row(label, cells):
@@ -876,10 +846,8 @@ def format_model_table(
     fam_names = {FAMILY_OLS: "OLS", FAMILY_LOGISTIC: "Logistic", FAMILY_POISSON: "Poisson"}
     lines.append(row("", [fam_names.get(f.family, "") if f else "" for f in fitted]))
     lines.append("-" * (label_w + col_w * len(fits)))
-    for term, label in TERM_LABELS:
+    for term, label in zip(terms, labels):
         cells = [_fmt_cell(f, term) for f in fitted]
-        if all(c == ("", "") for c in cells):
-            continue
         lines.append(row(label, [c[0] for c in cells]))
         lines.append(row("", [c[1] for c in cells]))
     lines.append("-" * (label_w + col_w * len(fits)))
@@ -898,9 +866,8 @@ def format_model_table(
     lines.append(row("Observations", [f"{f.n_obs:,}" if f else "" for f in fitted]))
     lines.append("-" * (label_w + col_w * len(fits)))
     lines.append("Note: *p<0.05; **p<0.01; ***p<0.001. Robust standard errors in parentheses.")
-    if reference:
-        ref_cells = [f"{reference[t]:.3f}" if t in reference else "" for t in titles]
-        if any(ref_cells):
-            lines.append(row("Reference 'Is Crowdfunded' (BGG 2017)", ref_cells))
-            lines.append("Reference values are published comparison points only; they are never test targets.")
+    ref_cells = [f"{REFERENCE_CROWDFUNDED[t]:.3f}" if t in REFERENCE_CROWDFUNDED else "" for t in titles]
+    if any(ref_cells):
+        lines.append(row("Reference 'Is Crowdfunded' (BGG 2017)", ref_cells))
+        lines.append("Reference values are published comparison points only; they are never test targets.")
     return "\n".join(lines) + "\n"

@@ -296,6 +296,17 @@ class TestReport:
         # one row per fitted column of each model, in the fit's column order
         assert rows == expected
 
+    def test_model_table_has_a_row_per_fitted_term(self, tmp_path):
+        # terms outside the standard models get rows too, labelled by column name
+        # where stats.TERM_LABELS has none, and the constant comes last
+        out = tmp_path / "run"
+        model = {"outcome": "distinctiveness", "family": "ols", "terms": ["resonance", ["year", "zscore"]]}
+        cfg = write_config(tmp_path, {**pipeline_payload(out), "models": {"M": model}})
+        assert main(["report", "--config", str(cfg)]) == EXIT_OK
+        lines = (out / "models.txt").read_text().splitlines()
+        assert [line.split("  ")[0] for line in lines[3:9:2]] == ["Resonance", "year", "Constant"]
+        assert set(lines[9]) == {"-"}
+
     def test_centroid_rows_are_group_by_year(self, tmp_path):
         out = tmp_path / "run"
         cfg = write_config(tmp_path, pipeline_payload(out))
@@ -604,7 +615,7 @@ class TestExitCodes:
         assert "group test Resonance failed" in caplog.text
         with open(out / "group_tests.csv", newline="") as fh:
             tested = [row["feature"] for row in csv.DictReader(fh)]
-        assert tested == [label for _, label in stats.BATTERY_FEATURES if label != "Resonance"]
+        assert tested == [stats.LABELS[column] for column in stats.BATTERY_FEATURES if column != "resonance"]
         fitted = {line.split(",")[0] for line in (out / "models.csv").read_text().splitlines()[1:]}
         assert fitted == {"Distinctiveness", "Novelty"}
         diagnosed = {line.split(",")[0] for line in (out / "model_diagnostics.csv").read_text().splitlines()[1:]}
@@ -704,6 +715,18 @@ class TestExitCodes:
         assert main([command, "--config", str(cfg), *extra]) == EXIT_INPUT
         assert caplog.records[-1].getMessage() == f"{spoiled}: {message}"
 
+    @pytest.mark.parametrize("section, message", [
+        ({"models": {"M": {**MODEL, "family": "probit"}}}, "models.M: unknown family 'probit'"),
+        ({"models": {"M": {"outcome": "distinctiveness", "terms": ["crowdfunded"]}}},
+         "models.M: ModelSpec.__init__() missing 1 required positional argument: 'family'"),
+        ({"synth": {"crowdfunded_share_by_year": {"abc": 0.3}}},
+         "synth.crowdfunded_share_by_year key 'abc' must be an integer"),
+    ], ids=["unknown-family", "missing-family", "share-year-text"])
+    def test_config_error_names_its_model_or_key(self, tmp_path, caplog, section, message):
+        cfg = write_config(tmp_path, {"out_dir": str(tmp_path / "o"), "synth": {}, **section})
+        assert main(["synth", "--config", str(cfg)]) == EXIT_INPUT
+        assert caplog.records[-1].getMessage() == message
+
     @pytest.mark.parametrize("key", ["min_mechanisms", "min_ratings"])
     def test_negative_filter_threshold_names_its_key(self, tmp_path, caplog, key):
         cfg = write_config(tmp_path, {**pipeline_payload(tmp_path / "o"), "filters": {key: -1}})
@@ -735,6 +758,27 @@ class TestInMemoryReport:
         assert set(stepwise) == set(report) - {"pipeline_config.json"}
         for name, data in stepwise.items():
             assert data == report[name], name
+
+    def test_standalone_stats_over_a_long_span_writes_what_report_writes(self, tmp_path):
+        # the scores.csv check decides per corpus year, so its time does not grow with the span;
+        # the child has a timeout, so a check that loops over the span fails instead of hanging
+        span = 10**9
+        report_out, step_out = tmp_path / "report", tmp_path / "step"
+        report_cfg, step_cfg = (write_config(tmp_path, {**pipeline_payload(out), "spans": [span], "stats_span": span},
+                                             f"{out.name}.json") for out in (report_out, step_out))
+        report_code = main(["report", "--config", str(report_cfg)])
+        assert main(["synth", "--config", str(step_cfg)]) == EXIT_OK
+        steps = [["ingest", "--config", str(step_cfg), "--corpus", str(step_out / "synth_corpus.csv"),
+                  "--registry", str(step_out / "synth_registry.txt")],
+                 ["score", "--config", str(step_cfg)], ["stats", "--config", str(step_cfg)]]
+        script = f"from novascape.cli import main\nprint(*(main(argv) for argv in {steps!r}))"
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=entry_env(), timeout=60)
+        assert proc.stdout.split() == ["0", "0", str(report_code)], proc.stderr[-2000:]
+        report, stepwise = snapshot(report_out), snapshot(step_out)
+        for name in ("descriptives.csv", "group_tests.csv", "models.csv", "models.txt",
+                     "model_diagnostics.csv", "marginal_means.csv"):
+            assert stepwise[name] == report[name], name
 
     def test_report_parses_its_input_once_and_lays_out_once(self, tmp_path, monkeypatch):
         calls = []
@@ -1122,3 +1166,9 @@ class TestDrawnReports:
             assert (out / "pipeline_config.json").exists()
             if code != EXIT_INPUT:
                 assert stage_files(out, cfg) <= {p.name for p in out.iterdir()}
+            if (out / "models.csv").exists():
+                # models.txt has a row for every fitted term but the fixed-effect dummies
+                with open(out / "models.csv", newline="") as fh:
+                    terms = {row["term"] for row in csv.DictReader(fh) if "=" not in row["term"]}
+                shown = {line.split("  ")[0] for line in (out / "models.txt").read_text().splitlines()}
+                assert {stats.TERM_LABELS.get(term, term) for term in terms} <= shown

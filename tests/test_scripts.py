@@ -1,6 +1,8 @@
-"""scripts/effect_recovery.py: its exit status and the BLAS threads of its workers."""
+"""The scripts: effect_recovery.py's exit status and the BLAS threads of its workers,
+scale_probe.py's output line, and run_synthetic_demo.py's run."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -11,8 +13,8 @@ SCRIPT = ROOT / "scripts" / "effect_recovery.py"
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def load_script():
-    spec = importlib.util.spec_from_file_location("effect_recovery", SCRIPT)
+def load_script(path: Path = SCRIPT):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -36,3 +38,18 @@ def test_one_blas_thread_unless_the_environment_sets_one():
         out = subprocess.run([sys.executable, "-c", probe], env={**env, **given}, check=True,
                              capture_output=True, text=True, timeout=120).stdout
         assert out.split() == want.split()
+
+
+def test_scale_probe_prints_one_line_per_size():
+    out = subprocess.run([sys.executable, str(ROOT / "scripts" / "scale_probe.py"), "--sizes", "2000"],
+                         check=True, capture_output=True, text=True, timeout=120).stdout
+    (line,) = out.splitlines()
+    probe = json.loads(line)
+    assert list(probe) == ["records", "pairs", "wall_s", "pairs_per_s", "max_rss_mb"]
+    assert probe["records"] == 2000 and probe["pairs"] > 0 and probe["wall_s"] > 0
+
+
+def test_synthetic_demo_prints_the_model_table(tmp_path, capsys):
+    demo = load_script(ROOT / "scripts" / "run_synthetic_demo.py")
+    assert demo.run(["--out", str(tmp_path), "--years", "4", "--games-per-year", "80"]) == 0
+    assert (tmp_path / "models.txt").read_text() in capsys.readouterr().out

@@ -28,7 +28,10 @@ from novascape.errors import (
 from novascape.metrics import score_corpus
 from novascape.stats import (
     BATTERY_FEATURES,
-    REFERENCE_CROWDFUNDED,
+    DESCRIBE_COLUMNS,
+    JOINED_COLUMNS,
+    JOINED_LABELS,
+    LABELS,
     STANDARD_MODELS,
     TERM_LABELS,
     Design,
@@ -260,7 +263,7 @@ class TestBattery:
     def test_labels_and_nan_handling(self):
         results = group_test_battery(self.demo_data())
         labels = [label for label, _ in results]
-        assert labels == [label for _, label in BATTERY_FEATURES]
+        assert labels == [LABELS[column] for column in BATTERY_FEATURES]
         res = dict(results)["Resonance"]
         assert sum(res.n) == 30  # NaNs dropped
 
@@ -1005,23 +1008,37 @@ class TestMarginalMeans:
 # ---------------------------------------------------------------------------
 # descriptives and formatting
 
+def describe_one(values) -> dict:
+    """describe's one row for a single column, keyed by DESCRIBE_COLUMNS."""
+    (row,) = describe({"complexity": np.array(values)})
+    return dict(zip(DESCRIBE_COLUMNS, row))
+
+
 class TestDescribe:
     def test_constant_column(self):
-        rows = describe({"x": np.full(5, 3.0)}, [("x", "X")])
-        row = rows[0]
+        row = describe_one(np.full(5, 3.0))
         assert row["std"] == 0.0
         assert row["min"] == row["p25"] == row["p50"] == row["p75"] == row["max"] == 3.0
 
     def test_symmetric_four_values(self):
-        row = describe({"x": np.array([1.0, 2.0, 3.0, 4.0])}, [("x", "X")])[0]
+        row = describe_one([1.0, 2.0, 3.0, 4.0])
         assert row["mean"] == 2.5
         assert row["p50"] == 2.5
         assert row["count"] == 4
 
     def test_nan_dropped(self):
-        row = describe({"x": np.array([1.0, np.nan, 3.0])}, [("x", "X")])[0]
+        row = describe_one([1.0, np.nan, 3.0])
         assert row["count"] == 2
         assert row["mean"] == 2.0
+
+    def test_no_finite_value_has_only_its_count(self):
+        assert describe({"complexity": np.array([np.nan, np.inf])}) == [("Avg. Complexity Rating", 0) + (None,) * 7]
+
+    def test_rows_follow_the_joined_numeric_columns_without_year(self):
+        numeric = [c for c in JOINED_COLUMNS if c not in JOINED_LABELS and c != "year"]
+        assert list(LABELS) == numeric
+        data = {column: np.arange(3.0) for column in reversed(JOINED_COLUMNS)}
+        assert [row[0] for row in describe(data)] == [LABELS[c] for c in numeric]
 
     @settings(max_examples=400, deadline=None)
     @given(st.lists(st.one_of(st.sampled_from((0.0, -0.0, 1.0, -1.0, 1e-300, -1e-300, 1e300, -1e300)),
@@ -1070,9 +1087,10 @@ class TestFormatting:
         assert significance_stars(0.2) == ""
 
     def test_table_contains_all_rows_and_markers(self):
-        text = format_model_table(self.fitted_columns(), reference=REFERENCE_CROWDFUNDED)
-        for _, label in TERM_LABELS:
-            assert label in text
+        text = format_model_table(self.fitted_columns())
+        for column, _ in STANDARD_MODELS[0][1].terms:
+            assert TERM_LABELS[column] in text
+        assert TERM_LABELS["const"] in text
         assert "Year FE" in text
         assert "Genre FE" in text
         assert "Yes" in text
