@@ -11,7 +11,8 @@ the Python, numpy and scipy versions they were taken with: layout and fit
 bits depend on those. BLAS runs on one thread, whatever the environment says.
 
 A change that is meant to move bytes regenerates the manifest with --write
-and names every moved file.
+and names every moved file: while the versions match, --write first prints
+each run or artifact whose digest differs from the manifest's.
 
 Usage:
     python3 scripts/artifact_digests.py --check [--large]
@@ -142,7 +143,10 @@ def main(argv=None) -> int:
     if args.write:
         # runs not recomputed are kept only while the versions match
         old = load_manifest() if MANIFEST.exists() else {"versions": None}
-        manifest = {"versions": versions(), "runs": old["runs"] if old["versions"] == versions() else {}}
+        same = old["versions"] == versions()
+        for line in differences(old["runs"], actual) if same else ():
+            print(line)
+        manifest = {"versions": versions(), "runs": old["runs"] if same else {}}
         manifest["runs"].update(actual)
         MANIFEST.parent.mkdir(parents=True, exist_ok=True)
         MANIFEST.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")

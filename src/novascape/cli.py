@@ -384,7 +384,7 @@ def cmd_ingest(cfg: PipelineConfig, records: RecordSet) -> RecordSet:
     with atomic_write(out / REGISTRY_CACHE) as tmp:
         write_registry(records.registry, tmp)
     with atomic_write(out / "filter_report.json") as tmp:
-        tmp.write_text(report.to_json() + "\n", encoding="utf-8")
+        tmp.write_text(report.to_json(), encoding="utf-8")
     log.info("ingested %d records, kept %d after filters", len(records), len(kept))
     return kept
 

@@ -2,9 +2,10 @@
 
 Products are described by fixed-width binary feature vectors ("mechanism
 vectors" for board games). The registry defines the vector dimensionality and
-the bit order; records are parsed from a flat CSV schema and filtered down to
-an analysis set with explicit, reported rules. write_csv_columns writes every
-CSV table the package produces.
+the bit order; records are parsed from a flat CSV schema, each column through
+one typed converter (_convert), and filtered down to an analysis set with
+explicit, reported rules. write_csv_columns writes every CSV table the
+package produces.
 """
 
 import csv
@@ -271,53 +272,6 @@ def _number_cells(values: np.ndarray) -> np.ndarray:
     return cells
 
 
-# Column converters: a sequence of cells in, (values array, mask of the cells
-# the matching _parse_* rejects) out. They call the builtins the cell parsers
-# call, never numpy's string casts, which accept a different set of strings.
-
-def _cellwise(parse, cells, dtype) -> tuple:
-    """Cell by cell through `parse`; 0 stands in for each rejected cell."""
-    values, bad = [], np.zeros(len(cells), dtype=bool)
-    for i, value in enumerate(cells):
-        try:
-            values.append(parse(value, 0, ""))
-        except ParseError:
-            values.append(0)
-            bad[i] = True
-    return np.array(values, dtype=dtype), bad
-
-
-def _int_column(cells) -> tuple:
-    try:
-        return np.array(list(map(int, cells)), dtype=np.int64), np.zeros(len(cells), dtype=bool)
-    except (ValueError, OverflowError):  # not an integer, or outside int64
-        return _cellwise(_parse_int, cells, np.int64)
-
-
-def _float_column(cells) -> tuple:
-    try:
-        values = np.array(list(map(float, cells)), dtype=np.float64)
-    except ValueError:
-        return _cellwise(_parse_float, cells, np.float64)
-    return values, ~np.isfinite(values)
-
-
-_BOOL_CODES = {"0": 0, "1": 1}
-
-
-def _bool_column(cells) -> tuple:
-    codes = np.fromiter(map(_BOOL_CODES.get, cells, itertools.repeat(2)), dtype=np.int8, count=len(cells))
-    return codes == 1, codes == 2
-
-
-def _str_column(cells) -> tuple:
-    return np.array(cells, dtype=object), np.zeros(len(cells), dtype=bool)
-
-
-def _optional_str_column(cells) -> tuple:
-    return _str_column([value or None for value in cells])
-
-
 def _raise_first(checks: list) -> None:
     """Raise the error of the first check that flags the smallest flagged row.
 
@@ -330,20 +284,44 @@ def _raise_first(checks: list) -> None:
         raise checks[k][1](i)
 
 
-def _column_check(cells, convert, parse, column: str, first_row: int) -> tuple:
-    """The column's values from `convert`, and its check: the cells `convert` rejects, `parse`'s error."""
-    values, bad = convert(cells)
-    return values, (bad, lambda i: parse(cells[i], first_row + i, column))
+def _column_check(cells, kind, column: str, first_row: int) -> tuple:
+    """The column's values from _convert, and its check: the cells it rejects, `kind`'s parser's error."""
+    values, bad = _convert(cells, kind)
+    return values, (bad, lambda i: _KINDS[kind][1](cells[i], first_row + i, column))
 
 
-# per CONTROLS type: column dtype, CSV cell parser, column converter
+# per CONTROLS type: column dtype, CSV cell parser, and the reader _convert maps
+# over a column: the builtin the parser calls, never numpy's string casts, which
+# accept a different set of strings
 _KINDS = {
-    bool: (bool, _parse_bool, _bool_column),
-    int: (np.int64, _parse_int, _int_column),
-    float: (np.float64, _parse_float, _float_column),
-    str: (object, lambda value, row, column: value, _str_column),
-    Optional[str]: (object, lambda value, row, column: value or None, _optional_str_column),
+    bool: (bool, _parse_bool, {"0": False, "1": True}.__getitem__),
+    int: (np.int64, _parse_int, int),
+    float: (np.float64, _parse_float, float),
+    str: (object, lambda value, row, column: value, str),
+    Optional[str]: (object, lambda value, row, column: value or None, lambda value: value or None),
 }
+
+
+def _convert(cells, kind) -> tuple:
+    """A sequence of cells as (values array, mask of the cells `kind`'s parser rejects).
+
+    The kind's builtin runs over the whole column; only when a cell fails
+    does the column go cell by cell through the parser, with 0 standing in
+    for each rejected cell.
+    """
+    dtype, parse, read = _KINDS[kind]
+    try:
+        values = np.fromiter(map(read, cells), dtype, count=len(cells))
+    except (KeyError, ValueError, OverflowError):  # not 0/1, not a number, or outside int64
+        values, bad = [], np.zeros(len(cells), dtype=bool)
+        for i, value in enumerate(cells):
+            try:
+                values.append(parse(value, 0, ""))
+            except ParseError:
+                values.append(0)
+                bad[i] = True
+        return np.array(values, dtype=dtype), bad
+    return values, ~np.isfinite(values) if kind is float else np.zeros(len(cells), dtype=bool)
 
 
 def parse_records(path, registry: FeatureRegistry) -> RecordSet:
@@ -447,11 +425,11 @@ def _parse_block(rows: list, position: dict, registry: FeatureRegistry, first_ro
         return UnknownFeature(first_row + i, next(name for name in stripped if name not in codes))
 
     checks.append((unknown, unknown_feature))
-    years, check = _column_check(column("year"), _int_column, _parse_int, "year", first_row)
+    years, check = _column_check(column("year"), int, "year", first_row)
     checks.append(check)
     values = {}
     for name, kind in CONTROLS:
-        values[name], check = _column_check(column(name), _KINDS[kind][2], _KINDS[kind][1], name, first_row)
+        values[name], check = _column_check(column(name), kind, name, first_row)
         checks.append(check)
     ids = column("id")
     complexity, min_age, lo, hi = (values[c] for c in ("complexity", "min_age", "min_players", "max_players"))
@@ -543,20 +521,19 @@ def _quoted(cell: str) -> str:
 def write_csv_columns(path, header, columns) -> None:
     """Write a CSV table of two or more columns, given column by column.
 
-    A list or tuple column holds text, None for an empty cell: it is scanned
-    once, and only the cells that need quotes get them. A numpy array holds
-    numbers, written as _number_cells gives them. Any other iterable holds
-    cells that never need quotes, written as %-formatting writes them. The
+    A numpy array holds numbers, written as _number_cells gives them. A list
+    or tuple holds cells written as str() writes them, None as an empty cell:
+    it is scanned once, and only the cells that need quotes get them. The
     bytes are csv.writer(lineterminator="\n")'s, except that a cell holding a
     CR is quoted too, where Python 3.11's writer leaves it bare and so
     unreadable.
     """
     assert len(header) == len(columns) > 1
+    assert all(isinstance(c, (list, tuple, np.ndarray)) for c in columns)
     line = ",".join(["%s"] * len(columns)) + "\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(line % tuple(_text_cells(list(header))))
-        cells = (_text_cells(c) if isinstance(c, (list, tuple))
-                 else _number_cells(c).tolist() if isinstance(c, np.ndarray) else c for c in columns)
+        cells = (_number_cells(c).tolist() if isinstance(c, np.ndarray) else _text_cells(c) for c in columns)
         fh.writelines(map(line.__mod__, zip(*cells)))
 
 

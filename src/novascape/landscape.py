@@ -460,8 +460,7 @@ def export_graph(graph: LandscapeGraph, rows: ExportRows, fmt: str, path, seed: 
     if fmt not in EXPORT_FORMATS or fmt == "svg":
         raise ValueError(f"export_graph cannot write format {fmt!r}")
     if fmt == "csv":
-        # every cell is a number or a bit string, so none needs quotes
-        write_csv_columns(path, EXPORT_COLUMNS, [map(itemgetter(name), rows.nodes) for name in EXPORT_COLUMNS])
+        write_csv_columns(path, EXPORT_COLUMNS, [list(map(itemgetter(name), rows.nodes)) for name in EXPORT_COLUMNS])
         return
     meta = {"year": graph.snapshot_year, "dimension": graph.dimension}
     if fmt == "graphml":

@@ -43,17 +43,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .corpus import (
-    RecordSet,
-    _column_check,
-    _float_column,
-    _int_column,
-    _number_cells,
-    _parse_float,
-    _parse_int,
-    _raise_first,
-    write_csv_columns,
-)
+from .corpus import RecordSet, _column_check, _number_cells, _raise_first, write_csv_columns
 from .errors import ParseError, SchemaError
 
 SPAN_PRESETS = (1, 2, 5)
@@ -138,7 +128,7 @@ class ScoreTable:
         resonance = _number_cells(self.resonance)
         resonance[~has_res] = "NA"
         write_csv_columns(path, SCORE_COLUMNS, [self.ids.tolist(), self.spans, self.distinctiveness,
-                                                self.novelty_count, self.novelty_binary, iter(resonance.tolist()),
+                                                self.novelty_count, self.novelty_binary, resonance.tolist(),
                                                 has_res])
 
 
@@ -173,22 +163,20 @@ def read_scores_csv(path) -> ScoreTable:
             raise ParseError(f"{path}: row {row_no}: expected {len(header)} cells, got {len(row)}")
     cells = dict(zip(header, list(zip(*rows)) or [()] * len(header)))
 
-    def parsed(column, convert, parse):
-        values, check = _column_check(cells[column], convert, parse, column, 2)
+    # an NA resonance reads as 0, then as NaN
+    na = np.fromiter(map("NA".__eq__, cells["resonance"]), dtype=bool, count=len(rows))
+    cells["resonance"] = ["0" if value == "NA" else value for value in cells["resonance"]]
+
+    def parsed(column, kind):
+        values, check = _column_check(cells[column], kind, column, 2)
         _raise_first([check])
         return values
 
-    def resonance_column(values):
-        na = np.array([value == "NA" for value in values], dtype=bool)
-        out, bad = _float_column(["nan" if value == "NA" else value for value in values])
-        out[na] = math.nan
-        return out, bad & ~na
-
+    span, distinctiveness, novelty_count, resonance = (parsed("span", int), parsed("distinctiveness", float),
+                                                       parsed("novelty_count", int), parsed("resonance", float))
+    resonance[na] = math.nan
     try:
-        return ScoreTable(cells["id"], parsed("span", _int_column, _parse_int),
-                          parsed("distinctiveness", _float_column, _parse_float),
-                          parsed("novelty_count", _int_column, _parse_int),
-                          parsed("resonance", resonance_column, _parse_float))
+        return ScoreTable(cells["id"], span, distinctiveness, novelty_count, resonance)
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc
 

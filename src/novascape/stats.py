@@ -113,6 +113,7 @@ REFERENCE_CROWDFUNDED = {
     "Novelty": 0.412,
     "Resonance": 0.014,
 }
+REFERENCE_LABEL = "BGG 2017 'Is Crowdfunded'"
 
 
 def significance_stars(p: float) -> str:
@@ -828,14 +829,14 @@ def format_model_table(fits: Sequence[Tuple[str, Optional[FitResult]]]) -> str:
     significance stars and standard errors parenthesized underneath; fixed
     effects compressed to Yes markers, R² labeled by family, and the
     REFERENCE_CROWDFUNDED values of the titles that have one printed as a
-    comparison footer (display only).
+    comparison footer row labelled REFERENCE_LABEL (display only).
     """
     titles = [t for t, _ in fits]
     fitted = [f for _, f in fits]
     terms = sorted(dict.fromkeys(c for f in fitted if f is not None for c in f.columns if "=" not in c),
                    key="const".__eq__)
     labels = [TERM_LABELS.get(term, term) for term in terms]
-    label_w = max(map(len, ["McFadden's Pseudo R-Squared", *labels])) + 2
+    label_w = max(map(len, ["McFadden's Pseudo R-Squared", REFERENCE_LABEL, *labels])) + 2
     col_w = max(16, max(len(t) for t in titles) + 2)
 
     def row(label, cells):
@@ -868,6 +869,6 @@ def format_model_table(fits: Sequence[Tuple[str, Optional[FitResult]]]) -> str:
     lines.append("Note: *p<0.05; **p<0.01; ***p<0.001. Robust standard errors in parentheses.")
     ref_cells = [f"{REFERENCE_CROWDFUNDED[t]:.3f}" if t in REFERENCE_CROWDFUNDED else "" for t in titles]
     if any(ref_cells):
-        lines.append(row("Reference 'Is Crowdfunded' (BGG 2017)", ref_cells))
+        lines.append(row(REFERENCE_LABEL, ref_cells))
         lines.append("Reference values are published comparison points only; they are never test targets.")
     return "\n".join(lines) + "\n"

@@ -254,6 +254,12 @@ class TestReport:
         assert expected <= names
         assert not any(n.endswith(".tmp") for n in names)
 
+    def test_filter_report_ends_in_one_newline(self, tmp_path):
+        out = tmp_path / "run"
+        synth_and_ingest(write_config(tmp_path, pipeline_payload(out)), out)
+        text = (out / "filter_report.json").read_text(encoding="utf-8")
+        assert text.endswith("}\n") and json.loads(text)["output_count"] > 0
+
     def test_rerun_is_byte_identical(self, tmp_path):
         out = tmp_path / "run"
         cfg = write_config(tmp_path, pipeline_payload(out))
@@ -395,8 +401,19 @@ class TestExitCodes:
         bad.write_text("{nope")
         assert main(["ingest", "--config", str(bad)]) == EXIT_INPUT
 
+    def test_config_that_is_no_object_is_exit_2(self, tmp_path, caplog):
+        cfg = write_config(tmp_path, [{"spans": [2]}])
+        assert main(["ingest", "--config", str(cfg)]) == EXIT_INPUT
+        assert "config must be a JSON object" in caplog.text
+
     def test_score_without_ingest_cache(self, tmp_path):
         assert main(["score", "--out", str(tmp_path / "empty")]) == EXIT_INPUT
+
+    def test_stats_without_scores_is_exit_2(self, tmp_path, caplog):
+        out = tmp_path / "run"
+        synth_and_ingest(write_config(tmp_path, pipeline_payload(out)), out)
+        assert main(["stats", "--out", str(out)]) == EXIT_INPUT
+        assert "scores.csv missing; run the score subcommand first" in caplog.text
 
     def test_synth_without_synth_section(self, tmp_path):
         cfg = write_config(tmp_path, {"out_dir": str(tmp_path / "o")})
@@ -431,19 +448,21 @@ class TestExitCodes:
         {"models": {"M": {**MODEL, "fixed_effects": ["genres"]}}},
         {"models": {"M": {**MODEL, "terms": ["genre"]}}},
         {"models": {}},
+        {"formats": ["pdf"]},
     ], ids=["span-text", "negative-filter", "unknown-synth-key", "synth-dimension-text", "models-list",
             "repeated-span", "repeated-snapshot-year", "repeated-format", "negative-seed",
             "negative-landscape-seed", "negative-synth-seed", "top-level-seed",
             "min-type-count-negative", "cf-share-threshold-above-1", "unknown-outcome",
-            "unknown-term", "unknown-fixed-effect", "label-column-as-term", "models-empty"])
+            "unknown-term", "unknown-fixed-effect", "label-column-as-term", "models-empty",
+            "unknown-format"])
     def test_malformed_config_value_is_exit_2(self, tmp_path, section):
         out = tmp_path / "o"
         cfg = write_config(tmp_path, {"out_dir": str(out), "synth": {}, **section})
         assert main(["synth", "--config", str(cfg)]) == EXIT_INPUT
         assert not out.exists()
 
-    @pytest.mark.parametrize("flags", [["--spans", "2,2"], ["--seed", "-1"]],
-                             ids=["repeated-span", "negative-seed"])
+    @pytest.mark.parametrize("flags", [["--spans", "2,2"], ["--seed", "-1"], ["--spans", "1,x"]],
+                             ids=["repeated-span", "negative-seed", "span-text"])
     def test_malformed_flag_is_exit_2(self, tmp_path, flags):
         out = tmp_path / "o"
         cfg = write_config(tmp_path, pipeline_payload(out))
@@ -474,12 +493,14 @@ class TestExitCodes:
         {"spans": [1.9, 2]},
         {"models": {"M": {**MODEL, "fixed_effects": "year"}}},
         {"synth": {"crowdfunded_share_by_year": "0.3"}},
+        {"models": {"M": {**MODEL, "terms": [["playing_time"]]}}},
     ], ids=["min-type-count-text", "cf-share-text", "seed-text", "seed-bool", "last-year-text",
             "stats-span-text", "out-dir-number", "corpus-path-number", "registry-path-list",
             "formats-string", "spans-string", "snapshot-years-string", "year-max-text",
             "require-designer-text", "synth-seed-float", "synth-seed-bool",
             "synth-games-per-year-float", "synth-dimension-bool", "landscape-seed-text",
-            "landscape-seed-bool", "span-float", "fixed-effects-string", "synth-share-text"])
+            "landscape-seed-bool", "span-float", "fixed-effects-string", "synth-share-text",
+            "term-list-of-1"])
     def test_wrongly_typed_config_value_is_exit_2(self, tmp_path, caplog, section):
         out = tmp_path / "o"
         synth = pipeline_payload(out)["synth"]
@@ -488,7 +509,8 @@ class TestExitCodes:
         assert "must be" in caplog.text
         assert not out.exists()
 
-    @pytest.mark.parametrize("names", ["A\nB\nA\n", ""], ids=["duplicate-name", "empty-file"])
+    @pytest.mark.parametrize("names", ["A\nB\nA\n", "", '["f0", 1]', '["f0",'],
+                             ids=["duplicate-name", "empty-file", "json-non-string", "json-truncated"])
     def test_bad_registry_is_exit_2(self, tmp_path, names):
         registry = tmp_path / "reg.txt"
         registry.write_text(names)

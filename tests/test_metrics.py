@@ -462,7 +462,9 @@ class TestScoreTableCsv:
         (["a,1,x,0,0,NA,0", "b,1.5,1,0,0,NA,0"], "row 3: column 'span' is not an integer: '1.5'"),
         (["a,1,1,0,0,NA,0", "b,1,1,0,0,nan,1"], "row 3: column 'resonance' is not finite: 'nan'"),
         (["a,1,1,0,0,NA,0", "", "b,1,1,0,0,NA,0"], "row 3: expected 7 cells, got 0"),
-    ], ids=["column-order", "nan-is-not-NA", "blank-row"])
+        (["a,1,1,0,0,NA,0", "a,1,2,0,0,NA,0"], "scores.csv: duplicate score row ('a', 1)"),
+        (["a,1,1,2,1,NA,0"], "scores.csv: a novelty_count exceeds its distinctiveness"),
+    ], ids=["column-order", "nan-is-not-NA", "blank-row", "duplicate-row", "novelty-above-distinctiveness"])
     def test_bad_rows(self, tmp_path, rows, message):
         path = tmp_path / "scores.csv"
         path.write_text("\n".join([",".join(SCORE_COLUMNS)] + rows) + "\n", encoding="utf-8")

@@ -1,5 +1,6 @@
 """The scripts: effect_recovery.py's exit status and the BLAS threads of its workers,
-scale_probe.py's output line, and run_synthetic_demo.py's run."""
+scale_probe.py's output line, run_synthetic_demo.py's run, and what artifact_digests.py
+--write reports."""
 
 import importlib.util
 import json
@@ -53,3 +54,16 @@ def test_synthetic_demo_prints_the_model_table(tmp_path, capsys):
     demo = load_script(ROOT / "scripts" / "run_synthetic_demo.py")
     assert demo.run(["--out", str(tmp_path), "--years", "4", "--games-per-year", "80"]) == 0
     assert (tmp_path / "models.txt").read_text() in capsys.readouterr().out
+
+
+def test_digest_write_names_the_moved_artifacts(tmp_path, monkeypatch, capsys):
+    digests = load_script(ROOT / "scripts" / "artifact_digests.py")
+    manifest = tmp_path / "artifact_digests.json"
+    runs = {"demo-0": {"a.csv": "1", "b.txt": "2"}, "large-1": {"a.csv": "3"}}
+    manifest.write_text(json.dumps({"versions": digests.versions(), "runs": runs}))
+    monkeypatch.setattr(digests, "MANIFEST", manifest)
+    monkeypatch.setattr(digests, "compute", lambda large: {"demo-0": {"a.csv": "1", "b.txt": "4"}})
+    assert digests.main(["--write"]) == 0
+    assert capsys.readouterr().out.splitlines()[:-1] == ["demo-0: b.txt changed"]
+    # a run not recomputed is kept
+    assert json.loads(manifest.read_text())["runs"] == {**runs, "demo-0": {"a.csv": "1", "b.txt": "4"}}

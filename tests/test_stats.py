@@ -32,6 +32,7 @@ from novascape.stats import (
     JOINED_COLUMNS,
     JOINED_LABELS,
     LABELS,
+    REFERENCE_LABEL,
     STANDARD_MODELS,
     TERM_LABELS,
     Design,
@@ -1098,3 +1099,9 @@ class TestFormatting:
         assert "McFadden's Pseudo R-Squared" in text
         assert "0.235" in text and "0.412" in text and "0.014" in text
         assert "Observations" in text
+
+    def test_reference_footer_lines_up_with_the_columns(self):
+        lines = format_model_table(self.fitted_columns()).splitlines()
+        footer = next(line for line in lines if line.startswith(REFERENCE_LABEL))
+        observations = next(line for line in lines if line.startswith("Observations"))
+        assert len(footer) == len(observations)
