@@ -1,4 +1,5 @@
-"""Time `score_corpus` on synthetic corpora of growing size, one fresh process per size.
+"""Time `score_corpus` on synthetic corpora of growing size, or the Kamada-Kawai
+`layout` of growing landscapes, one fresh process per size.
 
 Each size is a synthetic corpus (d=51, 2006-2015, a tenth of the records per
 year, novelty boost 2.0, seed 0) scored with spans 1, 2 and 5 and resonance
@@ -11,11 +12,22 @@ up to 2015. Generation is not timed. Each size prints one JSON line:
   pairs_per_s  pairs / wall_s
   max_rss_mb   the process's peak resident set (ru_maxrss)
 
+With --layout, each size is instead a min_type_count: the 2015 snapshot of
+the filtered synthetic corpus (d=16, 2006-2015, 500 records a year, seed 0)
+plotting the types of at least that many records is laid out, and each
+prints one JSON line:
+
+  min_type_count  the snapshot's plotted-type threshold
+  nodes           positioned types (the main component)
+  wall_s          layout wall time, under tracemalloc
+  peak_mb         layout's tracemalloc peak, in MiB
+
 BLAS runs on one thread unless the environment sets the thread count, as in
 the tests and the benchmark. The package is imported from this checkout's src/.
 
 Usage:
     python3 scripts/scale_probe.py [--sizes 20000 80000 200000]
+    python3 scripts/scale_probe.py --layout 3 2 1
 """
 
 import argparse
@@ -25,6 +37,7 @@ import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -33,7 +46,6 @@ YEARS = (2006, 2015)
 
 
 def probe(records: int) -> dict:
-    sys.path.insert(0, str(SRC))
     from novascape.metrics import score_corpus
     from novascape.synth import SynthConfig, generate_corpus
 
@@ -49,17 +61,43 @@ def probe(records: int) -> dict:
             "max_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}
 
 
+def probe_layout(min_type_count: int) -> dict:
+    from novascape.corpus import FilterConfig, apply_filters
+    from novascape.landscape import build_landscape, layout
+    from novascape.synth import SynthConfig, generate_corpus
+
+    corpus = generate_corpus(SynthConfig(dimension=16, year_start=YEARS[0], year_end=YEARS[1],
+                                         games_per_year=500, seed=0))
+    (graph,) = build_landscape(apply_filters(corpus, FilterConfig())[0], (YEARS[1],), min_type_count)
+    tracemalloc.start()
+    start = time.perf_counter()
+    positions = layout(graph)
+    wall = time.perf_counter() - start
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return {"min_type_count": min_type_count, "nodes": len(positions), "wall_s": round(wall, 4),
+            "peak_mb": round(peak / 2**20, 2)}
+
+
+PROBES = {"score": probe, "layout": probe_layout}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", type=int, nargs="+", default=[20000, 80000, 200000])
-    parser.add_argument("--one", type=int, help=argparse.SUPPRESS)  # a single size, in this process
+    parser.add_argument("--layout", type=int, nargs="+", metavar="MIN_TYPE_COUNT",
+                        help="lay out the snapshot at each min_type_count instead of scoring")
+    # one probe at one size, in this process
+    parser.add_argument("--one", nargs=2, metavar=("PROBE", "SIZE"), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.one is not None:
-        print(json.dumps(probe(args.one)), flush=True)
+        sys.path.insert(0, str(SRC))
+        print(json.dumps(PROBES[args.one[0]](int(args.one[1]))), flush=True)
         return 0
     env = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1", **os.environ}
-    for size in args.sizes:
-        subprocess.run([sys.executable, __file__, "--one", str(size)], env=env, check=True)
+    kind, sizes = ("layout", args.layout) if args.layout else ("score", args.sizes)
+    for size in sizes:
+        subprocess.run([sys.executable, __file__, "--one", kind, str(size)], env=env, check=True)
     return 0
 
 

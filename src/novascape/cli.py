@@ -531,13 +531,16 @@ def cmd_report(cfg: PipelineConfig) -> int:
         tmp.write_text(json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
     records = cmd_ingest(cfg, cmd_synth(cfg) if synthesise else _read_corpus(cfg))
     table = cmd_score(cfg, records)
-    try:
-        code = cmd_landscape(cfg, records)
-    except EmptyGraph as exc:
-        # stats reads no landscape output, so its files are still written
-        log.error("empty result: %s", exc)
-        code = EXIT_EMPTY
-    return cmd_stats(cfg, records, table) or code
+    # neither stage reads the other's files, so an empty result in one lets the other write
+    # its own; stats goes first, so a layout that fails or runs out of memory leaves them
+    codes = []
+    for stage in (lambda: cmd_stats(cfg, records, table), lambda: cmd_landscape(cfg, records)):
+        try:
+            codes.append(stage())
+        except (EmptySample, EmptyGraph) as exc:
+            log.error("empty result: %s", exc)
+            codes.append(EXIT_EMPTY)
+    return codes[0] or codes[1]
 
 
 # the model presets the effect-recovery Monte Carlo fits

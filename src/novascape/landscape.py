@@ -18,12 +18,12 @@ comparison. Layout is Kamada-Kawai (Kamada & Kawai 1989), over breadth-first hop
 distances, on the final snapshot's main component with a seeded random start;
 earlier snapshots reuse those fixed positions so types do not move between
 frames. Its energy is NetworkX 3.6's _kamada_kawai_costfn, minimised and
-rescaled as NetworkX's kamada_kawai_layout does, bit for bit, with every (n, n)
-intermediate in buffers allocated once per layout. The components come from the
-edge list, and the main component's hop distances from numpy, all breadth-first
-searches at once. The minimiser is scipy's compiled L-BFGS-B
-routine (Byrd, Lu, Nocedal & Zhu 1995), `_lbfgsb.setulb`, loaded from its
-extension file by `_compiled.routines` and driven as scipy 1.17's
+rescaled as NetworkX's kamada_kawai_layout does, bit for bit, in the hop matrix
+(inverted in place) and one (4, n, n) buffer set allocated once per layout. The
+components come from the edge list, and the main component's hop distances from
+numpy, all breadth-first searches at once. The minimiser is scipy's compiled
+L-BFGS-B routine (Byrd, Lu, Nocedal & Zhu 1995), `_lbfgsb.setulb`, loaded from
+its extension file by `_compiled.routines` and driven as scipy 1.17's
 minimize(method="L-BFGS-B") drives it: importing scipy.optimize for it would
 cost 0.12-0.18 s, mostly in solvers the layout never calls. A scipy whose setulb
 has another signature takes scipy.optimize.minimize instead.
@@ -214,9 +214,9 @@ def layout(
     if len(keys) == 1:
         return {keys[0]: (0.0, 0.0)}
     start = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(len(keys), 2))
-    eye = np.eye(len(keys)) * 1e-3
-    buffers = np.empty((6, len(keys), len(keys)))
-    args = (1 / (hops + eye), eye, buffers)
+    # NetworkX's 1 / (hops + 1e-3 * I), in place: the diagonal of hops is 0
+    np.fill_diagonal(hops, 1e-3)
+    args = (np.divide(1.0, hops, out=hops), np.empty((4, len(keys), len(keys))))
     if _lbfgsb() is None:
         from scipy.optimize import minimize
 
@@ -357,34 +357,31 @@ def _minimize_lbfgsb(fun, x0: np.ndarray, args: tuple):
             return x, nit, nfev
 
 
-def _kamada_kawai_energy(pos_vec: np.ndarray, invdist: np.ndarray, eye: np.ndarray, buffers: np.ndarray):
+def _kamada_kawai_energy(pos_vec: np.ndarray, invdist: np.ndarray, buffers: np.ndarray):
     """NetworkX 3.6's _kamada_kawai_costfn in two dimensions with mean weight 1e-3:
-    the energy and its gradient; `eye` is the identity times 1e-3. Computed on
-    planar (n, n) arrays, one per axis, bit for bit: dx[j, i] == -dx[i, j], so
-    NetworkX's "ij,ij,ijk->ik" einsum is exactly minus its "->jk" one, and both
-    add in index order, as an axis-0 sum does (an axis-1 sum is pairwise).
+    the energy and its gradient, bit for bit. delta holds one (n, n) plane per
+    axis; delta[:, j, i] == -delta[:, i, j], so NetworkX's "ij,ij,ijk->ik" einsum
+    is exactly minus its "->jk" one, and both add in index order, as a sum over
+    the rows of a plane does (a sum along a row is pairwise).
 
-    Every (n, n) intermediate is written into `buffers`, a float64 (6, n, n)
+    Every (n, n) intermediate is written into `buffers`, a float64 (4, n, n)
     array the caller allocates once per minimisation, in NetworkX's operation
     order; no value is carried from one call to the next.
     """
     pos = pos_vec.reshape((-1, 2))
-    dx, dy, sep, inv_sep, offset, w = buffers
-    np.subtract(pos[:, np.newaxis, 0], pos[np.newaxis, :, 0], out=dx)
-    np.subtract(pos[:, np.newaxis, 1], pos[np.newaxis, :, 1], out=dy)
-    np.multiply(dx, dx, out=sep)
-    np.multiply(dy, dy, out=w)
-    np.sqrt(np.add(sep, w, out=sep), out=sep)
-    np.divide(1.0, np.add(sep, eye, out=inv_sep), out=inv_sep)
-    np.subtract(np.multiply(sep, invdist, out=offset), 1.0, out=offset)
+    delta, sep, spare = buffers[:2], buffers[2], buffers[3]
+    np.subtract(pos.T[:, :, np.newaxis], pos.T[:, np.newaxis, :], out=delta)
+    np.multiply(delta, delta, out=buffers[2:])
+    np.sqrt(np.add(sep, spare, out=sep), out=sep)
+    # sep + 1e-3 * I: off the diagonal sep + 0.0 is sep, as sep >= +0
+    np.fill_diagonal(sep, 1e-3)
+    np.multiply(delta, np.divide(1.0, sep, out=spare), out=delta)
+    offset = np.subtract(np.multiply(sep, invdist, out=spare), 1.0, out=spare)
     np.fill_diagonal(offset, 0)
-    np.multiply(invdist, offset, out=w)
-    # sep is spent: it holds each axis's w * (d * inv_sep) in turn
-    g = np.stack([np.multiply(w, np.multiply(d, inv_sep, out=sep), out=sep).sum(axis=0) for d in (dx, dy)],
-                 axis=1)
+    g = np.multiply(delta, np.multiply(invdist, offset, out=sep), out=delta).sum(axis=1).T
     # a parabolic term holding the mean position near the origin
     sumpos = np.sum(pos, axis=0)
-    cost = 0.5 * np.sum(np.multiply(offset, offset, out=sep)) + 0.5 * 1e-3 * np.sum(sumpos**2)
+    cost = 0.5 * np.sum(np.multiply(offset, offset, out=offset)) + 0.5 * 1e-3 * np.sum(sumpos**2)
     return cost, (-(g + g) + 1e-3 * sumpos).ravel()
 
 

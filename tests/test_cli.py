@@ -604,6 +604,28 @@ class TestExitCodes:
                      "model_diagnostics.csv", "marginal_means.csv", "pipeline_config.json"):
             assert (out / name).stat().st_size > 0, name
 
+    def test_report_writes_stats_before_a_failing_layout(self, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise MemoryError("layout")
+
+        out = tmp_path / "run"
+        monkeypatch.setattr(cli, "layout", fail)
+        with pytest.raises(MemoryError):
+            main(["report", "--config", str(write_config(tmp_path, pipeline_payload(out)))])
+        for name in ("descriptives.csv", "group_tests.csv", "models.csv", "models.txt",
+                     "model_diagnostics.csv", "marginal_means.csv"):
+            assert (out / name).exists(), name
+
+    def test_report_with_no_scored_record_still_writes_the_landscape(self, tmp_path, caplog):
+        # a single year has no earlier records to compare against
+        out = tmp_path / "run"
+        payload = {**pipeline_payload(out), "filters": {"year_min": 2011}}
+        payload["landscape"] = {"snapshot_years": [2011], "min_type_count": 2, "seed": 7}
+        assert main(["report", "--config", str(write_config(tmp_path, payload))]) == EXIT_EMPTY
+        assert "no scored records for span 2" in caplog.text
+        assert not (out / "models.csv").exists()
+        assert (out / "landscape_2011.json").exists() and (out / "centroids.csv").exists()
+
     def test_snapshot_year_after_the_corpus_is_exit_2(self, tmp_path, caplog):
         out = tmp_path / "run"
         payload = pipeline_payload(out)

@@ -24,7 +24,7 @@ from scipy.sparse.csgraph import connected_components, shortest_path
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from novascape.corpus import pack_rows
+from novascape.corpus import FilterConfig, apply_filters, pack_rows
 from novascape.errors import EmptyGraph
 from novascape import _compiled, landscape
 from novascape.landscape import (
@@ -267,7 +267,7 @@ class TestLayout:
         eye = np.eye(n) * 1e-3
         invdist = 1 / (hops + hops.T + eye)
         pos_vec = rng.uniform(-1.0, 1.0, size=2 * n) * 10.0**log_scale
-        cost, grad = _kamada_kawai_energy(pos_vec, invdist, eye, np.empty((6, n, n)))
+        cost, grad = _kamada_kawai_energy(pos_vec, invdist, np.empty((4, n, n)))
         want_cost, want_grad = _kamada_kawai_costfn(pos_vec, np, invdist, 1e-3, 2)
         assert cost == want_cost
         assert np.array_equal(grad, want_grad)
@@ -280,12 +280,39 @@ class TestLayout:
         hops = np.triu(rng.integers(1, 12, size=(n, n)), 1)
         eye = np.eye(n) * 1e-3
         invdist = 1 / (hops + hops.T + eye)
-        shared = np.full((6, n, n), np.nan)
+        shared = np.full((4, n, n), np.nan)
         for pos_vec in rng.uniform(-1.0, 1.0, size=(2, 2 * n)):
-            cost, grad = _kamada_kawai_energy(pos_vec, invdist, eye, shared)
-            want_cost, want_grad = _kamada_kawai_energy(pos_vec, invdist, eye, np.zeros((6, n, n)))
+            cost, grad = _kamada_kawai_energy(pos_vec, invdist, shared)
+            want_cost, want_grad = _kamada_kawai_energy(pos_vec, invdist, np.zeros((4, n, n)))
             assert cost == want_cost
             assert np.array_equal(grad, want_grad)
+
+    def test_energy_equals_networkx_costfn_at_600_nodes(self):
+        # past the drawn sizes above, where the gradient's sums over rows are longest
+        n = 600
+        rng = np.random.default_rng(600)
+        hops = np.triu(rng.integers(1, 12, size=(n, n)), 1)
+        invdist = 1 / (hops + hops.T + np.eye(n) * 1e-3)
+        pos_vec = rng.uniform(-1.0, 1.0, size=2 * n)
+        cost, grad = _kamada_kawai_energy(pos_vec, invdist, np.empty((4, n, n)))
+        want_cost, want_grad = _kamada_kawai_costfn(pos_vec, np, invdist, 1e-3, 2)
+        assert cost == want_cost
+        assert np.array_equal(grad, want_grad)
+
+    def test_layout_peak_memory_stays_under_8_5_matrices(self):
+        # 375 positioned types; the energy holds five (n, n) float64 arrays and
+        # _hops's breadth-first frontier about 7.2 at its peak
+        records, _ = apply_filters(generate_corpus(SynthConfig(dimension=16, games_per_year=500, seed=0)),
+                                   FilterConfig())
+        graph = snapshot(records, 2015, 3)
+        tracemalloc.start()
+        try:
+            n = len(layout(graph))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert n == 375
+        assert peak < 8.5 * n * n * 8
 
     def test_demo_sized_positions_equal_networkx_kamada_kawai(self):
         graph = demo_final_snapshot()
@@ -440,8 +467,7 @@ class TestDirectLbfgsb:
     def test_kamada_kawai_problems(self, n, seed):
         rng = np.random.default_rng(seed)
         hops = np.triu(rng.integers(1, 12, size=(n, n)), 1)
-        eye = np.eye(n) * 1e-3
-        args = (1 / (hops + hops.T + eye), eye, np.empty((6, n, n)))
+        args = (1 / (hops + hops.T + np.eye(n) * 1e-3), np.empty((4, n, n)))
         self.assert_same_as_scipy(_kamada_kawai_energy, rng.uniform(-1.0, 1.0, size=2 * n), args)
 
     @pytest.mark.parametrize("x0", [(-1.2, 1.0), (0.0, 0.0), (2.0, -1.5), (-3.0, 4.0), (1.0, 1.0)])

@@ -1,5 +1,5 @@
 """The scripts: effect_recovery.py's exit status and the BLAS threads of its workers,
-scale_probe.py's output line, run_synthetic_demo.py's run, and what artifact_digests.py
+scale_probe.py's output lines, run_synthetic_demo.py's run, and what artifact_digests.py
 --write reports."""
 
 import importlib.util
@@ -48,6 +48,15 @@ def test_scale_probe_prints_one_line_per_size():
     probe = json.loads(line)
     assert list(probe) == ["records", "pairs", "wall_s", "pairs_per_s", "max_rss_mb"]
     assert probe["records"] == 2000 and probe["pairs"] > 0 and probe["wall_s"] > 0
+
+
+def test_scale_probe_layout_prints_one_line_per_min_type_count():
+    out = subprocess.run([sys.executable, str(ROOT / "scripts" / "scale_probe.py"), "--layout", "8"],
+                         check=True, capture_output=True, text=True, timeout=120).stdout
+    (line,) = out.splitlines()
+    probe = json.loads(line)
+    assert list(probe) == ["min_type_count", "nodes", "wall_s", "peak_mb"]
+    assert probe["min_type_count"] == 8 and probe["nodes"] == 6 and probe["wall_s"] > 0 and probe["peak_mb"] > 0
 
 
 def test_synthetic_demo_prints_the_model_table(tmp_path, capsys):
