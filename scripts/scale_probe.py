@@ -19,6 +19,9 @@ prints one JSON line:
 
   min_type_count  the snapshot's plotted-type threshold
   nodes           positioned types (the main component)
+  hops_peak_mb    tracemalloc peak of the layout's first phase alone, the main
+                  component and its hop matrix (_main_component), in MiB;
+                  traced in its own call before the timed layout
   wall_s          layout wall time, under tracemalloc
   peak_mb         layout's tracemalloc peak, in MiB
 
@@ -63,20 +66,24 @@ def probe(records: int) -> dict:
 
 def probe_layout(min_type_count: int) -> dict:
     from novascape.corpus import FilterConfig, apply_filters
-    from novascape.landscape import build_landscape, layout
+    from novascape.landscape import _main_component, build_landscape, layout
     from novascape.synth import SynthConfig, generate_corpus
 
     corpus = generate_corpus(SynthConfig(dimension=16, year_start=YEARS[0], year_end=YEARS[1],
                                          games_per_year=500, seed=0))
     (graph,) = build_landscape(apply_filters(corpus, FilterConfig())[0], (YEARS[1],), min_type_count)
     tracemalloc.start()
+    _main_component(len(graph.keys), *graph.edges.T)
+    hops_peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    tracemalloc.start()
     start = time.perf_counter()
     positions = layout(graph)
     wall = time.perf_counter() - start
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    return {"min_type_count": min_type_count, "nodes": len(positions), "wall_s": round(wall, 4),
-            "peak_mb": round(peak / 2**20, 2)}
+    return {"min_type_count": min_type_count, "nodes": len(positions),
+            "hops_peak_mb": round(hops_peak / 2**20, 2), "wall_s": round(wall, 4), "peak_mb": round(peak / 2**20, 2)}
 
 
 PROBES = {"score": probe, "layout": probe_layout}

@@ -338,7 +338,7 @@ def _load_scored_cache(cfg: PipelineConfig) -> Tuple[RecordSet, ScoreTable]:
         raise ConfigError(f"{path} missing; run the score subcommand first")
     table = _read_input(read_scores_csv, path)
     # a year has a past window when the nearest earlier corpus year is within stats_span
-    years = sorted(records.year_rows)
+    years = list(records.year_rows)
     windowed = {year for earlier, year in zip(years, years[1:]) if earlier >= year - cfg.stats_span}
     expected = {rid for rid, year in zip(records.ids, records.years.tolist()) if year in windowed}
     scored = set(table.ids[table.spans == cfg.stats_span].tolist())

@@ -78,6 +78,9 @@ class FeatureRegistry:
     def __post_init__(self):
         if len(self.names) == 0:
             raise EmptyRegistry("registry has no features")
+        # write_registry writes a name per line; load_registry reads utf-8-sig text, as JSON if it opens with "["
+        if self.names[0].startswith("["):
+            raise ParseError(f"first feature name {self.names[0]!r} starts with '['")
         seen = set()
         for name in self.names:
             if not name:
@@ -86,6 +89,8 @@ class FeatureRegistry:
             # so no mechanisms cell could ever set such a feature's bit
             if MECHANISM_SEPARATOR in name or name != name.strip():
                 raise ParseError(f"feature name {name!r} has a {MECHANISM_SEPARATOR!r} or edge whitespace")
+            if name.splitlines() != [name] or name.startswith("\ufeff"):
+                raise ParseError(f"feature name {name!r} has a line break or a leading byte order mark")
             if name in seen:
                 raise DuplicateFeature(f"duplicate feature name {name!r}")
             seen.add(name)
@@ -102,8 +107,7 @@ class FeatureRegistry:
 def load_registry(path) -> FeatureRegistry:
     """Load a registry from a text file (one name per line) or a JSON array; a UTF-8 BOM is skipped."""
     text = Path(path).read_text(encoding="utf-8-sig")
-    stripped = text.lstrip()
-    if stripped.startswith("["):
+    if text.lstrip().startswith("["):
         try:
             entries = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -195,9 +199,8 @@ class RecordSet:
 
     @cached_property
     def year_rows(self) -> dict:
-        """Map year -> sorted row indices of records published that year."""
-        years, first = np.unique(self.years, return_index=True)
-        return {int(y): np.flatnonzero(self.years == y) for y in years[np.argsort(first)]}
+        """Map year -> sorted row indices of that year's records, years ascending (np.unique imports numpy.ma)."""
+        return {y: np.flatnonzero(self.years == y) for y in sorted(set(self.years.tolist()))}
 
 
 @dataclass(frozen=True)

@@ -16,17 +16,17 @@ Edges are index pairs into a snapshot's columns, found by array lookups over
 single-bit flips of the plotted words (flip_edges), never by all-pairs
 comparison. Layout is Kamada-Kawai (Kamada & Kawai 1989), over breadth-first hop
 distances, on the final snapshot's main component with a seeded random start;
-earlier snapshots reuse those fixed positions so types do not move between
-frames. Its energy is NetworkX 3.6's _kamada_kawai_costfn, minimised and
-rescaled as NetworkX's kamada_kawai_layout does, bit for bit, in the hop matrix
-(inverted in place) and one (4, n, n) buffer set allocated once per layout. The
-components come from the edge list, and the main component's hop distances from
-numpy, all breadth-first searches at once. The minimiser is scipy's compiled
-L-BFGS-B routine (Byrd, Lu, Nocedal & Zhu 1995), `_lbfgsb.setulb`, loaded from
-its extension file by `_compiled.routines` and driven as scipy 1.17's
-minimize(method="L-BFGS-B") drives it: importing scipy.optimize for it would
-cost 0.12-0.18 s, mostly in solvers the layout never calls. A scipy whose setulb
-has another signature takes scipy.optimize.minimize instead.
+earlier snapshots reuse those fixed positions so types do not move between frames.
+Its energy is NetworkX 3.6's _kamada_kawai_costfn, minimised and rescaled as
+NetworkX's kamada_kawai_layout does, bit for bit, in the hop matrix (inverted in
+place) and one (4, n, n) buffer set allocated once per layout. Components come from
+the edge list; the main component's hops from all breadth-first searches at once,
+each frontier formed in place and claimed in the hop matrix, with no owner index.
+The minimiser is scipy's compiled L-BFGS-B routine (Byrd, Lu, Nocedal & Zhu 1995),
+`_lbfgsb.setulb`, loaded from its extension file by `_compiled.routines` and driven
+as scipy 1.17's minimize(method="L-BFGS-B") drives it: importing scipy.optimize for
+it would cost 0.12-0.18 s, mostly in solvers the layout never calls; a scipy whose
+setulb has another signature takes scipy.optimize.minimize instead.
 """
 
 import functools
@@ -238,7 +238,7 @@ def _main_component(n: int, u: np.ndarray, v: np.ndarray) -> Tuple[np.ndarray, n
     lowest index wins, which in a snapshot is the one with the smallest key.
     Components come from the edge list, since most plotted types of a sparse
     snapshot are isolated (2,142 nodes and 125 edges in report-large's); only
-    the main component's hops take (m, m) matrices.
+    the main component's hops take an (m, m) matrix.
     """
     # each node's component by its lowest index: every pass lowers a node's label
     # to its neighbours' and to its label's own, until no label moves
@@ -262,38 +262,38 @@ def _hops(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Breadth-first hop counts between every two of n nodes joined by the
     undirected edges (u[i], v[i]), as float64; inf between components.
 
-    Every search expands at once. The frontier is the (source, node) pairs
-    first reached at the last hop; each expands over its node's run of
-    neighbours, pairs already reached are dropped, and repeated pairs are
-    kept once through an owner index per pair. So each pair is expanded once,
-    O(n * edges) in all, however long the longest path; no BLAS is called:
-    a (206, 206) float64 product took 12-16 ms under OpenBLAS's default two
-    threads on a 2-CPU host.
+    Every search expands at once. The frontier, the pairs source * n + node
+    first reached at the last hop, is formed in place from each node's run of
+    neighbours, and pairs already reached are dropped. Position i claims its
+    pair by writing -1 - i into the hop matrix; where the claim stayed, the
+    hop count settles it. So each pair is expanded once, O(n * edges) in all,
+    however long the longest path; no BLAS is called: a (206, 206) float64
+    product took 12-16 ms under OpenBLAS's default two threads on a 2-CPU host.
     """
     # each node's neighbours as one run of `neighbours`, the runs in node order
     ends, neighbours = np.concatenate([u, v]), np.concatenate([v, u])
     neighbours = neighbours[np.argsort(ends)]
     degree = np.bincount(ends, minlength=n)
-    starts = np.cumsum(degree) - degree
+    stops = np.cumsum(degree)
     hops = np.full((n, n), np.inf)
     np.fill_diagonal(hops, 0.0)
     flat_hops = hops.reshape(-1)
-    # owner[p] is the frontier position that last claimed pair p = source * n + node
-    owner = np.empty(n * n, dtype=np.intp)
-    source = node = np.arange(n)
+    pairs = np.arange(n) * (n + 1)  # hop 0: each node from itself
     for hop in range(1, n):
+        source, node = np.divmod(pairs, n)
         runs = degree[node]
-        offsets = np.cumsum(runs) - runs
-        at = np.arange(runs.sum()) + np.repeat(starts[node] - offsets, runs)
-        pairs = np.repeat(source * n, runs) + neighbours[at]
+        # each neighbour's index into `neighbours`, then the pair it makes with its source
+        pairs = np.repeat(stops[node] - np.cumsum(runs), runs)
+        pairs += np.arange(len(pairs))
+        pairs = neighbours[pairs]
+        pairs += np.repeat(source * n, runs)
         pairs = pairs[np.isinf(flat_hops[pairs])]
-        claim = np.arange(len(pairs))
-        owner[pairs] = claim
-        pairs = pairs[owner[pairs] == claim]
+        claims = np.arange(-1.0, -1.0 - len(pairs), -1.0)
+        flat_hops[pairs] = claims
+        pairs = pairs[flat_hops[pairs] == claims]
         if not len(pairs):
             break
         flat_hops[pairs] = hop
-        source, node = np.divmod(pairs, n)
     return hops
 
 

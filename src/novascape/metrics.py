@@ -240,7 +240,7 @@ def _year_minima(records: RecordSet, max_span: int):
     later years' scans; only the years a later focal year compares against are kept.
     """
     signs = {}
-    for year, focal_rows in sorted(records.year_rows.items()):
+    for year, focal_rows in records.year_rows.items():
         signs = {y: s for y, s in signs.items() if y >= year - max_span}
         signs[year] = _sign_rows(np.ascontiguousarray(records.matrix[focal_rows].T))
         focal = signs[year].T

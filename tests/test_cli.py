@@ -520,6 +520,24 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o")])
         assert code == EXIT_INPUT
 
+    def test_registry_name_the_cache_cannot_hold_is_exit_2(self, tmp_path, caplog):
+        # registry.txt holds one name per line, so score could not read back a cache
+        # whose registry has a name with a line break in it
+        registry = tmp_path / "reg.json"
+        registry.write_text(json.dumps(["Dice\nRolling", "Trading", "Auction"]))
+        corpus = tmp_path / "corpus.csv"
+        corpus.write_text(
+            "id,year,mechanisms,crowdfunded,genre,team_size,debut,complexity,"
+            "playing_time,min_players,max_players,min_age,is_expansion,is_adult,"
+            "num_ratings,parent_id\n"
+            "g1,2010,Trading;Auction,0,family,1,0,2.0,60,2,4,8,0,0,50,\n"
+        )
+        out = tmp_path / "o"
+        code = main(["ingest", "--corpus", str(corpus), "--registry", str(registry), "--out", str(out)])
+        assert code == EXIT_INPUT
+        assert "'Dice\\nRolling'" in caplog.text
+        assert not (out / "registry.txt").exists()
+
     def test_unknown_mechanism_names_offending_row(self, tmp_path, caplog):
         registry = tmp_path / "reg.txt"
         registry.write_text("Alpha\nBeta\nGamma\n")

@@ -8,7 +8,7 @@ from typing import Optional, get_args
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from novascape import corpus
@@ -107,6 +107,23 @@ class TestRegistry:
         path.write_text(json.dumps(["Dice Rolling", name]), encoding="utf-8")
         with pytest.raises(ParseError):
             load_registry(path)
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.text(min_size=1, max_size=6), min_size=1, max_size=4))
+    @example(["Dice\nRolling", "Trading", "Auction"])
+    @example(["a\x0cb", "c\x85d", "e\u2028f", "g\x1ch"])
+    @example(["\ufeffTrading", "Auction"])
+    @example(["[Legacy]", "Auction"])
+    def test_every_accepted_registry_reads_back_from_its_file(self, tmp_path, names):
+        # a name with a line break of any kind, a leading byte order mark, or a
+        # leading "[" on the first line, which makes the file JSON, would not
+        try:
+            registry = FeatureRegistry(tuple(names))
+        except (ParseError, DuplicateFeature):
+            return
+        path = tmp_path / "reg.txt"
+        write_registry(registry, path)
+        assert load_registry(path).names == registry.names
 
     def test_canonical_registry_is_51_wide(self):
         reg = canonical_registry()

@@ -299,12 +299,10 @@ class TestLayout:
         assert cost == want_cost
         assert np.array_equal(grad, want_grad)
 
-    def test_layout_peak_memory_stays_under_8_5_matrices(self):
-        # 375 positioned types; the energy holds five (n, n) float64 arrays and
-        # _hops's breadth-first frontier about 7.2 at its peak
-        records, _ = apply_filters(generate_corpus(SynthConfig(dimension=16, games_per_year=500, seed=0)),
-                                   FilterConfig())
-        graph = snapshot(records, 2015, 3)
+    def test_layout_peak_memory_stays_under_5_6_matrices(self):
+        # 375 positioned types; the energy holds five (n, n) float64 arrays, and
+        # _hops's breadth-first frontier stays below that
+        graph = snapshot_of_375_types()
         tracemalloc.start()
         try:
             n = len(layout(graph))
@@ -312,7 +310,7 @@ class TestLayout:
         finally:
             tracemalloc.stop()
         assert n == 375
-        assert peak < 8.5 * n * n * 8
+        assert peak < 5.6 * n * n * 8
 
     def test_demo_sized_positions_equal_networkx_kamada_kawai(self):
         graph = demo_final_snapshot()
@@ -398,6 +396,9 @@ class TestHops:
         (9, [(6, 7), (7, 8), (0, 4), (4, 2), (1, 3), (3, 5)]),  # equal paths, lowest indices interleaved
         (6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]),  # two equal triangles
         (5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)]),  # one cycle with a chord
+        # many frontier positions reach the same pair in one hop
+        (36, [(i, i + 1) for i in range(36) if i % 6 < 5] + [(i, i + 6) for i in range(30)]),  # 6x6 grid
+        (10, [(i, j) for i in range(4) for j in range(4, 10)]),  # complete bipartite K(4, 6)
     ])
     def test_small_graphs(self, n, edges):
         u, v = np.array(edges, dtype=np.intp).reshape(-1, 2).T
@@ -421,6 +422,18 @@ class TestHops:
         u, v = graph.edges.T
         self.assert_oracles_agree(len(graph.keys), u, v)
 
+    def test_hops_peak_memory_stays_under_5_matrices(self):
+        # the hop matrix is the one (n, n) array; the frontier's arrays stay below four more
+        graph = snapshot_of_375_types()
+        tracemalloc.start()
+        try:
+            n = len(_main_component(len(graph.keys), *graph.edges.T)[0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert n == 375
+        assert peak < 5 * n * n * 8
+
 
 class TestHopsOnLongPaths:
     def test_thousand_node_path_matches_networkx(self):
@@ -436,6 +449,14 @@ class TestHopsOnLongPaths:
             want[i, list(lengths)] = list(lengths.values())
         assert hops.tobytes() == want.tobytes()
         assert elapsed < 5.0
+
+
+def snapshot_of_375_types():
+    """The 2015 snapshot of types of at least 3 filtered synthetic records (d=16, 500 a year,
+    seed 0): 375 in its main component."""
+    records, _ = apply_filters(generate_corpus(SynthConfig(dimension=16, games_per_year=500, seed=0)),
+                               FilterConfig())
+    return snapshot(records, 2015, 3)
 
 
 def demo_final_snapshot():
