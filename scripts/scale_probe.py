@@ -21,9 +21,10 @@ prints one JSON line:
   nodes           positioned types (the main component)
   hops_peak_mb    tracemalloc peak of the layout's first phase alone, the main
                   component and its hop matrix (_main_component), in MiB;
-                  traced in its own call before the timed layout
-  wall_s          layout wall time, under tracemalloc
-  peak_mb         layout's tracemalloc peak, in MiB
+                  traced in its own call before the timed layouts
+  wall_s          median wall time of three untraced layouts
+  wall_spread_s   max minus min of those three wall times
+  peak_mb         tracemalloc peak of one more layout, traced, in MiB
 
 BLAS runs on one thread unless the environment sets the thread count, as in
 the tests and the benchmark. The package is imported from this checkout's src/.
@@ -76,14 +77,19 @@ def probe_layout(min_type_count: int) -> dict:
     _main_component(len(graph.keys), *graph.edges.T)
     hops_peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
+    walls = []
+    for _ in range(3):
+        start = time.perf_counter()
+        positions = layout(graph)
+        walls.append(time.perf_counter() - start)
+    walls.sort()
     tracemalloc.start()
-    start = time.perf_counter()
-    positions = layout(graph)
-    wall = time.perf_counter() - start
+    layout(graph)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    return {"min_type_count": min_type_count, "nodes": len(positions),
-            "hops_peak_mb": round(hops_peak / 2**20, 2), "wall_s": round(wall, 4), "peak_mb": round(peak / 2**20, 2)}
+    return {"min_type_count": min_type_count, "nodes": len(positions), "hops_peak_mb": round(hops_peak / 2**20, 2),
+            "wall_s": round(walls[1], 4), "wall_spread_s": round(walls[2] - walls[0], 4),
+            "peak_mb": round(peak / 2**20, 2)}
 
 
 PROBES = {"score": probe, "layout": probe_layout}

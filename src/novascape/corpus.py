@@ -3,9 +3,9 @@
 Products are described by fixed-width binary feature vectors ("mechanism
 vectors" for board games). The registry defines the vector dimensionality and
 the bit order; records are parsed from a flat CSV schema, each column through
-one typed converter (_convert), and filtered down to an analysis set with
-explicit, reported rules. write_csv_columns writes every CSV table the
-package produces.
+its type's row of _KINDS, (dtype, reader), with _rejection naming a rejected
+cell, and filtered down to an analysis set with explicit, reported rules.
+write_csv_columns writes every CSV table the package produces.
 """
 
 import csv
@@ -235,34 +235,6 @@ class FilterReport:
         return json.dumps(payload, indent=2, sort_keys=False) + "\n"
 
 
-def _parse_int(value: str, row: int, column: str) -> int:
-    try:
-        out = int(value)
-    except (TypeError, ValueError):
-        raise ParseError(f"row {row}: column {column!r} is not an integer: {value!r}")
-    if not -(2**63) <= out < 2**63:
-        raise ParseError(f"row {row}: column {column!r} is outside the int64 range: {value!r}")
-    return out
-
-
-def _parse_float(value: str, row: int, column: str) -> float:
-    try:
-        out = float(value)
-    except (TypeError, ValueError):
-        raise ParseError(f"row {row}: column {column!r} is not a number: {value!r}")
-    if not np.isfinite(out):
-        raise ParseError(f"row {row}: column {column!r} is not finite: {value!r}")
-    return out
-
-
-def _parse_bool(value: str, row: int, column: str) -> bool:
-    if value == "0":
-        return False
-    if value == "1":
-        return True
-    raise ParseError(f"row {row}: column {column!r} must be 0 or 1, got {value!r}")
-
-
 def _number_cells(values: np.ndarray) -> np.ndarray:
     """Each number as what writes as its canonical cell text: bools as 0 and 1,
     integers as they are, and floats as Python ints where whole and below 1e15
@@ -278,8 +250,7 @@ def _number_cells(values: np.ndarray) -> np.ndarray:
 def _raise_first(checks: list) -> None:
     """Raise the error of the first check that flags the smallest flagged row.
 
-    Each check is (row mask, error): error(i) returns row index i's exception,
-    or raises it itself, as a cell parser does.
+    Each check is (row mask, error): error(i) returns row index i's exception.
     """
     flagged = [(int(bad.argmax()), k) for k, (bad, _) in enumerate(checks) if bad.any()]
     if flagged:
@@ -287,44 +258,51 @@ def _raise_first(checks: list) -> None:
         raise checks[k][1](i)
 
 
-def _column_check(cells, kind, column: str, first_row: int) -> tuple:
-    """The column's values from _convert, and its check: the cells it rejects, `kind`'s parser's error."""
-    values, bad = _convert(cells, kind)
-    return values, (bad, lambda i: _KINDS[kind][1](cells[i], first_row + i, column))
-
-
-# per CONTROLS type: column dtype, CSV cell parser, and the reader _convert maps
-# over a column: the builtin the parser calls, never numpy's string casts, which
-# accept a different set of strings
+# per CONTROLS type: column dtype, and the reader mapped over a column: a
+# builtin, never numpy's string casts, which accept a different set of strings
 _KINDS = {
-    bool: (bool, _parse_bool, {"0": False, "1": True}.__getitem__),
-    int: (np.int64, _parse_int, int),
-    float: (np.float64, _parse_float, float),
-    str: (object, lambda value, row, column: value, str),
-    Optional[str]: (object, lambda value, row, column: value or None, lambda value: value or None),
+    bool: (bool, {"0": False, "1": True}.__getitem__),
+    int: (np.int64, int),
+    float: (np.float64, float),
+    str: (object, str),
+    Optional[str]: (object, lambda value: value or None),
 }
 
 
-def _convert(cells, kind) -> tuple:
-    """A sequence of cells as (values array, mask of the cells `kind`'s parser rejects).
+def _rejection(value: str, kind) -> Optional[str]:
+    """Why `kind`'s rule rejects a cell, as the message's words before the cell, or None if it reads."""
+    if kind is bool:
+        return None if value in ("0", "1") else "must be 0 or 1, got"
+    if kind is int:
+        try:
+            return None if -(2**63) <= int(value) < 2**63 else "is outside the int64 range:"
+        except ValueError:
+            return "is not an integer:"
+    if kind is float:
+        try:
+            return None if np.isfinite(float(value)) else "is not finite:"
+        except ValueError:
+            return "is not a number:"
+    return None
 
-    The kind's builtin runs over the whole column; only when a cell fails
-    does the column go cell by cell through the parser, with 0 standing in
-    for each rejected cell.
+
+def _column_check(cells, kind, column: str, first_row: int) -> tuple:
+    """A sequence of cells as its values, and its check: the cells `kind`'s rule rejects, and their error.
+
+    The kind's reader runs over the whole column; only when a cell fails does
+    the column go cell by cell through _rejection, with 0 standing in for each
+    rejected cell.
     """
-    dtype, parse, read = _KINDS[kind]
+    dtype, read = _KINDS[kind]
     try:
         values = np.fromiter(map(read, cells), dtype, count=len(cells))
+        bad = ~np.isfinite(values) if kind is float else np.zeros(len(cells), dtype=bool)
     except (KeyError, ValueError, OverflowError):  # not 0/1, not a number, or outside int64
-        values, bad = [], np.zeros(len(cells), dtype=bool)
-        for i, value in enumerate(cells):
-            try:
-                values.append(parse(value, 0, ""))
-            except ParseError:
-                values.append(0)
-                bad[i] = True
-        return np.array(values, dtype=dtype), bad
-    return values, ~np.isfinite(values) if kind is float else np.zeros(len(cells), dtype=bool)
+        bad = np.fromiter((_rejection(value, kind) is not None for value in cells), dtype=bool, count=len(cells))
+        values = np.fromiter((0 if b else read(value) for value, b in zip(cells, bad.tolist())),
+                             dtype, count=len(cells))
+    return values, (bad, lambda i: ParseError(
+        f"row {first_row + i}: column {column!r} {_rejection(cells[i], kind)} {cells[i]!r}"))
 
 
 def parse_records(path, registry: FeatureRegistry) -> RecordSet:

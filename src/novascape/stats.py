@@ -232,8 +232,6 @@ def mann_whitney_u(x, y, exact_limit: int = 12) -> GroupTestResult:
     mu = n1 * n2 / 2.0
     tie_term = float(((tie_counts**3) - tie_counts).sum()) / (n * (n - 1))
     sigma2 = (n1 * n2 / 12.0) * ((n + 1) - tie_term)
-    if sigma2 <= 0:
-        return GroupTestResult(u, 1.0, auc, means, (n1, n2))
     z = max(abs(u - mu) - 0.5, 0.0) / math.sqrt(sigma2)
     p = min(1.0, 2.0 * ndtr(-z))
     return GroupTestResult(u, p, auc, means, (n1, n2))
@@ -483,7 +481,6 @@ class FitResult:
     r_squared: float
     n_obs: int
     log_likelihood: float
-    robust: str
     df_resid: int
     n_iter: int = 0
     max_score: float = 0.0
@@ -615,7 +612,7 @@ def fit_arrays(family: str, X, y, robust: str = "hc1", columns: Optional[Sequenc
         beta, resid, bread, r2, ll, n_iter, max_score = _newton(family, X, y, work)
     n, k = X.shape
     return FitResult(family=family, columns=columns, beta=beta, cov=_sandwich(X, resid, bread, robust, work),
-                     r_squared=r2, n_obs=n, log_likelihood=ll, robust=robust, df_resid=n - k,
+                     r_squared=r2, n_obs=n, log_likelihood=ll, df_resid=n - k,
                      n_iter=n_iter, max_score=max_score)
 
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from novascape import corpus
 from novascape.corpus import (
     _KINDS,
+    _column_check,
     CONTROLS,
     MECHANISM_SEPARATOR,
     REQUIRED_COLUMNS,
@@ -783,3 +784,49 @@ def test_column_parser_matches_the_row_parser_on_every_listed_cell(tmp_path, mon
             csv.writer(fh, lineterminator="\n").writerows([names] + rows)
         expected = parse_outcome(dictreader_parse_records, path, registry)
         assert parse_outcome(parse_records, path, registry) == expected, (name, variant)
+
+
+# Cells the builtins read, edge cases of their grammar and non-finite or
+# out-of-range values among them; drawn text adds unreadable cells, so that a
+# column is read whole, or cell by cell with an unreadable cell beside a
+# non-finite or out-of-range one.
+EDGE_CELLS = ["1_0", " 7 ", "\u0663", "\u0662\u0660\u0661\u0665", "nan", "-inf", "1e400", "0", "1", "2.5",
+              str(2**63 - 1), str(2**63), str(-(2**63)), str(-(2**63) - 1)]
+
+
+@st.composite
+def cell_columns(draw):
+    """Up to six edge cells with up to two drawn texts put among them."""
+    cells = draw(st.lists(st.sampled_from(EDGE_CELLS), max_size=6))
+    for text in draw(st.lists(st.text(max_size=6), max_size=2)):
+        cells.insert(draw(st.integers(0, len(cells))), text)
+    return cells
+
+
+# one column of each type in CONTROLS, so that each type is drawn as often
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([(name, kind) for kind, name in {kind: name for name, kind in CONTROLS}.items()]),
+       cell_columns(), st.integers(2, 10_000))
+@example(("team_size", int), ["x", str(2**63), "3"], 2)
+@example(("complexity", float), ["nan", "abc", "1e400", "2"], 2)
+@example(("complexity", float), ["1e400", "2", "-inf"], 2)
+@example(("debut", bool), ["1", "", "0", "true"], 2)
+def test_column_check_matches_the_oracle_cell_parsers(control, cells, first_row):
+    name, kind = control
+    values, (bad, error) = _column_check(cells, kind, name, first_row)
+    accepted, messages = {}, {}
+    for i, cell in enumerate(cells):
+        try:
+            accepted[i] = ORACLE_CELL_PARSERS[kind](cell, first_row + i, name)
+        except ParseError as exc:
+            messages[i] = str(exc)
+    # a rejected cell's value is unspecified: 0 on the cell-by-cell path, the float itself when only finiteness fails
+    expected = np.array(list(accepted.values()), dtype=_KINDS[kind][0])
+    read = values[list(accepted)]
+    assert values.dtype == expected.dtype and read.tolist() == expected.tolist()
+    if values.dtype != object:
+        assert read.tobytes() == expected.tobytes()
+    assert np.flatnonzero(bad).tolist() == sorted(messages)
+    for i, message in messages.items():
+        exc = error(i)
+        assert isinstance(exc, ParseError) and str(exc) == message

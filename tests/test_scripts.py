@@ -55,8 +55,9 @@ def test_scale_probe_layout_prints_one_line_per_min_type_count():
                          check=True, capture_output=True, text=True, timeout=120).stdout
     (line,) = out.splitlines()
     probe = json.loads(line)
-    assert list(probe) == ["min_type_count", "nodes", "hops_peak_mb", "wall_s", "peak_mb"]
+    assert list(probe) == ["min_type_count", "nodes", "hops_peak_mb", "wall_s", "wall_spread_s", "peak_mb"]
     assert probe["min_type_count"] == 8 and probe["nodes"] == 6 and probe["wall_s"] > 0 and probe["peak_mb"] > 0
+    assert probe["wall_spread_s"] >= 0
     assert 0 < probe["hops_peak_mb"] <= probe["peak_mb"]
 
 

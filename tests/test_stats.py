@@ -210,7 +210,6 @@ def fixed_fit(family: str, beta, df_resid: int, cov=None) -> FitResult:
         r_squared=0.0,
         n_obs=df_resid + len(beta),
         log_likelihood=0.0,
-        robust="hc1",
         df_resid=df_resid,
     )
 
