@@ -22,7 +22,8 @@ prints one JSON line:
   hops_peak_mb    tracemalloc peak of the layout's first phase alone, the main
                   component and its hop matrix (_main_component), in MiB;
                   traced in its own call before the timed layouts
-  wall_s          median wall time of three untraced layouts
+  wall_s          median wall time of three untraced layouts, timed after
+                  one untimed warm-up layout
   wall_spread_s   max minus min of those three wall times
   peak_mb         tracemalloc peak of one more layout, traced, in MiB
 
@@ -77,6 +78,7 @@ def probe_layout(min_type_count: int) -> dict:
     _main_component(len(graph.keys), *graph.edges.T)
     hops_peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
+    layout(graph)  # untimed: the first layout in a process also loads the L-BFGS-B extension
     walls = []
     for _ in range(3):
         start = time.perf_counter()

@@ -5,15 +5,17 @@ __init__.py, and each loads scipy's array-API layer, which brings in
 numpy.f2py, email, socket and unittest: about 0.25 s of a cold start that
 calls none of them. `routines` loads just the extension module a caller's
 routines live in, running no scipy __init__.py, and checks each routine's
-signature; a caller that gets None imports the public module instead.
+signature; a caller that gets None imports the public module instead. Each
+(relpath, signatures) lookup runs once per process and its result is kept.
 """
 
+import functools
 import os
 import sys
 import types
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from importlib.util import find_spec, module_from_spec, spec_from_loader
-from typing import Optional, Sequence
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -69,10 +71,12 @@ def signature(routine) -> str:
     return (getattr(routine, "__doc__", None) or "").partition("\n")[0]
 
 
-def routines(relpath: str, signatures: Sequence[str]) -> Optional[types.SimpleNamespace]:
+@functools.cache
+def routines(relpath: str, signatures: Tuple[str, ...]) -> Optional[types.SimpleNamespace]:
     """The routines of scipy's extension module at relpath, by name, when each
     one's signature() is its entry of `signatures`; None when one's is not. A
-    routine's name is the word before the first "(" of its signature."""
+    routine's name is the word before the first "(" of its signature. Kept per
+    (relpath, signatures) for the process; `routines.__wrapped__` looks again."""
     module = extension(relpath)
     found = {}
     for expected in signatures:

@@ -129,9 +129,8 @@ def load_registry(path) -> FeatureRegistry:
 
 def canonical_registry() -> FeatureRegistry:
     """The 51-mechanism registry used by the 2017 BoardGameGeek snapshot."""
-    text = resources.files("novascape.data").joinpath("mechanisms_bgg_2017.txt").read_text("utf-8")
-    names = tuple(line.strip() for line in text.splitlines() if line.strip())
-    return FeatureRegistry(names)
+    with resources.as_file(resources.files("novascape.data") / "mechanisms_bgg_2017.txt") as path:
+        return load_registry(path)
 
 
 # One product: identity, publication year, feature vector, and the CONTROLS

@@ -23,13 +23,12 @@ place) and one (4, n, n) buffer set allocated once per layout. Components come f
 the edge list; the main component's hops from all breadth-first searches at once,
 each frontier formed in place and claimed in the hop matrix, with no owner index.
 The minimiser is scipy's compiled L-BFGS-B routine (Byrd, Lu, Nocedal & Zhu 1995),
-`_lbfgsb.setulb`, loaded from its extension file by `_compiled.routines` and driven
+`setulb`, loaded from its extension file by `_compiled.routines` and driven
 as scipy 1.17's minimize(method="L-BFGS-B") drives it: importing scipy.optimize for
 it would cost 0.12-0.18 s, mostly in solvers the layout never calls; a scipy whose
 setulb has another signature takes scipy.optimize.minimize instead.
 """
 
-import functools
 import json
 from dataclasses import dataclass
 from operator import itemgetter
@@ -64,12 +63,6 @@ EXPORT_COLUMNS = ("id", "vector_bits", "count", "cf_count", "cf_share", "first_y
 # render_svg's square side in pixels, and its node radius per sqrt(type count)
 SVG_SIZE = 720
 SVG_BASE_RADIUS = 3.0
-
-
-def _type_keys(matrix: np.ndarray):
-    """(words, types): the packed words of each distinct row, in ascending key
-    order, and each row's index into words; _keys turns words into keys."""
-    return _distinct(pack_rows(matrix))
 
 
 def _distinct(packed: np.ndarray):
@@ -142,7 +135,7 @@ def build_landscape(
     if len(records) == 0:
         raise EmptyGraph("no records")
     dim = records.registry.dimension
-    words, types = _type_keys(records.matrix)
+    words, types = _distinct(pack_rows(records.matrix))
     first_years = np.full(len(words), np.iinfo(np.int64).max)
     np.minimum.at(first_years, types, records.years)
     common = np.bincount(types, minlength=len(words)) >= min_type_count
@@ -159,7 +152,7 @@ def build_landscape(
 
 def flip_edges(words: np.ndarray, dimension: int) -> np.ndarray:
     """All Hamming-1 pairs among the distinct rows of packed words (k, ceil(dimension / 64))
-    in ascending key order (_type_keys), as an ascending (m, 2) array of (smaller, larger)
+    in ascending key order (_distinct), as an ascending (m, 2) array of (smaller, larger)
     row indices.
 
     Per word, each row's word is XORed with all its bits at once; only clear bits are
@@ -203,7 +196,7 @@ def layout(
     single-node component sits at the origin.
 
     The energy is minimised by `_minimize_lbfgsb`, scipy's L-BFGS-B routine
-    called directly, without importing scipy.optimize; only when `_lbfgsb`
+    called directly, without importing scipy.optimize; only when `routines`
     finds no such routine does scipy.optimize.minimize run, to the same
     positions.
     """
@@ -217,7 +210,7 @@ def layout(
     # NetworkX's 1 / (hops + 1e-3 * I), in place: the diagonal of hops is 0
     np.fill_diagonal(hops, 1e-3)
     args = (np.divide(1.0, hops, out=hops), np.empty((4, len(keys), len(keys))))
-    if _lbfgsb() is None:
+    if routines("optimize/_lbfgsb", (_SETULB_SIGNATURE,)) is None:
         from scipy.optimize import minimize
 
         pos = minimize(_kamada_kawai_energy, start.ravel(), args=args, method="L-BFGS-B", jac=True).x
@@ -301,14 +294,6 @@ def _hops(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 _SETULB_SIGNATURE = "setulb(m,x,l,u,nbd,f,g,factr,pgtol,wa,iwa,task,lsave,isave,dsave,maxls,ln_task)"
 
 
-@functools.cache
-def _lbfgsb():
-    """scipy's compiled L-BFGS-B routine, `.setulb`, loaded without running
-    scipy/optimize/__init__.py, or None when its extension file is missing or
-    its setulb does not have the signature _minimize_lbfgsb drives."""
-    return routines("optimize/_lbfgsb", (_SETULB_SIGNATURE,))
-
-
 def _minimize_lbfgsb(fun, x0: np.ndarray, args: tuple):
     """(x, iterations, evaluations) of scipy 1.17's _minimize_lbfgsb on a float64
     vector x0 with no bounds, fun returning (value, gradient) as with jac=True,
@@ -316,7 +301,7 @@ def _minimize_lbfgsb(fun, x0: np.ndarray, args: tuple):
     x is bit-equal to minimize(fun, x0, args, method="L-BFGS-B", jac=True).x.
     Like scipy's ScalarFunction it evaluates fun at x0 first, then only where x
     has moved since the last evaluation, always on a copy of x."""
-    setulb = _lbfgsb().setulb
+    setulb = routines("optimize/_lbfgsb", (_SETULB_SIGNATURE,)).setulb
     m, maxls, maxiter, maxfun = 10, 20, 15000, 15000
     factr = 2.2204460492503131e-09 / np.finfo(float).eps
     pgtol = 1e-5

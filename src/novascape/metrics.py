@@ -291,9 +291,6 @@ def score_corpus(
             blocks.append((focal_rows, np.full(len(focal_rows), span), sums / past_n, mins, res_vals))
     rows, span_col, dist, nov, res = (np.concatenate(c) for c in zip(*blocks)) if blocks else ([],) * 5
     ids = np.asarray(records.ids, dtype=object)
-    # record ids are distinct, so each one's place in sorted order is its rank;
-    # the stable sort takes one pass over ids that are already in order
-    ranks = np.empty(len(ids), dtype=np.int64)
-    ranks[np.argsort(ids, kind="stable")] = np.arange(len(ids))
+    ranks = _id_ranks(ids)
     pairs = itertools.chain.from_iterable(zip(ids[r].tolist(), itertools.repeat(span)) for r, span in unscored)
     return ScoreTable(ids[rows], span_col, dist, nov, res, pairs, id_ranks=ranks[rows])

@@ -21,7 +21,7 @@ scipy.linalg or scipy.special instead, to the same bytes.
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -86,12 +86,6 @@ _LAPACK_SIGNATURES = (
 )
 # the special-function ufuncs, with their inputs as numpy names them
 _SPECIAL_SIGNATURES = ("expit(x)", "gammaln(x)", "ndtr(x)", "ndtri(x)", "stdtr(x1, x2)", "stdtrit(x1, x2)")
-
-
-@cache
-def _lapack():
-    """dgeqp3, dorgqr and dtrtrs from scipy's LAPACK extension, or None."""
-    return routines("linalg/_flapack", _LAPACK_SIGNATURES)
 
 
 def _special_functions() -> tuple:
@@ -439,6 +433,8 @@ def build_design(
         column_of[present[1:]] = np.arange(len(names), len(names) + len(present) - 1)
         dummy_at.append(column_of[codes])
         names += [f"{fe}={levels[j]}" for j in present[1:]]
+    if len(rows) <= len(names):  # fit_arrays' check, before X is allocated
+        raise NumericError(f"need more rows ({len(rows)}) than columns ({len(names)})")
 
     X = np.zeros((len(rows), len(names)))
     X[:, 0] = 1.0
@@ -556,7 +552,7 @@ def _pivoted_qr(X: np.ndarray, with_q: bool):
     """(q, r, perm) with X[:, perm] == q @ r, bit-equal to scipy 1.17's
     linalg.qr(X, mode="economic", pivoting=True) for a float64 X with more rows
     than columns; q is None unless with_q, as from its mode "raw", which forms none."""
-    lapack = _lapack()
+    lapack = routines("linalg/_flapack", _LAPACK_SIGNATURES)
     if lapack is None:
         from scipy import linalg
 
@@ -572,7 +568,7 @@ def _solve_upper(r: np.ndarray, b: np.ndarray) -> np.ndarray:
     """scipy 1.17's linalg.solve_triangular(r, b) for an upper triangular r, bit for
     bit: dtrtrs on r, or, when r is not Fortran-ordered, on r.T as lower triangular
     and transposed, since dtrtrs reads Fortran order."""
-    lapack = _lapack()
+    lapack = routines("linalg/_flapack", _LAPACK_SIGNATURES)
     if lapack is None:
         from scipy import linalg
 

@@ -108,7 +108,7 @@ def xor_min_distances(focal: np.ndarray, window: np.ndarray) -> np.ndarray:
 
 def key_words(keys, dimension: int) -> np.ndarray:
     """Int keys in ascending order as (k, ceil(dimension / 64)) uint64 words,
-    the layout landscape._type_keys gives a snapshot's types in."""
+    the layout landscape._distinct(pack_rows(...)) gives a snapshot's types in."""
     n_words = -(-dimension // 64)
     return np.array([[key >> (64 * w) & (2**64 - 1) for w in range(n_words)] for key in sorted(keys)],
                     dtype=np.uint64).reshape(len(keys), n_words)

@@ -916,7 +916,7 @@ class TestInMemoryReport:
                 return built[-1]
             return wrapper
 
-        monkeypatch.setattr(landscape, "_type_keys", counting("_type_keys"))
+        monkeypatch.setattr(landscape, "pack_rows", counting("pack_rows"))
         monkeypatch.setattr(landscape, "_keys", counting("_keys"))
         monkeypatch.setattr(cli, "build_landscape", keeping(cli.build_landscape))
         payload = pipeline_payload(tmp_path / "run")
@@ -924,7 +924,7 @@ class TestInMemoryReport:
         assert main(["report", "--config", str(write_config(tmp_path, payload))]) == EXIT_OK
         (graphs,) = built
         assert [g.snapshot_year for g in graphs] == [2008, 2009, 2011]
-        assert [name for name, _ in calls].count("_type_keys") == 1
+        assert [name for name, _ in calls].count("pack_rows") == 1
         # only the plotted types of each snapshot become Python ints
         assert sum(rows for name, rows in calls if name == "_keys") == sum(len(g.keys) for g in graphs) > 0
 

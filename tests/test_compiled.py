@@ -80,7 +80,25 @@ def test_missing_file_gives_none(monkeypatch):
     monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
     monkeypatch.setattr(_compiled, "EXTENSION_SUFFIXES", [".missing"])
     assert extension("linalg/_flapack") is None
-    assert routines("linalg/_flapack", ("x,info = dtrtrs(a,b,[lower,trans,unitdiag,lda,overwrite_b])",)) is None
+    assert routines.__wrapped__("linalg/_flapack",
+                                ("x,info = dtrtrs(a,b,[lower,trans,unitdiag,lda,overwrite_b])",)) is None
+
+
+def test_a_lookup_is_kept_for_the_process(monkeypatch):
+    loads = []
+
+    def counting(relpath):
+        loads.append(relpath)
+        return extension(relpath)
+
+    monkeypatch.setattr(_compiled, "extension", counting)
+    # a pair no other caller looks up, so this test makes the first lookup
+    signatures = ("x,info = dtrtrs(a,b,[lower,trans,unitdiag,lda,overwrite_b])",
+                  "q,work,info = dorgqr(a,tau,[lwork,overwrite_a])")
+    first = routines("linalg/_flapack", signatures)
+    assert first.dtrtrs is scipy.linalg.lapack.dtrtrs
+    assert routines("linalg/_flapack", signatures) is first
+    assert loads == ["linalg/_flapack"]
 
 
 def test_another_signature_gives_none():

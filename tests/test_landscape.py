@@ -29,13 +29,12 @@ from novascape.errors import EmptyGraph
 from novascape import _compiled, landscape
 from novascape.landscape import (
     _SETULB_SIGNATURE,
+    _distinct,
     _hops,
     _kamada_kawai_energy,
     _keys,
-    _lbfgsb,
     _main_component,
     _minimize_lbfgsb,
-    _type_keys,
     CLASS_BASELINE,
     CLASS_CROWDFUNDED,
     CLASS_FORMER,
@@ -51,6 +50,7 @@ from novascape.landscape import (
     flip_edges,
     layout,
     render_svg,
+    routines,
     vector_bits,
 )
 
@@ -498,20 +498,18 @@ class TestDirectLbfgsb:
 
     def test_installed_scipy_takes_the_direct_route(self, monkeypatch):
         # a scipy whose setulb changed would quietly bring back the scipy.optimize import
-        assert _lbfgsb() is not None
-        assert _lbfgsb().setulb.__doc__ == _SETULB_SIGNATURE
+        assert routines("optimize/_lbfgsb", (_SETULB_SIGNATURE,)) is not None
+        assert routines("optimize/_lbfgsb", (_SETULB_SIGNATURE,)).setulb.__doc__ == _SETULB_SIGNATURE
         # from the extension file, as in a process that never imported scipy.optimize
         monkeypatch.delitem(sys.modules, "scipy.optimize._lbfgsb", raising=False)
-        assert _lbfgsb.__wrapped__().setulb.__doc__ == _SETULB_SIGNATURE
+        assert routines.__wrapped__("optimize/_lbfgsb", (_SETULB_SIGNATURE,)).setulb.__doc__ == _SETULB_SIGNATURE
         assert "scipy.optimize._lbfgsb" not in sys.modules
 
     def test_no_direct_route_without_the_routine(self, monkeypatch):
-        monkeypatch.setattr(landscape, "_SETULB_SIGNATURE", "setulb(m,x,l,u,nbd,f,g,factr,pgtol,wa,iwa,task)")
-        assert _lbfgsb.__wrapped__() is None
-        monkeypatch.undo()
+        assert routines.__wrapped__("optimize/_lbfgsb", ("setulb(m,x,l,u,nbd,f,g,factr,pgtol,wa,iwa,task)",)) is None
         monkeypatch.delitem(sys.modules, "scipy.optimize._lbfgsb", raising=False)
         monkeypatch.setattr(_compiled, "EXTENSION_SUFFIXES", [".missing"])
-        assert _lbfgsb.__wrapped__() is None
+        assert routines.__wrapped__("optimize/_lbfgsb", (_SETULB_SIGNATURE,)) is None
 
     def test_fallback_gives_the_same_positions(self, monkeypatch):
         graph = demo_final_snapshot()
@@ -520,7 +518,7 @@ class TestDirectLbfgsb:
         def unreachable(*args):
             raise AssertionError("the direct route ran")
 
-        monkeypatch.setattr(landscape, "_lbfgsb", lambda: None)
+        monkeypatch.setattr(landscape, "routines", lambda relpath, signatures: None)
         monkeypatch.setattr(landscape, "_minimize_lbfgsb", unreachable)
         assert layout(graph, seed=42) == direct
 
@@ -682,7 +680,7 @@ class TestPerRecordReference:
         matrix = base[rng.integers(40, size=2000)]
         flip = rng.random(len(matrix)) < 0.5
         matrix[flip, rng.integers(dim, size=int(flip.sum()))] ^= 1
-        words, types = _type_keys(matrix)
+        words, types = _distinct(pack_rows(matrix))
         keys = _keys(words)
         unique, inverse = np.unique(pack_rows(matrix), axis=0, return_inverse=True)
         oracle = [int.from_bytes(row.tobytes(), "little") for row in unique]

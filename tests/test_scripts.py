@@ -1,5 +1,5 @@
 """The scripts: effect_recovery.py's exit status and the BLAS threads of its workers,
-scale_probe.py's output lines, run_synthetic_demo.py's run, and what artifact_digests.py
+scale_probe.py's output lines and warm-up, run_synthetic_demo.py's run, and what artifact_digests.py
 --write reports."""
 
 import importlib.util
@@ -59,6 +59,21 @@ def test_scale_probe_layout_prints_one_line_per_min_type_count():
     assert probe["min_type_count"] == 8 and probe["nodes"] == 6 and probe["wall_s"] > 0 and probe["peak_mb"] > 0
     assert probe["wall_spread_s"] >= 0
     assert 0 < probe["hops_peak_mb"] <= probe["peak_mb"]
+
+
+def test_scale_probe_layout_warms_up_before_timing(monkeypatch):
+    # one untimed warm-up, three timed layouts and one traced
+    from novascape import landscape
+
+    calls, layout = [], landscape.layout
+
+    def counting(graph, *args, **kwargs):
+        calls.append(len(graph.keys))
+        return layout(graph, *args, **kwargs)
+
+    monkeypatch.setattr(landscape, "layout", counting)
+    probe = load_script(ROOT / "scripts" / "scale_probe.py").probe_layout(8)
+    assert len(calls) == 5 and probe["nodes"] == 6
 
 
 def test_synthetic_demo_prints_the_model_table(tmp_path, capsys):

@@ -390,6 +390,13 @@ class TestBuildDesign:
         assert design.rows_used.tolist() == list(range(37))
         assert design.X[:, -1].tolist() == [0.0] * 20 + [1.0] * 17
 
+    def test_a_level_per_row_is_rejected_before_the_matrix_is_built(self):
+        # one dummy per id but the reference: n rows, n + 1 columns
+        data = dict(demo_table(), id=np.array([f"g{i}" for i in range(32)], dtype=object))
+        spec = ModelSpec("outcome", "ols", (("crowdfunded", "identity"),), ("id",))
+        with pytest.raises(NumericError, match=r"^need more rows \(32\) than columns \(33\)$"):
+            build_design(data, spec)
+
     def test_join_builds_exactly_the_joined_columns(self):
         records = generate_corpus(SynthConfig(dimension=8, year_start=2006, year_end=2009,
                                               games_per_year=40, seed=3))
@@ -951,7 +958,7 @@ class TestCompiledRoutines:
             return fit.beta.tobytes(), fit.cov.tobytes(), fit.log_likelihood, fit.r_squared, fit.n_iter
 
         direct = fit_bytes()
-        monkeypatch.setattr(stats, "_lapack", lambda: None)
+        monkeypatch.setattr(stats, "routines", lambda relpath, signatures: None)
         assert fit_bytes() == direct
 
 
