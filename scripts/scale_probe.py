@@ -1,5 +1,5 @@
-"""Time `score_corpus` on synthetic corpora of growing size, or the Kamada-Kawai
-`layout` of growing landscapes, one fresh process per size.
+"""Time `score_corpus` on synthetic corpora of growing size, the Kamada-Kawai
+`layout` of growing landscapes, or `read_scores_csv`, one fresh process per size.
 
 Each size is a synthetic corpus (d=51, 2006-2015, a tenth of the records per
 year, novelty boost 2.0, seed 0) scored with spans 1, 2 and 5 and resonance
@@ -27,12 +27,23 @@ prints one JSON line:
   wall_spread_s   max minus min of those three wall times
   peak_mb         tracemalloc peak of one more layout, traced, in MiB
 
+With --read, each size is again a synthetic corpus of that many records,
+scored with spans 1, 2 and 5 and written to a temporary scores.csv (neither
+timed), which read_scores_csv then reads back. Each size prints one JSON line:
+
+  records  corpus size
+  rows     score rows in the file
+  file_mb  the file's size in MiB
+  wall_s   median wall time of three untraced reads
+  peak_mb  tracemalloc peak of one more read, traced, in MiB
+
 BLAS runs on one thread unless the environment sets the thread count, as in
 the tests and the benchmark. The package is imported from this checkout's src/.
 
 Usage:
     python3 scripts/scale_probe.py [--sizes 20000 80000 200000]
     python3 scripts/scale_probe.py --layout 3 2 1
+    python3 scripts/scale_probe.py --read 20000 100000
 """
 
 import argparse
@@ -41,6 +52,7 @@ import os
 import resource
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
@@ -50,13 +62,19 @@ SPANS = (1, 2, 5)
 YEARS = (2006, 2015)
 
 
-def probe(records: int) -> dict:
-    from novascape.metrics import score_corpus
+def synthetic(records: int):
+    """The probe's d=51 corpus of `records` records, a tenth a year."""
     from novascape.synth import SynthConfig, generate_corpus
 
-    per_year = records // (YEARS[1] - YEARS[0] + 1)
-    corpus = generate_corpus(SynthConfig(dimension=51, year_start=YEARS[0], year_end=YEARS[1],
-                                         games_per_year=per_year, novelty_boost=2.0, seed=0))
+    return generate_corpus(SynthConfig(dimension=51, year_start=YEARS[0], year_end=YEARS[1],
+                                       games_per_year=records // (YEARS[1] - YEARS[0] + 1),
+                                       novelty_boost=2.0, seed=0))
+
+
+def probe(records: int) -> dict:
+    from novascape.metrics import score_corpus
+
+    corpus = synthetic(records)
     sizes = {year: len(rows) for year, rows in corpus.year_rows.items()}
     pairs = sum(n * sizes.get(y, 0) for year, n in sizes.items() for y in range(year - max(SPANS), year))
     start = time.perf_counter()
@@ -94,14 +112,39 @@ def probe_layout(min_type_count: int) -> dict:
             "peak_mb": round(peak / 2**20, 2)}
 
 
-PROBES = {"score": probe, "layout": probe_layout}
+def probe_read(records: int) -> dict:
+    from novascape.metrics import read_scores_csv, score_corpus
+
+    corpus = synthetic(records)
+    table = score_corpus(corpus, SPANS, last_complete_year=YEARS[1])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scores.csv"
+        table.write_csv(path)
+        walls = []
+        for _ in range(3):
+            start = time.perf_counter()
+            read_scores_csv(path)
+            walls.append(time.perf_counter() - start)
+        tracemalloc.start()
+        read_scores_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        size = path.stat().st_size
+    return {"records": len(corpus), "rows": len(table), "file_mb": round(size / 2**20, 2),
+            "wall_s": round(sorted(walls)[1], 4), "peak_mb": round(peak / 2**20, 2)}
+
+
+PROBES = {"score": probe, "layout": probe_layout, "read": probe_read}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", type=int, nargs="+", default=[20000, 80000, 200000])
-    parser.add_argument("--layout", type=int, nargs="+", metavar="MIN_TYPE_COUNT",
-                        help="lay out the snapshot at each min_type_count instead of scoring")
+    instead = parser.add_mutually_exclusive_group()
+    instead.add_argument("--layout", type=int, nargs="+", metavar="MIN_TYPE_COUNT",
+                         help="lay out the snapshot at each min_type_count instead of scoring")
+    instead.add_argument("--read", type=int, nargs="+", metavar="SIZE",
+                         help="read back the scores.csv of each corpus size instead of scoring")
     # one probe at one size, in this process
     parser.add_argument("--one", nargs=2, metavar=("PROBE", "SIZE"), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -110,7 +153,8 @@ def main(argv=None) -> int:
         print(json.dumps(PROBES[args.one[0]](int(args.one[1]))), flush=True)
         return 0
     env = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1", **os.environ}
-    kind, sizes = ("layout", args.layout) if args.layout else ("score", args.sizes)
+    kind, sizes = (("layout", args.layout) if args.layout else ("read", args.read) if args.read
+                   else ("score", args.sizes))
     for size in sizes:
         subprocess.run([sys.executable, __file__, "--one", kind, str(size)], env=env, check=True)
     return 0

@@ -67,7 +67,7 @@ from .landscape import (
     layout,
     render_svg,
 )
-from .metrics import DEFAULT_SPAN, SPAN_PRESETS, ScoreTable, read_scores_csv, score_corpus
+from .metrics import DEFAULT_SPAN, SPAN_PRESETS, ScoreTable, read_scores_csv, score_corpus, scored_ids
 from .stats import (
     COUNT_NOVELTY_MODEL,
     DESCRIBE_COLUMNS,
@@ -329,20 +329,22 @@ def _load_scored_cache(cfg: PipelineConfig) -> Tuple[RecordSet, ScoreTable]:
     """The ingest cache and the scores.csv that was scored from it.
 
     Every scored id must be a cached record, and the ids scored for
-    stats_span must be exactly the cached records with a non-empty past
-    window; a table left over from an earlier ingest fails one or the other.
+    stats_span must be exactly metrics.scored_ids; a table left over from an
+    earlier ingest fails one or the other, and one scored without stats_span
+    is named as such.
     """
     records = _load_cache(cfg)
     path = Path(cfg.out_dir) / SCORES_FILE
     if not path.exists():
         raise ConfigError(f"{path} missing; run the score subcommand first")
     table = _read_input(read_scores_csv, path)
-    # a year has a past window when the nearest earlier corpus year is within stats_span
-    years = list(records.year_rows)
-    windowed = {year for earlier, year in zip(years, years[1:]) if earlier >= year - cfg.stats_span}
-    expected = {rid for rid, year in zip(records.ids, records.years.tolist()) if year in windowed}
+    expected = scored_ids(records, cfg.stats_span)
     scored = set(table.ids[table.spans == cfg.stats_span].tolist())
-    if scored != expected or not set(table.ids.tolist()) <= set(records.ids):
+    current = set(table.ids.tolist()) <= set(records.ids)
+    if current and expected and not scored:
+        raise ConfigError(f"{path} holds no scores for stats_span {cfg.stats_span}, only for spans "
+                          f"{sorted(set(table.spans.tolist()))}; re-run score with span {cfg.stats_span}")
+    if scored != expected or not current:
         raise ConfigError(
             f"{path} was not scored from the ingested corpus in {cfg.out_dir!r}; re-run score"
         )

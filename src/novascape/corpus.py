@@ -5,7 +5,8 @@ vectors" for board games). The registry defines the vector dimensionality and
 the bit order; records are parsed from a flat CSV schema, each column through
 its type's row of _KINDS, (dtype, reader), with _rejection naming a rejected
 cell, and filtered down to an analysis set with explicit, reported rules.
-write_csv_columns writes every CSV table the package produces.
+read_blocks reads back every CSV table the package reads, the corpus and
+scores.csv, in blocks of rows; write_csv_columns writes every one it produces.
 """
 
 import csv
@@ -304,59 +305,59 @@ def _column_check(cells, kind, column: str, first_row: int) -> tuple:
         f"row {first_row + i}: column {column!r} {_rejection(cells[i], kind)} {cells[i]!r}"))
 
 
-def parse_records(path, registry: FeatureRegistry) -> RecordSet:
-    """Parse the corpus CSV against a registry; row order is preserved.
+def read_blocks(path, required) -> Iterator[tuple]:
+    """A CSV table read back, as (header, first row number, rows) per block of
+    PARSE_BLOCK_ROWS non-blank rows; the corpus and scores.csv both read here.
 
-    Rows with missing or out-of-range values are rejected outright (no
-    imputation); downstream analyses assume complete cases. Non-blank rows
-    are read PARSE_BLOCK_ROWS at a time and each block is checked column by
-    column. The error raised is that of the smallest failing row, from the
-    first check it fails in `_parse_block`'s order; a repeated id is reported
-    only once every row has parsed. A UTF-8 byte order mark is skipped.
+    A UTF-8 byte order mark and blank rows are skipped; rows are numbered from
+    2, counting non-blank rows only. A header missing a `required` column
+    raises SchemaError. The rows read before a reader error come out before
+    it is raised, so a bad row ahead of the damage is still the one reported.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
-        missing = [c for c in REQUIRED_COLUMNS if c not in header]
+        missing = [c for c in required if c not in header]
         if missing:
             raise SchemaError(f"{path}: missing required columns {missing}")
+        rows, first_row = filter(None, reader), 2
+        while True:
+            block = []
+            try:
+                block.extend(itertools.islice(rows, PARSE_BLOCK_ROWS))  # keeps the rows read before a failure
+            except (csv.Error, UnicodeDecodeError):
+                if block:
+                    yield header, first_row, block
+                raise
+            if not block:
+                return
+            yield header, first_row, block
+            first_row += len(block)
+
+
+def parse_records(path, registry: FeatureRegistry) -> RecordSet:
+    """Parse the corpus CSV against a registry; row order is preserved.
+
+    Rows with missing or out-of-range values are rejected outright (no
+    imputation); downstream analyses assume complete cases. Each block of
+    read_blocks is checked column by column. The error raised is that of the
+    smallest failing row, from the first check it fails in `_parse_block`'s
+    order; a repeated id is reported only once every row has parsed.
+    """
+    ids, years = [], [np.empty(0, dtype=np.int64)]
+    matrices = [np.empty((0, registry.dimension), dtype=np.uint8)]
+    columns = {name: [np.empty(0, dtype=_KINDS[kind][0])] for name, kind in CONTROLS}
+    for header, first_row, rows in read_blocks(path, REQUIRED_COLUMNS):
         # a repeated name reads its last column, as csv.DictReader does
         position = {name: i for i, name in enumerate(header)}
-        ids, years = [], [np.empty(0, dtype=np.int64)]
-        matrices = [np.empty((0, registry.dimension), dtype=np.uint8)]
-        columns = {name: [np.empty(0, dtype=_KINDS[kind][0])] for name, kind in CONTROLS}
-        # rows are numbered 1-based after the header, counting non-blank rows only
-        first_row = 2
-        for rows in _row_blocks(reader):
-            block_ids, block_years, matrix, values = _parse_block(rows, position, registry, first_row)
-            ids.extend(block_ids)
-            years.append(block_years)
-            matrices.append(matrix)
-            for name, column in values.items():
-                columns[name].append(column)
-            first_row += len(block_ids)
+        block_ids, block_years, matrix, values = _parse_block(rows, position, registry, first_row)
+        ids.extend(block_ids)
+        years.append(block_years)
+        matrices.append(matrix)
+        for name, column in values.items():
+            columns[name].append(column)
     return RecordSet(registry, ids, np.concatenate(years), np.concatenate(matrices),
                      {name: np.concatenate(parts) for name, parts in columns.items()})
-
-
-def _row_blocks(reader) -> Iterator[list]:
-    """The reader's non-blank rows in lists of PARSE_BLOCK_ROWS.
-
-    The rows read before a reader error come out before it is raised, so a
-    bad row ahead of the damage is still the one reported.
-    """
-    rows = filter(None, reader)
-    while True:
-        block = []
-        try:
-            block.extend(itertools.islice(rows, PARSE_BLOCK_ROWS))  # keeps the rows read before a failure
-        except (csv.Error, UnicodeDecodeError):
-            if block:
-                yield block
-            raise
-        if not block:
-            return
-        yield block
 
 
 def _parse_block(rows: list, position: dict, registry: FeatureRegistry, first_row: int) -> tuple:

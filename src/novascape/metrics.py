@@ -30,12 +30,13 @@ to score, and it runs on one exact kernel:
 
 The scores come back as a ScoreTable of columns, one array per score, built
 from one block of arrays per (focal year, span); no object is made per row.
+scored_ids names the records a span scores. read_scores_csv reads scores.csv
+back through corpus.read_blocks, one block of rows at a time.
 
 Results are exact integers (or one division of them), deterministic and
 independent of scheduling.
 """
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass
@@ -43,8 +44,8 @@ from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .corpus import RecordSet, _column_check, _number_cells, _raise_first, write_csv_columns
-from .errors import ParseError, SchemaError
+from .corpus import RecordSet, _column_check, _number_cells, _raise_first, read_blocks, write_csv_columns
+from .errors import ParseError
 
 SPAN_PRESETS = (1, 2, 5)
 DEFAULT_SPAN = 2
@@ -147,38 +148,37 @@ def read_scores_csv(path) -> ScoreTable:
     """Inverse of ScoreTable.write_csv; every score reads back exactly as written.
 
     novelty_binary and resonance_available restate novelty_count and
-    resonance and are not read back. A missing column raises SchemaError; a
-    short row, a bad cell or a table ScoreTable rejects raises ParseError. A
-    UTF-8 byte order mark is skipped.
+    resonance and are not read back. The table comes through read_blocks, and
+    a failing row or a table ScoreTable rejects raises ParseError.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        missing = [c for c in SCORE_COLUMNS if c not in header]
-        if missing:
-            raise SchemaError(f"{path}: missing score columns {missing}")
-        rows = list(reader)
-    for row_no, row in enumerate(rows, start=2):
-        if len(row) != len(header):
-            raise ParseError(f"{path}: row {row_no}: expected {len(header)} cells, got {len(row)}")
-    cells = dict(zip(header, list(zip(*rows)) or [()] * len(header)))
+    # starmap keeps no block it has passed on, so one block of rows is held at a time
+    blocks = list(itertools.starmap(_score_block, read_blocks(path, SCORE_COLUMNS)))
+    try:
+        return ScoreTable(*((np.concatenate(c) for c in zip(*blocks)) if blocks else ([],) * 5))
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
+
+def _score_block(header: list, first_row: int, rows: list) -> tuple:
+    """One block's ids, spans, distinctiveness, novelty counts and resonance; raises its first row's error.
+
+    The checks are one table: each row's cell count, then each column read back.
+    """
+    width = len(header)
+    lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    # pad short rows so one transpose holds every column; a short row fails its length check first
+    for i in np.flatnonzero(lengths < width).tolist():
+        rows[i] = rows[i] + [""] * (width - len(rows[i]))
+    cells = dict(zip(header, zip(*rows)))
     # an NA resonance reads as 0, then as NaN
     na = np.fromiter(map("NA".__eq__, cells["resonance"]), dtype=bool, count=len(rows))
     cells["resonance"] = ["0" if value == "NA" else value for value in cells["resonance"]]
-
-    def parsed(column, kind):
-        values, check = _column_check(cells[column], kind, column, 2)
-        _raise_first([check])
-        return values
-
-    span, distinctiveness, novelty_count, resonance = (parsed("span", int), parsed("distinctiveness", float),
-                                                       parsed("novelty_count", int), parsed("resonance", float))
-    resonance[na] = math.nan
-    try:
-        return ScoreTable(cells["id"], span, distinctiveness, novelty_count, resonance)
-    except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    values, checks = zip(*(_column_check(cells[column], kind, column, first_row) for column, kind in (
+        ("span", int), ("distinctiveness", float), ("novelty_count", int), ("resonance", float))))
+    _raise_first([(lengths != width, lambda i: ParseError(
+        f"row {first_row + i}: expected {width} cells, got {lengths.item(i)}")), *checks])
+    values[-1][na] = math.nan
+    return (np.array(cells["id"], dtype=object), *values)
 
 
 def _window_profile(year_profiles: Mapping[int, Tuple[int, np.ndarray]], year_lo: int, year_hi: int,
@@ -294,3 +294,11 @@ def score_corpus(
     ranks = _id_ranks(ids)
     pairs = itertools.chain.from_iterable(zip(ids[r].tolist(), itertools.repeat(span)) for r, span in unscored)
     return ScoreTable(ids[rows], span_col, dist, nov, res, pairs, id_ranks=ranks[rows])
+
+
+def scored_ids(records: RecordSet, span: int) -> set:
+    """The ids score_corpus(records, (span,)) gives a row: those of each year whose
+    nearest earlier corpus year is within `span`, so its past window is non-empty."""
+    years = list(records.year_rows)
+    return {records.ids[i] for earlier, year in zip(years, years[1:]) if earlier >= year - span
+            for i in records.year_rows[year].tolist()}

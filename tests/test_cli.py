@@ -702,6 +702,19 @@ class TestExitCodes:
         assert main(["score", "--config", str(narrowed)]) == EXIT_OK
         assert main(["stats", "--config", str(narrowed)]) == EXIT_OK
 
+    def test_stats_names_a_span_the_scores_lack(self, tmp_path, caplog):
+        # scored from this ingest, but only for span 1, while the config's stats_span is 2
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path, pipeline_payload(out))
+        assert main(["synth", "--config", str(cfg)]) == EXIT_OK
+        assert main(["ingest", "--config", str(cfg), "--corpus", str(out / "synth_corpus.csv"),
+                     "--registry", str(out / "synth_registry.txt")]) == EXIT_OK
+        assert main(["score", "--config", str(cfg), "--spans", "1"]) == EXIT_OK
+        assert main(["stats", "--config", str(cfg)]) == EXIT_INPUT
+        assert "holds no scores for stats_span 2, only for spans [1]; re-run score with span 2" in caplog.text
+        assert "was not scored from the ingested corpus" not in caplog.text
+        assert not (out / "models.csv").exists()
+
     def test_carriage_returns_in_quoted_cells_survive_the_caches(self, tmp_path):
         # a CR inside a quoted id, genre or parent_id parses; the ingest and
         # score caches must quote it again for score and stats to read them
@@ -729,7 +742,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("column, cell, message", [
         ("distinctiveness", "x1.5", "row 2: column 'distinctiveness' is not a number: 'x1.5'"),
-        ("resonance", None, "missing score columns ['resonance']"),
+        ("resonance", None, "missing required columns ['resonance']"),
     ], ids=["bad-cell", "missing-column"])
     def test_damaged_scores_csv_is_exit_2(self, tmp_path, caplog, column, cell, message):
         out = tmp_path / "run"

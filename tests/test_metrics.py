@@ -16,13 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from novascape import metrics
-from novascape.corpus import RecordSet
+from novascape.corpus import PARSE_BLOCK_ROWS, RecordSet
 from novascape.errors import DimensionError, ParseError
 from novascape.metrics import (
     SCORE_COLUMNS,
     ScoreTable,
     read_scores_csv,
     score_corpus,
+    scored_ids,
 )
 
 from conftest import cross_hamming, hamming, make_recordset, xor_min_distances
@@ -301,6 +302,17 @@ class TestScoreCorpus:
         assert np.array_equal(a.resonance, b.resonance, equal_nan=True)
 
 
+class TestScoredIds:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.integers(2000, 2012), st.lists(st.integers(0, 1), min_size=3, max_size=3)),
+                    min_size=1, max_size=12),
+           st.integers(1, 4))
+    def test_matches_the_scored_rows(self, rows, span):
+        # years drawn from a 13-year range leave gaps wider and narrower than the span
+        rs = make_recordset([(f"r{i}", year, bits) for i, (year, bits) in enumerate(rows)])
+        assert scored_ids(rs, span) == set(score_corpus(rs, (span,)).ids.tolist())
+
+
 class TestPackedKernel:
     @pytest.mark.parametrize("dim", [1, 63, 64, 65, 130, 300])
     def test_score_corpus_matches_oracles_across_word_boundaries(self, dim, monkeypatch):
@@ -458,10 +470,11 @@ class TestScoreTableCsv:
             assert np.array_equal(getattr(again, name), getattr(plain, name), equal_nan=True), name
 
     @pytest.mark.parametrize("rows, message", [
-        # columns are checked in column order, so row 3's span comes before row 2's distinctiveness
-        (["a,1,x,0,0,NA,0", "b,1.5,1,0,0,NA,0"], "row 3: column 'span' is not an integer: '1.5'"),
+        # the smallest failing row is reported, so row 2's distinctiveness comes before row 3's span
+        (["a,1,x,0,0,NA,0", "b,1.5,1,0,0,NA,0"], "row 2: column 'distinctiveness' is not a number: 'x'"),
         (["a,1,1,0,0,NA,0", "b,1,1,0,0,nan,1"], "row 3: column 'resonance' is not finite: 'nan'"),
-        (["a,1,1,0,0,NA,0", "", "b,1,1,0,0,NA,0"], "row 3: expected 7 cells, got 0"),
+        # a blank row is skipped, and rows are numbered counting non-blank rows only
+        (["a,1,1,0,0,NA,0", "", "b,1,1,0,0,NA"], "row 3: expected 7 cells, got 6"),
         (["a,1,1,0,0,NA,0", "a,1,2,0,0,NA,0"], "scores.csv: duplicate score row ('a', 1)"),
         (["a,1,1,2,1,NA,0"], "scores.csv: a novelty_count exceeds its distinctiveness"),
     ], ids=["column-order", "nan-is-not-NA", "blank-row", "duplicate-row", "novelty-above-distinctiveness"])
@@ -470,6 +483,31 @@ class TestScoreTableCsv:
         path.write_text("\n".join([",".join(SCORE_COLUMNS)] + rows) + "\n", encoding="utf-8")
         with pytest.raises(ParseError, match=re.escape(message)):
             read_scores_csv(path)
+
+    def test_memory_is_bounded_by_the_file(self, tmp_path):
+        # six blocks of rows; the reader holds its output and one block, not a list of every row
+        rng = np.random.default_rng(35)
+        n = 6 * PARSE_BLOCK_ROWS
+        novelty = rng.integers(0, 20, n)
+        resonance = rng.normal(0, 3, n)
+        resonance[rng.random(n) < 0.3] = np.nan
+        table = ScoreTable([f"g{i // 3}" for i in range(n)], np.tile([1, 2, 5], n // 3),
+                           novelty + rng.random(n) * 10, novelty, resonance)
+        path = tmp_path / "scores.csv"
+        table.write_csv(path)
+        read_scores_csv(path)  # imports and caches before tracing
+        tracemalloc.start()
+        try:
+            again = read_scores_csv(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        # a list of every row peaked at about 10x the file
+        assert peak < 6 * size, f"peak {peak / size:.1f}x the file's {size} bytes"
+        assert again.ids.tolist() == table.ids.tolist()
+        for name in ("spans", "distinctiveness", "novelty_count", "resonance"):
+            assert np.array_equal(getattr(again, name), getattr(table, name), equal_nan=True), name
 
     def test_byte_deterministic(self, tmp_path):
         rs = make_recordset([("a", 2014, [0, 1]), ("b", 2015, [1, 1])])

@@ -61,6 +61,16 @@ def test_scale_probe_layout_prints_one_line_per_min_type_count():
     assert 0 < probe["hops_peak_mb"] <= probe["peak_mb"]
 
 
+def test_scale_probe_read_prints_one_line_per_size():
+    out = subprocess.run([sys.executable, str(ROOT / "scripts" / "scale_probe.py"), "--read", "2000"],
+                         check=True, capture_output=True, text=True, timeout=120).stdout
+    (line,) = out.splitlines()
+    probe = json.loads(line)
+    assert list(probe) == ["records", "rows", "file_mb", "wall_s", "peak_mb"]
+    assert probe["records"] == 2000 and probe["rows"] > 0 and probe["file_mb"] > 0
+    assert probe["wall_s"] > 0 and probe["peak_mb"] > 0
+
+
 def test_scale_probe_layout_warms_up_before_timing(monkeypatch):
     # one untimed warm-up, three timed layouts and one traced
     from novascape import landscape
