@@ -41,8 +41,9 @@ for _path in (ROOT / "src", ROOT / "scripts", ROOT):
 # report-large seeds 1 and 3 write the same models.* bytes under two threads
 # (tests/test_artifact_digests.py checks demo seed 0); one thread keeps the
 # digests from depending on the thread count a host's BLAS would choose
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+from novascape import BLAS_THREAD_VARIABLES  # noqa: E402
+
+os.environ.update(dict.fromkeys(BLAS_THREAD_VARIABLES, "1"))
 
 import numpy  # noqa: E402
 import scipy  # noqa: E402

@@ -17,17 +17,17 @@ Usage:
 
 import argparse
 import multiprocessing
-import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
+from novascape import default_one_blas_thread
+
 # one BLAS thread before numpy loads, in this process and in every spawn worker
 # (which imports this module again): a seed's fits are too small to gain from
 # a second thread, and the workers already fill the CPUs
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
+default_one_blas_thread()
 
 from novascape.cli import RECOVERY_MODELS, recovery_seed  # noqa: E402
 

@@ -1,5 +1,6 @@
 """Time `score_corpus` on synthetic corpora of growing size, the Kamada-Kawai
-`layout` of growing landscapes, or `read_scores_csv`, one fresh process per size.
+`layout` of growing landscapes, `read_scores_csv`, or the corpus and scores.csv
+writers, one fresh process per size.
 
 Each size is a synthetic corpus (d=51, 2006-2015, a tenth of the records per
 year, novelty boost 2.0, seed 0) scored with spans 1, 2 and 5 and resonance
@@ -37,6 +38,18 @@ timed), which read_scores_csv then reads back. Each size prints one JSON line:
   wall_s   median wall time of three untraced reads
   peak_mb  tracemalloc peak of one more read, traced, in MiB
 
+With --write, each size is again a synthetic corpus of that many records,
+scored with spans 1, 2 and 5 (not timed); the corpus is written with
+write_records_csv and the table with ScoreTable.write_csv to a temporary
+directory. Each size prints one JSON line:
+
+  records         corpus size
+  rows            score rows written
+  corpus_wall_s   median wall time of three untraced corpus writes
+  corpus_peak_mb  tracemalloc peak of one more corpus write, traced, in MiB
+  scores_wall_s   median wall time of three untraced scores.csv writes
+  scores_peak_mb  tracemalloc peak of one more scores.csv write, traced, in MiB
+
 BLAS runs on one thread unless the environment sets the thread count, as in
 the tests and the benchmark. The package is imported from this checkout's src/.
 
@@ -44,6 +57,7 @@ Usage:
     python3 scripts/scale_probe.py [--sizes 20000 80000 200000]
     python3 scripts/scale_probe.py --layout 3 2 1
     python3 scripts/scale_probe.py --read 20000 100000
+    python3 scripts/scale_probe.py --write 20000 200000
 """
 
 import argparse
@@ -71,6 +85,20 @@ def synthetic(records: int):
                                        novelty_boost=2.0, seed=0))
 
 
+def timed(call) -> tuple:
+    """The sorted wall times of three untraced calls, and the tracemalloc peak of one more, in MiB."""
+    walls = []
+    for _ in range(3):
+        start = time.perf_counter()
+        call()
+        walls.append(time.perf_counter() - start)
+    tracemalloc.start()
+    call()
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return sorted(walls), round(peak / 2**20, 2)
+
+
 def probe(records: int) -> dict:
     from novascape.metrics import score_corpus
 
@@ -96,20 +124,10 @@ def probe_layout(min_type_count: int) -> dict:
     _main_component(len(graph.keys), *graph.edges.T)
     hops_peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    layout(graph)  # untimed: the first layout in a process also loads the L-BFGS-B extension
-    walls = []
-    for _ in range(3):
-        start = time.perf_counter()
-        positions = layout(graph)
-        walls.append(time.perf_counter() - start)
-    walls.sort()
-    tracemalloc.start()
-    layout(graph)
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
+    positions = layout(graph)  # untimed: the first layout in a process also loads the L-BFGS-B extension
+    walls, peak = timed(lambda: layout(graph))
     return {"min_type_count": min_type_count, "nodes": len(positions), "hops_peak_mb": round(hops_peak / 2**20, 2),
-            "wall_s": round(walls[1], 4), "wall_spread_s": round(walls[2] - walls[0], 4),
-            "peak_mb": round(peak / 2**20, 2)}
+            "wall_s": round(walls[1], 4), "wall_spread_s": round(walls[2] - walls[0], 4), "peak_mb": peak}
 
 
 def probe_read(records: int) -> dict:
@@ -120,21 +138,28 @@ def probe_read(records: int) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "scores.csv"
         table.write_csv(path)
-        walls = []
-        for _ in range(3):
-            start = time.perf_counter()
-            read_scores_csv(path)
-            walls.append(time.perf_counter() - start)
-        tracemalloc.start()
-        read_scores_csv(path)
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
+        walls, peak = timed(lambda: read_scores_csv(path))
         size = path.stat().st_size
     return {"records": len(corpus), "rows": len(table), "file_mb": round(size / 2**20, 2),
-            "wall_s": round(sorted(walls)[1], 4), "peak_mb": round(peak / 2**20, 2)}
+            "wall_s": round(walls[1], 4), "peak_mb": peak}
 
 
-PROBES = {"score": probe, "layout": probe_layout, "read": probe_read}
+def probe_write(records: int) -> dict:
+    from novascape.corpus import write_records_csv
+    from novascape.metrics import score_corpus
+
+    corpus = synthetic(records)
+    table = score_corpus(corpus, SPANS, last_complete_year=YEARS[1])
+    out = {"records": len(corpus), "rows": len(table)}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, write in (("corpus", lambda: write_records_csv(corpus, Path(tmp) / "corpus.csv")),
+                            ("scores", lambda: table.write_csv(Path(tmp) / "scores.csv"))):
+            walls, peak = timed(write)
+            out[f"{name}_wall_s"], out[f"{name}_peak_mb"] = round(walls[1], 4), peak
+    return out
+
+
+PROBES = {"score": probe, "layout": probe_layout, "read": probe_read, "write": probe_write}
 
 
 def main(argv=None) -> int:
@@ -145,16 +170,20 @@ def main(argv=None) -> int:
                          help="lay out the snapshot at each min_type_count instead of scoring")
     instead.add_argument("--read", type=int, nargs="+", metavar="SIZE",
                          help="read back the scores.csv of each corpus size instead of scoring")
+    instead.add_argument("--write", type=int, nargs="+", metavar="SIZE",
+                         help="write the corpus and scores.csv of each corpus size instead of scoring")
     # one probe at one size, in this process
     parser.add_argument("--one", nargs=2, metavar=("PROBE", "SIZE"), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
+    sys.path.insert(0, str(SRC))
     if args.one is not None:
-        sys.path.insert(0, str(SRC))
         print(json.dumps(PROBES[args.one[0]](int(args.one[1]))), flush=True)
         return 0
-    env = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1", **os.environ}
+    from novascape import BLAS_THREAD_VARIABLES
+
+    env = {**dict.fromkeys(BLAS_THREAD_VARIABLES, "1"), **os.environ}
     kind, sizes = (("layout", args.layout) if args.layout else ("read", args.read) if args.read
-                   else ("score", args.sizes))
+                   else ("write", args.write) if args.write else ("score", args.sizes))
     for size in sizes:
         subprocess.run([sys.executable, __file__, "--one", kind, str(size)], env=env, check=True)
     return 0

@@ -6,7 +6,8 @@ the bit order; records are parsed from a flat CSV schema, each column through
 its type's row of _KINDS, (dtype, reader), with _rejection naming a rejected
 cell, and filtered down to an analysis set with explicit, reported rules.
 read_blocks reads back every CSV table the package reads, the corpus and
-scores.csv, in blocks of rows; write_csv_columns writes every one it produces.
+scores.csv, in blocks of rows; write_csv_columns writes every one it
+produces, a number column's text made once per distinct value.
 """
 
 import csv
@@ -236,15 +237,17 @@ class FilterReport:
 
 
 def _number_cells(values: np.ndarray) -> np.ndarray:
-    """Each number as what writes as its canonical cell text: bools as 0 and 1,
-    integers as they are, and floats as Python ints where whole and below 1e15
-    in magnitude, else as floats, which write as their round-trip repr."""
-    if values.dtype.kind != "f":
-        return values.astype(np.int64)
-    cells = values.astype(object)
-    whole = (values == np.trunc(values)) & (np.abs(values) < 1e15)
-    cells[whole] = values[whole].astype(np.int64).astype(object)
-    return cells
+    """Each number's canonical cell text, made once per distinct value: bools
+    as 0 and 1, integers as they are, and floats as integers where whole and
+    below 1e15 in magnitude, else as their round-trip repr (np.unique merges
+    -0.0 with 0.0, which both write as 0, and every NaN, which writes as nan)."""
+    distinct, inverse = np.unique(values, return_inverse=True)  # return_inverse keeps numpy.ma unloaded
+    if distinct.dtype.kind == "f":
+        whole = ((distinct == np.trunc(distinct)) & (np.abs(distinct) < 1e15)).tolist()
+        texts = [str(int(v)) if w else repr(v) for v, w in zip(distinct.tolist(), whole)]
+    else:
+        texts = list(map(str, distinct.astype(np.int64).tolist()))
+    return np.array(texts, dtype=object)[inverse]
 
 
 def _raise_first(checks: list) -> None:
@@ -502,20 +505,21 @@ def _quoted(cell: str) -> str:
 def write_csv_columns(path, header, columns) -> None:
     """Write a CSV table of two or more columns, given column by column.
 
-    A numpy array holds numbers, written as _number_cells gives them. A list
-    or tuple holds cells written as str() writes them, None as an empty cell:
-    it is scanned once, and only the cells that need quotes get them. The
+    A numpy array holds numbers, whose text _number_cells makes once per
+    distinct value. A list or tuple holds cells written as str() writes them,
+    None as an empty cell: it is scanned once, and only the cells that need
+    quotes get them. Each line is then one ",".join of a row's text. The
     bytes are csv.writer(lineterminator="\n")'s, except that a cell holding a
     CR is quoted too, where Python 3.11's writer leaves it bare and so
     unreadable.
     """
     assert len(header) == len(columns) > 1
     assert all(isinstance(c, (list, tuple, np.ndarray)) for c in columns)
-    line = ",".join(["%s"] * len(columns)) + "\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(line % tuple(_text_cells(list(header))))
+        fh.write(",".join(_text_cells(list(header))) + "\n")
         cells = (_number_cells(c).tolist() if isinstance(c, np.ndarray) else _text_cells(c) for c in columns)
-        fh.writelines(map(line.__mod__, zip(*cells)))
+        for line in map(",".join, zip(*cells)):
+            fh.write(line + "\n")
 
 
 def write_registry(registry: FeatureRegistry, path) -> None:

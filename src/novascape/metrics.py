@@ -80,27 +80,31 @@ class ScoreTable:
     row order, and `novelty_binary` derives from novelty_count. `unscored`
     lists the sorted (record_id, span) pairs whose past window was empty.
     `get` builds one InnovationScores view. `id_ranks`, each row's id's rank
-    among the sorted distinct ids, orders the rows; it is taken from `ids`
-    when not given.
+    among the sorted distinct ids, orders the rows; when it is not given,
+    rows already in strictly increasing (id, span) order are kept as given,
+    without a copy (a numpy column of the column's dtype is shared with the
+    caller), and others are ranked from `ids` and copied in order.
     """
 
     def __init__(self, ids, spans, distinctiveness, novelty_count, resonance, unscored: Iterable = (),
                  id_ranks: Optional[np.ndarray] = None):
-        ids = np.asarray(ids, dtype=object)
-        spans = np.asarray(spans, dtype=np.int64)
-        id_ranks = _id_ranks(ids) if id_ranks is None else id_ranks
-        order = np.lexsort((spans, id_ranks))
-        self.ids = ids[order]
-        self.spans = spans[order]
-        id_ranks = id_ranks[order]
-        self.distinctiveness = np.asarray(distinctiveness, dtype=np.float64)[order]
-        self.novelty_count = np.asarray(novelty_count, dtype=np.int64)[order]
-        self.resonance = np.asarray(resonance, dtype=np.float64)[order]
+        columns = (np.asarray(ids, dtype=object), np.asarray(spans, dtype=np.int64),
+                   np.asarray(distinctiveness, dtype=np.float64), np.asarray(novelty_count, dtype=np.int64),
+                   np.asarray(resonance, dtype=np.float64))
+        ids, spans = columns[:2]
+        # rows in strictly increasing (id, span) order, as write_csv leaves them, are kept as given
+        ordered = id_ranks is None and ((ids[1:] > ids[:-1]) | (ids[1:] == ids[:-1]) & (spans[1:] > spans[:-1])).all()
+        if not ordered:
+            id_ranks = _id_ranks(ids) if id_ranks is None else id_ranks
+            order = np.lexsort((spans, id_ranks))
+            columns = [column[order] for column in columns]
+            id_ranks, spans = id_ranks[order], columns[1]
+            repeats = np.flatnonzero((id_ranks[1:] == id_ranks[:-1]) & (spans[1:] == spans[:-1]))
+            if len(repeats):
+                i = int(repeats[0])
+                raise ValueError(f"duplicate score row {(columns[0][i], spans.item(i))}")
+        self.ids, self.spans, self.distinctiveness, self.novelty_count, self.resonance = columns
         self.unscored = tuple(sorted(unscored))
-        repeats = np.flatnonzero((id_ranks[1:] == id_ranks[:-1]) & (self.spans[1:] == self.spans[:-1]))
-        if len(repeats):
-            i = int(repeats[0])
-            raise ValueError(f"duplicate score row {(self.ids[i], self.spans.item(i))}")
         # min <= mean over the same window; exact with integer-sum arithmetic
         if not (self.distinctiveness >= self.novelty_count).all():
             raise ValueError("a novelty_count exceeds its distinctiveness")

@@ -1,11 +1,10 @@
 """Shared builders for compact in-memory corpora, and the Hamming and edge oracles the tests share."""
 
-import os
+from novascape import default_one_blas_thread
 
 # one BLAS thread before numpy loads: the suite's fits (the Monte Carlo's are
 # about 4,500 x 26) are too small to gain from a second thread
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
+default_one_blas_thread()
 
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from novascape import BLAS_THREAD_VARIABLES
+
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "artifact_digests.py"
 
@@ -63,7 +65,7 @@ def test_large_stepwise_route_matches_the_manifest(tmp_path):
 def test_demo_models_do_not_depend_on_the_blas_thread_count(tmp_path):
     # the manifest was taken on one BLAS thread; the fits must not depend on it
     manifest = load_manifest_for_this_host(load_script())
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2", "MKL_NUM_THREADS": "2",
+    env = {**os.environ, **dict.fromkeys(BLAS_THREAD_VARIABLES, "2"),
            "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
     subprocess.run([sys.executable, str(ROOT / "scripts" / "run_synthetic_demo.py"), "--out", "out",
                     "--seed", "0"], cwd=tmp_path, env=env, check=True, capture_output=True, timeout=300)

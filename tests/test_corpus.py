@@ -524,13 +524,35 @@ def _format_number(x) -> str:
     return repr(f)
 
 
+FLOAT_EDGES = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1e15, -1e15, 1e15 - 1, 1e15 + 2, 2.0**53, -1e16,
+               999999999999999.9, 2.5e-8]
+
+
+def repeated(values):
+    """Lists drawn from a drawn pool of `values`, so that values repeat."""
+    return st.lists(values, min_size=1, max_size=6).flatmap(lambda pool: st.lists(st.sampled_from(pool), max_size=30))
+
+
+# float arrays, as the oracle writes them, and int64 and bool arrays, whose cells are str(int(v))
+NUMBER_ARRAYS = st.one_of(
+    repeated(st.one_of(st.floats(), st.integers(-2**53, 2**53).map(float), st.sampled_from(FLOAT_EDGES))).map(
+        lambda values: np.array(values, dtype=np.float64)),
+    repeated(st.integers(-2**63, 2**63 - 1)).map(lambda values: np.array(values, dtype=np.int64)),
+    st.lists(st.booleans(), max_size=10).map(lambda values: np.array(values, dtype=bool)),
+)
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.one_of(st.floats(), st.integers(-2**53, 2**53).map(float),
-                          st.sampled_from([0.0, -0.0, 1e15, -1e15, 1e15 - 1, 999999999999999.9, 2.5e-8])),
-                max_size=20))
+@given(NUMBER_ARRAYS)
+@example(np.array([0.0, -0.0, np.nan, 1.0, -np.nan, -0.0, np.inf, 1e15, 1e16, 1e15, 2.5, -np.inf, 2.5]))
+@example(np.array([-2**63, 2**63 - 1, 0, -2**63, 7], dtype=np.int64))
+@example(np.array([True, False, True], dtype=bool))
 def test_number_cells_write_as_the_per_number_formatter(values):
-    cells = _number_cells(np.array(values, dtype=np.float64)).tolist()
-    assert ["%s" % cell for cell in cells] == [_format_number(v) for v in values]
+    cells = _number_cells(values).tolist()
+    if values.dtype.kind == "f":
+        assert cells == [_format_number(v) for v in values.tolist()]
+    else:
+        assert cells == [str(int(v)) for v in values.tolist()]
 
 
 TEXT = st.text(st.sampled_from([",", '"', "\r", "\n", ";", " ", "a", "Z", "0", "é", "游", "\u2028"]), max_size=6)

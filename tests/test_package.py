@@ -1,6 +1,6 @@
 """The bare package: `import novascape` loads no submodule, the library path loads
-no scipy, and the CLI and stats load neither scipy's top-level package nor any of
-the scipy packages they bypass."""
+no scipy, the CLI and stats load neither scipy's top-level package nor any of
+the scipy packages they bypass, and only the process entry sets BLAS threads."""
 
 import os
 import subprocess
@@ -53,3 +53,24 @@ def test_version_matches_pyproject():
 
     with open(ROOT / "pyproject.toml", "rb") as fh:
         assert novascape.__version__ == tomllib.load(fh)["project"]["version"]
+
+
+@pytest.mark.parametrize("module, given, want", [
+    ("novascape.__main__", {}, "1 1 1"),
+    ("novascape.__main__", {"OPENBLAS_NUM_THREADS": "2"}, "2 1 1"),
+    ("novascape.metrics", {"OPENBLAS_NUM_THREADS": "2"}, "2 - -"),
+])
+def test_process_entry_holds_blas_to_one_thread_unless_the_environment_sets_it(module, given, want):
+    # the variables as numpy first loads, which is when OpenBLAS reads them: the entry sets its
+    # defaults before then, and the library leaves the environment as it finds it
+    probe = ("import os, sys\n"
+             "class Watch:\n"
+             "    def find_spec(self, name, path=None, target=None):\n"
+             "        if name == 'numpy':\n"
+             f"            print(*(os.environ.get(v, '-') for v in {novascape.BLAS_THREAD_VARIABLES!r}))\n"
+             "sys.meta_path.insert(0, Watch())\n"
+             f"import {module}\n")
+    env = {name: value for name, value in os.environ.items() if name not in novascape.BLAS_THREAD_VARIABLES}
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+                         env={**env, **given, "PYTHONPATH": str(ROOT / "src")}).stdout
+    assert out.split() == want.split()

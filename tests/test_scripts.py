@@ -9,9 +9,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+from novascape import BLAS_THREAD_VARIABLES
+
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "effect_recovery.py"
-THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def load_script(path: Path = SCRIPT):
@@ -32,8 +33,8 @@ def test_one_blas_thread_unless_the_environment_sets_one():
     probe = ("import importlib.util, os, sys\n"
              f"spec = importlib.util.spec_from_file_location('effect_recovery', {str(SCRIPT)!r})\n"
              "spec.loader.exec_module(importlib.util.module_from_spec(spec))\n"
-             f"print(*(os.environ[name] for name in {THREAD_VARIABLES!r}))\n")
-    env = {name: value for name, value in os.environ.items() if name not in THREAD_VARIABLES}
+             f"print(*(os.environ[name] for name in {BLAS_THREAD_VARIABLES!r}))\n")
+    env = {name: value for name, value in os.environ.items() if name not in BLAS_THREAD_VARIABLES}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     for given, want in (({}, "1 1 1"), ({"OPENBLAS_NUM_THREADS": "2"}, "2 1 1")):
         out = subprocess.run([sys.executable, "-c", probe], env={**env, **given}, check=True,
@@ -69,6 +70,16 @@ def test_scale_probe_read_prints_one_line_per_size():
     assert list(probe) == ["records", "rows", "file_mb", "wall_s", "peak_mb"]
     assert probe["records"] == 2000 and probe["rows"] > 0 and probe["file_mb"] > 0
     assert probe["wall_s"] > 0 and probe["peak_mb"] > 0
+
+
+def test_scale_probe_write_prints_one_line_per_size():
+    out = subprocess.run([sys.executable, str(ROOT / "scripts" / "scale_probe.py"), "--write", "2000"],
+                         check=True, capture_output=True, text=True, timeout=120).stdout
+    (line,) = out.splitlines()
+    probe = json.loads(line)
+    assert list(probe) == ["records", "rows", "corpus_wall_s", "corpus_peak_mb", "scores_wall_s", "scores_peak_mb"]
+    assert probe["records"] == 2000 and probe["rows"] > 0
+    assert all(probe[key] > 0 for key in list(probe)[2:])
 
 
 def test_scale_probe_layout_warms_up_before_timing(monkeypatch):
