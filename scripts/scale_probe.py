@@ -1,6 +1,6 @@
 """Time `score_corpus` on synthetic corpora of growing size, the Kamada-Kawai
-`layout` of growing landscapes, `read_scores_csv`, or the corpus and scores.csv
-writers, one fresh process per size.
+`layout` of growing landscapes, `read_scores_csv`, the corpus and scores.csv
+writers, or a whole `report`, one fresh process per size.
 
 Each size is a synthetic corpus (d=51, 2006-2015, a tenth of the records per
 year, novelty boost 2.0, seed 0) scored with spans 1, 2 and 5 and resonance
@@ -50,6 +50,23 @@ directory. Each size prints one JSON line:
   scores_wall_s   median wall time of three untraced scores.csv writes
   scores_peak_mb  tracemalloc peak of one more scores.csv write, traced, in MiB
 
+With --report, each size is a corpus CSV of that many records from the
+benchmark's own generator (bench/inputs.py, a tenth of the records a year,
+seed 0; bench/ is only read), with its registry and its report-large config,
+written to a temporary directory (not timed). `novascape report` then runs
+on it in the same process. Each size prints one JSON line:
+
+  records      corpus size
+  parse_s      wall time of parse_records on the corpus CSV
+  ingest_s     wall time of the ingest stage after the parse: the filters
+               and the cache writes
+  score_s      wall time of the score stage, scores.csv written
+  stats_s      wall time of the stats stage
+  landscape_s  wall time of the landscape stage: build, layout and exports
+  exit         the report's exit code
+  max_rss_mb   the process's peak resident set (ru_maxrss), input
+               generation included
+
 BLAS runs on one thread unless the environment sets the thread count, as in
 the tests and the benchmark. The package is imported from this checkout's src/.
 
@@ -58,6 +75,7 @@ Usage:
     python3 scripts/scale_probe.py --layout 3 2 1
     python3 scripts/scale_probe.py --read 20000 100000
     python3 scripts/scale_probe.py --write 20000 200000
+    python3 scripts/scale_probe.py --report 20000 100000
 """
 
 import argparse
@@ -71,7 +89,8 @@ import time
 import tracemalloc
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 SPANS = (1, 2, 5)
 YEARS = (2006, 2015)
 
@@ -159,7 +178,40 @@ def probe_write(records: int) -> dict:
     return out
 
 
-PROBES = {"score": probe, "layout": probe_layout, "read": probe_read, "write": probe_write}
+# the report stage each timed function of novascape.cli runs
+REPORT_STAGES = {"parse_records": "parse", "cmd_ingest": "ingest", "cmd_score": "score", "cmd_stats": "stats",
+                 "cmd_landscape": "landscape"}
+
+
+def probe_report(records: int) -> dict:
+    sys.path.insert(0, str(ROOT / "bench"))
+    sys.dont_write_bytecode = True  # leaves no __pycache__ in bench/
+    import inputs
+    from novascape import cli
+
+    walls = dict.fromkeys(REPORT_STAGES.values(), 0.0)
+
+    def timed_stage(stage, call):
+        def timed_call(*args):
+            start = time.perf_counter()
+            try:
+                return call(*args)
+            finally:
+                walls[stage] += time.perf_counter() - start
+        return timed_call
+
+    for name, stage in REPORT_STAGES.items():
+        setattr(cli, name, timed_stage(stage, getattr(cli, name)))
+    # the report-large inputs at this size: only this process's copy of the dict changes
+    inputs.LARGE = {**inputs.LARGE, "games_per_year": records // (YEARS[1] - YEARS[0] + 1)}
+    with tempfile.TemporaryDirectory() as tmp:
+        config, n = inputs.write_large_inputs(0, Path(tmp))
+        code = cli.main(["report", "--config", str(config), "--out", str(Path(tmp) / "out")])
+    return {"records": n, **{f"{stage}_s": round(wall, 4) for stage, wall in walls.items()}, "exit": code,
+            "max_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}
+
+
+PROBES = {"score": probe, "layout": probe_layout, "read": probe_read, "write": probe_write, "report": probe_report}
 
 
 def main(argv=None) -> int:
@@ -172,6 +224,8 @@ def main(argv=None) -> int:
                          help="read back the scores.csv of each corpus size instead of scoring")
     instead.add_argument("--write", type=int, nargs="+", metavar="SIZE",
                          help="write the corpus and scores.csv of each corpus size instead of scoring")
+    instead.add_argument("--report", type=int, nargs="+", metavar="SIZE",
+                         help="time the stages of a report on the benchmark's corpus of each size instead")
     # one probe at one size, in this process
     parser.add_argument("--one", nargs=2, metavar=("PROBE", "SIZE"), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -182,9 +236,8 @@ def main(argv=None) -> int:
     from novascape import BLAS_THREAD_VARIABLES
 
     env = {**dict.fromkeys(BLAS_THREAD_VARIABLES, "1"), **os.environ}
-    kind, sizes = (("layout", args.layout) if args.layout else ("read", args.read) if args.read
-                   else ("write", args.write) if args.write else ("score", args.sizes))
-    for size in sizes:
+    kind = next((kind for kind in ("layout", "read", "write", "report") if getattr(args, kind)), "score")
+    for size in getattr(args, kind) if kind != "score" else args.sizes:
         subprocess.run([sys.executable, __file__, "--one", kind, str(size)], env=env, check=True)
     return 0
 

@@ -67,7 +67,7 @@ from .landscape import (
     layout,
     render_svg,
 )
-from .metrics import DEFAULT_SPAN, SPAN_PRESETS, ScoreTable, read_scores_csv, score_corpus, scored_ids
+from .metrics import DEFAULT_SPAN, SPAN_PRESETS, ScoreTable, read_scores_csv, score_corpus, span_distinctiveness
 from .stats import (
     COUNT_NOVELTY_MODEL,
     DESCRIBE_COLUMNS,
@@ -328,18 +328,20 @@ def _load_cache(cfg: PipelineConfig) -> RecordSet:
 def _load_scored_cache(cfg: PipelineConfig) -> Tuple[RecordSet, ScoreTable]:
     """The ingest cache and the scores.csv that was scored from it.
 
-    Every scored id must be a cached record, and the ids scored for
-    stats_span must be exactly metrics.scored_ids; a table left over from an
-    earlier ingest fails one or the other, and one scored without stats_span
-    is named as such.
+    Every scored id must be a cached record, and the stats_span rows must be
+    exactly metrics.span_distinctiveness, id for id and bit for bit (novelty,
+    which would cost score's scan, is not re-derived); a table left over from
+    an earlier ingest fails one or the other, and one scored without
+    stats_span is named as such.
     """
     records = _load_cache(cfg)
     path = Path(cfg.out_dir) / SCORES_FILE
     if not path.exists():
         raise ConfigError(f"{path} missing; run the score subcommand first")
     table = _read_input(read_scores_csv, path)
-    expected = scored_ids(records, cfg.stats_span)
-    scored = set(table.ids[table.spans == cfg.stats_span].tolist())
+    expected = span_distinctiveness(records, cfg.stats_span)
+    at_span = table.spans == cfg.stats_span
+    scored = dict(zip(table.ids[at_span].tolist(), table.distinctiveness[at_span].tolist()))
     current = set(table.ids.tolist()) <= set(records.ids)
     if current and expected and not scored:
         raise ConfigError(f"{path} holds no scores for stats_span {cfg.stats_span}, only for spans "

@@ -6,15 +6,16 @@ the bit order; records are parsed from a flat CSV schema, each column through
 its type's row of _KINDS, (dtype, reader), with _rejection naming a rejected
 cell, and filtered down to an analysis set with explicit, reported rules.
 read_blocks reads back every CSV table the package reads, the corpus and
-scores.csv, in blocks of rows; write_csv_columns writes every one it
-produces, a number column's text made once per distinct value.
+scores.csv, as blocks of row lengths and columns by header name, and is the
+only place a row read is padded or transposed; write_csv_columns writes
+every one it produces, a number column's text made once per distinct value.
 """
 
 import csv
 import itertools
 import json
 from dataclasses import dataclass, make_dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from importlib import resources
 from pathlib import Path
 from typing import Iterator, Mapping, Optional
@@ -309,14 +310,22 @@ def _column_check(cells, kind, column: str, first_row: int) -> tuple:
 
 
 def read_blocks(path, required) -> Iterator[tuple]:
-    """A CSV table read back, as (header, first row number, rows) per block of
-    PARSE_BLOCK_ROWS non-blank rows; the corpus and scores.csv both read here.
+    """A CSV table read back, as (header, first row number, lengths, cells) per
+    block of PARSE_BLOCK_ROWS non-blank rows: each row's cell count as read,
+    and each header name's column (a repeated name's last, as csv.DictReader
+    reads it), every row short of the header padded with "" first.
 
     A UTF-8 byte order mark and blank rows are skipped; rows are numbered from
     2, counting non-blank rows only. A header missing a `required` column
     raises SchemaError. The rows read before a reader error come out before
     it is raised, so a bad row ahead of the damage is still the one reported.
     """
+    def shaped(first_row, block):
+        lengths = np.fromiter(map(len, block), dtype=np.intp, count=len(block))
+        for i in np.flatnonzero(lengths < len(header)).tolist():
+            block[i] += [""] * (len(header) - len(block[i]))
+        return header, first_row, lengths, dict(zip(header, zip(*block)))
+
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
@@ -330,11 +339,11 @@ def read_blocks(path, required) -> Iterator[tuple]:
                 block.extend(itertools.islice(rows, PARSE_BLOCK_ROWS))  # keeps the rows read before a failure
             except (csv.Error, UnicodeDecodeError):
                 if block:
-                    yield header, first_row, block
+                    yield shaped(first_row, block)
                 raise
             if not block:
                 return
-            yield header, first_row, block
+            yield shaped(first_row, block)
             first_row += len(block)
 
 
@@ -350,10 +359,9 @@ def parse_records(path, registry: FeatureRegistry) -> RecordSet:
     ids, years = [], [np.empty(0, dtype=np.int64)]
     matrices = [np.empty((0, registry.dimension), dtype=np.uint8)]
     columns = {name: [np.empty(0, dtype=_KINDS[kind][0])] for name, kind in CONTROLS}
-    for header, first_row, rows in read_blocks(path, REQUIRED_COLUMNS):
-        # a repeated name reads its last column, as csv.DictReader does
-        position = {name: i for i, name in enumerate(header)}
-        block_ids, block_years, matrix, values = _parse_block(rows, position, registry, first_row)
+    # starmap keeps no block it has passed on, so one block of rows is held at a time
+    for block_ids, block_years, matrix, values in itertools.starmap(
+            partial(_parse_block, registry=registry), read_blocks(path, REQUIRED_COLUMNS)):
         ids.extend(block_ids)
         years.append(block_years)
         matrices.append(matrix)
@@ -363,26 +371,15 @@ def parse_records(path, registry: FeatureRegistry) -> RecordSet:
                      {name: np.concatenate(parts) for name, parts in columns.items()})
 
 
-def _parse_block(rows: list, position: dict, registry: FeatureRegistry, first_row: int) -> tuple:
-    """Ids, years, vector matrix and CONTROLS columns of one block; raises its first row's error.
+def _parse_block(header: list, first_row: int, lengths: np.ndarray, cells: dict, registry: FeatureRegistry) -> tuple:
+    """Ids, years, vector matrix and CONTROLS columns of one read_blocks block; raises its first row's error.
 
     Every check is a (row mask, error) pair in one list, in the order a row is
     checked: short row, unknown feature, year, each CONTROLS column, then the
-    value ranges.
+    value ranges. A row is short if it ends before a required name's last column.
     """
-    n = len(rows)
-    required = max(position[c] for c in REQUIRED_COLUMNS)
-    width = 1 + max(position[c] for c in REQUIRED_COLUMNS + OPTIONAL_COLUMNS if c in position)
-    lengths = np.fromiter(map(len, rows), dtype=np.intp, count=n)
-    # pad short rows so one transpose holds every column read; an absent
-    # parent_id reads as "" and so as None, and a short row fails anyway
-    for i in np.flatnonzero(lengths < width).tolist():
-        rows[i] = rows[i] + [""] * (width - len(rows[i]))
-    cells = list(zip(*rows))
-    del rows
-
-    def column(name):
-        return cells[position[name]] if name in position else ("",) * n
+    n = len(lengths)
+    required = max(i for i, name in enumerate(header) if name in REQUIRED_COLUMNS)
 
     def error(message, *values):
         """Row index i's ParseError: `message` formatted with each of `values` at i."""
@@ -390,7 +387,7 @@ def _parse_block(rows: list, position: dict, registry: FeatureRegistry, first_ro
 
     checks = [(lengths <= required, error("short row"))]
 
-    mechanisms = column("mechanisms")
+    mechanisms = cells["mechanisms"]
     parts = np.fromiter(map(str.count, mechanisms, itertools.repeat(MECHANISM_SEPARATOR)),
                         dtype=np.intp, count=n) + 1
     # one code per separated name: its feature index, -1 for an empty name, -2 for an unknown one
@@ -409,13 +406,11 @@ def _parse_block(rows: list, position: dict, registry: FeatureRegistry, first_ro
         return UnknownFeature(first_row + i, next(name for name in stripped if name not in codes))
 
     checks.append((unknown, unknown_feature))
-    years, check = _column_check(column("year"), int, "year", first_row)
-    checks.append(check)
     values = {}
-    for name, kind in CONTROLS:
-        values[name], check = _column_check(column(name), kind, name, first_row)
+    for name, kind in (("year", int),) + CONTROLS:
+        values[name], check = _column_check(cells.get(name, ("",) * n), kind, name, first_row)
         checks.append(check)
-    ids = column("id")
+    ids = cells["id"]
     complexity, min_age, lo, hi = (values[c] for c in ("complexity", "min_age", "min_players", "max_players"))
     checks += [
         (np.fromiter(map("".__eq__, ids), dtype=bool, count=n), error("empty id")),
@@ -427,7 +422,7 @@ def _parse_block(rows: list, position: dict, registry: FeatureRegistry, first_ro
         ((hi > 0) & (lo > hi), error("min_players {} > max_players {}", lo, hi)),
     ]
     _raise_first(checks)
-    return ids, years, matrix, values
+    return ids, values.pop("year"), matrix, values
 
 
 def apply_filters(records: RecordSet, cfg: FilterConfig):

@@ -29,9 +29,11 @@ to score, and it runs on one exact kernel:
   record already at distance 0 skips the older ones.
 
 The scores come back as a ScoreTable of columns, one array per score, built
-from one block of arrays per (focal year, span); no object is made per row.
-scored_ids names the records a span scores. read_scores_csv reads scores.csv
-back through corpus.read_blocks, one block of rows at a time.
+from one block of arrays per (focal year, span) and sorted once into (id,
+span) order; no object is made per row. span_distinctiveness re-derives one
+span's distinctiveness column from the window counts alone, with no novelty
+scan. read_scores_csv reads scores.csv back through corpus.read_blocks, one
+block of rows at a time.
 
 Results are exact integers (or one division of them), deterministic and
 independent of scheduling.
@@ -79,23 +81,19 @@ class ScoreTable:
     `novelty_count` (int64) and `resonance` (float64, NaN where absent) share
     row order, and `novelty_binary` derives from novelty_count. `unscored`
     lists the sorted (record_id, span) pairs whose past window was empty.
-    `get` builds one InnovationScores view. `id_ranks`, each row's id's rank
-    among the sorted distinct ids, orders the rows; when it is not given,
-    rows already in strictly increasing (id, span) order are kept as given,
-    without a copy (a numpy column of the column's dtype is shared with the
-    caller), and others are ranked from `ids` and copied in order.
+    `get` builds one InnovationScores view. Rows already in strictly
+    increasing (id, span) order, as score_corpus and write_csv leave them,
+    are kept as given, without a copy (a numpy column of the column's dtype
+    is shared with the caller); others are ranked by id and copied in order.
     """
 
-    def __init__(self, ids, spans, distinctiveness, novelty_count, resonance, unscored: Iterable = (),
-                 id_ranks: Optional[np.ndarray] = None):
+    def __init__(self, ids, spans, distinctiveness, novelty_count, resonance, unscored: Iterable = ()):
         columns = (np.asarray(ids, dtype=object), np.asarray(spans, dtype=np.int64),
                    np.asarray(distinctiveness, dtype=np.float64), np.asarray(novelty_count, dtype=np.int64),
                    np.asarray(resonance, dtype=np.float64))
         ids, spans = columns[:2]
-        # rows in strictly increasing (id, span) order, as write_csv leaves them, are kept as given
-        ordered = id_ranks is None and ((ids[1:] > ids[:-1]) | (ids[1:] == ids[:-1]) & (spans[1:] > spans[:-1])).all()
-        if not ordered:
-            id_ranks = _id_ranks(ids) if id_ranks is None else id_ranks
+        if not ((ids[1:] > ids[:-1]) | (ids[1:] == ids[:-1]) & (spans[1:] > spans[:-1])).all():
+            id_ranks = _id_ranks(ids)
             order = np.lexsort((spans, id_ranks))
             columns = [column[order] for column in columns]
             id_ranks, spans = id_ranks[order], columns[1]
@@ -163,26 +161,25 @@ def read_scores_csv(path) -> ScoreTable:
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def _score_block(header: list, first_row: int, rows: list) -> tuple:
+def _score_block(header: list, first_row: int, lengths: np.ndarray, cells: dict) -> tuple:
     """One block's ids, spans, distinctiveness, novelty counts and resonance; raises its first row's error.
 
     The checks are one table: each row's cell count, then each column read back.
     """
-    width = len(header)
-    lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
-    # pad short rows so one transpose holds every column; a short row fails its length check first
-    for i in np.flatnonzero(lengths < width).tolist():
-        rows[i] = rows[i] + [""] * (width - len(rows[i]))
-    cells = dict(zip(header, zip(*rows)))
     # an NA resonance reads as 0, then as NaN
-    na = np.fromiter(map("NA".__eq__, cells["resonance"]), dtype=bool, count=len(rows))
+    na = np.fromiter(map("NA".__eq__, cells["resonance"]), dtype=bool, count=len(lengths))
     cells["resonance"] = ["0" if value == "NA" else value for value in cells["resonance"]]
     values, checks = zip(*(_column_check(cells[column], kind, column, first_row) for column, kind in (
         ("span", int), ("distinctiveness", float), ("novelty_count", int), ("resonance", float))))
-    _raise_first([(lengths != width, lambda i: ParseError(
-        f"row {first_row + i}: expected {width} cells, got {lengths.item(i)}")), *checks])
+    _raise_first([(lengths != len(header), lambda i: ParseError(
+        f"row {first_row + i}: expected {len(header)} cells, got {lengths.item(i)}")), *checks])
     values[-1][na] = math.nan
     return (np.array(cells["id"], dtype=object), *values)
+
+
+def _year_profiles(records: RecordSet) -> dict:
+    """year -> (n, counts) of each corpus year: its record count and int64 per-feature counts."""
+    return {y: (len(rows), records.matrix[rows].sum(axis=0, dtype=np.int64)) for y, rows in records.year_rows.items()}
 
 
 def _window_profile(year_profiles: Mapping[int, Tuple[int, np.ndarray]], year_lo: int, year_hi: int,
@@ -272,8 +269,7 @@ def score_corpus(
     """
     dimension = records.registry.dimension
     max_span = max(spans, default=0)
-    year_profiles = {y: (len(rows), records.matrix[rows].sum(axis=0, dtype=np.int64))
-                     for y, rows in records.year_rows.items()}
+    year_profiles = _year_profiles(records)
     # one (rows, span, distinctiveness, novelty_count, resonance) block per scored (year, span)
     blocks = []
     unscored = []
@@ -293,16 +289,22 @@ def score_corpus(
                 if future_n:
                     res_vals = sums / past_n - _distance_sums(bits, future_n, future_counts) / future_n
             blocks.append((focal_rows, np.full(len(focal_rows), span), sums / past_n, mins, res_vals))
-    rows, span_col, dist, nov, res = (np.concatenate(c) for c in zip(*blocks)) if blocks else ([],) * 5
+    columns = [np.concatenate(c) for c in zip(*blocks)] if blocks else [np.empty(0, dtype=np.intp)] * 5
     ids = np.asarray(records.ids, dtype=object)
-    ranks = _id_ranks(ids)
+    # rows in (id, span) order, each record's id ranked once, so ScoreTable keeps them as given
+    order = np.lexsort((columns[1], _id_ranks(ids)[columns[0]]))
+    rows, span_col, dist, nov, res = (column[order] for column in columns)
     pairs = itertools.chain.from_iterable(zip(ids[r].tolist(), itertools.repeat(span)) for r, span in unscored)
-    return ScoreTable(ids[rows], span_col, dist, nov, res, pairs, id_ranks=ranks[rows])
+    return ScoreTable(ids[rows], span_col, dist, nov, res, pairs)
 
 
-def scored_ids(records: RecordSet, span: int) -> set:
-    """The ids score_corpus(records, (span,)) gives a row: those of each year whose
-    nearest earlier corpus year is within `span`, so its past window is non-empty."""
-    years = list(records.year_rows)
-    return {records.ids[i] for earlier, year in zip(years, years[1:]) if earlier >= year - span
-            for i in records.year_rows[year].tolist()}
+def span_distinctiveness(records: RecordSet, span: int) -> dict:
+    """id -> distinctiveness of each record score_corpus(records, (span,)) scores, bit for bit: the same
+    window counts without the novelty scan, for each id whose past window of `span` years holds a record."""
+    year_profiles, out = _year_profiles(records), {}
+    for year, rows in records.year_rows.items():
+        past_n, past_counts = _window_profile(year_profiles, year - span, year - 1, records.registry.dimension)
+        if past_n:
+            sums = _distance_sums(records.matrix[rows], past_n, past_counts)
+            out.update(zip(map(records.ids.__getitem__, rows.tolist()), (sums / past_n).tolist()))
+    return out

@@ -702,6 +702,62 @@ class TestExitCodes:
         assert main(["score", "--config", str(narrowed)]) == EXIT_OK
         assert main(["stats", "--config", str(narrowed)]) == EXIT_OK
 
+    @staticmethod
+    def reingest_edited(tmp_path, edit) -> tuple:
+        """Synth, ingest and score, then re-ingest the corpus as edit(header, rows) rewrote it.
+
+        Returns the config, the output directory and the scores.csv bytes of the first ingest.
+        """
+        out = tmp_path / "run"
+        # no trivial-expansion rule, so an edit to the mechanisms keeps every id the filters keep
+        cfg = write_config(tmp_path, {**pipeline_payload(out), "filters": {"drop_trivial_expansions": False}})
+        synth_and_ingest(cfg, out)
+        assert main(["score", "--config", str(cfg)]) == EXIT_OK
+        with open(out / "synth_corpus.csv", newline="", encoding="utf-8") as fh:
+            header, *rows = list(csv.reader(fh))
+        edit(header, rows)
+        edited = tmp_path / "edited.csv"
+        with open(edited, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+        assert main(["ingest", "--config", str(cfg), "--corpus", str(edited),
+                     "--registry", str(out / "synth_registry.txt")]) == EXIT_OK
+        return cfg, out, (out / "scores.csv").read_bytes()
+
+    def test_stats_rejects_scores_of_a_reingest_that_keeps_the_ids(self, tmp_path, caplog):
+        # each year's rows pass their mechanisms cells round among the rows
+        # with as many mechanisms: every id, year and filter outcome stays,
+        # but the vectors, and so the scores, change
+        def swap_mechanisms(header, rows):
+            year, mechanisms = header.index("year"), header.index("mechanisms")
+            groups = {}
+            for row in rows:
+                groups.setdefault((row[year], row[mechanisms].count(";")), []).append(row)
+            for group in groups.values():
+                cells = [row[mechanisms] for row in group]
+                for row, cell in zip(group, cells[1:] + cells[:1]):
+                    row[mechanisms] = cell
+
+        cfg, out, stale = self.reingest_edited(tmp_path, swap_mechanisms)
+        assert main(["stats", "--config", str(cfg)]) == EXIT_INPUT
+        assert "was not scored from the ingested corpus" in caplog.text
+        assert not (out / "models.csv").exists()
+        assert main(["score", "--config", str(cfg)]) == EXIT_OK
+        assert (out / "scores.csv").read_bytes() != stale
+        assert main(["stats", "--config", str(cfg)]) == EXIT_OK
+
+    def test_stats_accepts_scores_of_a_reingest_that_changes_only_controls(self, tmp_path, caplog):
+        # complexity is no input of any score, so the scores.csv of the first ingest still holds
+        def halve_complexity(header, rows):
+            at = header.index("complexity")
+            for row in rows:
+                row[at] = repr(float(row[at]) / 2)
+
+        cfg, out, stale = self.reingest_edited(tmp_path, halve_complexity)
+        assert main(["stats", "--config", str(cfg)]) == EXIT_OK
+        assert "re-run score" not in caplog.text
+        assert main(["score", "--config", str(cfg)]) == EXIT_OK
+        assert (out / "scores.csv").read_bytes() == stale
+
     def test_stats_names_a_span_the_scores_lack(self, tmp_path, caplog):
         # scored from this ingest, but only for span 1, while the config's stats_span is 2
         out = tmp_path / "run"

@@ -23,7 +23,7 @@ from novascape.metrics import (
     ScoreTable,
     read_scores_csv,
     score_corpus,
-    scored_ids,
+    span_distinctiveness,
 )
 
 from conftest import cross_hamming, hamming, make_recordset, xor_min_distances
@@ -302,7 +302,7 @@ class TestScoreCorpus:
         assert np.array_equal(a.resonance, b.resonance, equal_nan=True)
 
 
-class TestScoredIds:
+class TestSpanDistinctiveness:
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.tuples(st.integers(2000, 2012), st.lists(st.integers(0, 1), min_size=3, max_size=3)),
                     min_size=1, max_size=12),
@@ -310,7 +310,48 @@ class TestScoredIds:
     def test_matches_the_scored_rows(self, rows, span):
         # years drawn from a 13-year range leave gaps wider and narrower than the span
         rs = make_recordset([(f"r{i}", year, bits) for i, (year, bits) in enumerate(rows)])
-        assert scored_ids(rs, span) == set(score_corpus(rs, (span,)).ids.tolist())
+        table = score_corpus(rs, (span,))
+        expected = dict(zip(table.ids.tolist(), table.distinctiveness.tolist()))
+        derived = span_distinctiveness(rs, span)
+        assert derived == expected
+        # bit for bit, not only equal as numbers
+        assert [np.float64(v).tobytes() for v in derived.values()] == [
+            np.float64(expected[k]).tobytes() for k in derived]
+
+
+class TestOrderedRows:
+    @pytest.fixture
+    def counted_ranks(self, monkeypatch):
+        calls, id_ranks = [], metrics._id_ranks
+
+        def counted(ids):
+            calls.append(len(ids))
+            return id_ranks(ids)
+
+        monkeypatch.setattr(metrics, "_id_ranks", counted)
+        return calls
+
+    def test_score_corpus_ranks_the_record_ids_once(self, counted_ranks):
+        rs = make_recordset([(f"r{i:02d}", 2010 + i % 4, [i % 2, int(i % 3 == 0), 1]) for i in range(20)][::-1])
+        table = score_corpus(rs, spans=(5, 1, 2), last_complete_year=2013)
+        assert counted_ranks == [len(rs)]
+        keys = list(zip(table.ids.tolist(), table.spans.tolist()))
+        assert keys == sorted(keys) and len(set(keys)) == len(keys)
+
+    def test_ordered_columns_are_kept_without_ranking_or_copying(self, counted_ranks):
+        spans = np.tile(np.array([1, 2], dtype=np.int64), 3)
+        distinctiveness = np.arange(6, dtype=np.float64)
+        table = ScoreTable(["a", "a", "b", "b", "c", "c"], spans, distinctiveness, np.zeros(6, dtype=np.int64),
+                           np.full(6, np.nan))
+        assert counted_ranks == []
+        assert np.shares_memory(table.spans, spans)
+        assert np.shares_memory(table.distinctiveness, distinctiveness)
+        # rows out of order are ranked once and copied in order
+        shuffled = ScoreTable(["b", "b", "a", "a"], spans[:4], distinctiveness[:4], np.zeros(4, dtype=np.int64),
+                              np.full(4, np.nan))
+        assert counted_ranks == [4]
+        assert not np.shares_memory(shuffled.spans, spans)
+        assert shuffled.distinctiveness.tolist() == [2.0, 3.0, 0.0, 1.0]
 
 
 class TestPackedKernel:
@@ -538,6 +579,37 @@ class TestScoreTableCsv:
             file.write_text("\n".join([header] + rows + [lines[5]]) + "\n", encoding="utf-8")
             with pytest.raises(ParseError, match=re.escape(f"duplicate score row ('{row[0]}', {row[1]})")):
                 read_scores_csv(file)
+
+    def test_column_layouts_read_back_as_the_plain_file(self, tmp_path):
+        # columns found by name: in any order, with extra columns ignored
+        # and a repeated name read from its last column, as the corpus reads
+        rs = make_recordset([("a", 2014, [0, 1, 1]), ("b", 2015, [1, 1, 0]), ("c", 2015, [0, 0, 1]),
+                             ("d", 2016, [1, 0, 0])])
+        table = score_corpus(rs, spans=(1, 2), last_complete_year=2016)
+        path = tmp_path / "scores.csv"
+        table.write_csv(path)
+        header, *rows = [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()]
+        at = header.index("distinctiveness")
+        permutation = [6, 2, 0, 5, 3, 1, 4]
+        layouts = {
+            "permuted": [[row[j] for j in permutation] for row in [header, *rows]],
+            "extra": [header + ["notes"]] + [row + [f"n{i}"] for i, row in enumerate(rows)],
+            "repeated": [header + ["distinctiveness"]] + [row[:at] + ["x"] + row[at + 1:] + [row[at]]
+                                                          for row in rows],
+        }
+        plain = read_scores_csv(path)
+        for name, lines in layouts.items():
+            variant = tmp_path / f"{name}.csv"
+            variant.write_text("\n".join(map(",".join, lines)) + "\n", encoding="utf-8")
+            again = read_scores_csv(variant)
+            assert again.ids.tolist() == plain.ids.tolist(), name
+            for column in ("spans", "distinctiveness", "novelty_count", "resonance"):
+                assert np.array_equal(getattr(again, column), getattr(plain, column), equal_nan=True), name
+        # the row width is counted from the header, extra column included
+        short = tmp_path / "short.csv"
+        short.write_text("\n".join(map(",".join, [layouts["extra"][0], rows[0]])) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=re.escape("row 2: expected 8 cells, got 7")):
+            read_scores_csv(short)
 
     def test_byte_deterministic(self, tmp_path):
         rs = make_recordset([("a", 2014, [0, 1]), ("b", 2015, [1, 1])])

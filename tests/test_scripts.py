@@ -82,6 +82,17 @@ def test_scale_probe_write_prints_one_line_per_size():
     assert all(probe[key] > 0 for key in list(probe)[2:])
 
 
+def test_scale_probe_report_prints_one_line_per_size():
+    out = subprocess.run([sys.executable, str(ROOT / "scripts" / "scale_probe.py"), "--report", "500"],
+                         check=True, capture_output=True, text=True, timeout=120).stdout
+    (line,) = out.splitlines()
+    probe = json.loads(line)
+    assert list(probe) == ["records", "parse_s", "ingest_s", "score_s", "stats_s", "landscape_s", "exit",
+                           "max_rss_mb"]
+    assert probe["records"] == 500 and probe["exit"] == 0 and probe["max_rss_mb"] > 0
+    assert all(probe[f"{stage}_s"] > 0 for stage in ("parse", "ingest", "score", "stats", "landscape"))
+
+
 def test_scale_probe_layout_warms_up_before_timing(monkeypatch):
     # one untimed warm-up, three timed layouts and one traced
     from novascape import landscape
