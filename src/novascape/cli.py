@@ -33,6 +33,8 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Tuple, Union, get_args, get_origin
 
+import numpy as np
+
 from .corpus import (
     FilterConfig,
     RecordSet,
@@ -67,7 +69,7 @@ from .landscape import (
     layout,
     render_svg,
 )
-from .metrics import DEFAULT_SPAN, SPAN_PRESETS, ScoreTable, read_scores_csv, score_corpus, span_distinctiveness
+from .metrics import DEFAULT_SPAN, SPAN_PRESETS, ScoreTable, read_scores_csv, score_corpus, window_scores
 from .stats import (
     COUNT_NOVELTY_MODEL,
     DESCRIBE_COLUMNS,
@@ -328,10 +330,9 @@ def _load_cache(cfg: PipelineConfig) -> RecordSet:
 def _load_scored_cache(cfg: PipelineConfig) -> Tuple[RecordSet, ScoreTable]:
     """The ingest cache and the scores.csv that was scored from it.
 
-    Every scored id must be a cached record, and the stats_span rows must be
-    exactly metrics.span_distinctiveness, id for id and bit for bit (novelty,
-    which would cost score's scan, is not re-derived); a table left over from
-    an earlier ingest fails one or the other, and one scored without
+    Every scored id must be a cached record, and the stats_span rows must hold exactly the ids,
+    distinctiveness and resonance of metrics.window_scores under the resolved last_complete_year, bit
+    for bit; novelty, which would cost score's scan, is not re-derived. A table scored without
     stats_span is named as such.
     """
     records = _load_cache(cfg)
@@ -339,17 +340,23 @@ def _load_scored_cache(cfg: PipelineConfig) -> Tuple[RecordSet, ScoreTable]:
     if not path.exists():
         raise ConfigError(f"{path} missing; run the score subcommand first")
     table = _read_input(read_scores_csv, path)
-    expected = span_distinctiveness(records, cfg.stats_span)
-    at_span = table.spans == cfg.stats_span
-    scored = dict(zip(table.ids[at_span].tolist(), table.distinctiveness[at_span].tolist()))
-    current = set(table.ids.tolist()) <= set(records.ids)
-    if current and expected and not scored:
+    last_year = _last_complete_year(cfg, records) if len(records) else cfg.last_complete_year  # no year to infer
+    # each record's stats_span distinctiveness and resonance by row, NaN where unscored
+    expected = np.full((2, len(records)), np.nan)
+    for _, rows, [(_, dist, res)] in window_scores(records, (cfg.stats_span,), last_year):
+        if dist is not None:
+            expected[:, rows] = dist, res
+    table_rows = np.fromiter(map(records.row_of.get, table.ids.tolist(), [-1] * len(table)), np.intp, len(table))
+    at_span, current = table.spans == cfg.stats_span, (table_rows >= 0).all()
+    if current and not np.isnan(expected[0]).all() and not at_span.any():
         raise ConfigError(f"{path} holds no scores for stats_span {cfg.stats_span}, only for spans "
                           f"{sorted(set(table.spans.tolist()))}; re-run score with span {cfg.stats_span}")
-    if scored != expected or not current:
-        raise ConfigError(
-            f"{path} was not scored from the ingested corpus in {cfg.out_dir!r}; re-run score"
-        )
+    # the floats compared through int64, so NaN matches NaN and every bit counts
+    if not (current and np.array_equal(np.sort(table_rows[at_span]), np.flatnonzero(~np.isnan(expected[0])))
+            and np.array_equal(expected[:, table_rows[at_span]].view(np.int64),
+                               np.stack((table.distinctiveness[at_span], table.resonance[at_span])).view(np.int64))):
+        raise ConfigError(f"{path} was not scored from the ingested corpus in {cfg.out_dir!r} "
+                          f"with last_complete_year {last_year}; re-run score")
     return records, table
 
 

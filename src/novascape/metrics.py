@@ -15,8 +15,8 @@ to score, and it runs on one exact kernel:
 * distinctiveness and resonance come from window feature counts: a
   window's Hamming sum is an int64 dot product with its per-feature counts,
   divided once, so the cost is O(n*d) and no pairwise distance is formed.
-  Each comparison year is counted once and those counts are summed per
-  window;
+  window_scores, the one place with the window rule, counts each year once
+  and takes a window's counts as a difference of cumulative counts;
 * novelty writes each 0/1 vector as a float32 sign row 2b - 1. Two sign
   rows at Hamming distance h have dot product d - 2h, so a record's minimum
   distance to a comparison year is (d - its largest dot product) / 2. The
@@ -30,19 +30,20 @@ to score, and it runs on one exact kernel:
 
 The scores come back as a ScoreTable of columns, one array per score, built
 from one block of arrays per (focal year, span) and sorted once into (id,
-span) order; no object is made per row. span_distinctiveness re-derives one
-span's distinctiveness column from the window counts alone, with no novelty
-scan. read_scores_csv reads scores.csv back through corpus.read_blocks, one
-block of rows at a time.
+span) order; no object is made per row. window_scores gives the
+distinctiveness and resonance columns alone, with no novelty scan, so a
+scores.csv can be checked against them. read_scores_csv reads scores.csv
+back through corpus.read_blocks, one block of rows at a time.
 
 Results are exact integers (or one division of them), deterministic and
 independent of scheduling.
 """
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -177,18 +178,6 @@ def _score_block(header: list, first_row: int, lengths: np.ndarray, cells: dict)
     return (np.array(cells["id"], dtype=object), *values)
 
 
-def _year_profiles(records: RecordSet) -> dict:
-    """year -> (n, counts) of each corpus year: its record count and int64 per-feature counts."""
-    return {y: (len(rows), records.matrix[rows].sum(axis=0, dtype=np.int64)) for y, rows in records.year_rows.items()}
-
-
-def _window_profile(year_profiles: Mapping[int, Tuple[int, np.ndarray]], year_lo: int, year_hi: int,
-                    dimension: int) -> Tuple[int, np.ndarray]:
-    """(n, counts) of [year_lo, year_hi]: the sum of the (n, counts) pairs of the years it covers."""
-    parts = [p for y, p in year_profiles.items() if year_lo <= y <= year_hi]
-    return sum(n for n, _ in parts), sum((c for _, c in parts), np.zeros(dimension, dtype=np.int64))
-
-
 def _distance_sums(bits: np.ndarray, n: int, counts: np.ndarray) -> np.ndarray:
     """Exact int64 sum of Hamming distances from each row of `bits` (k, d) to a window.
 
@@ -255,6 +244,30 @@ def _year_minima(records: RecordSet, max_span: int):
         yield year, focal_rows, running
 
 
+def window_scores(records: RecordSet, spans: Sequence[int], last_complete_year: Optional[int] = None):
+    """(year, focal rows, [(span, distinctiveness, resonance) per span]) for each corpus year, in year order.
+
+    Distinctiveness is None where the past window [year - span, year - 1] holds no record; resonance is
+    NaN unless the forward window [year + 1, year + span] is <= last_complete_year and holds one.
+    """
+    years, year_rows = list(records.year_rows), list(records.year_rows.values())
+    # [i]: the record and int64 feature counts of the years before years[i]; a window's are one difference
+    n_cum = np.cumsum([0, *map(len, year_rows)])
+    counts_cum = np.cumsum([np.zeros(records.registry.dimension, dtype=np.int64),
+                            *(records.matrix[rows].sum(axis=0, dtype=np.int64) for rows in year_rows)], axis=0)
+    for i, (year, focal_rows) in enumerate(zip(years, year_rows)):
+        bits, scores = records.matrix[focal_rows], []
+        for span in spans:
+            lo, hi = bisect.bisect_left(years, year - span), bisect.bisect_right(years, year + span)
+            past_n, future_n = n_cum[i] - n_cum[lo], n_cum[hi] - n_cum[i + 1]
+            dist = _distance_sums(bits, past_n, counts_cum[i] - counts_cum[lo]) / past_n if past_n else None
+            res = np.full(len(focal_rows), np.nan)
+            if past_n and future_n and last_complete_year is not None and year + span <= last_complete_year:
+                res = dist - _distance_sums(bits, future_n, counts_cum[hi] - counts_cum[i + 1]) / future_n
+            scores.append((span, dist, res))
+        yield year, focal_rows, scores
+
+
 def score_corpus(
     records: RecordSet,
     spans: Sequence[int] = (DEFAULT_SPAN,),
@@ -267,28 +280,16 @@ def score_corpus(
     Resonance is absent unless the forward window is fully covered
     (<= last_complete_year) and non-empty.
     """
-    dimension = records.registry.dimension
-    max_span = max(spans, default=0)
-    year_profiles = _year_profiles(records)
-    # one (rows, span, distinctiveness, novelty_count, resonance) block per scored (year, span)
-    blocks = []
-    unscored = []
-    for year, focal_rows, running in _year_minima(records, max_span):
-        bits = records.matrix[focal_rows]
-        for span in spans:
-            past_n, past_counts = _window_profile(year_profiles, year - span, year - 1, dimension)
-            if past_n == 0:
+    # a (rows, span, distinctiveness, novelty_count, resonance) block per scored (year, span); zip pairs equal years
+    blocks, unscored = [], []
+    for (year, focal_rows, scores), (*_, running) in zip(window_scores(records, spans, last_complete_year),
+                                                         _year_minima(records, max(spans, default=0))):
+        for span, dist, res in scores:
+            if dist is None:
                 unscored.append((focal_rows, span))
                 continue
-            sums = _distance_sums(bits, past_n, past_counts)
             mins = [m for y, m in running.items() if y >= year - span][-1]
-
-            res_vals = np.full(len(focal_rows), np.nan)
-            if last_complete_year is not None and year + span <= last_complete_year:
-                future_n, future_counts = _window_profile(year_profiles, year + 1, year + span, dimension)
-                if future_n:
-                    res_vals = sums / past_n - _distance_sums(bits, future_n, future_counts) / future_n
-            blocks.append((focal_rows, np.full(len(focal_rows), span), sums / past_n, mins, res_vals))
+            blocks.append((focal_rows, np.full(len(focal_rows), span), dist, mins, res))
     columns = [np.concatenate(c) for c in zip(*blocks)] if blocks else [np.empty(0, dtype=np.intp)] * 5
     ids = np.asarray(records.ids, dtype=object)
     # rows in (id, span) order, each record's id ranked once, so ScoreTable keeps them as given
@@ -296,15 +297,3 @@ def score_corpus(
     rows, span_col, dist, nov, res = (column[order] for column in columns)
     pairs = itertools.chain.from_iterable(zip(ids[r].tolist(), itertools.repeat(span)) for r, span in unscored)
     return ScoreTable(ids[rows], span_col, dist, nov, res, pairs)
-
-
-def span_distinctiveness(records: RecordSet, span: int) -> dict:
-    """id -> distinctiveness of each record score_corpus(records, (span,)) scores, bit for bit: the same
-    window counts without the novelty scan, for each id whose past window of `span` years holds a record."""
-    year_profiles, out = _year_profiles(records), {}
-    for year, rows in records.year_rows.items():
-        past_n, past_counts = _window_profile(year_profiles, year - span, year - 1, records.registry.dimension)
-        if past_n:
-            sums = _distance_sums(records.matrix[rows], past_n, past_counts)
-            out.update(zip(map(records.ids.__getitem__, rows.tolist()), (sums / past_n).tolist()))
-    return out

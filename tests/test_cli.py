@@ -745,6 +745,20 @@ class TestExitCodes:
         assert (out / "scores.csv").read_bytes() != stale
         assert main(["stats", "--config", str(cfg)]) == EXIT_OK
 
+    def test_stats_rejects_scores_of_another_last_complete_year(self, tmp_path, caplog):
+        # under 2008 no span-2 row has resonance (2007 + 2 > 2008); under the inferred 2011, 2007-2009 have it
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path, pipeline_payload(out))
+        early = write_config(tmp_path, {**pipeline_payload(out), "last_complete_year": 2008}, "early.json")
+        synth_and_ingest(cfg, out)
+        assert main(["score", "--config", str(early)]) == EXIT_OK
+        assert main(["stats", "--config", str(cfg)]) == EXIT_INPUT
+        assert "was not scored from the ingested corpus" in caplog.text
+        assert "with last_complete_year 2011; re-run score" in caplog.text
+        assert not (out / "models.csv").exists()
+        assert main(["score", "--config", str(cfg)]) == EXIT_OK
+        assert main(["stats", "--config", str(cfg)]) == EXIT_OK
+
     def test_stats_accepts_scores_of_a_reingest_that_changes_only_controls(self, tmp_path, caplog):
         # complexity is no input of any score, so the scores.csv of the first ingest still holds
         def halve_complexity(header, rows):
@@ -875,10 +889,13 @@ class TestExitCodes:
 
 
 class TestInMemoryReport:
-    def test_stepwise_run_writes_the_same_bytes_as_report(self, tmp_path):
+    # stats' check must accept what score wrote under an inferred and under an explicit last_complete_year
+    @pytest.mark.parametrize("last_complete_year", [None, 2009], ids=["inferred", "2009"])
+    def test_stepwise_run_writes_the_same_bytes_as_report(self, tmp_path, last_complete_year):
         report_out, step_out = tmp_path / "report", tmp_path / "step"
-        report_cfg = write_config(tmp_path, pipeline_payload(report_out), "report.json")
-        step_cfg = write_config(tmp_path, pipeline_payload(step_out), "step.json")
+        report_cfg, step_cfg = (
+            write_config(tmp_path, {**pipeline_payload(out), "last_complete_year": last_complete_year},
+                         f"{out.name}.json") for out in (report_out, step_out))
         assert main(["report", "--config", str(report_cfg)]) == EXIT_OK
         corpus = ["--corpus", str(step_out / "synth_corpus.csv"),
                   "--registry", str(step_out / "synth_registry.txt")]

@@ -23,7 +23,7 @@ from novascape.metrics import (
     ScoreTable,
     read_scores_csv,
     score_corpus,
-    span_distinctiveness,
+    window_scores,
 )
 
 from conftest import cross_hamming, hamming, make_recordset, xor_min_distances
@@ -302,21 +302,29 @@ class TestScoreCorpus:
         assert np.array_equal(a.resonance, b.resonance, equal_nan=True)
 
 
-class TestSpanDistinctiveness:
+class TestWindowScores:
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.tuples(st.integers(2000, 2012), st.lists(st.integers(0, 1), min_size=3, max_size=3)),
                     min_size=1, max_size=12),
-           st.integers(1, 4))
-    def test_matches_the_scored_rows(self, rows, span):
+           st.integers(1, 4), st.one_of(st.none(), st.integers(2000, 2012)))
+    def test_matches_the_scored_rows(self, rows, span, last_complete_year):
         # years drawn from a 13-year range leave gaps wider and narrower than the span
         rs = make_recordset([(f"r{i}", year, bits) for i, (year, bits) in enumerate(rows)])
-        table = score_corpus(rs, (span,))
-        expected = dict(zip(table.ids.tolist(), table.distinctiveness.tolist()))
-        derived = span_distinctiveness(rs, span)
-        assert derived == expected
-        # bit for bit, not only equal as numbers
-        assert [np.float64(v).tobytes() for v in derived.values()] == [
-            np.float64(expected[k]).tobytes() for k in derived]
+        table = score_corpus(rs, (span,), last_complete_year)
+        ids = np.asarray(rs.ids, dtype=object)
+        years, scored, unscored = [], [], []
+        for year, focal_rows, [(at, dist, res)] in window_scores(rs, (span,), last_complete_year):
+            years.append(year)
+            assert at == span
+            if dist is None:
+                unscored += [(rid, span) for rid in ids[focal_rows]]
+            else:
+                # float64 bits as int64, so NaN resonance compares equal and -0.0 differs from 0.0
+                scored += zip(ids[focal_rows], dist.view(np.int64).tolist(), res.view(np.int64).tolist())
+        assert years == sorted(set(rs.years.tolist()))
+        assert sorted(scored) == list(zip(table.ids, table.distinctiveness.view(np.int64).tolist(),
+                                          table.resonance.view(np.int64).tolist()))
+        assert sorted(unscored) == list(table.unscored)
 
 
 class TestOrderedRows:
